@@ -30,8 +30,6 @@ from .ade import (
     m_value,
     max_disjoint_curves,
     parse_config,
-    rank,
-    render_config,
 )
 from .divisibility import (
     DivisibleCandidate,

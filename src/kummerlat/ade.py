@@ -14,11 +14,12 @@ Component blocks are ordered A ascending, then D, then E.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import GramLattice, direct_sum
+from .lattice import GramLattice, connected_components, direct_sum, frac_str
 
 ADE_E_RANKS = (6, 7, 8)
 
@@ -60,6 +61,14 @@ class ADEConfig:
             e=tuple((e or {}).items()),
         )
 
+    @classmethod
+    def from_counts(cls, counts: dict[tuple[str, int], int]) -> "ADEConfig":
+        """Configuration from component counts {(letter, n): count}."""
+        pairs: dict[str, list[tuple[int, int]]] = {"A": [], "D": [], "E": []}
+        for (letter, n), c in counts.items():
+            pairs[letter].append((n, c))
+        return cls(a=tuple(pairs["A"]), d=tuple(pairs["D"]), e=tuple(pairs["E"]))
+
     def count(self, letter: str, n: int) -> int:
         pairs = {"A": self.a, "D": self.d, "E": self.e}[letter]
         return dict(pairs).get(n, 0)
@@ -77,16 +86,7 @@ class ADEConfig:
         return sum(n for _, n in self.components())
 
     def __add__(self, other: "ADEConfig") -> "ADEConfig":
-        merged = {}
-        for cfg in (self, other):
-            for letter, pairs in (("A", cfg.a), ("D", cfg.d), ("E", cfg.e)):
-                for n, c in pairs:
-                    merged[(letter, n)] = merged.get((letter, n), 0) + c
-        return ADEConfig.of(
-            a={n: c for (l, n), c in merged.items() if l == "A"},
-            d={n: c for (l, n), c in merged.items() if l == "D"},
-            e={n: c for (l, n), c in merged.items() if l == "E"},
-        )
+        return ADEConfig.from_counts(Counter(self.components() + other.components()))
 
     def __mul__(self, k: int) -> "ADEConfig":
         return ADEConfig(
@@ -123,13 +123,9 @@ class ADEConfig:
             "A": {str(n): c for n, c in self.a},
             "D": {str(n): c for n, c in self.d},
             "E": {str(n): c for n, c in self.e},
-            "m": _frac_pq(m_value(self)),
+            "m": frac_str(m_value(self)),
             "rank": self.rank,
         }
-
-
-def _frac_pq(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _check_component(letter: str, n: int) -> None:
@@ -163,37 +159,26 @@ def parse_config(text: str) -> ADEConfig:
         key = (letter, n)
         counts[key] = counts.get(key, 0) + mult
         pos += len(raw) + 1
-    return ADEConfig.of(
-        a={n: c for (l, n), c in counts.items() if l == "A"},
-        d={n: c for (l, n), c in counts.items() if l == "D"},
-        e={n: c for (l, n), c in counts.items() if l == "E"},
-    )
+    return ADEConfig.from_counts(counts)
 
 
-def render_config(config: ADEConfig) -> str:
-    return config.render()
+def component_m(letter: str, n: int) -> Fraction:
+    """m of one component: (n+1) - 1/|G| for the finite group G of the
+    quotient singularity, |G| = n+1 for A_n, 4(n-2) for D_n and 24, 48, 120
+    for E_6, E_7, E_8."""
+    if letter == "A":
+        order = n + 1
+    elif letter == "D":
+        order = 4 * (n - 2)
+    else:
+        order = {6: 24, 7: 48, 8: 120}[n]
+    return Fraction(n + 1) - Fraction(1, order)
 
 
 def m_value(config: ADEConfig) -> Fraction:
-    """Orbifold Euler-number deficiency of the configuration.
-
-    Per component this equals (n+1) - 1/|G| for the finite group G of the
-    corresponding quotient singularity: |G| = n+1 for A_n, 4(n-2) for D_n,
-    and 24, 48, 120 for E_6, E_7, E_8.
-    """
-    total = Fraction(0)
-    for n, c in config.a:
-        total += c * (Fraction(n + 1) - Fraction(1, n + 1))
-    for n, c in config.d:
-        total += c * (Fraction(n + 1) - Fraction(1, 4 * (n - 2)))
-    for n, c in config.e:
-        order = {6: 24, 7: 48, 8: 120}[n]
-        total += c * (Fraction(n + 1) - Fraction(1, order))
-    return total
-
-
-def rank(config: ADEConfig) -> int:
-    return config.rank
+    """Orbifold Euler-number deficiency of the configuration: the sum of
+    component_m over its components."""
+    return sum((component_m(letter, n) for letter, n in config.components()), Fraction(0))
 
 
 def component_edges(letter: str, n: int) -> list[tuple[int, int]]:
@@ -353,14 +338,10 @@ def max_disjoint_curves(config: ADEConfig) -> tuple[int, tuple[str, ...]]:
 
 def _component_catalog(max_rank: int) -> list[tuple[str, int, Fraction]]:
     """All ADE components of rank <= max_rank, largest m first."""
-    items: list[tuple[str, int, Fraction]] = []
-    for n in range(1, max_rank + 1):
-        items.append(("A", n, Fraction(n + 1) - Fraction(1, n + 1)))
-    for n in range(4, max_rank + 1):
-        items.append(("D", n, Fraction(n + 1) - Fraction(1, 4 * (n - 2))))
-    for n in ADE_E_RANKS:
-        if n <= max_rank:
-            items.append(("E", n, Fraction(n + 1) - Fraction(1, {6: 24, 7: 48, 8: 120}[n])))
+    kinds = [("A", n) for n in range(1, max_rank + 1)]
+    kinds += [("D", n) for n in range(4, max_rank + 1)]
+    kinds += [("E", n) for n in ADE_E_RANKS if n <= max_rank]
+    items = [(letter, n, component_m(letter, n)) for letter, n in kinds]
     items.sort(key=lambda t: (-t[2], t[0], -t[1]))
     return items
 
@@ -382,7 +363,7 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
 
     def descend(idx: int, rem_m: Fraction, rem_rank: int) -> None:
         if rem_m == 0:
-            results.append(_config_from_counts(acc))
+            results.append(ADEConfig.from_counts({(l, n): c for l, n, c in acc}))
             return
         if idx == len(catalog) or rem_m < 0 or rem_m > density * rem_rank:
             return
@@ -399,37 +380,16 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
     return sorted(results, key=ADEConfig.sort_key)
 
 
-def _config_from_counts(acc: list[tuple[str, int, int]]) -> ADEConfig:
-    return ADEConfig.of(
-        a={n: c for l, n, c in acc if l == "A"},
-        d={n: c for l, n, c in acc if l == "D"},
-        e={n: c for l, n, c in acc if l == "E"},
-    )
-
-
 def classify_dynkin(n_nodes: int, edges: list[tuple[int, int]]) -> ADEConfig:
     """Recognize a disjoint union of ADE diagrams; raises ValueError if not."""
-    adj: dict[int, set[int]] = {i: set() for i in range(n_nodes)}
+    adj: list[set[int]] = [set() for _ in range(n_nodes)]
     for i, j in edges:
         if i == j:
             raise ValueError("self loop")
         adj[i].add(j)
         adj[j].add(i)
-    seen = set()
-    counts: dict[tuple[str, int], int] = {}
-    for s in range(n_nodes):
-        if s in seen:
-            continue
-        comp = []
-        stack = [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+    counts: Counter[tuple[str, int]] = Counter()
+    for comp in connected_components(adj):
         n = len(comp)
         n_edges = sum(1 for i, j in edges if i in comp and j in comp)
         if n_edges != n - 1:
@@ -437,7 +397,7 @@ def classify_dynkin(n_nodes: int, edges: list[tuple[int, int]]) -> ADEConfig:
         degrees = sorted(len(adj[v]) for v in comp)
         branch = [v for v in comp if len(adj[v]) >= 3]
         if not branch:
-            counts[("A", n)] = counts.get(("A", n), 0) + 1
+            counts[("A", n)] += 1
             continue
         if len(branch) > 1 or degrees[-1] > 3:
             raise ValueError("not an ADE diagram")
@@ -455,13 +415,9 @@ def classify_dynkin(n_nodes: int, edges: list[tuple[int, int]]) -> ADEConfig:
             arms.append(length)
         arms.sort()
         if arms[0] == 1 and arms[1] == 1:
-            counts[("D", n)] = counts.get(("D", n), 0) + 1
+            counts[("D", n)] += 1
         elif arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-            counts[("E", n)] = counts.get(("E", n), 0) + 1
+            counts[("E", n)] += 1
         else:
             raise ValueError("not an ADE diagram")
-    return ADEConfig.of(
-        a={n: c for (l, n), c in counts.items() if l == "A"},
-        d={n: c for (l, n), c in counts.items() if l == "D"},
-        e={n: c for (l, n), c in counts.items() if l == "E"},
-    )
+    return ADEConfig.from_counts(counts)

@@ -3,21 +3,18 @@
 Exit codes: 0 on success (an Excluded verdict is data, not an error),
 2 on usage errors, 3 on internal invariant violations.  All rationals in
 JSON output are strings "p/q"; output is deterministic for fixed input.
-The environment variable KUMMERLAT_THREADS, when set, must be a positive
-integer; it bounds worker parallelism (the pure-Python implementation is
-sequential, which satisfies any bound of at least one).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import divisibility, kummer, torus
 from .ade import enumerate_configs, m_value, parse_config
+from .lattice import frac_str
 
 INTERNAL_ERROR_EXIT = 3
 
@@ -38,7 +35,7 @@ def cmd_census(args) -> int:
     if args.json:
         _emit_json(
             {
-                "m": f"{args.m.numerator}/{args.m.denominator}",
+                "m": frac_str(args.m),
                 "max_rank": args.max_rank,
                 "count": len(configs),
                 "configs": [c.to_json_dict() for c in configs],
@@ -174,22 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_thread_env() -> None:
-    raw = os.environ.get("KUMMERLAT_THREADS")
-    if raw is None:
-        return
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise SystemExit(2)
-    if bound < 1:
-        raise SystemExit(2)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_thread_env()
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -40,7 +40,7 @@ from .ade import (
     m_value,
     max_disjoint_curves,
 )
-from .lattice import GramLattice, discriminant_group
+from .lattice import GramLattice, connected_components, discriminant_group
 
 K3_AMBIENT_RANK = 22
 EVEN_SUPPORT_SIZES = (8, 16)
@@ -396,24 +396,15 @@ def _transform_mask(ctx: _Context, mask: int) -> ADEConfig:
                 raise ValueError("candidate is not an even set (odd branch parity)")
 
     # split-curve clusters: connected non-branch curves away from the branch
-    cluster = [-1] * n
-    for s in range(n):
-        if in_branch[s] or branch_hits[s] or cluster[s] >= 0:
-            continue
-        stack = [s]
-        cluster[s] = s
-        while stack:
-            v = stack.pop()
-            for w in range(n):
-                if (
-                    g[v][w]
-                    and w != v
-                    and not in_branch[w]
-                    and not branch_hits[w]
-                    and cluster[w] < 0
-                ):
-                    cluster[w] = s
-                    stack.append(w)
+    split = [not in_branch[i] and not branch_hits[i] for i in range(n)]
+    adj = [
+        [w for w in range(n) if split[w] and g[v][w] and w != v] if split[v] else []
+        for v in range(n)
+    ]
+    cluster = [0] * n
+    for idx, comp in enumerate(connected_components(adj)):
+        for v in comp:
+            cluster[v] = idx
 
     nodes = []  # (orig, kind, copy)
     for i in range(n):
@@ -565,9 +556,9 @@ def _pure_a1_code(usable: list[int], k: int):
     return basis, 5
 
 
-def _find_even_code(ctx: _Context, allowed: list[list[int]], k: int):
+def _find_even_code(ctx: _Context, allowed: list[list[int]], k: int, cands: list[int]):
     """Find an everywhere-admissible F_2 code of dimension k among the even
-    candidates with per-component allowed patterns."""
+    candidates `cands`, enumerated from the per-component allowed patterns."""
     if k == 0:
         return [], 0
     if all(bin(p).count("1") == 1 for pats in allowed for p in pats):
@@ -578,7 +569,6 @@ def _find_even_code(ctx: _Context, allowed: list[list[int]], k: int):
                 if v and not ctx.even_class_ok(v):
                     raise AssertionError("constructed code fails admissibility")
         return basis, best
-    cands = _enumerate_even_masks(ctx, allowed)
     return _find_f2_code(cands, k, ctx.even_class_ok)
 
 
@@ -589,11 +579,11 @@ def _span_f2(basis: list[int]) -> list[int]:
     return span
 
 
-def _find_f3_code(ctx: _Context, k: int):
-    """F_3 analogue for 3-divisible classes (constructive for pure n A_2)."""
+def _find_f3_code(ctx: _Context, k: int, cands: list[tuple[int, ...]]):
+    """F_3 analogue for 3-divisible classes among the ternary candidates
+    `cands` (constructive for pure n A_2)."""
     if k == 0:
         return [], 0
-    cands = _enumerate_three_vectors(ctx)
     if not cands:
         return None, 0
     pure_a2 = all(letter == "A" and kk == 2 for letter, kk, _ in ctx.comps)
@@ -844,11 +834,10 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     )
 
     for w in witnesses:
-        cands = _enumerate_even_masks(ctx, [list(a) for a in w.allowed])
-        counted = False
+        allowed = [list(a) for a in w.allowed]
+        cands = _enumerate_even_masks(ctx, allowed)
         if not excluded:
-            basis, best = _find_even_code(ctx, [list(a) for a in w.allowed], w.required)
-            counted = True
+            basis, best = _find_even_code(ctx, allowed, w.required, cands)
             if basis is None:
                 steps.append(
                     _step(
@@ -896,13 +885,14 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
             cands2 = _enumerate_even_masks(ctx, ctx.even_patterns)
             total = len(cands2)
             if not excluded:
-                basis, best = _find_even_code(ctx, ctx.even_patterns, k)
+                basis, best = _find_even_code(ctx, ctx.even_patterns, k, cands2)
             else:
                 basis, best = [], -1
         else:
-            total = len(_enumerate_three_vectors(ctx))
+            cands3 = _enumerate_three_vectors(ctx)
+            total = len(cands3)
             if not excluded:
-                basis, best = _find_f3_code(ctx, k)
+                basis, best = _find_f3_code(ctx, k, cands3)
             else:
                 basis, best = [], -1
         if best >= 0:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, isqrt
+from math import ceil, floor, isqrt, lcm
 
 from .snf import det_int, hermite_row_basis, smith_normal_form
 
@@ -61,11 +61,68 @@ def gram_pair(gram, x, y) -> Fraction:
 
 
 def frac_str(q: Fraction) -> str:
+    """The 'p/q' form used for every rational in JSON output."""
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+def dual_defect(gram, x: RationalVector) -> tuple[int, tuple[int, Fraction] | None]:
+    """Test x against the dual lattice with one integer product gram.x.
+
+    Returns (den, defect): den is the lcm of the denominators of x, which is
+    the order of x modulo the lattice, and defect is None when x pairs
+    integrally with every basis vector, else (i, x.e_i) for the first basis
+    index i where it does not.
+    """
+    den = lcm(*(c.denominator for c in x))
+    nums = [c.numerator * (den // c.denominator) for c in x]
+    for i, row in enumerate(gram):
+        s = sum(g * v for g, v in zip(row, nums) if v)
+        if s % den:
+            return den, (i, Fraction(s, den))
+    return den, None
+
+
+def solve(A, B) -> list[list[Fraction]] | None:
+    """X with A.X = B for a square rational matrix A, or None if A is singular.
+
+    Gauss-Jordan elimination on [A | B] in exact arithmetic.
+    """
+    n = len(A)
+    M = [[Fraction(x) for x in A[i]] + [Fraction(x) for x in B[i]] for i in range(n)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if M[i][c] != 0), None)
+        if piv is None:
+            return None
+        M[c], M[piv] = M[piv], M[c]
+        inv = 1 / M[c][c]
+        M[c] = [x * inv for x in M[c]]
+        for i in range(n):
+            if i != c and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
+    return [row[n:] for row in M]
+
+
+def connected_components(adj) -> list[list[int]]:
+    """Components of the graph on range(len(adj)) with neighbour lists adj,
+    each sorted, ordered by their smallest node."""
+    seen = [False] * len(adj)
+    out = []
+    for s in range(len(adj)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack = [s]
+        comp = []
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in adj[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        out.append(sorted(comp))
+    return out
 
 
 @dataclass(frozen=True)
@@ -105,11 +162,7 @@ class GramLattice:
         return gram_pair(self.gram, vec(x), vec(y))
 
     def in_dual(self, x) -> bool:
-        x = vec(x)
-        return all(
-            gram_pair(self.gram, x, unit_vector(self.rank, i)).denominator == 1
-            for i in range(self.rank)
-        )
+        return dual_defect(self.gram, vec(x))[1] is None
 
     def to_json(self) -> str:
         return json.dumps(
@@ -128,10 +181,6 @@ class GramLattice:
             gram=tuple(tuple(row) for row in data["gram"]),
             basis_labels=tuple(data.get("labels") or ()),
         )
-
-
-def unit_vector(n: int, i: int) -> RationalVector:
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
 
 
 def direct_sum(blocks: list[list[list[int]]]) -> list[list[int]]:
@@ -190,10 +239,10 @@ class DiscriminantGroup:
 def q_value(L: GramLattice, x) -> Fraction:
     """Discriminant quadratic form x.x mod 2Z, reduced into [0, 2)."""
     x = vec(x)
-    for i in range(L.rank):
-        p = gram_pair(L.gram, x, unit_vector(L.rank, i))
-        if p.denominator != 1:
-            raise NotInDual(f"pairing with basis vector {i} is {p}")
+    _, defect = dual_defect(L.gram, x)
+    if defect:
+        i, p = defect
+        raise NotInDual(f"pairing with basis vector {i} is {p}")
     return gram_pair(L.gram, x, x) % 2
 
 
@@ -231,15 +280,10 @@ class GlueVector:
         v = vec(coords)
         if len(v) != L.rank:
             raise ValueError("glue vector has wrong length")
-        for i in range(L.rank):
-            p = gram_pair(L.gram, v, unit_vector(L.rank, i))
-            if p.denominator != 1:
-                raise NonIntegralGlue(
-                    f"pairing of {v} with basis vector {i} is {p}"
-                )
-        order = 1
-        for c in v:
-            order = order * c.denominator // _gcd(order, c.denominator)
+        order, defect = dual_defect(L.gram, v)
+        if defect:
+            i, p = defect
+            raise NonIntegralGlue(f"pairing of {v} with basis vector {i} is {p}")
         return cls(v, order)
 
     def to_json(self) -> list[str]:
@@ -248,13 +292,7 @@ class GlueVector:
 
     @classmethod
     def from_json(cls, L: GramLattice, coords: list[str]) -> "GlueVector":
-        return cls.in_dual(L, [parse_frac(c) for c in coords])
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+        return cls.in_dual(L, coords)
 
 
 @dataclass(frozen=True)
@@ -268,8 +306,9 @@ class OverlatticeResult:
 
     def contains(self, coords) -> bool:
         """Is the given parent-coordinate vector an element of the overlattice?"""
-        x = solve_in_basis(self.basis_in_parent, vec(coords))
-        return x is not None and all(c.denominator == 1 for c in x)
+        basis_cols = list(zip(*self.basis_in_parent))
+        x = solve(basis_cols, [[c] for c in vec(coords)])
+        return x is not None and all(row[0].denominator == 1 for row in x)
 
     def to_parent(self, coords) -> RationalVector:
         v = vec(coords)
@@ -290,10 +329,9 @@ def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
     """
     vs = [g.vector for g in glue]
     for a, v in enumerate(vs):
-        for i in range(L.rank):
-            p = gram_pair(L.gram, v, unit_vector(L.rank, i))
-            if p.denominator != 1:
-                raise NonIntegralGlue(f"glue #{a} pairs non-integrally with basis {i}")
+        _, defect = dual_defect(L.gram, v)
+        if defect:
+            raise NonIntegralGlue(f"glue #{a} pairs non-integrally with basis {defect[0]}")
         s = gram_pair(L.gram, v, v)
         if s.denominator != 1:
             raise NonIntegralGlue(f"glue #{a} has non-integral self-pairing {s}")
@@ -305,13 +343,9 @@ def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
                 raise NonIntegralGlue(f"glue #{a} pairs non-integrally with glue #{b}")
 
     n = L.rank
-    rows = [[Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    rows += [list(v) for v in vs]
-    den = 1
-    for row in rows:
-        for c in row:
-            den = den * c.denominator // _gcd(den, c.denominator)
-    int_rows = [[int(c * den) for c in row] for row in rows]
+    den = lcm(*(c.denominator for v in vs for c in v))
+    int_rows = [[den if j == i else 0 for j in range(n)] for i in range(n)]
+    int_rows += [[int(c * den) for c in v] for v in vs]
     H = hermite_row_basis(int_rows)
     if len(H) != n:
         raise AssertionError("overlattice basis is not full rank")
@@ -339,55 +373,6 @@ def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
     return OverlatticeResult(lat, index, basis, L)
 
 
-def solve_in_basis(basis: tuple[RationalVector, ...], v: RationalVector):
-    """Coefficients x with sum x_i basis_i = v, or None if inconsistent."""
-    m = len(basis)
-    if m == 0:
-        return None
-    n = len(basis[0])
-    # Gaussian elimination on the transposed system.
-    A = [[basis[i][j] for i in range(m)] + [v[j]] for j in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(n):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if A[i][m] != 0:
-            return None
-    x = [Fraction(0)] * m
-    for row_idx, c in enumerate(piv_cols):
-        x[c] = A[row_idx][m]
-    return tuple(x)
-
-
-def invert_frac_matrix(rows: tuple[RationalVector, ...]) -> list[list[Fraction]]:
-    n = len(rows)
-    A = [list(rows[i]) + [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if piv is None:
-            raise DegenerateLattice("matrix not invertible")
-        A[c], A[piv] = A[piv], A[c]
-        inv = 1 / A[c][c]
-        A[c] = [x * inv for x in A[c]]
-        for i in range(n):
-            if i != c and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
-    return [row[n:] for row in A]
-
-
 def _ldl(posdef: list[list[Fraction]]):
     """LDL^T decomposition of a positive definite rational matrix.
 
@@ -410,28 +395,6 @@ def _ldl(posdef: list[list[Fraction]]):
     return d, u
 
 
-def _block_structure(gram) -> list[list[int]]:
-    """Connected components of the support graph of the Gram matrix."""
-    n = len(gram)
-    seen = [False] * n
-    blocks = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and gram[i][j] != 0:
-                    seen[j] = True
-                    stack.append(j)
-        blocks.append(sorted(comp))
-    return blocks
-
-
 def roots(L: GramLattice) -> list[RationalVector]:
     """All norm -2 vectors of a negative definite lattice, one per {x, -x} pair.
 
@@ -440,7 +403,8 @@ def roots(L: GramLattice) -> list[RationalVector]:
     The raw vector count is 2 * len(result).
     """
     n = L.rank
-    blocks = _block_structure(L.gram)
+    # blocks: connected components of the support graph of the Gram matrix
+    blocks = connected_components([[j for j, g in enumerate(row) if g] for row in L.gram])
     if len(blocks) > 1:
         # roots of an orthogonal direct sum live inside single blocks
         out = []

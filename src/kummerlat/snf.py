@@ -135,12 +135,6 @@ def smith_normal_form(
     return A, U, V
 
 
-def snf_diagonal(mat: IntMatrix) -> list[int]:
-    """Nonnegative diagonal of the Smith normal form."""
-    D, _, _ = smith_normal_form(mat)
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
-
-
 def hermite_row_basis(rows: list[list[int]]) -> list[list[int]]:
     """Canonical basis (row-style Hermite form) of the integer row span."""
     A = [list(r) for r in rows if any(r)]

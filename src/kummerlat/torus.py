@@ -20,12 +20,13 @@ shorthand: abcd = (a/2) + (b/2) i + (c/2) j + (d/2) t for the lattice basis
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .ade import ADEConfig
-from .lattice import RationalVector, invert_frac_matrix
+from .lattice import DegenerateLattice, RationalVector, frac_str, solve
 from .snf import det_int, smith_normal_form
 
 
@@ -120,12 +121,18 @@ class TorusLattice:
     def basis_columns(self) -> list[list[Fraction]]:
         return [[self.basis[j][i] for j in range(4)] for i in range(4)]
 
+    def _solve(self, frame_columns) -> list[list[Fraction]]:
+        """Lattice coordinates X with B.X = frame_columns, B the basis columns."""
+        X = solve(self.basis_columns(), frame_columns)
+        if X is None:
+            raise DegenerateLattice("torus lattice basis is singular")
+        return X
+
     def to_lattice_matrix(self, frame_matrix) -> tuple[tuple[int, ...], ...]:
         """Conjugate a frame-coordinate linear map into lattice coordinates."""
         B = self.basis_columns()
-        Binv = invert_frac_matrix(tuple(tuple(row) for row in B))
         MB = [[sum(frame_matrix[i][t] * B[t][j] for t in range(4)) for j in range(4)] for i in range(4)]
-        out = [[sum(Binv[i][t] * MB[t][j] for t in range(4)) for j in range(4)] for i in range(4)]
+        out = self._solve(MB)
         rows = []
         for row in out:
             ints = []
@@ -137,10 +144,7 @@ class TorusLattice:
         return tuple(rows)
 
     def to_lattice_vector(self, frame_vector) -> RationalVector:
-        B = self.basis_columns()
-        Binv = invert_frac_matrix(tuple(tuple(row) for row in B))
-        v = [Fraction(x) for x in frame_vector]
-        return tuple(sum(Binv[i][t] * v[t] for t in range(4)) for i in range(4))
+        return tuple(row[0] for row in self._solve([[x] for x in frame_vector]))
 
 
 _T = Fraction(1, 2)
@@ -436,7 +440,7 @@ class SingularityReport:
         for orbit_idx, orbit in enumerate(self.orbits):
             for p in orbit:
                 entry = {
-                    "coords": [f"{c.numerator}/{c.denominator}" for c in p],
+                    "coords": [frac_str(c) for c in p],
                     "orbit": orbit_idx,
                     "stabilizer_order": self.stabilizer_orders[orbit_idx],
                     "ade": "%s%d" % self.stabilizer_types[orbit_idx],
@@ -547,7 +551,6 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
     orbits.sort()
     stab_orders = []
     stab_types = []
-    counts: dict[tuple[str, int], int] = {}
     for orbit in orbits:
         rep = orbit[0]
         stab = [g for g in group.elements if g(rep) == rep]
@@ -558,13 +561,8 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
             raise UnrecognizedGroup("non-symplectic stabilizer encountered")
         stab_orders.append(len(stab))
         stab_types.append(ade_type)
-        counts[ade_type] = counts.get(ade_type, 0) + 1
 
-    config = ADEConfig.of(
-        a={n: c for (l, n), c in counts.items() if l == "A"},
-        d={n: c for (l, n), c in counts.items() if l == "D"},
-        e={n: c for (l, n), c in counts.items() if l == "E"},
-    )
+    config = ADEConfig.from_counts(Counter(stab_types))
     if config.rank != sum(n for _, n in stab_types):
         raise AssertionError("configuration rank mismatch")
     return SingularityReport(
@@ -589,8 +587,8 @@ class LiebermanReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "e1": [f"{c.numerator}/{c.denominator}" for c in self.e1],
-            "e2": [f"{c.numerator}/{c.denominator}" for c in self.e2],
+            "e1": [frac_str(c) for c in self.e1],
+            "e2": [frac_str(c) for c in self.e2],
             "tau_fixed": self.tau_fixed,
             "neg_tau_fixed": self.neg_tau_fixed,
             "fixed_point_free": self.fixed_point_free,

@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -31,7 +32,7 @@ from kummerlat import (
     standard_group,
 )
 from kummerlat.divisibility import EXCLUDED, NO_OBSTRUCTION
-from kummerlat.lattice import invert_frac_matrix
+from kummerlat.lattice import solve
 from kummerlat.snf import det_int, mat_mul, smith_normal_form
 from kummerlat.torus import ALPHA, HURWITZ, QUAT_I, QUAT_J, QUAT_K, _map_from_quat
 from kummerlat.torus import abcd_shorthand, fixed_points
@@ -249,8 +250,9 @@ def test_criterion_8_property_suites():
         config = ADEConfig.of(a=counts_a, d=counts_d, e=counts_e)
         lat = gram(config)
         got = set(roots(lat))
-        Q = [[Fraction(-x) for x in row] for row in lat.gram]
-        Qinv = invert_frac_matrix(tuple(tuple(r) for r in Q))
+        g = lat.gram
+        Q = [[-x for x in row] for row in g]
+        Qinv = solve(Q, [[int(i == j) for j in range(lat.rank)] for i in range(lat.rank)])
         bounds = []
         for i in range(lat.rank):
             b = 2 * Qinv[i][i]
@@ -260,7 +262,7 @@ def test_criterion_8_property_suites():
             bounds.append(k)
         brute = set()
         for combo in product(*(range(-b, b + 1) for b in bounds)):
-            if lat.pair(combo, combo) == -2:
+            if sum(x * sum(map(mul, row, combo)) for x, row in zip(combo, g) if x) == -2:
                 nz = next(c for c in combo if c)
                 if nz > 0:
                     brute.add(tuple(Fraction(c) for c in combo))

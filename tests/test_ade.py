@@ -15,8 +15,6 @@ from kummerlat import (
     m_value,
     max_disjoint_curves,
     parse_config,
-    rank,
-    render_config,
 )
 
 TABLE_10 = {
@@ -62,8 +60,8 @@ def test_parse_mixed():
 
 def test_parse_whitespace_and_roundtrip():
     c = parse_config("  5A1 + 4 A2+ A5 ")
-    assert render_config(c) == "5A1+4A2+A5"
-    assert parse_config(render_config(c)) == c
+    assert c.render() == "5A1+4A2+A5"
+    assert parse_config(c.render()) == c
 
 
 def test_parse_invalid_component():
@@ -100,19 +98,19 @@ def test_m_C5():
 def test_table_m_and_rank(text, rho):
     c = parse_config(text)
     assert m_value(c) == 24
-    assert rank(c) == rho
+    assert c.rank == rho
 
 
 @pytest.mark.parametrize("text", EXTRA_8)
 def test_extra_configs_m24(text):
     c = parse_config(text)
     assert m_value(c) == 24
-    assert rank(c) <= 19
+    assert c.rank <= 19
 
 
 def test_rank_examples():
-    assert rank(parse_config("16A1")) == 16
-    assert rank(parse_config("A1+6A3")) == 19
+    assert parse_config("16A1").rank == 16
+    assert parse_config("A1+6A3").rank == 19
     assert ADEConfig().rank == 0
 
 

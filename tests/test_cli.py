@@ -140,11 +140,3 @@ def test_deterministic_output():
     b = run_cli("kummer", "--group", "T24hat", "--json").stdout
     assert a == b
 
-
-def test_thread_env_accepted():
-    res = run_cli("census", "--m", "3/2", "--max-rank", "5",
-                  env={"KUMMERLAT_THREADS": "4"})
-    assert res.returncode == 0
-    res = run_cli("census", "--m", "3/2", "--max-rank", "5",
-                  env={"KUMMERLAT_THREADS": "zero"})
-    assert res.returncode == 2

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from kummerlat import (
     q_value,
     roots,
 )
-from kummerlat.lattice import invert_frac_matrix
+from kummerlat.lattice import solve
 
 
 def L(text):
@@ -113,10 +114,12 @@ def test_q_well_defined_mod_lattice(text, gen_pick, shift):
 
 
 def brute_force_roots(lat):
-    """Box search oracle: coordinates bounded via the inverse form."""
+    """Box search oracle: coordinates bounded via the inverse form, norms
+    evaluated as the integer sum of g_ij x_i x_j."""
     n = lat.rank
-    Q = [[Fraction(-x) for x in row] for row in lat.gram]
-    Qinv = invert_frac_matrix(tuple(tuple(r) for r in Q))
+    g = lat.gram
+    Q = [[-x for x in row] for row in g]
+    Qinv = solve(Q, [[int(i == j) for j in range(n)] for i in range(n)])
     bounds = []
     for i in range(n):
         b = 2 * Qinv[i][i]
@@ -126,7 +129,7 @@ def brute_force_roots(lat):
         bounds.append(k)
     out = set()
     for combo in product(*(range(-b, b + 1) for b in bounds)):
-        if lat.pair(combo, combo) == -2:
+        if sum(x * sum(map(mul, row, combo)) for x, row in zip(combo, g) if x) == -2:
             nz = next(c for c in combo if c)
             if nz > 0:
                 out.add(tuple(Fraction(c) for c in combo))
