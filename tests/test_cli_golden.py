@@ -1,4 +1,5 @@
-"""Byte-for-byte guard on the output of every CLI command shown in the README.
+"""Byte-for-byte guard on the output of every CLI command shown in the README,
+and of `obstruct` on every configuration of the m = 24 census.
 
 Each command runs in-process in text and `--json` form and is compared with
 its recorded output under `tests/golden/`.  To re-record after an intended
@@ -19,12 +20,18 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 KUMMER_GROUPS = ("Q12", "Q8", "Q8_T24", "Q8hat", "T24", "T24hat", "Z2", "Z3", "Z4", "Z6")
 TORUS_GROUPS = ("neg1", "Z2", "i", "Z4", "Q8", "Q8_T24", "T24", "D12", "Q8hat", "T24hat")
+# every configuration of `census --m 24 --max-rank 19`
+CENSUS_24 = (
+    "16A1", "11A1+2A3", "9A2", "5A1+4A2+A5", "6A1+4A3", "6A1+2A2+A3+D5",
+    "7A1+A3+2D4", "4A2+2A3+A5", "A1+6A3", "A1+2A2+3A3+D5", "A1+4A2+2D5",
+    "A1+4A2+D4+E6", "2A1+3A3+2D4", "2A1+2A2+2D4+D5", "3A1+4D4", "5A1+A3+A7+D4",
+    "5A1+A3+A4+D7", "5A1+A2+D4+D8",
+)
 
 COMMANDS = [
     ("census_m24", ["census", "--m", "24", "--max-rank", "19"]),
     ("census_m3-2", ["census", "--m", "3/2", "--max-rank", "19"]),
-    ("obstruct_11A1+2A3", ["obstruct", "--config", "11A1+2A3"]),
-    ("obstruct_16A1", ["obstruct", "--config", "16A1"]),
+    *((f"obstruct_{c}", ["obstruct", "--config", c]) for c in CENSUS_24),
     *((f"kummer_{g}", ["kummer", "--group", g]) for g in KUMMER_GROUPS),
     *((f"torus_{g}", ["torus", "--group", g]) for g in TORUS_GROUPS),
     ("torus_lieberman", ["torus", "--group", "lieberman", "--e1", "1/2,0", "--e2", "0,1/2"]),
