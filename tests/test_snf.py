@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,3 +93,31 @@ def test_hermite_row_basis_spans_same_lattice():
     pivots = [next(j for j, x in enumerate(r) if x) for r in H]
     assert pivots == sorted(pivots)
     assert all(r[p] > 0 for r, p in zip(H, pivots))
+
+
+def test_certificate_check_survives_optimize():
+    # python -O strips assert statements; the U*A*V = D check must still
+    # raise, and the CLI must report it as an internal error (exit 3)
+    script = textwrap.dedent(
+        """
+        import sys
+        from kummerlat import cli, snf
+        real = snf.mat_mul
+        snf.mat_mul = lambda a, b: [[x + 1 for x in row] for row in real(a, b)]
+        try:
+            snf.smith_normal_form([[2, 0], [0, 3]])
+        except AssertionError as exc:
+            print("raised:", exc)
+        print("optimize:", sys.flags.optimize)
+        sys.exit(cli.main(["kummer", "--group", "Z2"]))
+        """
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert "optimize: 1" in res.stdout
+    assert "raised: Smith normal form certificate" in res.stdout
+    assert res.returncode == 3
+    assert "internal invariant violation" in res.stderr
