@@ -9,7 +9,14 @@ sub-configurations.  Candidates are computed per component from the torsion
 of the component discriminant groups, so obstructions like "an A_2 inside
 an A_3 is never 3-divisible" fall out of the integrality test itself.
 
-The nonexistence checker combines three mechanisms:
+Classes of both primes are packed into one int: bit i is coefficient 1 on
+curve i and, for p = 3, bit n + i is coefficient 2.  One enumeration, one
+admissibility test and one F_p subspace search serve p = 2 and p = 3; only
+addition differs (XOR, or a bitsliced mod-3 add on the two halves).
+
+The nonexistence checker first excludes rank > 19 (the exceptional curves
+of a K3 span a negative-definite lattice) and then combines three
+mechanisms:
 
 * counting: any set R of r >= 12 pairwise disjoint curves forces an
   F_2-space of divisible classes supported on R of dimension r - 11, all of
@@ -24,6 +31,7 @@ The nonexistence checker combines three mechanisms:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,7 +53,8 @@ from .lattice import GramLattice, connected_components, discriminant_group
 K3_AMBIENT_RANK = 22
 EVEN_SUPPORT_SIZES = (8, 16)
 THREE_SUPPORT_SIZES = (6, 9)
-COVER_RANK_LIMIT = 19
+# the exceptional curves of a K3 span a negative-definite lattice of rank <= 19
+K3_RANK_LIMIT = 19
 
 EXCLUDED = "Excluded"
 NO_OBSTRUCTION = "NoObstructionFound"
@@ -195,7 +204,64 @@ def _pairs_of_coeffs(coeffs, adj) -> tuple[tuple[int, int], ...] | None:
 
 
 # ---------------------------------------------------------------------------
-# configuration context
+# configuration context and packed classes
+
+
+class _Classes:
+    """The admissible p-divisible classes of a configuration, for p = 2 or 3.
+
+    A class is one int.  Bit i means coefficient 1 on curve i; for p = 3
+    only, bit n + i means coefficient 2 on curve i.  Components are
+    disjoint, so per-component patterns combine by bitwise OR and the
+    support size is the bit count.  Addition is the only per-prime
+    operation.
+    """
+
+    def __init__(self, ctx: "_Context", p: int):
+        n = ctx.n
+        self.patterns: list[list[int]] = []  # per component, sorted
+        self.checks: list[tuple[int, set[int]]] = []  # (component mask, patterns)
+        for letter, k, nodes in ctx.comps:
+            mask = sum(1 << node for node in nodes)
+            if p == 2:
+                local = [
+                    sum(1 << nodes[i] for i in supp)
+                    for supp in _even_patterns_local(letter, k)
+                ]
+            else:
+                mask |= mask << n
+                local = [
+                    sum(1 << (nodes[i] + (c - 1) * n) for i, c in enumerate(coeffs) if c)
+                    for coeffs in _three_patterns_local(letter, k)
+                ]
+            self.patterns.append(sorted(local))
+            self.checks.append((mask, set(local)))
+        if p == 2:
+            self.sizes = EVEN_SUPPORT_SIZES
+            self.add = operator.xor
+            self.multiples = lambda v: (v,)
+            return
+        self.sizes = tuple(2 * s for s in THREE_SUPPORT_SIZES)  # curves
+        low = (1 << n) - 1
+
+        def add(u: int, v: int) -> int:
+            # coefficient 1 from 0+1, 1+0, 2+2; coefficient 2 from 0+2, 2+0, 1+1
+            u1, u2, v1, v2 = u & low, u >> n, v & low, v >> n
+            s1 = (u1 ^ v1) & ~(u2 | v2) | (u2 & v2)
+            s2 = (u2 ^ v2) & ~(u1 | v1) | (u1 & v1)
+            return s1 | s2 << n
+
+        self.add = add
+        self.multiples = lambda v: (v, (v & low) << n | v >> n)  # v and -v
+
+    def ok(self, v: int) -> bool:
+        if v.bit_count() not in self.sizes:
+            return False
+        for cmask, pats in self.checks:
+            sub = v & cmask
+            if sub and sub not in pats:
+                return False
+        return True
 
 
 class _Context:
@@ -206,106 +272,36 @@ class _Context:
         self.labels = self.graph.nodes
         self.n = len(self.labels)
         self.comps = self.graph.component_nodes()  # (letter, n, node tuple)
-        self.comp_masks = []
-        self.even_patterns: list[list[int]] = []  # global masks per component
-        self.even_pattern_sets: list[set[int]] = []
-        self.three_patterns: list[list[tuple[int, ...]]] = []  # global coeff tuples
-        self.three_pattern_sets: list[set[tuple[int, ...]]] = []
-        for letter, k, nodes in self.comps:
-            mask = 0
-            for node in nodes:
-                mask |= 1 << node
-            self.comp_masks.append(mask)
-            pats = []
-            for supp in _even_patterns_local(letter, k):
-                pats.append(sum(1 << nodes[i] for i in supp))
-            self.even_patterns.append(sorted(pats))
-            self.even_pattern_sets.append(set(pats))
-            tpats = []
-            for coeffs in _three_patterns_local(letter, k):
-                full = [0] * self.n
-                for i, c in enumerate(coeffs):
-                    full[nodes[i]] = c
-                tpats.append(tuple(full))
-            self.three_patterns.append(sorted(tpats))
-            self.three_pattern_sets.append({t for t in tpats})
-
-    def even_class_ok(self, mask: int) -> bool:
-        if bin(mask).count("1") not in EVEN_SUPPORT_SIZES:
-            return False
-        for cmask, pats in zip(self.comp_masks, self.even_pattern_sets):
-            sub = mask & cmask
-            if sub and sub not in pats:
-                return False
-        return True
-
-    def three_class_ok(self, coeffs: tuple[int, ...]) -> bool:
-        nonzero = sum(1 for c in coeffs if c)
-        if nonzero // 2 not in THREE_SUPPORT_SIZES or nonzero % 2:
-            return False
-        for (letter, k, nodes), pats in zip(self.comps, self.three_pattern_sets):
-            if any(coeffs[i] for i in nodes):
-                sub = tuple(coeffs[i] if i in nodes else 0 for i in range(self.n))
-                if sub not in pats:
-                    return False
-        return True
+        self.classes = {p: _Classes(self, p) for p in (2, 3)}
 
     def mask_labels(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in range(self.n) if mask >> i & 1)
 
 
-def _enumerate_even_masks(ctx: _Context, allowed: list[list[int]]) -> list[int]:
-    """All pattern combinations whose total support size is 8 or 16."""
-    sizes = [max((bin(p).count("1") for p in pats), default=0) for pats in allowed]
+def _enumerate_candidates(cls: _Classes, allowed: list[list[int]]) -> list[int]:
+    """All combinations of at most one allowed pattern per component whose
+    support size is admissible, sorted."""
+    lo, hi = min(cls.sizes), max(cls.sizes)
     suffix = [0] * (len(allowed) + 1)
     for i in range(len(allowed) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + sizes[i]
+        suffix[i] = suffix[i + 1] + max((p.bit_count() for p in allowed[i]), default=0)
     out = []
-    target_max = max(EVEN_SUPPORT_SIZES)
 
-    def walk(i: int, mask: int, size: int) -> None:
-        if size > target_max:
+    def walk(i: int, v: int, size: int) -> None:
+        if size > hi:
             return
         if i == len(allowed):
-            if size in EVEN_SUPPORT_SIZES:
-                out.append(mask)
+            if size in cls.sizes:
+                out.append(v)
             return
-        if size + suffix[i] < min(EVEN_SUPPORT_SIZES):
+        if size + suffix[i] < lo:
             return
-        walk(i + 1, mask, size)
+        walk(i + 1, v, size)
         for p in allowed[i]:
-            walk(i + 1, mask | p, size + bin(p).count("1"))
+            walk(i + 1, v | p, size + p.bit_count())
 
     walk(0, 0, 0)
     return sorted(out)
-
-
-def _enumerate_three_vectors(ctx: _Context) -> list[tuple[int, ...]]:
-    """All 3-divisible candidates: pattern combinations with 6 or 9 pairs."""
-    out = []
-    allowed = ctx.three_patterns
-    sizes = [max((sum(1 for c in p if c) for p in pats), default=0) for pats in allowed]
-    suffix = [0] * (len(allowed) + 1)
-    for i in range(len(allowed) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + sizes[i]
-    max_curves = max(THREE_SUPPORT_SIZES) * 2
-
-    def walk(i: int, coeffs: tuple[int, ...], size: int) -> None:
-        if size > max_curves:
-            return
-        if i == len(allowed):
-            if size // 2 in THREE_SUPPORT_SIZES:
-                out.append(coeffs)
-            return
-        if size + suffix[i] < min(THREE_SUPPORT_SIZES) * 2:
-            return
-        walk(i + 1, coeffs, size)
-        for p in allowed[i]:
-            merged = tuple(a + b for a, b in zip(coeffs, p))
-            walk(i + 1, merged, size + sum(1 for c in p if c))
-
-    walk(0, tuple([0] * ctx.n), 0)
-    return sorted(set(out))
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +312,9 @@ def even_set_candidates(config: ADEConfig) -> list[DivisibleCandidate]:
     """All admissible even-set candidates: 8 or 16 disjoint curves whose
     half-sum pairs integrally with every curve of the configuration."""
     ctx = _Context(config)
-    masks = _enumerate_even_masks(ctx, ctx.even_patterns)
+    cls = ctx.classes[2]
     out = []
-    for mask in masks:
+    for mask in _enumerate_candidates(cls, cls.patterns):
         vectorc = tuple(
             Fraction(1, 2) if mask >> i & 1 else Fraction(0) for i in range(ctx.n)
         )
@@ -332,12 +328,15 @@ def three_divisible_candidates(config: ADEConfig) -> list[DivisibleCandidate]:
     sub-configurations whose weighted third-sum is integral against all
     curves."""
     ctx = _Context(config)
-    adj = [set() for _ in range(ctx.n)]
+    cls = ctx.classes[3]
+    n = ctx.n
+    adj = [set() for _ in range(n)]
     for i, j in ctx.graph.edges:
         adj[i].add(j)
         adj[j].add(i)
     out = []
-    for coeffs in _enumerate_three_vectors(ctx):
+    for v in _enumerate_candidates(cls, cls.patterns):
+        coeffs = tuple((v >> i & 1) + 2 * (v >> (n + i) & 1) for i in range(n))
         pairs = _pairs_of_coeffs(coeffs, adj)
         if pairs is None:
             raise AssertionError("candidate coefficients fail to decompose")
@@ -471,188 +470,64 @@ def _transform_mask(ctx: _Context, mask: int) -> ADEConfig:
 
 
 # ---------------------------------------------------------------------------
-# F_2 / F_3 code search (everywhere-admissible subspaces)
+# F_p code search over packed classes (everywhere-admissible subspaces)
 
 
-def _find_f2_code(cands: list[int], k: int, is_ok) -> tuple[list[int] | None, int]:
-    """Search for an F_2 subspace of dimension k all of whose nonzero
-    elements are admissible.  Returns (basis or None, best dimension seen)."""
-    if k == 0:
-        return [], 0
-    cands = sorted(cands)
+def _find_code(cls: _Classes, cands: list[int], k: int) -> tuple[list[int] | None, int]:
+    """Search for an F_p subspace of dimension k, with a basis drawn from the
+    admissible classes `cands`, all of whose nonzero elements are admissible.
+
+    Returns (basis or None, largest dimension reached).  Extending the span
+    by v adds m + w for each nonzero multiple m of v and each old element
+    w.  Each level keeps only the later candidates u with u + x admissible
+    for every element x just added, so u is checked once against each span
+    element w != 0.  That covers the other multiples of u as well: the new
+    elements are closed under negation, and so is admissibility (for
+    p = 3, negation swaps each oriented pair).  The case w = 0 needs no
+    check because every candidate is admissible, and a u inside the span
+    fails at u - u = 0.
+    """
+    add, ok, multiples = cls.add, cls.ok, cls.multiples
     best_seen = 0
     basis: list[int] = []
-    span: list[int] = [0]
-    span_set: set[int] = {0}
 
-    def extend(start: int) -> bool:
+    def extend(compatible: list[int], span: list[int]) -> bool:
         nonlocal best_seen
         best_seen = max(best_seen, len(basis))
         if len(basis) == k:
             return True
-        for idx in range(start, len(cands)):
-            v = cands[idx]
-            if v in span_set:
-                continue
-            if all(is_ok(v ^ w) for w in span if w):
-                basis.append(v)
-                old_len = len(span)
-                span.extend(v ^ w for w in span[:old_len])
-                span_set.update(span[old_len:])
-                if extend(idx + 1):
-                    return True
-                basis.pop()
-                for w in span[old_len:]:
-                    span_set.discard(w)
-                del span[old_len:]
+        for idx, v in enumerate(compatible):
+            new = [add(m, w) for m in multiples(v) for w in span]
+            rest = [
+                u
+                for u in compatible[idx + 1 :]
+                if all(ok(add(u, x)) for x in new)
+            ]
+            basis.append(v)
+            if extend(rest, span + new):
+                return True
+            basis.pop()
         return False
 
-    found = extend(0)
+    found = extend(cands, [0])
     return (basis if found else None), (k if found else best_seen)
 
 
+# Fewest points carrying a code of dimension d whose nonzero weights are all
+# 8 or 16 (Nikulin, "On Kummer surfaces", 1975; 16 points carry RM(1, 4)).
+# No such code has dimension 6 on at most 19 points (a weight-moment count
+# reduces it to a [9, 6, 4] or [13, 6, 6] code, which the Griesmer bound
+# forbids), and rank <= 19 bounds the points, so this caps the search.
 _PURE_A1_THRESHOLD = {1: 8, 2: 12, 3: 14, 4: 15, 5: 16}
 
 
-def _pure_a1_code(usable: list[int], k: int):
-    """Constructive weight-{8,16} F_2 codes when all patterns are single
-    curves.  Returns (basis or None, best achievable dimension)."""
-    cap = max((d for d, t in _PURE_A1_THRESHOLD.items() if t <= len(usable)), default=0)
-    if k > cap:
-        return None, cap
-    if k == 0:
-        return [], 0
-    pos = usable
-
-    def mask_of(idxs):
-        m = 0
-        for i in idxs:
-            m |= 1 << pos[i]
-        return m
-
-    if k <= 2:
-        basis = [mask_of(range(8))]
-        if k == 2:
-            basis.append(mask_of(range(4, 12)))
-        return basis, k
-    if k == 3:
-        # positions 0..13 <-> doubled points of F_2^3 \ 0
-        basis = [
-            mask_of([2 * t + s for t in range(7) for s in (0, 1) if bin((t + 1) & w).count("1") % 2])
-            for w in (1, 2, 4)
-        ]
-        return basis, k
-    if k == 4:
-        basis = [
-            mask_of([t - 1 for t in range(1, 16) if bin(t & w).count("1") % 2])
-            for w in (1, 2, 4, 8)
-        ]
-        return basis, k
-    basis = [
-        mask_of([t for t in range(16) if bin(t & w).count("1") % 2])
-        for w in (1, 2, 4, 8)
-    ]
-    basis.append(mask_of(range(16)))
-    return basis, 5
-
-
-def _find_even_code(ctx: _Context, allowed: list[list[int]], k: int, cands: list[int]):
-    """Find an everywhere-admissible F_2 code of dimension k among the even
-    candidates `cands`, enumerated from the per-component allowed patterns."""
-    if k == 0:
-        return [], 0
-    if all(bin(p).count("1") == 1 for pats in allowed for p in pats):
-        usable = sorted(p.bit_length() - 1 for pats in allowed for p in pats)
-        basis, best = _pure_a1_code(usable, k)
-        if basis is not None:
-            for v in _span_f2(basis):
-                if v and not ctx.even_class_ok(v):
-                    raise AssertionError("constructed code fails admissibility")
-        return basis, best
-    return _find_f2_code(cands, k, ctx.even_class_ok)
-
-
-def _span_f2(basis: list[int]) -> list[int]:
-    span = [0]
-    for v in basis:
-        span += [v ^ w for w in span]
-    return span
-
-
-def _find_f3_code(ctx: _Context, k: int, cands: list[tuple[int, ...]]):
-    """F_3 analogue for 3-divisible classes among the ternary candidates
-    `cands` (constructive for pure n A_2)."""
-    if k == 0:
-        return [], 0
-    if not cands:
-        return None, 0
-    pure_a2 = all(letter == "A" and kk == 2 for letter, kk, _ in ctx.comps)
-    if pure_a2 and len(ctx.comps) == 9 and k <= 3:
-        # slots <-> points of F_3^2; affine functionals give weights {6, 9}
-        slots = [nodes for _, _, nodes in ctx.comps]
-
-        def coeff_vec(values):
-            out = [0] * ctx.n
-            for slot, c in zip(slots, values):
-                out[slot[0]] = c
-                out[slot[1]] = (2 * c) % 3
-            return tuple(out)
-
-        points = [(x, y) for x in range(3) for y in range(3)]
-        basis = [
-            coeff_vec([1] * 9),
-            coeff_vec([p[0] for p in points]),
-            coeff_vec([p[1] for p in points]),
-        ][:k]
-        for v in _span_f3(basis, ctx.n):
-            if any(v) and not ctx.three_class_ok(v):
-                raise AssertionError("constructed ternary code fails admissibility")
-        return basis, k
-
-    def add(u, v):
-        return tuple((a + b) % 3 for a, b in zip(u, v))
-
-    def dbl(u):
-        return tuple((2 * a) % 3 for a in u)
-
-    best_seen = 0
-    basis: list[tuple[int, ...]] = []
-    span: list[tuple[int, ...]] = [tuple([0] * ctx.n)]
-
-    def extend(start: int) -> bool:
-        nonlocal best_seen
-        best_seen = max(best_seen, len(basis))
-        if len(basis) == k:
-            return True
-        for idx in range(start, len(cands)):
-            v = cands[idx]
-            if v in span:
-                continue
-            new = [add(v, w) for w in span] + [add(dbl(v), w) for w in span]
-            if all(ctx.three_class_ok(u) for u in new if any(u)):
-                basis.append(v)
-                old = list(span)
-                span.extend(new)
-                if extend(idx + 1):
-                    return True
-                basis.pop()
-                del span[len(old):]
-        return False
-
-    found = extend(0)
-    return (basis if found else None), (k if found else best_seen)
-
-
-def _span_f3(basis, n):
-    span = [tuple([0] * n)]
-    for v in basis:
-        new = []
-        for w in span:
-            u1 = tuple((a + b) % 3 for a, b in zip(v, w))
-            u2 = tuple((2 * a + b) % 3 for a, b in zip(v, w))
-            new += [u1, u2]
-        span += new
-    return span
+def _pure_a1_cap(allowed: list[list[int]]) -> int | None:
+    """Largest possible code dimension when every allowed pattern is a single
+    curve, else None."""
+    usable = [p for pats in allowed for p in pats]
+    if any(p.bit_count() != 1 for p in usable):
+        return None
+    return max((d for d, t in _PURE_A1_THRESHOLD.items() if t <= len(usable)), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -795,18 +670,23 @@ def _witnesses(ctx: _Context) -> list[_Witness]:
 
 
 def check_nonexistence(config: ADEConfig) -> ObstructionReport:
-    """Run the length, counting and double-cover obstructions in order.
+    """Run the rank, length, counting and double-cover obstructions in order.
 
-    The verdict is Excluded when some forced resource is unavailable: a set
-    of r >= 12 disjoint curves without its r - 11 independent admissible
-    even sets, a p-primary length excess without enough p-divisible glue,
-    or a forced even set all of whose double covers exceed rank 19.
+    The verdict is Excluded when some forced resource is unavailable: rank
+    above 19, a set of r >= 12 disjoint curves without its r - 11
+    independent admissible even sets, a p-primary length excess without
+    enough p-divisible glue, or a forced even set all of whose double covers
+    exceed rank 19.
     """
+    rho = config.rank
+    if rho > K3_RANK_LIMIT:
+        step = _step("RankExceeds", rank=rho, rank_limit=K3_RANK_LIMIT)
+        return ObstructionReport(config=config, verdict=EXCLUDED, steps=(step,))
     ctx = _Context(config)
+    even = ctx.classes[2]
     steps: list[ObstructionStep] = []
     excluded = False
 
-    rho = config.rank
     disc = discriminant_group(ctx.lattice)
     bound = min(rho, K3_AMBIENT_RANK - rho)
     l2 = disc.primary_length(2)
@@ -833,11 +713,17 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
         )
     )
 
+    def search(cls: _Classes, allowed: list[list[int]], cands: list[int], k: int):
+        cap = _pure_a1_cap(allowed)
+        if cap is not None and k > cap:
+            return None, cap
+        return _find_code(cls, cands, k)
+
     for w in witnesses:
         allowed = [list(a) for a in w.allowed]
-        cands = _enumerate_even_masks(ctx, allowed)
+        cands = _enumerate_candidates(even, allowed)
         if not excluded:
-            basis, best = _find_even_code(ctx, allowed, w.required, cands)
+            basis, best = search(even, allowed, cands, w.required)
             if basis is None:
                 steps.append(
                     _step(
@@ -873,50 +759,38 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
                             example_cover.render() if example_cover else "not ADE"
                         ),
                         cover_rank=(example_cover.rank if example_cover else -1),
-                        rank_limit=COVER_RANK_LIMIT,
+                        rank_limit=K3_RANK_LIMIT,
                     )
                 )
                 excluded = True
 
     for prime, k in ((2, k2), (3, k3)):
-        if k == 0:
+        if k == 0 or excluded:
             continue
-        if prime == 2:
-            cands2 = _enumerate_even_masks(ctx, ctx.even_patterns)
-            total = len(cands2)
-            if not excluded:
-                basis, best = _find_even_code(ctx, ctx.even_patterns, k, cands2)
-            else:
-                basis, best = [], -1
-        else:
-            cands3 = _enumerate_three_vectors(ctx)
-            total = len(cands3)
-            if not excluded:
-                basis, best = _find_f3_code(ctx, k, cands3)
-            else:
-                basis, best = [], -1
-        if best >= 0:
+        cls = ctx.classes[prime]
+        cands = _enumerate_candidates(cls, cls.patterns)
+        basis, best = search(cls, cls.patterns, cands, k)
+        steps.append(
+            _step(
+                "AdmissibleCandidateCount",
+                scope="global",
+                prime=prime,
+                required_independent=k,
+                admissible_candidates=len(cands),
+                independent_found=best,
+            )
+        )
+        if basis is None:
             steps.append(
                 _step(
-                    "AdmissibleCandidateCount",
+                    "IndependenceDeficit",
                     scope="global",
                     prime=prime,
-                    required_independent=k,
-                    admissible_candidates=total,
-                    independent_found=(k if basis is not None else best),
+                    required=k,
+                    available=best,
                 )
             )
-            if basis is None:
-                steps.append(
-                    _step(
-                        "IndependenceDeficit",
-                        scope="global",
-                        prime=prime,
-                        required=k,
-                        available=best,
-                    )
-                )
-                excluded = True
+            excluded = True
 
     return ObstructionReport(
         config=config,
@@ -935,7 +809,7 @@ def _cover_scan(ctx: _Context, masks: list[int]):
             if first_bad is None:
                 first_bad = (mask, None)
             continue
-        if cover.rank <= COVER_RANK_LIMIT:
+        if cover.rank <= K3_RANK_LIMIT:
             return (mask, cover), first_bad
         if first_bad is None:
             first_bad = (mask, cover)
@@ -952,7 +826,7 @@ def enriques_census() -> list[ADEConfig]:
     out = []
     for config in enumerate_configs(Fraction(12), 9):
         doubled = 2 * config
-        if doubled.rank > 19 or m_value(doubled) != 24:
+        if doubled.rank > K3_RANK_LIMIT or m_value(doubled) != 24:
             continue
         if not check_nonexistence(doubled).excluded:
             out.append(config)

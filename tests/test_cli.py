@@ -1,9 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import time
+from contextlib import redirect_stdout
 
 import pytest
+
+from kummerlat import cli
 
 CLI = [sys.executable, "-m", "kummerlat"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -94,6 +99,20 @@ def test_obstruct_C3_cover():
     assert data["verdict"] == "Excluded"
     covers = [s for s in data["steps"] if s["kind"] == "CoverRankExceeds"]
     assert any("2A7" in s["cover_config"] and s["cover_rank"] == "20" for s in covers)
+
+
+@pytest.mark.parametrize("config,rank", [("20A1", 20), ("25A1", 25), ("A30", 30)])
+def test_obstruct_rank_above_19_excluded_at_once(config, rank):
+    out = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out):
+        code = cli.main(["obstruct", "--config", config, "--json"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    data = json.loads(out.getvalue())
+    assert data["verdict"] == "Excluded"
+    assert data["steps"] == [{"kind": "RankExceeds", "rank": str(rank), "rank_limit": "19"}]
+    assert elapsed < 0.5
 
 
 def test_torus_q8hat():

@@ -1,5 +1,6 @@
+import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -14,7 +15,13 @@ from kummerlat import (
     required_even_sets,
     three_divisible_candidates,
 )
-from kummerlat.divisibility import EXCLUDED, NO_OBSTRUCTION
+from kummerlat.divisibility import (
+    EXCLUDED,
+    NO_OBSTRUCTION,
+    _Context,
+    _enumerate_candidates,
+    _find_code,
+)
 
 TABLE_10 = [
     "16A1",
@@ -142,6 +149,136 @@ def test_three_divisible_class_vectors_in_dual():
     lat = gram(config)
     for cand in three_divisible_candidates(config):
         assert lat.in_dual(cand.class_vector)
+
+
+@pytest.mark.parametrize("text", ["9A2", "4A2+2A3+A5", "6A2+A5"])
+def test_three_divisible_candidates_closed_under_negation(text):
+    # -x is again a candidate: the code search relies on this to skip
+    # checking the multiples of a new basis vector
+    vectors = {c.class_vector for c in three_divisible_candidates(parse_config(text))}
+    assert vectors
+    for vec in vectors:
+        assert tuple((-x) % 1 for x in vec) in vectors
+
+
+# --- hand-built codes as oracles for the code search --------------------------
+
+
+def _parity(x):
+    return bin(x).count("1") % 2
+
+
+# basis words (point index sets) of weight-{8,16} codes on nA1, dimension 1-5
+A1_CODES = {
+    8: [range(8)],
+    12: [range(8), range(4, 12)],
+    # 14 points: F_2^3 minus 0, each point doubled
+    14: [
+        [2 * t + s for t in range(7) for s in (0, 1) if _parity((t + 1) & w)]
+        for w in (1, 2, 4)
+    ],
+    # 15 points: the simplex code on F_2^4 minus 0
+    15: [[t - 1 for t in range(1, 16) if _parity(t & w)] for w in (1, 2, 4, 8)],
+    # 16 points: the Kummer code RM(1, 4) (Nikulin, "On Kummer surfaces", 1975)
+    16: [[t for t in range(16) if _parity(t & w)] for w in (1, 2, 4, 8)] + [range(16)],
+}
+
+
+def _f2_span(basis):
+    span = [0]
+    for word in basis:
+        mask = sum(1 << i for i in word)
+        span += [mask ^ w for w in span]
+    return span
+
+
+@pytest.mark.parametrize("points", sorted(A1_CODES))
+def test_a1_code_words_are_even_set_candidates(points):
+    basis = A1_CODES[points]
+    config = parse_config(f"{points}A1")
+    labels = gram(config).basis_labels
+    supports = {frozenset(c.support) for c in even_set_candidates(config)}
+    words = [w for w in _f2_span(basis) if w]
+    assert len(set(words)) == 2 ** len(basis) - 1
+    for word in words:
+        assert bin(word).count("1") in (8, 16)
+        assert frozenset(labels[i] for i in range(points) if word >> i & 1) in supports
+
+
+def _global_found(report, prime):
+    (step,) = [
+        s
+        for s in report.steps
+        if s.kind == "AdmissibleCandidateCount" and s.get("prime") == str(prime)
+    ]
+    return int(step.get("independent_found"))
+
+
+def test_search_reaches_kummer_code_dimension():
+    report = check_nonexistence(parse_config("16A1"))
+    assert report.verdict == NO_OBSTRUCTION
+    assert _global_found(report, 2) == len(A1_CODES[16])
+
+
+def test_nine_cusp_code_words_are_candidates():
+    # Barth, "K3 surfaces with nine cusps" (1998): the nine A_2 slots are the
+    # points of F_3^2 and the code is spanned by the affine functionals
+    config = parse_config("9A2")
+    labels = gram(config).basis_labels
+    points = [(x, y) for x in range(3) for y in range(3)]
+    vectors = {c.class_vector for c in three_divisible_candidates(config)}
+    words = 0
+    for a, b, c in product(range(3), repeat=3):
+        if not (a or b or c):
+            continue
+        coeffs = [0] * len(labels)
+        for slot, (x, y) in enumerate(points, start=1):
+            value = (a + b * x + c * y) % 3
+            coeffs[labels.index(f"A2.{slot}.1")] = value
+            coeffs[labels.index(f"A2.{slot}.2")] = 2 * value % 3
+        assert tuple(Fraction(v, 3) for v in coeffs) in vectors
+        words += 1
+    assert words == 26
+    report = check_nonexistence(config)
+    assert report.verdict == NO_OBSTRUCTION
+    assert _global_found(report, 3) == 3
+
+
+def test_17A1_capped_without_search():
+    start = time.perf_counter()
+    report = check_nonexistence(parse_config("17A1"))
+    elapsed = time.perf_counter() - start
+    assert report.verdict == EXCLUDED
+    deficits = [s for s in report.steps if s.kind == "IndependenceDeficit"]
+    assert [(s.get("required"), s.get("available")) for s in deficits] == [("6", "5")]
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "text,prime,k",
+    [("16A1", 2, 5), ("2A1+3A3+2D4", 2, 3), ("9A2", 3, 3), ("8A2", 3, 2), ("6A2+A5", 3, 2)],
+)
+def test_found_code_spans_only_candidates(text, prime, k):
+    # expand the packed basis into coefficient vectors and span it with
+    # plain mod-p arithmetic, independently of the packed addition
+    ctx = _Context(parse_config(text))
+    cls = ctx.classes[prime]
+    n = ctx.n
+    cands = _enumerate_candidates(cls, cls.patterns)
+    basis, found = _find_code(cls, cands, k)
+    assert basis is not None and found == k
+
+    def coeffs(v):
+        return tuple((v >> i & 1) + 2 * (v >> (n + i) & 1) for i in range(n))
+
+    vectors = [coeffs(b) for b in basis]
+    words = {
+        tuple(sum(c * vec[i] for c, vec in zip(cs, vectors)) % prime for i in range(n))
+        for cs in product(range(prime), repeat=k)
+        if any(cs)
+    }
+    assert len(words) == prime**k - 1
+    assert words <= {coeffs(c) for c in cands}
 
 
 # --- required even sets ------------------------------------------------------
