@@ -213,8 +213,8 @@ class _Classes:
     A class is one int.  Bit i means coefficient 1 on curve i; for p = 3
     only, bit n + i means coefficient 2 on curve i.  Components are
     disjoint, so per-component patterns combine by bitwise OR and the
-    support size is the bit count.  Addition is the only per-prime
-    operation.
+    support size is the bit count.  Addition, and with it the nonzero
+    multiples, is the only per-prime operation.
     """
 
     def __init__(self, ctx: "_Context", p: int):
@@ -255,6 +255,8 @@ class _Classes:
         self.multiples = lambda v: (v, (v & low) << n | v >> n)  # v and -v
 
     def ok(self, v: int) -> bool:
+        """Admissible: an allowed support size, and on every component it
+        meets an allowed pattern."""
         if v.bit_count() not in self.sizes:
             return False
         for cmask, pats in self.checks:
