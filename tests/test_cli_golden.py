@@ -1,5 +1,6 @@
 """Byte-for-byte guard on the output of every CLI command shown in the README,
-and of `obstruct` on every configuration of the m = 24 census.
+of `obstruct` on every configuration of the m = 24 census, and of `torus` on
+every non-default lattice that a group preserves.
 
 Each command runs in-process in text and `--json` form and is compared with
 its recorded output under `tests/golden/`.  To re-record after an intended
@@ -27,6 +28,11 @@ CENSUS_24 = (
     "A1+4A2+D4+E6", "2A1+3A3+2D4", "2A1+2A2+2D4+D5", "3A1+4D4", "5A1+A3+A7+D4",
     "5A1+A3+A4+D7", "5A1+A2+D4+D8",
 )
+# (group, lattice) pairs off the default lattice; D12 lives on lattice b only
+TORUS_ON_LATTICE = (
+    *((g, lat) for g in ("neg1", "i", "Q8_T24", "Q8hat") for lat in ("a0", "b", "product")),
+    *(("Q8", lat) for lat in ("a", "b", "product")),
+)
 
 COMMANDS = [
     ("census_m24", ["census", "--m", "24", "--max-rank", "19"]),
@@ -34,6 +40,8 @@ COMMANDS = [
     *((f"obstruct_{c}", ["obstruct", "--config", c]) for c in CENSUS_24),
     *((f"kummer_{g}", ["kummer", "--group", g]) for g in KUMMER_GROUPS),
     *((f"torus_{g}", ["torus", "--group", g]) for g in TORUS_GROUPS),
+    *((f"torus_{g}_on_{lat}", ["torus", "--group", g, "--lattice", lat])
+      for g, lat in TORUS_ON_LATTICE),
     ("torus_lieberman", ["torus", "--group", "lieberman", "--e1", "1/2,0", "--e2", "0,1/2"]),
 ]
 CASES = [(f"{name}.txt", argv) for name, argv in COMMANDS] + [
