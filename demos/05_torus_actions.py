@@ -24,7 +24,7 @@ for name, q, shift in (
     ("j'  ", QUAT_J, ALPHA),
     ("k'  ", QUAT_K, ALPHA),
 ):
-    fp = fixed_points(_map_from_quat(HURWITZ, q, shift), HURWITZ)
+    fp = fixed_points(_map_from_quat(HURWITZ, q, shift))
     print(f"  Fix({name}) = {sorted(abcd_shorthand(p) for p in fp.points)}")
 
 print("\nquotient singularities for the catalog of groups:")

@@ -78,7 +78,6 @@ from .torus import (
     ClosureExceedsBound,
     FixedPointSet,
     NonIsolatedFixedLocus,
-    QuatRational,
     SingularityReport,
     TorusGroup,
     TorusLattice,

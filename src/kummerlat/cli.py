@@ -93,6 +93,8 @@ def cmd_obstruct(args) -> int:
 
 def cmd_torus(args) -> int:
     if args.group == "lieberman":
+        if args.lattice:
+            raise ValueError("--lattice does not apply to the lieberman group")
         report = torus.lieberman_check(
             args.e1 or (Fraction(1, 2), Fraction(0)),
             args.e2 or (Fraction(1, 2), Fraction(0)),
@@ -106,6 +108,8 @@ def cmd_torus(args) -> int:
             if report.config is not None:
                 print(f"quotient configuration: {report.config.render()}")
         return 0
+    if args.e1 or args.e2:
+        raise ValueError("--e1 and --e2 apply to the lieberman group only")
     group = torus.standard_group(args.group, lattice=args.lattice)
     report = torus.singularity_configuration(group)
     if args.json:
@@ -130,7 +134,7 @@ def _torsion_pair(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected 'x,y' with rational entries")
-    return (Fraction(parts[0]), Fraction(parts[1]))
+    return (_parse_rational(parts[0]), _parse_rational(parts[1]))
 
 
 def build_parser() -> argparse.ArgumentParser:

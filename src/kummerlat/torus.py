@@ -8,10 +8,16 @@ singularities are read off from orbit stabilizers through the standard
 quotient-singularity dictionary (cyclic Z_n -> A_{n-1}, quaternion of order
 8 -> D_4, binary dihedral of order 4m -> D_{m+2}, binary tetrahedral -> E_6).
 
-Hurwitz-order groups live on the quaternions with i^2 = j^2 = -1; the
-binary dihedral group of order 12 lives in the algebra with i^2 = -1 and
-J^2 = -3, where its maximal order has the rational basis 1, i, (i+J)/2,
-(1+K)/2.
+Every standard group is generated by maps x -> qx + t in a quaternion
+algebra with I^2 = -1, J^2 = sq_j and K = IJ.  One matrix,
+`left_mult_matrix(q, sq_j)`, is x -> qx in the frame (1, I, J, K) for both
+algebras in use: Hamilton's quaternions (sq_j = -1) carry the
+Hurwitz-order groups, and the algebra with J^2 = -3 carries the binary
+dihedral group of order 12, the unit group of its maximal order with the
+rational basis 1, I, (I+J)/2, (1+K)/2.  The table `_GROUPS` gives each
+group its default lattice, sq_j and generators as (q, frame translation)
+pairs; every generator is written in coordinates of the lattice it acts on,
+which it must preserve.
 
 Two-torsion points on the Hurwitz lattice are written in the 'abcd'
 shorthand: abcd = (a/2) + (b/2) i + (c/2) j + (d/2) t for the lattice basis
@@ -27,7 +33,7 @@ from itertools import product
 
 from .ade import ADEConfig
 from .lattice import DegenerateLattice, RationalVector, frac_str, solve
-from .snf import det_int, smith_normal_form
+from .snf import det_int, identity_matrix, mat_mul, smith_normal_form
 
 
 class ClosureExceedsBound(ValueError):
@@ -49,60 +55,20 @@ class UnrecognizedGroup(ValueError):
 NON_SYMPLECTIC = "NonSymplectic"
 
 
-@dataclass(frozen=True)
-class QuatRational:
-    """Quaternion a + bi + cj + dk over Q, with i^2 = j^2 = k^2 = -1."""
+def left_mult_matrix(coeffs, sq_j: int = -1) -> list[list[Fraction]]:
+    """Matrix of x -> qx, q = a + bI + cJ + dK, in the frame (1, I, J, K).
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    @classmethod
-    def of(cls, a=0, b=0, c=0, d=0) -> "QuatRational":
-        return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
-
-    def __mul__(self, other: "QuatRational") -> "QuatRational":
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return QuatRational(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
-
-    def __neg__(self) -> "QuatRational":
-        return QuatRational(-self.a, -self.b, -self.c, -self.d)
-
-    def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
-
-
-def left_mult_matrix(q: QuatRational) -> list[list[Fraction]]:
-    """Matrix of x -> q x in the frame (1, i, j, k); multiplicative."""
-    a, b, c, d = q.coords()
-    return [
-        [a, -b, -c, -d],
-        [b, a, -d, c],
-        [c, d, a, -b],
-        [d, -c, b, a],
-    ]
-
-
-def _algebra_left_matrix(coeffs, sq_i: int, sq_j: int) -> list[list[Fraction]]:
-    """Left multiplication in the algebra with I^2 = sq_i, J^2 = sq_j, K = IJ.
-
-    Multiplication rules: IJ = -JI = K, IK = sq_i J, KI = -sq_i J,
-    JK = -sq_j I, KJ = sq_j I, K^2 = -sq_i sq_j.
+    The algebra has I^2 = -1, J^2 = sq_j and K = IJ, so IJ = -JI = K,
+    IK = -J, KI = J, JK = -sq_j I, KJ = sq_j I and K^2 = sq_j.  Hamilton's
+    quaternions are sq_j = -1.
     """
     a, b, c, d = (Fraction(x) for x in coeffs)
-    ai, aj = Fraction(sq_i), Fraction(sq_j)
+    s = Fraction(sq_j)
     # columns: images of 1, I, J, K
     return [
-        [a, ai * b, aj * c, -ai * aj * d],
-        [b, a, aj * d, -aj * c],
-        [c, -ai * d, a, ai * b],
+        [a, -b, s * c, s * d],
+        [b, a, s * d, -s * c],
+        [c, d, a, -b],
         [d, -c, b, a],
     ]
 
@@ -130,9 +96,7 @@ class TorusLattice:
 
     def to_lattice_matrix(self, frame_matrix) -> tuple[tuple[int, ...], ...]:
         """Conjugate a frame-coordinate linear map into lattice coordinates."""
-        B = self.basis_columns()
-        MB = [[sum(frame_matrix[i][t] * B[t][j] for t in range(4)) for j in range(4)] for i in range(4)]
-        out = self._solve(MB)
+        out = self._solve(mat_mul(frame_matrix, self.basis_columns()))
         rows = []
         for row in out:
             ints = []
@@ -210,30 +174,11 @@ class AffineTorusMap:
         )
 
     def compose(self, other: "AffineTorusMap") -> "AffineTorusMap":
-        lin = tuple(
-            tuple(sum(self.linear[i][t] * other.linear[t][j] for t in range(4)) for j in range(4))
-            for i in range(4)
-        )
-        tr = tuple(
-            (
-                sum(self.linear[i][j] * other.translation[j] for j in range(4))
-                + self.translation[i]
-            )
-            % 1
-            for i in range(4)
-        )
-        return AffineTorusMap(lin, tr)
+        lin = tuple(map(tuple, mat_mul(self.linear, other.linear)))
+        return AffineTorusMap(lin, self(other.translation))
 
     def is_identity(self) -> bool:
         return self.linear == _IDENTITY and all(t == 0 for t in self.translation)
-
-    def order(self, bound: int = 48) -> int:
-        g = self
-        for k in range(1, bound + 1):
-            if g.is_identity():
-                return k
-            g = self.compose(g)
-        raise ClosureExceedsBound("element order exceeds bound")
 
 
 _IDENTITY = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
@@ -269,28 +214,42 @@ def closure(generators, bound: int = 120) -> tuple[AffineTorusMap, ...]:
     return tuple(sorted(els, key=lambda e: (e.linear, e.translation)))
 
 
-QUAT_1 = QuatRational.of(1)
-QUAT_I = QuatRational.of(0, 1)
-QUAT_J = QuatRational.of(0, 0, 1)
-QUAT_K = QuatRational.of(0, 0, 0, 1)
-QUAT_T = QuatRational.of(_T, _T, _T, _T)
+QUAT_I = (0, 1, 0, 0)
+QUAT_J = (0, 0, 1, 0)
+QUAT_K = (0, 0, 0, 1)
+QUAT_T = (_T, _T, _T, _T)
 ALPHA = (_T, _T, 0, 0)  # (1+i)/2 in frame coordinates
 HALF_S = (Fraction(1, 4), Fraction(1, 4), Fraction(-1, 4), Fraction(1, 4))  # s/2
+_NO_SHIFT = (0, 0, 0, 0)
 
 
-def _map_from_quat(lat: TorusLattice, q: QuatRational, translation_frame=(0, 0, 0, 0)) -> AffineTorusMap:
-    lin = lat.to_lattice_matrix(left_mult_matrix(q))
+def _map_from_quat(lat: TorusLattice, q, translation_frame=_NO_SHIFT, sq_j: int = -1) -> AffineTorusMap:
+    lin = lat.to_lattice_matrix(left_mult_matrix(q, sq_j))
     tr = lat.to_lattice_vector(translation_frame)
     return AffineTorusMap.of(lin, tr)
 
 
-def _dihedral_generators() -> list[AffineTorusMap]:
-    lat = DIHEDRAL_ORDER
-    gens = []
-    for coeffs in ((0, 1, 0, 0), (0, _T, _T, 0), (_T, 0, 0, _T)):  # i, h, l
-        frame = _algebra_left_matrix(coeffs, -1, -3)
-        gens.append(AffineTorusMap.of(lat.to_lattice_matrix(frame)))
-    return gens
+# name -> (default lattice, sq_j, generators as (q, translation in the frame))
+_GROUPS = {
+    "neg1": ("a", -1, [((-1, 0, 0, 0), _NO_SHIFT)]),
+    "i": ("a", -1, [(QUAT_I, _NO_SHIFT)]),
+    "Q8": ("a0", -1, [(QUAT_I, _NO_SHIFT), (QUAT_J, _NO_SHIFT)]),
+    "Q8_T24": ("a", -1, [(QUAT_I, _NO_SHIFT), (QUAT_J, _NO_SHIFT)]),
+    "T24": ("a", -1, [(QUAT_I, _NO_SHIFT), (QUAT_J, _NO_SHIFT), (QUAT_T, _NO_SHIFT)]),
+    # I, (I+J)/2 and (1+K)/2 in the algebra with J^2 = -3
+    "D12": ("b", -3, [(QUAT_I, _NO_SHIFT), ((0, _T, _T, 0), _NO_SHIFT),
+                      ((_T, 0, 0, _T), _NO_SHIFT)]),
+    "Q8hat": ("a", -1, [(QUAT_I, _NO_SHIFT), (QUAT_J, ALPHA)]),
+    "T24hat": ("a", -1, [(QUAT_I, _NO_SHIFT), (QUAT_J, ALPHA), (QUAT_T, HALF_S)]),
+}
+_ALIASES = {
+    "Z2": "neg1",
+    "-1": "neg1",
+    "Z4": "i",
+    "<i>": "i",
+    "Q8<T24": "Q8_T24",
+    "Q8subT24": "Q8_T24",
+}
 
 
 def standard_group(name: str, lattice: str | None = None, e1=None, e2=None) -> TorusGroup:
@@ -298,69 +257,32 @@ def standard_group(name: str, lattice: str | None = None, e1=None, e2=None) -> T
 
     Names: neg1 (or Z2), i (or Z4), Q8, Q8_T24, T24, D12, Q8hat, T24hat,
     lieberman.  The lieberman group takes nonzero 2-torsion points e1, e2 of
-    the two elliptic-curve factors.
+    the two elliptic-curve factors.  A lattice the generators do not
+    preserve raises ValueError.
     """
-    key = name.strip()
-    aliases = {
-        "Z2": "neg1",
-        "-1": "neg1",
-        "Z4": "i",
-        "<i>": "i",
-        "Q8<T24": "Q8_T24",
-        "Q8subT24": "Q8_T24",
-    }
-    key = aliases.get(key, key)
-
-    defaults = {
-        "neg1": "a",
-        "i": "a",
-        "Q8": "a0",
-        "Q8_T24": "a",
-        "T24": "a",
-        "D12": "b",
-        "Q8hat": "a",
-        "T24hat": "a",
-        "lieberman": "product",
-    }
-    if key not in defaults:
+    key = _ALIASES.get(name.strip(), name.strip())
+    if key == "lieberman":
+        lat = LATTICES[lattice or "product"]
+        gens = _lieberman_maps(e1, e2)
+    elif key in _GROUPS:
+        default, sq_j, table = _GROUPS[key]
+        lat = LATTICES[lattice or default]
+        gens = [_map_from_quat(lat, q, t, sq_j) for q, t in table]
+    else:
         raise UnrecognizedGroup(f"unknown group name {name!r}")
-    lat = LATTICES[lattice] if lattice else LATTICES[defaults[key]]
-
-    if key == "neg1":
-        gens = [_map_from_quat(lat, -QUAT_1)]
-    elif key == "i":
-        gens = [_map_from_quat(lat, QUAT_I)]
-    elif key in ("Q8", "Q8_T24"):
-        gens = [_map_from_quat(lat, QUAT_I), _map_from_quat(lat, QUAT_J)]
-    elif key == "T24":
-        gens = [
-            _map_from_quat(lat, QUAT_I),
-            _map_from_quat(lat, QUAT_J),
-            _map_from_quat(lat, QUAT_T),
-        ]
-    elif key == "D12":
-        gens = _dihedral_generators()
-    elif key == "Q8hat":
-        gens = [
-            _map_from_quat(lat, QUAT_I),
-            _map_from_quat(lat, QUAT_J, ALPHA),
-        ]
-    elif key == "T24hat":
-        gens = [
-            _map_from_quat(lat, QUAT_I),
-            _map_from_quat(lat, QUAT_J, ALPHA),
-            _map_from_quat(lat, QUAT_T, HALF_S),
-        ]
-    else:  # lieberman
-        e1 = _two_torsion_pair(e1, "e1")
-        e2 = _two_torsion_pair(e2, "e2")
-        neg = AffineTorusMap.of([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
-        tau = AffineTorusMap.of(
-            [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-            (e1[0], e1[1], e2[0], e2[1]),
-        )
-        gens = [neg, tau]
     return TorusGroup(key, lat, closure(gens))
+
+
+def _lieberman_maps(e1, e2) -> tuple[AffineTorusMap, AffineTorusMap]:
+    """-1 and tau: (z1, z2) -> (-z1 + e1, z2 + e2) on the product torus."""
+    e1 = _two_torsion_pair(e1, "e1")
+    e2 = _two_torsion_pair(e2, "e2")
+    neg = AffineTorusMap.of([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+    tau = AffineTorusMap.of(
+        [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        (*e1, *e2),
+    )
+    return neg, tau
 
 
 def _two_torsion_pair(e, label: str):
@@ -381,11 +303,8 @@ class FixedPointSet:
     kind: str  # "finite" | "empty" | "positive_dimensional"
     points: tuple[RationalVector, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.points)
 
-
-def fixed_points(g: AffineTorusMap, lat: TorusLattice) -> FixedPointSet:
+def fixed_points(g: AffineTorusMap) -> FixedPointSet:
     """Exact solution set of (M - I) x = -r mod Z^4 in lattice coordinates.
 
     When det(M - I) != 0 there are exactly |det(M - I)| fixed points; when
@@ -481,22 +400,20 @@ def stabilizer_ade_type(matrices) -> tuple[str, int] | str:
     gives D_4; binary dihedral groups of order 4m give D_{m+2}; the binary
     tetrahedral group of order 24 gives E_6.
     """
-    mats = list(matrices)
+    mats = [[list(r) for r in m] for m in matrices]
     order = len(mats)
-    if any(det_int([list(r) for r in m]) != 1 for m in mats):
+    if any(det_int(m) != 1 for m in mats):
         return NON_SYMPLECTIC
     if order == 1:
         raise UnrecognizedGroup("trivial stabilizer has no singularity type")
+    identity = identity_matrix(4)
 
     def mat_order(m) -> int:
         p = m
         for k in range(1, order + 1):
-            if p == _IDENTITY:
+            if p == identity:
                 return k
-            p = tuple(
-                tuple(sum(m[i][t] * p[t][j] for t in range(4)) for j in range(4))
-                for i in range(4)
-            )
+            p = mat_mul(m, p)
         raise UnrecognizedGroup("element order exceeds group order")
 
     orders = sorted(mat_order(m) for m in mats)
@@ -527,28 +444,13 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
     for g in group.elements:
         if g.is_identity():
             continue
-        fp = fixed_points(g, group.lattice)
+        fp = fixed_points(g)
         if fp.kind == "positive_dimensional":
             raise NonIsolatedFixedLocus(g)
         all_points.update(fp.points)
 
-    remaining = set(all_points)
-    orbits = []
-    while remaining:
-        seed = min(remaining)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            p = frontier.pop()
-            for g in group.elements:
-                q = g(p)
-                if q not in orbit:
-                    orbit.add(q)
-                    frontier.append(q)
-        orbits.append(tuple(sorted(orbit)))
-        remaining -= orbit
-
-    orbits.sort()
+    # group.elements is closed, so the orbit of p is its image set
+    orbits = sorted({tuple(sorted({g(p) for g in group.elements})) for p in all_points})
     stab_orders = []
     stab_types = []
     for orbit in orbits:
@@ -602,26 +504,16 @@ def lieberman_check(e1, e2) -> LiebermanReport:
     For nonzero 2-torsion e1, e2 both tau and -tau act freely and the
     quotient by {1, -1, tau, -tau} carries an 8A1 configuration.
     """
-    e1 = tuple(Fraction(x) % 1 for x in e1)
-    e2 = tuple(Fraction(x) % 1 for x in e2)
-    group = standard_group("lieberman", e1=e1, e2=e2)
-    tau = AffineTorusMap.of(
-        [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-        (e1[0], e1[1], e2[0], e2[1]),
-    )
-    neg_tau = AffineTorusMap.of(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
-        tuple(-t for t in tau.translation),
-    )
-    fp_tau = fixed_points(tau, group.lattice)
-    fp_neg = fixed_points(neg_tau, group.lattice)
+    neg, tau = _lieberman_maps(e1, e2)
+    fp_tau = fixed_points(tau)
+    fp_neg = fixed_points(neg.compose(tau))
     free = fp_tau.kind == "empty" and fp_neg.kind == "empty"
     config = None
     if free:
-        config = singularity_configuration(group).config
+        config = singularity_configuration(standard_group("lieberman", e1=e1, e2=e2)).config
     return LiebermanReport(
-        e1=e1,
-        e2=e2,
+        e1=tau.translation[:2],
+        e2=tau.translation[2:],
         tau_fixed=fp_tau.kind,
         neg_tau_fixed=fp_neg.kind,
         fixed_point_free=free,

@@ -151,15 +151,15 @@ def test_criterion_5_torus_actions():
         results.append(config.render() == expected)
     fix_i = {
         abcd_shorthand(p)
-        for p in fixed_points(_map_from_quat(HURWITZ, QUAT_I), HURWITZ).points
+        for p in fixed_points(_map_from_quat(HURWITZ, QUAT_I)).points
     }
     fix_j = {
         abcd_shorthand(p)
-        for p in fixed_points(_map_from_quat(HURWITZ, QUAT_J, ALPHA), HURWITZ).points
+        for p in fixed_points(_map_from_quat(HURWITZ, QUAT_J, ALPHA)).points
     }
     fix_k = {
         abcd_shorthand(p)
-        for p in fixed_points(_map_from_quat(HURWITZ, QUAT_K, ALPHA), HURWITZ).points
+        for p in fixed_points(_map_from_quat(HURWITZ, QUAT_K, ALPHA)).points
     }
     results += [
         fix_i == {"0000", "1100", "1010", "0110"},

@@ -142,6 +142,24 @@ def test_torus_lieberman():
     assert data["config"] == "8A1"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--group", "lieberman", "--e1", "1/0,0", "--e2", "0,1/2"], "not a rational: '1/0'"),
+        (["--group", "lieberman", "--lattice", "a"], "--lattice does not apply"),
+        (["--group", "Q8", "--e1", "1/2,0"], "apply to the lieberman group only"),
+        (["--group", "T24", "--e2", "0,1/2"], "apply to the lieberman group only"),
+        (["--group", "D12", "--lattice", "a"], "does not preserve the lattice"),
+    ],
+    ids=["e1-zero-denominator", "lieberman-lattice", "Q8-e1", "T24-e2", "D12-lattice-a"],
+)
+def test_torus_bad_options_exit_2(argv, message):
+    res = run_cli("torus", *argv)
+    assert res.returncode == 2
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_usage_error_exit_2():
     res = run_cli("obstruct", "--config", "2D3")
     assert res.returncode == 2

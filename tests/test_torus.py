@@ -4,7 +4,6 @@ from itertools import product
 import pytest
 
 from kummerlat import (
-    QuatRational,
     abcd_shorthand,
     fixed_points,
     left_mult_matrix,
@@ -14,6 +13,7 @@ from kummerlat import (
     stabilizer_ade_type,
     standard_group,
 )
+from kummerlat.snf import mat_mul
 from kummerlat.torus import (
     ALPHA,
     HURWITZ,
@@ -29,34 +29,79 @@ from kummerlat.torus import (
     closure,
 )
 
-ONE = QuatRational.of(1)
+ONE = (1, 0, 0, 0)
+MINUS_ONE = (-1, 0, 0, 0)
 HALF = Fraction(1, 2)
+UNITS = {"1": ONE, "I": QUAT_I, "J": QUAT_J, "K": QUAT_K, "t": QUAT_T}
 
 
-# --- quaternion arithmetic ------------------------------------------------
+# --- quaternion algebras ------------------------------------------------------
+
+
+def hamilton(p, q):
+    """Hamilton product of coefficient tuples in (1, i, j, k): the oracle."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def mul(p, q, sq_j=-1):
+    """p q in the algebra with I^2 = -1, J^2 = sq_j, through L(p) applied to q."""
+    M = left_mult_matrix(p, sq_j)
+    return tuple(sum(M[r][c] * q[c] for c in range(4)) for r in range(4))
+
+
+def neg(q):
+    return tuple(-x for x in q)
 
 
 def test_multiplication_table():
     i, j, k = QUAT_I, QUAT_J, QUAT_K
-    minus_one = QuatRational.of(-1)
-    assert i * i == minus_one
-    assert j * j == minus_one
-    assert k * k == minus_one
-    assert i * j == k
-    assert j * i == -k
-    assert j * k == i
-    assert k * j == -i
-    assert k * i == j
-    assert i * k == -j
+    assert mul(i, i) == MINUS_ONE
+    assert mul(j, j) == MINUS_ONE
+    assert mul(k, k) == MINUS_ONE
+    assert mul(i, j) == k
+    assert mul(j, i) == neg(k)
+    assert mul(j, k) == i
+    assert mul(k, j) == neg(i)
+    assert mul(k, i) == j
+    assert mul(i, k) == neg(j)
+    samples = list(UNITS.values()) + [
+        (Fraction(-3, 4), 2, Fraction(1, 3), -1),
+        (5, Fraction(-1, 2), 0, Fraction(7, 3)),
+    ]
+    for p in samples:
+        for q in samples:
+            assert mul(p, q) == hamilton(p, q)
+
+
+def test_d12_algebra_table():
+    i, j, k = QUAT_I, QUAT_J, QUAT_K
+    minus_three = (-3, 0, 0, 0)
+    assert mul(i, i, -3) == MINUS_ONE
+    assert mul(j, j, -3) == minus_three
+    assert mul(k, k, -3) == minus_three
+    assert mul(i, j, -3) == k
+    assert mul(j, i, -3) == neg(k)
+    assert mul(i, k, -3) == neg(j)
+    assert mul(k, i, -3) == j
+    assert mul(j, k, -3) == (0, 3, 0, 0)
+    assert mul(k, j, -3) == (0, -3, 0, 0)
 
 
 def test_left_mult_matrix_identity():
-    assert left_mult_matrix(ONE) == [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-    ]
+    for sq_j in (-1, -3):
+        assert left_mult_matrix(ONE, sq_j) == [
+            [1, 0, 0, 0],
+            [0, 1, 0, 0],
+            [0, 0, 1, 0],
+            [0, 0, 0, 1],
+        ]
 
 
 def test_left_mult_matrix_i():
@@ -70,22 +115,17 @@ def test_left_mult_matrix_i():
 
 
 def test_left_mult_multiplicative():
-    def matmul(a, b):
-        return [
-            [sum(a[i][t] * b[t][j] for t in range(4)) for j in range(4)]
-            for i in range(4)
-        ]
-
-    for q1, q2 in [(QUAT_I, QUAT_J), (QUAT_T, QUAT_T), (QUAT_K, QUAT_T)]:
-        assert left_mult_matrix(q1 * q2) == matmul(
-            left_mult_matrix(q1), left_mult_matrix(q2)
+    for sq_j, (p, q) in product((-1, -3), product(UNITS.values(), repeat=2)):
+        assert left_mult_matrix(mul(p, q, sq_j), sq_j) == mat_mul(
+            left_mult_matrix(p, sq_j), left_mult_matrix(q, sq_j)
         )
 
 
 def test_t_has_order_6():
-    t3 = QUAT_T * QUAT_T * QUAT_T
-    assert t3 == QuatRational.of(-1)
-    assert left_mult_matrix(t3) == left_mult_matrix(QuatRational.of(-1))
+    t3 = mul(QUAT_T, mul(QUAT_T, QUAT_T))
+    assert t3 == MINUS_ONE
+    assert hamilton(QUAT_T, hamilton(QUAT_T, QUAT_T)) == MINUS_ONE
+    assert left_mult_matrix(t3) == left_mult_matrix(MINUS_ONE)
 
 
 # --- groups ------------------------------------------------------------------
@@ -110,8 +150,7 @@ def test_T24hat_contains_Q8hat():
 
 def test_jprime_squares_to_minus_one():
     jp = _map_from_quat(HURWITZ, QUAT_J, ALPHA)
-    neg = _map_from_quat(HURWITZ, QuatRational.of(-1))
-    assert jp.compose(jp) == neg
+    assert jp.compose(jp) == _map_from_quat(HURWITZ, MINUS_ONE)
 
 
 def test_closure_bound_guard():
@@ -128,6 +167,12 @@ def test_closure_bound_guard():
         closure([shear, bad], bound=50)
 
 
+@pytest.mark.parametrize("lattice", ["a", "a0", "product"])
+def test_d12_needs_its_own_order(lattice):
+    with pytest.raises(ValueError, match="does not preserve the lattice"):
+        standard_group("D12", lattice=lattice)
+
+
 def test_unknown_group_name():
     with pytest.raises(UnrecognizedGroup):
         standard_group("Z7")
@@ -138,7 +183,7 @@ def test_unknown_group_name():
 
 def test_fix_i_known_points():
     g = _map_from_quat(HURWITZ, QUAT_I)
-    fp = fixed_points(g, HURWITZ)
+    fp = fixed_points(g)
     assert fp.kind == "finite"
     assert sorted(abcd_shorthand(p) for p in fp.points) == [
         "0000",
@@ -151,8 +196,8 @@ def test_fix_i_known_points():
 def test_fix_jprime_kprime_known_points():
     jp = _map_from_quat(HURWITZ, QUAT_J, ALPHA)
     kp = _map_from_quat(HURWITZ, QUAT_K, ALPHA)
-    fj = {abcd_shorthand(p) for p in fixed_points(jp, HURWITZ).points}
-    fk = {abcd_shorthand(p) for p in fixed_points(kp, HURWITZ).points}
+    fj = {abcd_shorthand(p) for p in fixed_points(jp).points}
+    fk = {abcd_shorthand(p) for p in fixed_points(kp).points}
     assert fj == {"0011", "0101", "1001", "1111"}
     assert fk == {"0001", "1011", "0111", "1101"}
 
@@ -161,7 +206,7 @@ def test_fixed_sets_disjoint_and_leftover_orbit():
     gi = _map_from_quat(HURWITZ, QUAT_I)
     jp = _map_from_quat(HURWITZ, QUAT_J, ALPHA)
     kp = _map_from_quat(HURWITZ, QUAT_K, ALPHA)
-    sets = [set(fixed_points(g, HURWITZ).points) for g in (gi, jp, kp)]
+    sets = [set(fixed_points(g).points) for g in (gi, jp, kp)]
     assert not (sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2])
     two_torsion = {
         tuple(Fraction(a, 2) for a in combo) for combo in product((0, 1), repeat=4)
@@ -171,8 +216,8 @@ def test_fixed_sets_disjoint_and_leftover_orbit():
 
 
 def test_fix_neg1_sixteen_points():
-    g = _map_from_quat(HURWITZ, QuatRational.of(-1))
-    fp = fixed_points(g, HURWITZ)
+    g = _map_from_quat(HURWITZ, MINUS_ONE)
+    fp = fixed_points(g)
     assert len(fp.points) == 16
 
 
@@ -188,7 +233,7 @@ def test_fixed_count_matches_det_small_denominators():
         from kummerlat.snf import det_int
 
         d = det_int(A)
-        fp = fixed_points(g, group.lattice)
+        fp = fixed_points(g)
         if d != 0:
             assert fp.kind in ("finite",)
             assert len(fp.points) == abs(d)
@@ -208,7 +253,7 @@ def test_positive_dimensional_detected():
     g = AffineTorusMap.of(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
     )
-    fp = fixed_points(g, HURWITZ)
+    fp = fixed_points(g)
     assert fp.kind == "positive_dimensional"
 
 
@@ -217,7 +262,7 @@ def test_empty_fixed_set():
         [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
         (HALF, 0, HALF, 0),
     )
-    fp = fixed_points(tau, HURWITZ)
+    fp = fixed_points(tau)
     assert fp.kind == "empty"
 
 
