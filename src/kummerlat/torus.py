@@ -260,7 +260,8 @@ def standard_group(name: str, lattice: str | None = None, e1=None, e2=None) -> T
     the two elliptic-curve factors.  A lattice the generators do not
     preserve raises ValueError.
     """
-    key = _ALIASES.get(name.strip(), name.strip())
+    key = name.strip()
+    key = _ALIASES.get(key, key)
     if key == "lieberman":
         lat = LATTICES[lattice or "product"]
         gens = _lieberman_maps(e1, e2)
