@@ -5,8 +5,11 @@ Conventions
 A lattice is held as its Gram matrix in a fixed basis.  Curve configuration
 lattices are negative definite with -2 on the diagonal and 0/1 off-diagonal
 intersection numbers.  Vectors are coordinate tuples in the lattice basis;
-dual vectors therefore have rational coordinates.  All arithmetic uses
-`fractions.Fraction` and Python ints - never floats.
+dual vectors therefore have rational coordinates.  All arithmetic is exact,
+with `fractions.Fraction` and Python ints - never floats.  The root search,
+the overlattice Gram and the discriminant form q run on Python ints (a
+rational vector as integer numerators over one common denominator); their
+results convert to `Fraction` only when they are returned.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
-from .snf import det_int, hermite_row_basis, smith_normal_form
+from .snf import det_int, hermite_row_basis, mat_mul, smith_normal_form
 
 RationalVector = tuple[Fraction, ...]
 
@@ -65,6 +69,15 @@ def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _dual_products(gram, x: RationalVector) -> tuple[int, list[int], list[int]]:
+    """(den, nums, prods): x = nums / den with den the lcm of the denominators
+    of x, and prods = gram.nums, so that x.e_i = prods[i] / den."""
+    den = lcm(*(c.denominator for c in x))
+    nums = [c.numerator * (den // c.denominator) for c in x]
+    prods = [sum(g * v for g, v in zip(row, nums) if v) for row in gram]
+    return den, nums, prods
+
+
 def dual_defect(gram, x: RationalVector) -> tuple[int, tuple[int, Fraction] | None]:
     """Test x against the dual lattice with one integer product gram.x.
 
@@ -73,10 +86,8 @@ def dual_defect(gram, x: RationalVector) -> tuple[int, tuple[int, Fraction] | No
     integrally with every basis vector, else (i, x.e_i) for the first basis
     index i where it does not.
     """
-    den = lcm(*(c.denominator for c in x))
-    nums = [c.numerator * (den // c.denominator) for c in x]
-    for i, row in enumerate(gram):
-        s = sum(g * v for g, v in zip(row, nums) if v)
+    den, _, prods = _dual_products(gram, x)
+    for i, s in enumerate(prods):
         if s % den:
             return den, (i, Fraction(s, den))
     return den, None
@@ -238,12 +249,12 @@ class DiscriminantGroup:
 
 def q_value(L: GramLattice, x) -> Fraction:
     """Discriminant quadratic form x.x mod 2Z, reduced into [0, 2)."""
-    x = vec(x)
-    _, defect = dual_defect(L.gram, x)
-    if defect:
-        i, p = defect
-        raise NotInDual(f"pairing with basis vector {i} is {p}")
-    return gram_pair(L.gram, x, x) % 2
+    den, nums, prods = _dual_products(L.gram, vec(x))
+    for i, s in enumerate(prods):
+        if s % den:
+            raise NotInDual(f"pairing with basis vector {i} is {Fraction(s, den)}")
+    den2 = den * den
+    return Fraction(sum(map(mul, nums, prods)) % (2 * den2), den2)
 
 
 def discriminant_group(L: GramLattice) -> DiscriminantGroup:
@@ -355,17 +366,13 @@ def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
     if index_frac.denominator != 1:
         raise AssertionError("index [L':L] is not an integer")
     index = int(index_frac)
-    gram_new = []
-    for bi in basis:
-        row = []
-        for bj in basis:
-            p = gram_pair(L.gram, bi, bj)
-            if p.denominator != 1:
-                raise AssertionError("overlattice Gram is not integral")
-            row.append(int(p))
-        gram_new.append(tuple(row))
+    # b_i . b_j = (H G H^T)_ij / den^2 for the basis b_i = H_i / den
+    den2 = den * den
+    hgh = mat_mul(mat_mul(H, [list(r) for r in L.gram]), [list(c) for c in zip(*H)])
+    if any(p % den2 for row in hgh for p in row):
+        raise AssertionError("overlattice Gram is not integral")
     lat = GramLattice(
-        gram=tuple(gram_new),
+        gram=tuple(tuple(p // den2 for p in row) for row in hgh),
         basis_labels=tuple(f"b{i+1}" for i in range(n)),
     )
     if abs(lat.det) * index * index != abs(L.det):
@@ -373,77 +380,101 @@ def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
     return OverlatticeResult(lat, index, basis, L)
 
 
-def _ldl(posdef: list[list[Fraction]]):
-    """LDL^T decomposition of a positive definite rational matrix.
+def _search_levels(q) -> tuple[int, list]:
+    """Integer Fincke-Pohst levels of a positive definite integer matrix q.
 
-    Returns (d, u) with Q(x) = sum_i d_i (x_i + sum_{j>i} u[i][j] x_j)^2.
-    Raises NotNegativeDefinite (caller enumerates -gram) when a pivot fails.
+    Fraction-free (Bareiss) elimination gives the leading principal minors
+    p_k and the pivot rows r_k, with
+    x.q.x = sum_k (p_k / p_{k-1}) (x_k + sum_{j>k} r_kj x_j / p_k)^2.
+    Level k is (D_k, [(j, U_kj) for j > k], W_k): the centre of x_k is
+    -C_k / D_k with C_k = sum_j U_kj x_j, and for the returned scale S,
+    S x.q.x = sum_k W_k (D_k x_k + C_k)^2 with every W_k an integer.
+    Raises NotNegativeDefinite (the caller passes -gram) when a pivot fails.
     """
-    n = len(posdef)
-    q = [[Fraction(x) for x in row] for row in posdef]
-    for i in range(n):
-        if q[i][i] <= 0:
+    n = len(q)
+    m = [list(row) for row in q]
+    prev = 1
+    raw = []
+    for k in range(n):
+        p = m[k][k]
+        if p <= 0:
             raise NotNegativeDefinite("Gram matrix is not negative definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    d = [q[i][i] for i in range(n)]
-    u = [[q[i][j] if j > i else Fraction(0) for j in range(n)] for i in range(n)]
-    return d, u
+        row = m[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            f = mi[k]
+            for j in range(k + 1, n):
+                mi[j] = (p * mi[j] - f * row[j]) // prev
+        g = gcd(p, *row[k + 1:])
+        D = p // g
+        # level weight p / (prev D^2)
+        raw.append((D, [(j, row[j] // g) for j in range(k + 1, n) if row[j]], p, prev * D * D))
+        prev = p
+    S = lcm(*(w_den for *_, w_den in raw))
+    return S, [(D, u, w_num * (S // w_den)) for D, u, w_num, w_den in raw]
+
+
+def _block_roots(q) -> list[tuple[int, ...]]:
+    """All x with x.q.x = 2 for positive definite integer q, one per {x, -x}
+    pair: the one whose last nonzero coordinate is positive."""
+    S, levels = _search_levels(q)
+    n = len(levels)
+    x = [0] * n
+    found: list[tuple[int, ...]] = []
+
+    def descend(i: int, rem: int, zero_above: bool) -> None:
+        D, u, W = levels[i]
+        C = sum(c * x[j] for j, c in u)
+        # D x_i + C ranges over [-m, m]; while x_j = 0 for all j > i only
+        # x_i >= 0 is searched, which finds each pair once
+        m = isqrt(rem // W)
+        lo = 0 if zero_above else -((m + C) // D)
+        for xi in range(lo, (m - C) // D + 1):
+            t = D * xi + C
+            x[i] = xi
+            if i:
+                descend(i - 1, rem - W * t * t, zero_above and not xi)
+            elif rem == W * t * t:
+                found.append(tuple(x))
+        x[i] = 0
+
+    if n:
+        descend(n - 1, 2 * S, True)
+    return found
 
 
 def roots(L: GramLattice) -> list[RationalVector]:
     """All norm -2 vectors of a negative definite lattice, one per {x, -x} pair.
 
-    Exact Fincke-Pohst style enumeration on -gram; pairs are reported by the
-    representative whose first nonzero coordinate is positive, sorted.
+    Exact Fincke-Pohst enumeration on -gram in Python ints: a fraction-free
+    LDL scaled to integer weights and centres, with exact isqrt bounds, and
+    each pair searched once.  Orthogonal blocks are searched apart.  Pairs
+    are reported by the representative whose first nonzero coordinate is
+    positive, sorted; coordinates convert to `Fraction` only on return.
     The raw vector count is 2 * len(result).
     """
     n = L.rank
     # blocks: connected components of the support graph of the Gram matrix
     blocks = connected_components([[j for j, g in enumerate(row) if g] for row in L.gram])
+    out: list[tuple[int, ...]] = []
     if len(blocks) > 1:
         # roots of an orthogonal direct sum live inside single blocks
-        out = []
         for comp in blocks:
             sub = GramLattice(
                 gram=tuple(tuple(L.gram[i][j] for j in comp) for i in comp)
             )
             for r in roots(sub):
-                full = [Fraction(0)] * n
+                full = [0] * n
                 for pos, val in zip(comp, r):
-                    full[pos] = val
+                    full[pos] = val.numerator
                 out.append(tuple(full))
-        return sorted(out)
-
-    q = [[Fraction(-x) for x in row] for row in L.gram]
-    d, u = _ldl(q)
-    found: list[tuple[int, ...]] = []
-    x = [0] * n
-
-    def descend(i: int, remaining: Fraction) -> None:
-        if i < 0:
-            if remaining == 0:
-                found.append(tuple(x))
-            return
-        c = sum(u[i][j] * x[j] for j in range(i + 1, n))
-        s = isqrt(int(remaining / d[i])) + 1
-        for xi in range(ceil(-c - s), floor(-c + s) + 1):
-            t = d[i] * (xi + c) ** 2
-            if t <= remaining:
-                x[i] = xi
-                descend(i - 1, remaining - t)
-        x[i] = 0
-
-    descend(n - 1, Fraction(2))
-    reps = set()
-    for v in found:
-        nz = next((c for c in v if c != 0), 0)
-        reps.add(v if nz > 0 else tuple(-c for c in v))
-    return sorted(tuple(Fraction(c) for c in v) for v in reps)
+    else:
+        for v in _block_roots([[-g for g in row] for row in L.gram]):
+            out.append(v if next(c for c in v if c) > 0 else tuple(-c for c in v))
+    out.sort()
+    # one Fraction per distinct coordinate value, shared by every vector
+    frac = {c: Fraction(c) for c in {c for v in out for c in v}}
+    return [tuple(map(frac.__getitem__, v)) for v in out]
 
 
 @dataclass(frozen=True)

@@ -257,13 +257,15 @@ def standard_group(name: str, lattice: str | None = None, e1=None, e2=None) -> T
 
     Names: neg1 (or Z2), i (or Z4), Q8, Q8_T24, T24, D12, Q8hat, T24hat,
     lieberman.  The lieberman group takes nonzero 2-torsion points e1, e2 of
-    the two elliptic-curve factors.  A lattice the generators do not
-    preserve raises ValueError.
+    the two elliptic-curve factors and lives on the product lattice only.
+    A lattice the generators do not preserve raises ValueError.
     """
     key = name.strip()
     key = _ALIASES.get(key, key)
     if key == "lieberman":
-        lat = LATTICES[lattice or "product"]
+        if lattice not in (None, "product"):
+            raise ValueError("the lieberman group lives on the product lattice only")
+        lat = LATTICES["product"]
         gens = _lieberman_maps(e1, e2)
     elif key in _GROUPS:
         default, sq_j, table = _GROUPS[key]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor, isqrt
 from operator import mul
 
 import pytest
@@ -22,7 +23,8 @@ from kummerlat import (
     q_value,
     roots,
 )
-from kummerlat.lattice import solve
+from kummerlat.kummer import build_K_Q8hat, build_K_T24hat
+from kummerlat.lattice import _search_levels, solve
 
 
 def L(text):
@@ -170,6 +172,130 @@ def test_roots_requires_negative_definite():
     lat = GramLattice(gram=((2, 0), (0, -2)))
     with pytest.raises(NotNegativeDefinite):
         roots(lat)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # affine A2~: positive semidefinite -gram, the last pivot is 0
+        ((-2, 1, 1), (1, -2, 1), (1, 1, -2)),
+        # -gram has leading minors 2, 3, 4, -19: indefinite, the last pivot < 0
+        ((-2, 1, 0, 0), (1, -2, 1, 0), (0, 1, -2, 3), (0, 0, 3, -2)),
+    ],
+    ids=["affine-A2", "indefinite"],
+)
+def test_roots_late_pivot_failure(g):
+    with pytest.raises(NotNegativeDefinite):
+        roots(GramLattice(gram=g))
+    with pytest.raises(NotNegativeDefinite):
+        fraction_roots(GramLattice(gram=g))
+
+
+# --- differential: integer root search against a Fraction search -------------
+
+
+def _fraction_ldl(posdef):
+    """LDL^T of a positive definite rational matrix, in Fraction arithmetic:
+    Q(x) = sum_i d_i (x_i + sum_{j>i} u[i][j] x_j)^2."""
+    n = len(posdef)
+    q = [[Fraction(x) for x in row] for row in posdef]
+    for i in range(n):
+        if q[i][i] <= 0:
+            raise NotNegativeDefinite("Gram matrix is not negative definite")
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] -= q[k][i] * q[i][l]
+    d = [q[i][i] for i in range(n)]
+    u = [[q[i][j] if j > i else Fraction(0) for j in range(n)] for i in range(n)]
+    return d, u
+
+
+def fraction_roots(lat):
+    """Oracle: Fincke-Pohst on -gram with Fraction centres and bounds, both
+    signs of every pair searched, no orthogonal-block split."""
+    n = lat.rank
+    d, u = _fraction_ldl([[-x for x in row] for row in lat.gram])
+    found = []
+    x = [0] * n
+
+    def descend(i, remaining):
+        if i < 0:
+            if remaining == 0:
+                found.append(tuple(x))
+            return
+        c = sum(u[i][j] * x[j] for j in range(i + 1, n))
+        s = isqrt(int(remaining / d[i])) + 1
+        for xi in range(ceil(-c - s), floor(-c + s) + 1):
+            t = d[i] * (xi + c) ** 2
+            if t <= remaining:
+                x[i] = xi
+                descend(i - 1, remaining - t)
+        x[i] = 0
+
+    descend(n - 1, Fraction(2))
+    reps = set()
+    for v in found:
+        nz = next(c for c in v if c != 0)
+        reps.add(v if nz > 0 else tuple(-c for c in v))
+    return sorted(tuple(Fraction(c) for c in v) for v in reps)
+
+
+IRREDUCIBLE = (
+    [f"A{n}" for n in range(1, 20)] + [f"D{n}" for n in range(4, 20)] + ["E6", "E7", "E8"]
+)
+
+
+@pytest.mark.parametrize("text", IRREDUCIBLE)
+def test_roots_match_fraction_search(text):
+    lat = L(text)
+    got = roots(lat)
+    assert got == fraction_roots(lat)
+    n = lat.rank
+    pairs = {"A": n * (n + 1) // 2, "D": n * (n - 1), "E": {6: 36, 7: 63, 8: 120}.get(n)}
+    assert len(got) == pairs[text[0]]
+
+
+SCRAMBLE_CONFIGS = ["A4", "D5", "E6", "E7", "E8", "A3+A2", "D4+A1", "2A2+A1", "A8", "D8"]
+
+
+def scrambled(text, seed):
+    """U.gram.U^T for a seeded unimodular U made of elementary row operations."""
+    g = L(text).gram
+    n = len(g)
+    rng = random.Random(seed)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    ug = [[sum(map(mul, row, col)) for col in zip(*g)] for row in u]
+    return GramLattice(gram=[[sum(map(mul, row, v)) for v in u] for row in ug])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("text", SCRAMBLE_CONFIGS)
+def test_roots_match_fraction_search_scrambled(text, seed):
+    lat = scrambled(text, seed)
+    assert lat.rank <= 8 and abs(lat.det) == abs(L(text).det)
+    # some centre denominator D_k > 1: the integer levels really rescale
+    assert max(D for D, _, _ in _search_levels([[-x for x in row] for row in lat.gram])[1]) > 1
+    got = roots(lat)
+    assert got == fraction_roots(lat)
+    assert len(got) == len(roots(L(text)))
+    for v in got:
+        assert lat.pair(v, v) == -2
+
+
+@pytest.mark.parametrize("build", [build_K_Q8hat, build_K_T24hat], ids=["Q8hat", "T24hat"])
+def test_roots_match_fraction_search_kummer(build):
+    report = build()
+    for lat in (report.F, report.K.lattice):
+        got = roots(lat)
+        assert got == fraction_roots(lat)
+        assert len(got) == {"Q8hat": 37, "T24hat": 39}[report.group]
 
 
 # --- glue and overlattices ---------------------------------------------------

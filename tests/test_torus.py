@@ -173,6 +173,18 @@ def test_d12_needs_its_own_order(lattice):
         standard_group("D12", lattice=lattice)
 
 
+@pytest.mark.parametrize("lattice", ["a", "a0", "b"])
+def test_lieberman_needs_the_product_lattice(lattice):
+    with pytest.raises(ValueError, match="product lattice only"):
+        standard_group("lieberman", lattice=lattice, e1=(HALF, 0), e2=(0, HALF))
+
+
+@pytest.mark.parametrize("lattice", [None, "product"])
+def test_lieberman_on_the_product_lattice(lattice):
+    group = standard_group("lieberman", lattice=lattice, e1=(HALF, 0), e2=(0, HALF))
+    assert group.lattice.name == "product"
+
+
 def test_unknown_group_name():
     with pytest.raises(UnrecognizedGroup):
         standard_group("Z7")
