@@ -2,8 +2,9 @@
 
 Library layers:
 
-* `lattice` - integer Gram lattices, Smith normal form, discriminant
-  groups, root enumeration, glue vectors and overlattices;
+* `snf` - Smith and Hermite normal forms and integer determinants;
+* `lattice` - integer Gram lattices, discriminant groups, root
+  enumeration, glue vectors and overlattices;
 * `ade` - ADE configurations, the orbifold deficiency m(C) and the
   exhaustive census of configurations with prescribed m and rank;
 * `divisibility` - even / 3-divisible set candidates, double-cover
@@ -11,7 +12,8 @@ Library layers:
 * `kummer` - the ten torus-quotient curve lattices and the two explicit
   primitive saturations with their glue data;
 * `torus` - finite affine quaternion group actions on 4-tori: fixed
-  points, orbits, stabilizers and quotient singularities.
+  points, orbits, stabilizers and quotient singularities;
+* `cli` - the `kummerlat` command line (census, kummer, obstruct, torus).
 
 Everything is exact: Python ints and `fractions.Fraction` throughout.
 All public objects are immutable and the operations are pure functions,

@@ -17,7 +17,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .lattice import GramLattice, connected_components, direct_sum, frac_str
 
@@ -81,7 +81,7 @@ class ADEConfig:
                 out.extend([(letter, n)] * c)
         return out
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return sum(n for _, n in self.components())
 

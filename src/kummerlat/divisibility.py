@@ -26,19 +26,23 @@ mechanisms:
   after gluing, counted prime by prime (order-2 glue comes from even sets,
   order-3 glue from 3-divisible sets);
 * double covers: a forced even set produces a double cover whose curve
-  configuration must again fit on a K3 (rank <= 19).
+  configuration must again fit on a K3 (rank <= 19).  The cover is a sum
+  over components; on each ADE tree the branch preimages are disjoint
+  (-1)-curves, so it is contracted in one step and written down directly.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .ade import (
     ADEConfig,
+    DynkinGraph,
     classify_dynkin,
     component_edges,
     component_gram,
@@ -48,7 +52,7 @@ from .ade import (
     m_value,
     max_disjoint_curves,
 )
-from .lattice import GramLattice, connected_components, discriminant_group
+from .lattice import GramLattice, discriminant_group
 
 K3_AMBIENT_RANK = 22
 EVEN_SUPPORT_SIZES = (8, 16)
@@ -128,56 +132,28 @@ def _component_disc(letter: str, n: int):
 
 
 @lru_cache(maxsize=None)
-def _even_patterns_local(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """Supports of the nonzero 2-torsion dual classes (node index tuples)."""
-    disc = _component_disc(letter, n)
-    halves = [
-        (g, d // 2) for d, g in zip(disc.invariant_factors, disc.generators) if d % 2 == 0
-    ]
-    pats = set()
-    for bits in range(1, 1 << len(halves)):
-        x = [Fraction(0)] * n
-        for t, (g, c) in enumerate(halves):
-            if bits >> t & 1:
-                for j in range(n):
-                    x[j] = (x[j] + c * g[j]) % 1
-        supp = tuple(j for j in range(n) if x[j])
-        if supp:
-            if any(x[j] != Fraction(1, 2) for j in supp):
-                raise AssertionError("2-torsion class is not a half-sum")
-            pats.add(supp)
-    return tuple(sorted(pats))
+def _torsion_patterns(letter: str, n: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Coefficient vectors (mod p) of the nonzero p-torsion dual classes.
 
-
-@lru_cache(maxsize=None)
-def _three_patterns_local(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """Coefficient vectors (mod 3) of the nonzero 3-torsion dual classes.
-
-    Only classes that decompose into disjoint, mutually non-adjacent
-    adjacent pairs carrying coefficients {1, 2} qualify as supports of
-    3-divisible sets.
+    For p = 3 only classes that decompose into disjoint, mutually
+    non-adjacent adjacent pairs carrying coefficients {1, 2} qualify as
+    supports of 3-divisible sets.
     """
     disc = _component_disc(letter, n)
-    thirds = [
-        (g, d // 3) for d, g in zip(disc.invariant_factors, disc.generators) if d % 3 == 0
+    parts = [
+        (g, d // p) for d, g in zip(disc.invariant_factors, disc.generators) if d % p == 0
     ]
     adj = [set() for _ in range(n)]
     for i, j in component_edges(letter, n):
         adj[i].add(j)
         adj[j].add(i)
     pats = set()
-    for combo in product(range(3), repeat=len(thirds)):
-        if not any(combo):
-            continue
-        x = [Fraction(0)] * n
-        for c, (g, third) in zip(combo, thirds):
-            if c:
-                for j in range(n):
-                    x[j] = (x[j] + c * third * g[j]) % 1
-        coeffs = tuple(int(3 * v) for v in x)
-        if any(3 * v != int(3 * v) for v in x):
-            raise AssertionError("3-torsion class is not a third-sum")
-        if _pairs_of_coeffs(coeffs, adj) is not None:
+    for combo in product(range(p), repeat=len(parts)):
+        x = [sum(c * m * g[j] for c, (g, m) in zip(combo, parts)) % 1 for j in range(n)]
+        if any((p * v).denominator != 1 for v in x):
+            raise AssertionError(f"{p}-torsion class is not a 1/{p}-sum")
+        coeffs = tuple(int(p * v) for v in x)
+        if any(coeffs) and (p == 2 or _pairs_of_coeffs(coeffs, adj) is not None):
             pats.add(coeffs)
     return tuple(sorted(pats))
 
@@ -222,18 +198,11 @@ class _Classes:
         self.patterns: list[list[int]] = []  # per component, sorted
         self.checks: list[tuple[int, set[int]]] = []  # (component mask, patterns)
         for letter, k, nodes in ctx.comps:
-            mask = sum(1 << node for node in nodes)
-            if p == 2:
-                local = [
-                    sum(1 << nodes[i] for i in supp)
-                    for supp in _even_patterns_local(letter, k)
-                ]
-            else:
-                mask |= mask << n
-                local = [
-                    sum(1 << (nodes[i] + (c - 1) * n) for i, c in enumerate(coeffs) if c)
-                    for coeffs in _three_patterns_local(letter, k)
-                ]
+            mask = sum(1 << ((c - 1) * n + node) for c in range(1, p) for node in nodes)
+            local = [
+                sum(1 << ((c - 1) * n + nodes[i]) for i, c in enumerate(coeffs) if c)
+                for coeffs in _torsion_patterns(letter, k, p)
+            ]
             self.patterns.append(sorted(local))
             self.checks.append((mask, set(local)))
         if p == 2:
@@ -365,110 +334,87 @@ def double_cover_transform(config: ADEConfig, candidate) -> ADEConfig:
     Rules: a branch curve pulls back to a (-1)-curve; a curve disjoint from
     the branch splits into two copies; a curve meeting the branch in two
     points pulls back to one (-4)-curve through the corresponding branch
-    preimages.  All (-1)-curves are then contracted iteratively and the
-    result is recognized as an ADE configuration.
+    preimages.  The (-1)-curves are pairwise disjoint and meet no other
+    branch preimage, so one contraction of all of them leaves only
+    (-2)-curves; the result is recognized as an ADE configuration,
+    component by component.
     """
-    ctx = _Context(config)
+    graph = dynkin(config)
     if isinstance(candidate, DivisibleCandidate):
-        support = set(candidate.support)
-    else:
-        support = set(candidate)
-    index_of = {lab: i for i, lab in enumerate(ctx.labels)}
-    mask = 0
-    for lab in support:
-        mask |= 1 << index_of[lab]
-    return _transform_mask(ctx, mask)
-
-
-def _transform_mask(ctx: _Context, mask: int) -> ADEConfig:
-    n = ctx.n
-    g = ctx.lattice.gram
-    in_branch = [bool(mask >> i & 1) for i in range(n)]
-    branch_hits = [
-        sum(g[i][j] for j in range(n) if in_branch[j] and j != i) for i in range(n)
-    ]
-    for i in range(n):
-        if not in_branch[i]:
-            if branch_hits[i] > 2:
+        candidate = candidate.support
+    index_of = {lab: i for i, lab in enumerate(graph.nodes)}
+    mask = sum(1 << index_of[lab] for lab in set(candidate))
+    hits = [0] * len(graph.nodes)
+    for i, j in graph.edges:
+        hits[i] += mask >> j & 1
+        hits[j] += mask >> i & 1
+    for i, h in enumerate(hits):
+        if not mask >> i & 1:
+            if h > 2:
                 raise NonReducedIntersection(
-                    f"curve {ctx.labels[i]} meets the branch in {branch_hits[i]} points"
+                    f"curve {graph.nodes[i]} meets the branch in {h} points"
                 )
-            if branch_hits[i] % 2:
+            if h % 2:
                 raise ValueError("candidate is not an even set (odd branch parity)")
+    pieces = _cover_pieces(graph, mask)
+    for piece in pieces:
+        if isinstance(piece, str):
+            raise NotADEAfterContraction(piece)
+    return ADEConfig.from_counts(Counter(c for piece in pieces for c in piece.components()))
 
-    # split-curve clusters: connected non-branch curves away from the branch
-    split = [not in_branch[i] and not branch_hits[i] for i in range(n)]
-    adj = [
-        [w for w in range(n) if split[w] and g[v][w] and w != v] if split[v] else []
-        for v in range(n)
+
+def _cover_pieces(graph: DynkinGraph, mask: int) -> list[ADEConfig | str]:
+    """The covers of the components, each branched over its part of mask."""
+    return [
+        _local_cover(letter, k, mask >> start & ((1 << k) - 1))
+        for letter, k, start, _ in graph.component_slices
     ]
-    cluster = [0] * n
-    for idx, comp in enumerate(connected_components(adj)):
-        for v in comp:
-            cluster[v] = idx
 
-    nodes = []  # (orig, kind, copy)
+
+@lru_cache(maxsize=None)
+def _local_cover(letter: str, n: int, local_mask: int) -> ADEConfig | str:
+    """Contracted double cover of one component branched over the curves in
+    local_mask, where every other curve meets 0 or 2 of them.
+
+    After contracting the branch preimages, a ramified curve (two branch
+    points) is one (-4 + 2)-curve and a split curve (none) two
+    (-2)-curves, one per sheet.  Split copies meet on the same sheet, a
+    ramified curve meets both copies of a split neighbour, and two
+    ramified curves meet 2 (C . C') plus the number of branch curves they
+    both meet.  Returns the ADE type, or the NotADEAfterContraction
+    message so that a failing piece is cached too.
+    """
+    edges = component_edges(letter, n)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    branch = [local_mask >> i & 1 for i in range(n)]
+    nodes: dict[int, range] = {}  # curve off the branch -> its preimages
+    size = 0
     for i in range(n):
-        if in_branch[i]:
-            nodes.append((i, "branch", 0))
-        elif branch_hits[i]:
-            nodes.append((i, "ram", 0))
-        else:
-            nodes.append((i, "split", 0))
-            nodes.append((i, "split", 1))
-
-    size = len(nodes)
-    cov = [[0] * size for _ in range(size)]
-    for a in range(size):
-        ia, ka, ca = nodes[a]
-        cov[a][a] = {"branch": -1, "ram": -4, "split": -2}[ka]
-        for b in range(a + 1, size):
-            ib, kb, cb = nodes[b]
-            inter = g[ia][ib] if ia != ib else 0
-            if ka == "branch" and kb == "branch":
-                val = 0
-            elif {ka, kb} == {"branch", "ram"}:
-                val = inter
-            elif {ka, kb} == {"branch", "split"}:
-                val = 0
-            elif ka == "ram" and kb == "ram":
-                val = 2 * inter
-            elif {ka, kb} == {"ram", "split"}:
-                val = inter
-            else:  # split-split
-                val = inter if (cluster[ia] == cluster[ib] and ca == cb) else 0
-            cov[a][b] = cov[b][a] = val
-
-    # contract (-1)-curves until none remain
-    while True:
-        e = next((i for i in range(len(cov)) if cov[i][i] == -1), None)
-        if e is None:
-            break
-        keep = [i for i in range(len(cov)) if i != e]
-        cov = [
-            [cov[i][j] + cov[i][e] * cov[j][e] for j in keep] for i in keep
-        ]
-
-    for i in range(len(cov)):
-        if cov[i][i] != -2:
-            raise NotADEAfterContraction(
-                f"contracted curve has self-intersection {cov[i][i]}"
-            )
-        for j in range(i + 1, len(cov)):
-            if cov[i][j] not in (0, 1):
-                raise NotADEAfterContraction(
-                    f"contracted intersection number {cov[i][j]}"
-                )
-    edges = [
-        (i, j)
-        for i in range(len(cov))
-        for j in range(i + 1, len(cov))
-        if cov[i][j] == 1
-    ]
+        if not branch[i]:
+            k = 1 if any(branch[j] for j in nbrs[i]) else 2
+            nodes[i] = range(size, size + k)
+            size += k
+    meet: Counter[tuple[int, int]] = Counter()
+    for i, j in edges:
+        if i in nodes and j in nodes:
+            a, b = nodes[i], nodes[j]
+            if len(a) + len(b) == 2:
+                meet[a[0], b[0]] += 2
+            else:
+                meet.update(zip(a, b) if len(a) == len(b) else product(a, b))
+    for i in range(n):
+        if branch[i]:
+            meet.update(combinations([nodes[j][0] for j in nbrs[i] if j in nodes], 2))
+    bad = next((k for k in meet.values() if k > 1), None)
+    if bad is not None:
+        return f"contracted intersection number {bad}"
     try:
-        return classify_dynkin(len(cov), edges)
+        return classify_dynkin(size, sorted(meet))
     except ValueError as exc:
-        raise NotADEAfterContraction(str(exc)) from exc
+        return str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +512,9 @@ def _component_policies(letter: str, n: int):
 
     Returns tuples (size, alive_local_masks (sorted tuple), indset nodes).
     """
-    patterns = [sum(1 << i for i in supp) for supp in _even_patterns_local(letter, n)]
+    patterns = [
+        sum(c << i for i, c in enumerate(coeffs)) for coeffs in _torsion_patterns(letter, n, 2)
+    ]
     edges = component_edges(letter, n)
     autos = _component_autos(letter, n)
 
@@ -746,25 +694,24 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
                     )
                 )
                 excluded = True
-        if cands:
-            good, first_bad = _cover_scan(ctx, cands)
-            if good is None:
-                example_mask, example_cover = first_bad
-                steps.append(
-                    _step(
-                        "CoverRankExceeds",
-                        witness_curves=" ".join(w.curves),
-                        witness_size=w.size,
-                        candidates=len(cands),
-                        example_even_set=" ".join(ctx.mask_labels(example_mask)),
-                        cover_config=(
-                            example_cover.render() if example_cover else "not ADE"
-                        ),
-                        cover_rank=(example_cover.rank if example_cover else -1),
-                        rank_limit=K3_RANK_LIMIT,
-                    )
+        bad = _cover_scan(ctx, cands)
+        if bad is not None:
+            example_mask, example_cover = bad
+            steps.append(
+                _step(
+                    "CoverRankExceeds",
+                    witness_curves=" ".join(w.curves),
+                    witness_size=w.size,
+                    candidates=len(cands),
+                    example_even_set=" ".join(ctx.mask_labels(example_mask)),
+                    cover_config=(
+                        example_cover.render() if example_cover else "not ADE"
+                    ),
+                    cover_rank=(example_cover.rank if example_cover else -1),
+                    rank_limit=K3_RANK_LIMIT,
                 )
-                excluded = True
+            )
+            excluded = True
 
     for prime, k in ((2, k2), (3, k3)):
         if k == 0 or excluded:
@@ -802,20 +749,17 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
 
 
 def _cover_scan(ctx: _Context, masks: list[int]):
-    """First candidate with a rank <= 19 ADE cover, else the first bad one."""
+    """None if some candidate has an ADE cover of rank <= 19, else the first
+    candidate with its cover (None when that cover is not ADE)."""
     first_bad = None
     for mask in masks:
-        try:
-            cover = _transform_mask(ctx, mask)
-        except (NotADEAfterContraction, NonReducedIntersection):
-            if first_bad is None:
-                first_bad = (mask, None)
-            continue
-        if cover.rank <= K3_RANK_LIMIT:
-            return (mask, cover), first_bad
+        pieces = _cover_pieces(ctx.graph, mask)
+        ade = not any(isinstance(p, str) for p in pieces)
+        if ade and sum(p.rank for p in pieces) <= K3_RANK_LIMIT:
+            return None
         if first_bad is None:
-            first_bad = (mask, cover)
-    return None, first_bad
+            first_bad = (mask, sum(pieces, ADEConfig()) if ade else None)
+    return first_bad
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from itertools import combinations, product
 import pytest
 
 from kummerlat import (
+    NonReducedIntersection,
+    NotADEAfterContraction,
     check_nonexistence,
     double_cover_transform,
     enriques_census,
@@ -21,7 +23,10 @@ from kummerlat.divisibility import (
     _Context,
     _enumerate_candidates,
     _find_code,
+    _local_cover,
 )
+from kummerlat.ade import classify_dynkin, component_edges
+from kummerlat.lattice import connected_components
 
 TABLE_10 = [
     "16A1",
@@ -244,6 +249,18 @@ def test_nine_cusp_code_words_are_candidates():
     assert _global_found(report, 3) == 3
 
 
+@pytest.mark.parametrize("k", range(1, 20))
+def test_kA1_verdicts(k):
+    # every kA1 with k <= 16 sits inside Nikulin's 16A1; 17A1 to 19A1 are
+    # excluded, and the two largest must decide quickly
+    start = time.perf_counter()
+    report = check_nonexistence(parse_config(f"{k}A1"))
+    elapsed = time.perf_counter() - start
+    assert report.verdict == (NO_OBSTRUCTION if k <= 16 else EXCLUDED)
+    if k >= 18:
+        assert elapsed < 10.0
+
+
 def test_17A1_capped_without_search():
     start = time.perf_counter()
     report = check_nonexistence(parse_config("17A1"))
@@ -338,6 +355,148 @@ def test_cover_euler_bookkeeping(text, support_size):
     cand = next(c for c in even_set_candidates(config) if len(c.support) == support_size)
     cover = double_cover_transform(config, cand)
     assert m_value(cover) == 2 * m_value(config) - 3 * support_size
+
+
+def global_cover(lat, labels):
+    """The double cover built as one matrix over the whole configuration
+    lattice, with the (-1)-curves contracted one at a time, as an
+    independent oracle for the component-local closed form."""
+    g, n = lat.gram, lat.rank
+    in_branch = [lab in labels for lab in lat.basis_labels]
+    branch_hits = [
+        sum(g[i][j] for j in range(n) if in_branch[j] and j != i) for i in range(n)
+    ]
+    for i in range(n):
+        if not in_branch[i]:
+            if branch_hits[i] > 2:
+                raise NonReducedIntersection(
+                    f"curve {lat.basis_labels[i]} meets the branch in {branch_hits[i]} points"
+                )
+            if branch_hits[i] % 2:
+                raise ValueError("candidate is not an even set (odd branch parity)")
+
+    # split-curve clusters: connected non-branch curves away from the branch
+    split = [not in_branch[i] and not branch_hits[i] for i in range(n)]
+    adj = [
+        [w for w in range(n) if split[w] and g[v][w] and w != v] if split[v] else []
+        for v in range(n)
+    ]
+    cluster = [0] * n
+    for idx, comp in enumerate(connected_components(adj)):
+        for v in comp:
+            cluster[v] = idx
+
+    nodes = []  # (curve, kind, sheet)
+    for i in range(n):
+        if in_branch[i]:
+            nodes.append((i, "branch", 0))
+        elif branch_hits[i]:
+            nodes.append((i, "ram", 0))
+        else:
+            nodes.append((i, "split", 0))
+            nodes.append((i, "split", 1))
+    size = len(nodes)
+    cov = [[0] * size for _ in range(size)]
+    for a, (ia, ka, ca) in enumerate(nodes):
+        cov[a][a] = {"branch": -1, "ram": -4, "split": -2}[ka]
+        for b in range(a + 1, size):
+            ib, kb, cb = nodes[b]
+            inter = g[ia][ib] if ia != ib else 0
+            if not inter:
+                continue
+            if {ka, kb} in ({"branch"}, {"branch", "split"}):
+                val = 0
+            elif ka == kb == "ram":
+                val = 2 * inter
+            elif ka == kb == "split":
+                val = inter if (cluster[ia] == cluster[ib] and ca == cb) else 0
+            else:  # branch-ram or ram-split
+                val = inter
+            cov[a][b] = cov[b][a] = val
+
+    # contract (-1)-curves one at a time until none remain
+    alive = set(range(size))
+    while True:
+        e = next((i for i in sorted(alive) if cov[i][i] == -1), None)
+        if e is None:
+            break
+        alive.discard(e)
+        meets = [i for i in alive if cov[i][e]]
+        for i in meets:
+            for j in meets:
+                cov[i][j] += cov[i][e] * cov[j][e]
+    keep = sorted(alive)
+    for i in keep:
+        if cov[i][i] != -2:
+            raise NotADEAfterContraction(f"contracted curve has self-intersection {cov[i][i]}")
+    for a, i in enumerate(keep):
+        for j in keep[a + 1 :]:
+            if cov[i][j] not in (0, 1):
+                raise NotADEAfterContraction(f"contracted intersection number {cov[i][j]}")
+    edges = [
+        (a, b)
+        for a, i in enumerate(keep)
+        for b, j in enumerate(keep)
+        if a < b and cov[i][j] == 1
+    ]
+    try:
+        return classify_dynkin(len(keep), edges)
+    except ValueError as exc:
+        raise NotADEAfterContraction(str(exc)) from exc
+
+
+def parity_valid_masks(letter, n):
+    """Every curve set of one component that each other curve meets 0 or 2
+    times (its curves may meet each other)."""
+    edges = component_edges(letter, n)
+    for mask in range(1 << n):
+        hits = [0] * n
+        for i, j in edges:
+            hits[i] += mask >> j & 1
+            hits[j] += mask >> i & 1
+        if all(mask >> i & 1 or hits[i] in (0, 2) for i in range(n)):
+            yield mask
+
+
+COMPONENTS_TO_14 = (
+    [("A", n) for n in range(1, 15)]
+    + [("D", n) for n in range(4, 15)]
+    + [("E", n) for n in (6, 7, 8)]
+)
+
+
+def test_local_cover_matches_global_oracle():
+    cases = 0
+    for letter, n in COMPONENTS_TO_14:
+        lat = gram(parse_config(f"{letter}{n}"))
+        for mask in parity_valid_masks(letter, n):
+            branch = {lat.basis_labels[i] for i in range(n) if mask >> i & 1}
+            assert _local_cover(letter, n, mask) == global_cover(lat, branch), (
+                letter, n, mask,
+            )
+            cases += 1
+    assert cases == 1899
+
+
+@pytest.mark.parametrize("text", TABLE_10 + EXTRA_8)
+def test_cover_transform_matches_global_oracle_on_census(text):
+    config = parse_config(text)
+    lat = gram(config)
+    for cand in even_set_candidates(config):
+        assert double_cover_transform(config, cand) == global_cover(lat, set(cand.support))
+
+
+def test_cover_non_reduced_intersection():
+    config = parse_config("A1+D4+A3")
+    with pytest.raises(NonReducedIntersection) as err:
+        double_cover_transform(config, ["D4.1.1", "D4.1.3", "D4.1.4"])
+    assert str(err.value) == "curve D4.1.2 meets the branch in 3 points"
+
+
+def test_cover_odd_branch_parity():
+    with pytest.raises(ValueError) as err:
+        double_cover_transform(parse_config("A1+D4+A3"), ["A3.1.1"])
+    assert str(err.value) == "candidate is not an even set (odd branch parity)"
 
 
 # --- the checker ------------------------------------------------------------
