@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .ade import ADEConfig, parse_config
 from . import ade
@@ -31,6 +32,7 @@ from .lattice import (
     q_value,
     roots,
 )
+from .snf import mat_mul
 
 
 class NoIntegralOrientation(ValueError):
@@ -262,16 +264,20 @@ def build_K_T24hat() -> KummerReport:
 
 
 def _same_roots(K: OverlatticeResult, roots_parent, roots_over) -> bool:
-    """Compare root sets of a finite-index overlattice and its parent."""
-    parent_set = {tuple(v) for v in roots_parent}
+    """Compare root sets of a finite-index overlattice and its parent.
+
+    The overlattice roots map to parent coordinates by one integer product
+    with the basis numerators H (basis = H / den), divided by den once.
+    """
+    den = lcm(*(c.denominator for row in K.basis_in_parent for c in row))
+    H = [[c.numerator * (den // c.denominator) for c in row] for row in K.basis_in_parent]
     over_in_parent = set()
-    for r in roots_over:
-        w = K.to_parent(r)
-        nz = next((c for c in w if c != 0), 0)
-        if nz < 0:
-            w = tuple(-c for c in w)
-        over_in_parent.add(tuple(w))
-    return parent_set == over_in_parent
+    for w in mat_mul([[c.numerator for c in r] for r in roots_over], H):
+        if any(x % den for x in w):
+            return False  # a root of the overlattice outside the parent
+        nz = next((x for x in w if x), 0)
+        over_in_parent.add(tuple(x // den if nz > 0 else -x // den for x in w))
+    return {tuple(v) for v in roots_parent} == over_in_parent
 
 
 def verify_root_equality(K: OverlatticeResult, F: GramLattice) -> bool:

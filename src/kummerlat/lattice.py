@@ -321,16 +321,6 @@ class OverlatticeResult:
         x = solve(basis_cols, [[c] for c in vec(coords)])
         return x is not None and all(row[0].denominator == 1 for row in x)
 
-    def to_parent(self, coords) -> RationalVector:
-        v = vec(coords)
-        n = len(self.basis_in_parent[0]) if self.basis_in_parent else 0
-        out = [Fraction(0)] * n
-        for c, row in zip(v, self.basis_in_parent):
-            if c:
-                for j in range(n):
-                    out[j] += c * row[j]
-        return tuple(out)
-
 
 def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
     """Lattice generated by L and the glue vectors, with index [L' : L].

@@ -8,6 +8,13 @@ singularities are read off from orbit stabilizers through the standard
 quotient-singularity dictionary (cyclic Z_n -> A_{n-1}, quaternion of order
 8 -> D_4, binary dihedral of order 4m -> D_{m+2}, binary tetrahedral -> E_6).
 
+Every translation and every fixed point lies in (1/N)Z^4/Z^4 for some N, so
+the action runs on Python ints: a point is an int 4-tuple mod N and a group
+element is its integer M with the translation numerators mod N.  Closure,
+fixed points, orbits and stabilizers are computed that way; points and
+translations convert to `Fraction` only on output (`AffineTorusMap`,
+`FixedPointSet.points`, `SingularityReport`).
+
 Every standard group is generated by maps x -> qx + t in a quaternion
 algebra with I^2 = -1, J^2 = sq_j and K = IJ.  One matrix,
 `left_mult_matrix(q, sq_j)`, is x -> qx in the frame (1, I, J, K) for both
@@ -30,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .ade import ADEConfig
 from .lattice import DegenerateLattice, RationalVector, frac_str, solve
@@ -163,7 +171,12 @@ class AffineTorusMap:
 
     @classmethod
     def of(cls, linear, translation=(0, 0, 0, 0)) -> "AffineTorusMap":
+        """Checked constructor: M must be an integer matrix with det +-1."""
+        if any(int(x) != x for row in linear for x in row):
+            raise ValueError("linear part must be an integer matrix")
         lin = tuple(tuple(int(x) for x in row) for row in linear)
+        if abs(det_int(lin)) != 1:
+            raise ValueError("linear part must have determinant +-1")
         tr = tuple(Fraction(x) % 1 for x in translation)
         return cls(lin, tr)
 
@@ -195,23 +208,42 @@ class TorusGroup:
         return len(self.elements)
 
 
+def _numerators(vector, n: int) -> tuple[int, ...]:
+    """Integer numerators mod n of a rational vector whose denominators divide n."""
+    return tuple(c.numerator * (n // c.denominator) % n for c in vector)
+
+
+def _apply(m, t, x, n: int) -> tuple[int, ...]:
+    """Mx + t mod n on numerators over n."""
+    return tuple((sum(a * b for a, b in zip(row, x)) + ti) % n for row, ti in zip(m, t))
+
+
 def closure(generators, bound: int = 120) -> tuple[AffineTorusMap, ...]:
-    """Breadth-first multiplicative closure of affine maps mod the lattice."""
-    els = {IDENTITY_MAP}
-    frontier = list(generators)
+    """Breadth-first multiplicative closure of affine maps mod the lattice.
+
+    Elements are composed as (M, translation numerators mod N) pairs, N the
+    lcm of the generators' translation denominators; each `AffineTorusMap`
+    is built once, at the end, sorted by (linear, translation).
+    """
+    n = lcm(*(c.denominator for g in generators for c in g.translation))
+    gens = [(g.linear, _numerators(g.translation, n)) for g in generators]
+    els = {(_IDENTITY, (0,) * 4)}
+    frontier = list(gens)
     els.update(frontier)
     while frontier:
         new = []
-        for g in generators:
-            for h in frontier:
-                gh = g.compose(h)
+        for m, t in gens:
+            for k, s in frontier:
+                gh = (tuple(map(tuple, mat_mul(m, k))), _apply(m, t, s, n))
                 if gh not in els:
                     els.add(gh)
                     new.append(gh)
                     if len(els) > bound:
                         raise ClosureExceedsBound(f"closure exceeded {bound} elements")
         frontier = new
-    return tuple(sorted(els, key=lambda e: (e.linear, e.translation)))
+    return tuple(
+        AffineTorusMap(lin, tuple(Fraction(x, n) for x in t)) for lin, t in sorted(els)
+    )
 
 
 QUAT_I = (0, 1, 0, 0)
@@ -312,35 +344,35 @@ def fixed_points(g: AffineTorusMap) -> FixedPointSet:
 
     When det(M - I) != 0 there are exactly |det(M - I)| fixed points; when
     the determinant vanishes, solvability decides between an empty and a
-    positive-dimensional fixed locus.
+    positive-dimensional fixed locus.  With r = t/N and U(M - I)V = D the
+    Smith form, y = V^-1 x solves d_i y_i = c_i/N mod 1 for c = -Ut, so the
+    points are enumerated as ints mod Q = N lcm(d_i) and become `Fraction`
+    only in the returned set.
     """
     if g.is_identity():
         raise ValueError("fixed points of the identity are the whole torus")
     A = [[g.linear[i][j] - (1 if i == j else 0) for j in range(4)] for i in range(4)]
-    rhs = [-t for t in g.translation]
+    n = lcm(*(c.denominator for c in g.translation))
+    t = _numerators(g.translation, n)
     D, U, V = smith_normal_form(A)
-    c = [sum(U[i][j] * rhs[j] for j in range(4)) for i in range(4)]
-    ranges = []
-    for i in range(4):
-        d = D[i][i]
-        if d == 0:
-            if c[i] % 1 != 0:
-                return FixedPointSet("empty")
-            ranges.append(None)
-        else:
-            ranges.append(d)
-    if any(r is None for r in ranges):
+    c = [-sum(u * x for u, x in zip(row, t)) for row in U]
+    d = [D[i][i] for i in range(4)]
+    if any(di == 0 and ci % n for di, ci in zip(d, c)):
+        return FixedPointSet("empty")
+    if 0 in d:
         return FixedPointSet("positive_dimensional")
-    points = set()
-    for combo in product(*(range(abs(r)) for r in ranges)):
-        y = [(c[i] + combo[i]) / ranges[i] for i in range(4)]
-        x = tuple(
-            (sum(V[i][j] * y[j] for j in range(4))) % 1 for i in range(4)
-        )
-        points.add(x)
+    q = n * lcm(*d)
+    # y_i = (c_i + k n) / (d_i n) for k in range(d_i), as numerators over q
+    ys = [[(ci + k * n) * (q // (di * n)) for k in range(di)] for di, ci in zip(d, c)]
+    points = {
+        tuple(sum(v * y for v, y in zip(row, combo)) % q for row in V)
+        for combo in product(*ys)
+    }
     if len(points) != abs(det_int(A)):
         raise AssertionError("fixed point count disagrees with |det(M - I)|")
-    return FixedPointSet("finite", tuple(sorted(points)))
+    return FixedPointSet(
+        "finite", tuple(tuple(Fraction(x, q) for x in p) for p in sorted(points))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +415,10 @@ def abcd_shorthand(point: RationalVector) -> str | None:
     """Two-torsion shorthand abcd for lattice coordinates (a/2, b/2, c/2, d/2)."""
     digits = []
     for c in point:
-        h = c * 2
-        if h.denominator != 1 or int(h) not in (0, 1):
+        h, rest = divmod(2 * c.numerator, c.denominator)
+        if rest or h not in (0, 1):
             return None
-        digits.append(str(int(h)))
+        digits.append(str(h))
     return "".join(digits)
 
 
@@ -442,25 +474,42 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
     into orbits, classifies each orbit stabilizer and assembles the ADE
     configuration.  Raises NonIsolatedFixedLocus if some element fixes a
     positive-dimensional set.
+
+    Points are int 4-tuples mod N, N the lcm of all point and translation
+    denominators.  One pass over the sorted points takes each unvisited p
+    (the least point of its orbit), builds its image row g(p) over the
+    group once, and reads the orbit and the stabilizer of p off that row.
+    The report holds the `Fraction` points that `fixed_points` returned.
     """
-    all_points: set[RationalVector] = set()
+    fixed = []
     for g in group.elements:
         if g.is_identity():
             continue
         fp = fixed_points(g)
         if fp.kind == "positive_dimensional":
             raise NonIsolatedFixedLocus(g)
-        all_points.update(fp.points)
+        fixed.extend(fp.points)
+    n = lcm(*(c.denominator for p in fixed for c in p),
+            *(c.denominator for g in group.elements for c in g.translation))
+    frac = {_numerators(p, n): p for p in fixed}
+    maps = [(g.linear, _numerators(g.translation, n)) for g in group.elements]
 
-    # group.elements is closed, so the orbit of p is its image set
-    orbits = sorted({tuple(sorted({g(p) for g in group.elements})) for p in all_points})
+    orbits = []
     stab_orders = []
     stab_types = []
-    for orbit in orbits:
-        rep = orbit[0]
-        stab = [g for g in group.elements if g(rep) == rep]
-        if len(orbit) * len(stab) != len(group.elements):
+    visited: set[tuple[int, ...]] = set()
+    for p in sorted(frac):
+        if p in visited:
+            continue
+        row = [_apply(m, t, p, n) for m, t in maps]
+        orbit = sorted(set(row))
+        stab = [g for g, x in zip(group.elements, row) if x == p]
+        if len(orbit) * len(stab) != len(group):
             raise AssertionError("orbit-stabilizer identity violated")
+        if not all(x in frac for x in orbit):
+            raise AssertionError("an orbit leaves the fixed points: the group is not closed")
+        visited.update(orbit)
+        orbits.append(tuple(frac[x] for x in orbit))
         ade_type = stabilizer_ade_type([g.linear for g in stab])
         if ade_type == NON_SYMPLECTIC:
             raise UnrecognizedGroup("non-symplectic stabilizer encountered")
@@ -473,7 +522,7 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
     return SingularityReport(
         group=group.name,
         lattice=group.lattice.name,
-        points=tuple(sorted(all_points)),
+        points=tuple(frac[p] for p in sorted(frac)),
         orbits=tuple(orbits),
         stabilizer_orders=tuple(stab_orders),
         stabilizer_types=tuple(stab_types),

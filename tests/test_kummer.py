@@ -14,7 +14,7 @@ from kummerlat import (
     roots,
     verify_root_equality,
 )
-from kummerlat.kummer import GROUP_CONFIGS, spec_for
+from kummerlat.kummer import GROUP_CONFIGS, _same_roots, spec_for
 
 
 def test_group_table():
@@ -187,3 +187,37 @@ def test_verify_root_equality_not_sublattice():
     )
     with pytest.raises(NotASublattice):
         verify_root_equality(fake, L)
+
+
+def test_verify_root_equality_new_roots_outside_parent():
+    # 4A1 glued by (1/2, 1/2, 1/2, 1/2) is D4: its roots (+-1/2, ...) are not in 4A1
+    from kummerlat import GlueVector, gram
+
+    L = gram(parse_config("4A1"))
+    res = overlattice(L, [GlueVector.in_dual(L, (Fraction(1, 2),) * 4)])
+    assert res.index == 2
+    assert len(roots(res.lattice)) == 12
+    assert not verify_root_equality(res, L)
+
+
+def fraction_same_roots(K, roots_parent, roots_over):
+    """Each overlattice root mapped to the parent row by row in Fractions."""
+    over_in_parent = set()
+    for r in roots_over:
+        w = [sum((c * row[j] for c, row in zip(r, K.basis_in_parent)), Fraction(0))
+             for j in range(len(K.basis_in_parent))]
+        if next((c for c in w if c), 0) < 0:
+            w = [-c for c in w]
+        over_in_parent.add(tuple(w))
+    return {tuple(v) for v in roots_parent} == over_in_parent
+
+
+@pytest.mark.parametrize("build", [build_K_Q8hat, build_K_T24hat])
+def test_same_roots_matches_fraction_oracle(build):
+    K = build().K
+    rF, rK = roots(K.parent), roots(K.lattice)
+    glue = [tuple(Fraction(int(i == j)) for j in range(K.parent.rank)) for i in range(K.parent.rank)]
+    cases = [(rF, rK), (rF[1:], rK), (rF, rK[1:]), ([], []), (rF, rK + glue)]
+    verdicts = [_same_roots(K, a, b) for a, b in cases]
+    assert verdicts == [fraction_same_roots(K, a, b) for a, b in cases]
+    assert verdicts == [True, False, False, True, False]

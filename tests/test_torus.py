@@ -1,9 +1,12 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from kummerlat import (
+    ADEConfig,
     abcd_shorthand,
     fixed_points,
     left_mult_matrix,
@@ -13,10 +16,12 @@ from kummerlat import (
     stabilizer_ade_type,
     standard_group,
 )
-from kummerlat.snf import mat_mul
+from kummerlat.snf import det_int, mat_mul, smith_normal_form
 from kummerlat.torus import (
+    _GROUPS,
     ALPHA,
     HURWITZ,
+    LATTICES,
     NonIsolatedFixedLocus,
     QUAT_I,
     QUAT_J,
@@ -24,6 +29,8 @@ from kummerlat.torus import (
     QUAT_T,
     AffineTorusMap,
     ClosureExceedsBound,
+    FixedPointSet,
+    SingularityReport,
     UnrecognizedGroup,
     _map_from_quat,
     closure,
@@ -167,6 +174,33 @@ def test_closure_bound_guard():
         closure([shear, bad], bound=50)
 
 
+def test_affine_map_rejects_non_integer_linear_part():
+    half = [[1, HALF, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(ValueError, match="integer matrix"):
+        AffineTorusMap.of(half)
+    with pytest.raises(ValueError, match="integer matrix"):
+        AffineTorusMap.of([[0.5, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "diagonal", [(2, 1, 1, 1), (0, 1, 1, 1), (-1, -1, -1, 3), (2, 2, 2, 2)]
+)
+def test_affine_map_rejects_det_other_than_unit(diagonal):
+    lin = [[diagonal[i] if i == j else 0 for j in range(4)] for i in range(4)]
+    with pytest.raises(ValueError, match="determinant"):
+        AffineTorusMap.of(lin, (HALF, 0, 0, 0))
+
+
+def test_affine_map_accepts_integral_fractions():
+    g = AffineTorusMap.of(
+        [[Fraction(1), Fraction(2), 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        (Fraction(3, 2), -1, 0, Fraction(-1, 3)),
+    )
+    assert g.linear == ((1, 2, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
+    assert all(type(x) is int for row in g.linear for x in row)
+    assert g.translation == (HALF, 0, 0, Fraction(2, 3))
+
+
 @pytest.mark.parametrize("lattice", ["a", "a0", "product"])
 def test_d12_needs_its_own_order(lattice):
     with pytest.raises(ValueError, match="does not preserve the lattice"):
@@ -299,6 +333,36 @@ def test_singularity_configurations(name, expected):
     assert report.config.render() == expected
 
 
+# (|G|, sum over g != 1 of |Fix(g)|, |points|, |orbits|)
+EXACT_COUNTS = {
+    "neg1": (2, 16, 16, 16),
+    "i": (4, 24, 16, 10),
+    "Q8": (8, 40, 16, 7),
+    "Q8_T24": (8, 40, 16, 7),
+    "Q8hat": (8, 40, 16, 7),
+    "D12": (12, 60, 24, 7),
+    "T24": (24, 120, 48, 7),
+    "T24hat": (24, 120, 48, 7),
+}
+
+
+def fixed_point_total(group):
+    return sum(len(fixed_points(g).points) for g in group.elements if not g.is_identity())
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_COUNTS))
+def test_exact_counts(name):
+    group = standard_group(name)
+    report = singularity_configuration(group)
+    counts = (len(group), fixed_point_total(group), len(report.points), len(report.orbits))
+    assert counts == EXACT_COUNTS[name]
+
+
+def test_exact_counts_lieberman():
+    group = standard_group("lieberman", e1=(HALF, 0), e2=(0, HALF))
+    assert (len(group), fixed_point_total(group)) == (4, 16)
+
+
 @pytest.mark.parametrize("name,expected", TABLE_ROWS)
 def test_orbit_stabilizer_identity(name, expected):
     group = standard_group(name)
@@ -315,6 +379,17 @@ def test_non_isolated_locus_raises():
 
     group = TorusGroup("refl", LIPSCHITZ, (IDENTITY_MAP, refl))
     with pytest.raises(NonIsolatedFixedLocus):
+        singularity_configuration(group)
+
+
+@pytest.mark.parametrize("picks", [(18, 2), (18, 12, 20, 5, 16)])
+def test_non_closed_element_set_fails_loudly(picks):
+    # these sets of T24hat elements are not groups
+    from kummerlat.torus import TorusGroup, IDENTITY_MAP
+
+    nontrivial = [g for g in standard_group("T24hat").elements if not g.is_identity()]
+    group = TorusGroup("open", HURWITZ, (IDENTITY_MAP, *(nontrivial[i] for i in picks)))
+    with pytest.raises(AssertionError):
         singularity_configuration(group)
 
 
@@ -383,3 +458,162 @@ def test_abcd_roundtrip():
     for text in ("0000", "1010", "1111"):
         assert abcd_shorthand(parse_abcd(text)) == text
     assert abcd_shorthand((Fraction(1, 3), 0, 0, 0)) is None
+
+
+# --- the integer action against the Fraction oracle ---------------------------
+
+
+def oracle_fixed_points(g):
+    """(M - I) x = -r mod Z^4 solved and enumerated in Fractions."""
+    A = [[g.linear[i][j] - (1 if i == j else 0) for j in range(4)] for i in range(4)]
+    rhs = [-Fraction(t) for t in g.translation]
+    D, U, V = smith_normal_form(A)
+    c = [sum(U[i][j] * rhs[j] for j in range(4)) for i in range(4)]
+    d = [D[i][i] for i in range(4)]
+    if any(d[i] == 0 and c[i] % 1 != 0 for i in range(4)):
+        return FixedPointSet("empty")
+    if 0 in d:
+        return FixedPointSet("positive_dimensional")
+    points = set()
+    for combo in product(*(range(di) for di in d)):
+        y = [(c[i] + combo[i]) / d[i] for i in range(4)]
+        points.add(tuple(sum(V[i][j] * y[j] for j in range(4)) % 1 for i in range(4)))
+    assert len(points) == abs(det_int(A))
+    return FixedPointSet("finite", tuple(sorted(points)))
+
+
+def oracle_closure(generators):
+    """Breadth-first closure through Fraction-valued `compose`."""
+    els = {AffineTorusMap.of(ONE_MATRIX)} | set(generators)
+    frontier = list(generators)
+    while frontier:
+        frontier = [g.compose(h) for g in generators for h in frontier]
+        frontier = [gh for gh in dict.fromkeys(frontier) if gh not in els]
+        els.update(frontier)
+    return tuple(sorted(els, key=lambda e: (e.linear, e.translation)))
+
+
+def oracle_singularity_configuration(group):
+    """Every orbit rebuilt from each of its points, every stabilizer by
+    applying every element again, all through Fraction-valued g(p)."""
+    all_points = set()
+    for g in group.elements:
+        if g.is_identity():
+            continue
+        fp = oracle_fixed_points(g)
+        if fp.kind == "positive_dimensional":
+            raise NonIsolatedFixedLocus(g)
+        all_points.update(fp.points)
+    orbits = sorted({tuple(sorted({g(p) for g in group.elements})) for p in all_points})
+    stab_orders = []
+    stab_types = []
+    for orbit in orbits:
+        stab = [g for g in group.elements if g(orbit[0]) == orbit[0]]
+        assert len(orbit) * len(stab) == len(group.elements)
+        stab_orders.append(len(stab))
+        stab_types.append(stabilizer_ade_type([g.linear for g in stab]))
+    return SingularityReport(
+        group=group.name,
+        lattice=group.lattice.name,
+        points=tuple(sorted(all_points)),
+        orbits=tuple(orbits),
+        stabilizer_orders=tuple(stab_orders),
+        stabilizer_types=tuple(stab_types),
+        config=ADEConfig.from_counts(Counter(stab_types)),
+    )
+
+
+ONE_MATRIX = [[int(i == j) for j in range(4)] for i in range(4)]
+
+# the generators of these groups do not preserve these lattices
+REJECTED = {("T24", lat) for lat in ("a0", "b", "product")}
+REJECTED |= {("T24hat", lat) for lat in ("a0", "b", "product")}
+REJECTED |= {("D12", lat) for lat in ("a", "a0", "product")}
+
+
+@pytest.mark.parametrize("name,lattice", list(product(_GROUPS, LATTICES)))
+def test_singularities_match_oracle(name, lattice):
+    if (name, lattice) in REJECTED:
+        with pytest.raises(ValueError, match="does not preserve the lattice"):
+            standard_group(name, lattice=lattice)
+        return
+    group = standard_group(name, lattice=lattice)
+    _, sq_j, table = _GROUPS[name]
+    gens = [_map_from_quat(LATTICES[lattice], q, t, sq_j) for q, t in table]
+    assert group.elements == closure(gens) == oracle_closure(gens)
+    assert singularity_configuration(group) == oracle_singularity_configuration(group)
+
+
+@pytest.mark.parametrize(
+    "e1,e2", list(product([(HALF, 0), (0, HALF), (HALF, HALF)], repeat=2))
+)
+def test_lieberman_matches_oracle(e1, e2):
+    group = standard_group("lieberman", e1=e1, e2=e2)
+    assert group.elements == oracle_closure(list(group.elements))
+    report = singularity_configuration(group)
+    assert report == oracle_singularity_configuration(group)
+    assert report.config.render() == "8A1"
+    for g in group.elements:
+        if not g.is_identity():
+            assert fixed_points(g) == oracle_fixed_points(g)
+
+
+def elementary_pair(rng, steps):
+    """A random unimodular P, as a product of elementary row operations,
+    with its inverse."""
+    P = [[int(i == j) for j in range(4)] for i in range(4)]
+    P_inv = [row[:] for row in P]
+    for _ in range(steps):
+        i, j = rng.sample(range(4), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        # P <- (I + c e_ij) P and P_inv <- P_inv (I - c e_ij)
+        P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+        for row in P_inv:
+            row[j] -= c * row[i]
+    return P, P_inv
+
+
+# 2x2 blocks of determinant +-1, with and without the eigenvalue 1
+BLOCKS = [
+    [[1, 0], [0, 1]],
+    [[1, 1], [0, 1]],
+    [[1, 0], [0, -1]],
+    [[0, 1], [1, 0]],
+    [[-1, 0], [0, -1]],
+    [[0, -1], [1, 0]],
+    [[0, -1], [1, 1]],
+    [[-1, -1], [1, 0]],
+    [[2, 1], [1, 1]],
+]
+
+
+def random_affine_map(rng):
+    """x -> Mx + t, det M = +-1 and t with one denominator from 1 to 6.
+
+    M is either a product of elementary operations or such a product
+    conjugating a block-diagonal core, so fixed loci of every kind occur."""
+    if rng.random() < 0.25:
+        M, _ = elementary_pair(rng, 3)
+    else:
+        B1, B2 = rng.choice(BLOCKS), rng.choice(BLOCKS)
+        core = [B1[0] + [0, 0], B1[1] + [0, 0], [0, 0] + B2[0], [0, 0] + B2[1]]
+        P, P_inv = elementary_pair(rng, 6)
+        M = mat_mul(mat_mul(P, core), P_inv)
+    den = rng.randint(1, 6)
+    return AffineTorusMap.of(M, tuple(Fraction(rng.randrange(den), den) for _ in range(4)))
+
+
+def test_fixed_points_match_oracle_on_random_maps():
+    rng = random.Random(20260901)
+    kinds = Counter()
+    denominators = set()
+    for _ in range(400):
+        g = random_affine_map(rng)
+        if g.is_identity():
+            continue
+        fp = fixed_points(g)
+        assert fp == oracle_fixed_points(g)
+        kinds[fp.kind] += 1
+        denominators.update(c.denominator for p in fp.points for c in p)
+    assert min(kinds[k] for k in ("finite", "empty", "positive_dimensional")) >= 30
+    assert {2, 3, 4, 5, 6} <= denominators
