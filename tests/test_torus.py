@@ -21,6 +21,7 @@ from kummerlat.torus import (
     _GROUPS,
     ALPHA,
     HURWITZ,
+    IDENTITY_MAP,
     LATTICES,
     NonIsolatedFixedLocus,
     QUAT_I,
@@ -31,6 +32,7 @@ from kummerlat.torus import (
     ClosureExceedsBound,
     FixedPointSet,
     SingularityReport,
+    TorusGroup,
     UnrecognizedGroup,
     _map_from_quat,
     closure,
@@ -385,8 +387,6 @@ def test_non_isolated_locus_raises():
 @pytest.mark.parametrize("picks", [(18, 2), (18, 12, 20, 5, 16)])
 def test_non_closed_element_set_fails_loudly(picks):
     # these sets of T24hat elements are not groups
-    from kummerlat.torus import TorusGroup, IDENTITY_MAP
-
     nontrivial = [g for g in standard_group("T24hat").elements if not g.is_identity()]
     group = TorusGroup("open", HURWITZ, (IDENTITY_MAP, *(nontrivial[i] for i in picks)))
     with pytest.raises(AssertionError):
@@ -460,6 +460,12 @@ def test_abcd_roundtrip():
     assert abcd_shorthand((Fraction(1, 3), 0, 0, 0)) is None
 
 
+def test_abcd_needs_coordinates_in_zero_and_one_half():
+    assert abcd_shorthand((0, HALF, 0, HALF)) == "0101"
+    for bad in (Fraction(3, 2), Fraction(-1, 2), 1, Fraction(1, 4)):
+        assert abcd_shorthand((bad, 0, 0, 0)) is None
+
+
 # --- the integer action against the Fraction oracle ---------------------------
 
 
@@ -484,7 +490,7 @@ def oracle_fixed_points(g):
 
 def oracle_closure(generators):
     """Breadth-first closure through Fraction-valued `compose`."""
-    els = {AffineTorusMap.of(ONE_MATRIX)} | set(generators)
+    els = {IDENTITY_MAP} | set(generators)
     frontier = list(generators)
     while frontier:
         frontier = [g.compose(h) for g in generators for h in frontier]
@@ -522,8 +528,6 @@ def oracle_singularity_configuration(group):
         config=ADEConfig.from_counts(Counter(stab_types)),
     )
 
-
-ONE_MATRIX = [[int(i == j) for j in range(4)] for i in range(4)]
 
 # the generators of these groups do not preserve these lattices
 REJECTED = {("T24", lat) for lat in ("a0", "b", "product")}
