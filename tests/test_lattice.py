@@ -331,6 +331,39 @@ def test_glue_validation():
         overlattice(lat, [odd])
 
 
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "text, glue, exc, message",
+    [
+        # not in the dual: 1/3 on one A1 curve
+        ("8A1", [[Fraction(1, 3)] + [0] * 7], NonIntegralGlue,
+         "glue #0 pairs non-integrally with basis 0"),
+        # in the dual but with self-pairing -1/2
+        ("A1", [[HALF]], NonIntegralGlue, "glue #0 has non-integral self-pairing -1/2"),
+        ("8A1", [[HALF] * 2 + [0] * 6], OddGlue, "glue #0 has odd self-pairing -1"),
+        # two even half-vectors whose supports share 3 curves pair to -3/2
+        ("8A1", [[HALF] * 4 + [0] * 4, [0] + [HALF] * 4 + [0] * 3], NonIntegralGlue,
+         "glue #1 pairs non-integrally with glue #0"),
+        # the first failing glue index is reported, each glue checked in turn
+        ("8A1", [[HALF] * 8, [HALF] * 2 + [0] * 6, [Fraction(1, 3)] + [0] * 7], OddGlue,
+         "glue #1 has odd self-pairing -1"),
+        ("8A1", [[HALF] * 4 + [0] * 4, [HALF] * 8, [0] * 7 + [Fraction(1, 3)]],
+         NonIntegralGlue, "glue #2 pairs non-integrally with basis 7"),
+        ("8A1", [[HALF] * 4 + [0] * 4, [0] * 4 + [HALF] * 4, [0] + [HALF] * 4 + [0] * 3],
+         NonIntegralGlue, "glue #2 pairs non-integrally with glue #0"),
+    ],
+)
+def test_overlattice_glue_errors(text, glue, exc, message):
+    lat = L(text)
+    vectors = [GlueVector(tuple(map(Fraction, g)), 1) for g in glue]
+    with pytest.raises(exc) as info:
+        overlattice(lat, vectors)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
 def test_overlattice_det_identity_random_glue():
     rng = random.Random(11)
     lat = L("12A1")
