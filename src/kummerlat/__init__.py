@@ -15,7 +15,10 @@ Library layers:
   points, orbits, stabilizers and quotient singularities;
 * `cli` - the `kummerlat` command line (census, kummer, obstruct, torus).
 
-Everything is exact: Python ints and `fractions.Fraction` throughout.
+Everything is exact: Python ints and `fractions.Fraction`, never floats.
+The lattice and torus layers hold rational vectors as integer numerators
+over one common denominator and run their arithmetic on those; `Fraction`
+appears only on the values they return.
 All public objects are immutable and the operations are pure functions,
 safe for concurrent use; outputs are deterministic.
 """

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .ade import ADEConfig, parse_config
 from . import ade
@@ -267,12 +266,11 @@ def _same_roots(K: OverlatticeResult, roots_parent, roots_over) -> bool:
     """Compare root sets of a finite-index overlattice and its parent.
 
     The overlattice roots map to parent coordinates by one integer product
-    with the basis numerators H (basis = H / den), divided by den once.
+    with the basis numerators K.H (basis = H / den), divided by den once.
     """
-    den = lcm(*(c.denominator for row in K.basis_in_parent for c in row))
-    H = [[c.numerator * (den // c.denominator) for c in row] for row in K.basis_in_parent]
+    den = K.den
     over_in_parent = set()
-    for w in mat_mul([[c.numerator for c in r] for r in roots_over], H):
+    for w in mat_mul([[c.numerator for c in r] for r in roots_over], K.H):
         if any(x % den for x in w):
             return False  # a root of the overlattice outside the parent
         nz = next((x for x in w if x), 0)

@@ -5,11 +5,12 @@ Conventions
 A lattice is held as its Gram matrix in a fixed basis.  Curve configuration
 lattices are negative definite with -2 on the diagonal and 0/1 off-diagonal
 intersection numbers.  Vectors are coordinate tuples in the lattice basis;
-dual vectors therefore have rational coordinates.  All arithmetic is exact,
-with `fractions.Fraction` and Python ints - never floats.  The root search,
-the overlattice Gram and the discriminant form q run on Python ints (a
-rational vector as integer numerators over one common denominator); their
-results convert to `Fraction` only when they are returned.
+dual vectors therefore have rational coordinates.  All arithmetic is exact
+and runs on Python ints - never floats: a rational vector (or a set of
+them) is held as integer numerators over one common denominator, the lcm of
+its denominators.  Pairings, dual and glue checks, the root search, the
+overlattice Hermite basis and membership in it work on those numerators;
+`fractions.Fraction` appears only on values returned to the caller.
 """
 
 from __future__ import annotations
@@ -54,26 +55,24 @@ def vec(coords) -> RationalVector:
     return tuple(Fraction(c) for c in coords)
 
 
-def gram_pair(gram, x, y) -> Fraction:
-    """Bilinear pairing x . y with respect to the Gram matrix."""
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi:
-            row = gram[i]
-            total += xi * sum(yj * row[j] for j, yj in enumerate(y) if yj)
-    return total
-
-
 def frac_str(q: Fraction) -> str:
     """The 'p/q' form used for every rational in JSON output."""
     return f"{q.numerator}/{q.denominator}"
 
 
+def _integer_rows(rows, width: int) -> tuple[int, list[list[int]]]:
+    """(den, nums): rational rows of the given width as integer numerators
+    over den, the lcm of all their denominators (1 for no rows)."""
+    if any(len(r) != width for r in rows):
+        raise ValueError("vector has wrong length")
+    den = lcm(*(c.denominator for r in rows for c in r))
+    return den, [[c.numerator * (den // c.denominator) for c in r] for r in rows]
+
+
 def _dual_products(gram, x: RationalVector) -> tuple[int, list[int], list[int]]:
     """(den, nums, prods): x = nums / den with den the lcm of the denominators
     of x, and prods = gram.nums, so that x.e_i = prods[i] / den."""
-    den = lcm(*(c.denominator for c in x))
-    nums = [c.numerator * (den // c.denominator) for c in x]
+    den, (nums,) = _integer_rows([x], len(gram))
     prods = [sum(g * v for g, v in zip(row, nums) if v) for row in gram]
     return den, nums, prods
 
@@ -91,27 +90,6 @@ def dual_defect(gram, x: RationalVector) -> tuple[int, tuple[int, Fraction] | No
         if s % den:
             return den, (i, Fraction(s, den))
     return den, None
-
-
-def solve(A, B) -> list[list[Fraction]] | None:
-    """X with A.X = B for a square rational matrix A, or None if A is singular.
-
-    Gauss-Jordan elimination on [A | B] in exact arithmetic.
-    """
-    n = len(A)
-    M = [[Fraction(x) for x in A[i]] + [Fraction(x) for x in B[i]] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if piv is None:
-            return None
-        M[c], M[piv] = M[piv], M[c]
-        inv = 1 / M[c][c]
-        M[c] = [x * inv for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return [row[n:] for row in M]
 
 
 def connected_components(adj) -> list[list[int]]:
@@ -170,7 +148,10 @@ class GramLattice:
         return det_int([list(r) for r in self.gram])
 
     def pair(self, x, y) -> Fraction:
-        return gram_pair(self.gram, vec(x), vec(y))
+        """Bilinear pairing x . y with respect to the Gram matrix."""
+        dx, _, prods = _dual_products(self.gram, vec(x))
+        dy, (ny,) = _integer_rows([vec(y)], self.rank)
+        return Fraction(sum(map(mul, prods, ny)), dx * dy)
 
     def in_dual(self, x) -> bool:
         return dual_defect(self.gram, vec(x))[1] is None
@@ -269,7 +250,7 @@ def discriminant_group(L: GramLattice) -> DiscriminantGroup:
     for i in range(n):
         d = D[i][i]
         if d > 1:
-            g = tuple((Fraction(V[j][i], d)) % 1 for j in range(n))
+            g = tuple(Fraction(V[j][i] % d, d) for j in range(n))
             factors.append(d)
             gens.append(g)
             qs.append(q_value(L, g))
@@ -308,18 +289,40 @@ class GlueVector:
 
 @dataclass(frozen=True)
 class OverlatticeResult:
-    """Overlattice with its basis written in the parent's coordinates."""
+    """Overlattice with its basis written in the parent's coordinates.
+
+    Basis vector i is H[i] / den in parent coordinates, where H is the
+    (upper triangular, full rank) Hermite row basis of the overlattice
+    scaled by den.
+    """
 
     lattice: GramLattice
     index: int
-    basis_in_parent: tuple[RationalVector, ...]
+    den: int
+    H: tuple[tuple[int, ...], ...]
     parent: GramLattice
 
+    @cached_property
+    def basis_in_parent(self) -> tuple[RationalVector, ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.H)
+
     def contains(self, coords) -> bool:
-        """Is the given parent-coordinate vector an element of the overlattice?"""
-        basis_cols = list(zip(*self.basis_in_parent))
-        x = solve(basis_cols, [[c] for c in vec(coords)])
-        return x is not None and all(row[0].denominator == 1 for row in x)
+        """Is the given parent-coordinate vector an element of the overlattice?
+
+        v lies in the span of the rows H[i] / den iff den.v is integral and
+        reduces to zero against the Hermite pivots H[i][i].
+        """
+        d, (x,) = _integer_rows([vec(coords)], self.parent.rank)
+        if self.den % d:
+            return False
+        x = [c * (self.den // d) for c in x]
+        for i, row in enumerate(self.H):
+            q, r = divmod(x[i], row[i])
+            if r:
+                return False
+            if q:
+                x = [a - q * b for a, b in zip(x, row)]
+        return True
 
 
 def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
@@ -328,37 +331,35 @@ def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
     Requires every glue vector in L^vee, integral mutual pairings and even
     self-pairings (even overlattice condition).
     """
-    vs = [g.vector for g in glue]
-    for a, v in enumerate(vs):
-        _, defect = dual_defect(L.gram, v)
-        if defect:
-            raise NonIntegralGlue(f"glue #{a} pairs non-integrally with basis {defect[0]}")
-        s = gram_pair(L.gram, v, v)
-        if s.denominator != 1:
-            raise NonIntegralGlue(f"glue #{a} has non-integral self-pairing {s}")
-        if s.numerator % 2:
-            raise OddGlue(f"glue #{a} has odd self-pairing {s}")
-        for b in range(a):
-            p = gram_pair(L.gram, v, vs[b])
-            if p.denominator != 1:
-                raise NonIntegralGlue(f"glue #{a} pairs non-integrally with glue #{b}")
-
     n = L.rank
-    den = lcm(*(c.denominator for v in vs for c in v))
-    int_rows = [[den if j == i else 0 for j in range(n)] for i in range(n)]
-    int_rows += [[int(c * den) for c in v] for v in vs]
-    H = hermite_row_basis(int_rows)
+    gram = [list(r) for r in L.gram]
+    # glue a is nums[a] / den: it pairs with e_i to prods[a][i] / den and with
+    # glue b to pairs[a][b] / den^2
+    den, nums = _integer_rows([g.vector for g in glue], n)
+    den2 = den * den
+    prods = mat_mul(nums, gram)
+    pairs = mat_mul(prods, [list(c) for c in zip(*nums)])
+    for a, (prod, pair) in enumerate(zip(prods, pairs)):
+        i = next((i for i, s in enumerate(prod) if s % den), None)
+        if i is not None:
+            raise NonIntegralGlue(f"glue #{a} pairs non-integrally with basis {i}")
+        s = pair[a]
+        if s % den2:
+            raise NonIntegralGlue(f"glue #{a} has non-integral self-pairing {Fraction(s, den2)}")
+        if s // den2 % 2:
+            raise OddGlue(f"glue #{a} has odd self-pairing {s // den2}")
+        b = next((b for b in range(a) if pair[b] % den2), None)
+        if b is not None:
+            raise NonIntegralGlue(f"glue #{a} pairs non-integrally with glue #{b}")
+
+    H = hermite_row_basis([[den if j == i else 0 for j in range(n)] for i in range(n)] + nums)
     if len(H) != n:
         raise AssertionError("overlattice basis is not full rank")
-    basis = tuple(tuple(Fraction(x, den) for x in row) for row in H)
-    det_h = det_int([list(r) for r in H])
-    index_frac = Fraction(den**n, abs(det_h))
-    if index_frac.denominator != 1:
+    index, rest = divmod(den**n, abs(det_int(H)))
+    if rest:
         raise AssertionError("index [L':L] is not an integer")
-    index = int(index_frac)
     # b_i . b_j = (H G H^T)_ij / den^2 for the basis b_i = H_i / den
-    den2 = den * den
-    hgh = mat_mul(mat_mul(H, [list(r) for r in L.gram]), [list(c) for c in zip(*H)])
+    hgh = mat_mul(mat_mul(H, gram), [list(c) for c in zip(*H)])
     if any(p % den2 for row in hgh for p in row):
         raise AssertionError("overlattice Gram is not integral")
     lat = GramLattice(
@@ -367,7 +368,7 @@ def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
     )
     if abs(lat.det) * index * index != abs(L.det):
         raise AssertionError("overlattice determinant identity violated")
-    return OverlatticeResult(lat, index, basis, L)
+    return OverlatticeResult(lat, index, den, tuple(map(tuple, H)), L)
 
 
 def _search_levels(q) -> tuple[int, list]:

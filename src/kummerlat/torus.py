@@ -11,9 +11,13 @@ quotient-singularity dictionary (cyclic Z_n -> A_{n-1}, quaternion of order
 Every translation and every fixed point lies in (1/N)Z^4/Z^4 for some N, so
 the action runs on Python ints: a point is an int 4-tuple mod N and a group
 element is its integer M with the translation numerators mod N.  Closure,
-fixed points, orbits and stabilizers are computed that way; points and
-translations convert to `Fraction` only on output (`AffineTorusMap`,
-`FixedPointSet.points`, `SingularityReport`).
+fixed points, orbits and stabilizers are computed that way.  A torus
+lattice basis is likewise integer numerators over one denominator, and the
+change into lattice coordinates is an integer product with its adjugate.
+Arithmetic runs on these integer numerators; points and translations
+convert to `Fraction` only on returned values (`AffineTorusMap`,
+`FixedPointSet.points`, `SingularityReport`).  `AffineTorusMap.__call__` and
+`compose` are the exception: they act on `Fraction` points directly.
 
 Every standard group is generated by maps x -> qx + t in a quaternion
 algebra with I^2 = -1, J^2 = sq_j and K = IJ.  One matrix,
@@ -36,11 +40,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
+from operator import mul
 
 from .ade import ADEConfig
-from .lattice import DegenerateLattice, RationalVector, frac_str, solve
+from .lattice import DegenerateLattice, RationalVector, _integer_rows, frac_str
 from .snf import det_int, identity_matrix, mat_mul, smith_normal_form
 
 
@@ -83,76 +89,64 @@ def left_mult_matrix(coeffs, sq_j: int = -1) -> list[list[Fraction]]:
 
 @dataclass(frozen=True)
 class TorusLattice:
-    """Rank-4 lattice given by basis vectors in the ambient frame."""
+    """Rank-4 lattice given by basis vectors in the ambient frame.
+
+    Basis vector i is rows[i] / den in frame coordinates.  With C the
+    integer matrix whose columns are the rows, frame coordinates f have
+    lattice coordinates den adj(C) f / det(C).
+    """
 
     name: str
-    basis: tuple[RationalVector, ...]  # rows: basis vectors in frame coords
+    den: int
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.basis) != 4 or any(len(b) != 4 for b in self.basis):
+        if len(self.rows) != 4 or any(len(b) != 4 for b in self.rows):
             raise ValueError("need 4 basis vectors of length 4")
 
-    def basis_columns(self) -> list[list[Fraction]]:
-        return [[self.basis[j][i] for j in range(4)] for i in range(4)]
-
-    def _solve(self, frame_columns) -> list[list[Fraction]]:
-        """Lattice coordinates X with B.X = frame_columns, B the basis columns."""
-        X = solve(self.basis_columns(), frame_columns)
-        if X is None:
+    @cached_property
+    def _frame_change(self) -> tuple[list[list[int]], list[list[int]], int]:
+        """(C, adj(C), det(C)), computed once per lattice."""
+        cols = [list(c) for c in zip(*self.rows)]
+        det = det_int(cols)
+        if det == 0:
             raise DegenerateLattice("torus lattice basis is singular")
-        return X
+        # adj(C)[i][j] is the (j, i) cofactor of C
+        adj = [
+            [(-1) ** (i + j) * det_int([r[:i] + r[i + 1:] for k, r in enumerate(cols) if k != j])
+             for j in range(4)]
+            for i in range(4)
+        ]
+        return cols, adj, det
 
     def to_lattice_matrix(self, frame_matrix) -> tuple[tuple[int, ...], ...]:
-        """Conjugate a frame-coordinate linear map into lattice coordinates."""
-        out = self._solve(mat_mul(frame_matrix, self.basis_columns()))
-        rows = []
-        for row in out:
-            ints = []
-            for x in row:
-                if x.denominator != 1:
-                    raise ValueError("linear map does not preserve the lattice")
-                ints.append(int(x))
-            rows.append(tuple(ints))
-        return tuple(rows)
+        """Conjugate a frame-coordinate linear map M = nums / m into lattice
+        coordinates: C^-1 M C = adj(C) nums C / (det(C) m)."""
+        cols, adj, det = self._frame_change
+        m, nums = _integer_rows(frame_matrix, 4)
+        q = det * m
+        out = mat_mul(mat_mul(adj, nums), cols)
+        if any(x % q for row in out for x in row):
+            raise ValueError("linear map does not preserve the lattice")
+        return tuple(tuple(x // q for x in row) for row in out)
 
     def to_lattice_vector(self, frame_vector) -> RationalVector:
-        return tuple(row[0] for row in self._solve([[x] for x in frame_vector]))
+        _, adj, det = self._frame_change
+        d, (nums,) = _integer_rows([frame_vector], 4)
+        return tuple(Fraction(self.den * sum(map(mul, row, nums)), det * d) for row in adj)
 
 
 _T = Fraction(1, 2)
+_UNIT_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
-HURWITZ = TorusLattice(
-    "a",
-    (
-        (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
-        (_T, _T, _T, _T),
-    ),
-)
+HURWITZ = TorusLattice("a", 2, ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)))
 
-LIPSCHITZ = TorusLattice(
-    "a0",
-    (
-        (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
-    ),
-)
+LIPSCHITZ = TorusLattice("a0", 1, _UNIT_ROWS)
 
 # order Z[1, i, h, l] with h = (i+J)/2, l = (1+K)/2 in the (-1,-3) algebra
-DIHEDRAL_ORDER = TorusLattice(
-    "b",
-    (
-        (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), _T, _T, Fraction(0)),
-        (_T, Fraction(0), Fraction(0), _T),
-    ),
-)
+DIHEDRAL_ORDER = TorusLattice("b", 2, ((2, 0, 0, 0), (0, 2, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1)))
 
-PRODUCT_LATTICE = TorusLattice("product", LIPSCHITZ.basis)
+PRODUCT_LATTICE = TorusLattice("product", 1, _UNIT_ROWS)
 
 LATTICES = {
     "a": HURWITZ,
@@ -208,11 +202,6 @@ class TorusGroup:
         return len(self.elements)
 
 
-def _numerators(vector, n: int) -> tuple[int, ...]:
-    """Integer numerators mod n of a rational vector whose denominators divide n."""
-    return tuple(c.numerator * (n // c.denominator) % n for c in vector)
-
-
 def _apply(m, t, x, n: int) -> tuple[int, ...]:
     """Mx + t mod n on numerators over n."""
     return tuple((sum(a * b for a, b in zip(row, x)) + ti) % n for row, ti in zip(m, t))
@@ -225,8 +214,8 @@ def closure(generators, bound: int = 120) -> tuple[AffineTorusMap, ...]:
     lcm of the generators' translation denominators; each `AffineTorusMap`
     is built once, at the end, sorted by (linear, translation).
     """
-    n = lcm(*(c.denominator for g in generators for c in g.translation))
-    gens = [(g.linear, _numerators(g.translation, n)) for g in generators]
+    n, nums = _integer_rows([g.translation for g in generators], 4)
+    gens = [(g.linear, tuple(x % n for x in t)) for g, t in zip(generators, nums)]
     els = {(_IDENTITY, (0,) * 4)}
     frontier = list(gens)
     els.update(frontier)
@@ -352,8 +341,7 @@ def fixed_points(g: AffineTorusMap) -> FixedPointSet:
     if g.is_identity():
         raise ValueError("fixed points of the identity are the whole torus")
     A = [[g.linear[i][j] - (1 if i == j else 0) for j in range(4)] for i in range(4)]
-    n = lcm(*(c.denominator for c in g.translation))
-    t = _numerators(g.translation, n)
+    n, (t,) = _integer_rows([g.translation], 4)
     D, U, V = smith_normal_form(A)
     c = [-sum(u * x for u, x in zip(row, t)) for row in U]
     d = [D[i][i] for i in range(4)]
@@ -489,10 +477,10 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
         if fp.kind == "positive_dimensional":
             raise NonIsolatedFixedLocus(g)
         fixed.extend(fp.points)
-    n = lcm(*(c.denominator for p in fixed for c in p),
-            *(c.denominator for g in group.elements for c in g.translation))
-    frac = {_numerators(p, n): p for p in fixed}
-    maps = [(g.linear, _numerators(g.translation, n)) for g in group.elements]
+    n, nums = _integer_rows(fixed + [g.translation for g in group.elements], 4)
+    nums = [tuple(x % n for x in v) for v in nums]
+    frac = dict(zip(nums, fixed))
+    maps = [(g.linear, t) for g, t in zip(group.elements, nums[len(fixed):])]
 
     orbits = []
     stab_orders = []

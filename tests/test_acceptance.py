@@ -32,10 +32,11 @@ from kummerlat import (
     standard_group,
 )
 from kummerlat.divisibility import EXCLUDED, NO_OBSTRUCTION
-from kummerlat.lattice import solve
 from kummerlat.snf import det_int, mat_mul, smith_normal_form
 from kummerlat.torus import ALPHA, HURWITZ, QUAT_I, QUAT_J, QUAT_K, _map_from_quat
 from kummerlat.torus import abcd_shorthand, fixed_points
+
+from fraction_oracles import solve
 
 TABLE_10 = [
     "16A1",

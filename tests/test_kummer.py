@@ -179,12 +179,7 @@ def test_verify_root_equality_not_sublattice():
 
     L = gram(parse_config("2A1"))
     doubled = GramLattice(gram=((-8, 0), (0, -8)))
-    fake = OverlatticeResult(
-        doubled,
-        1,
-        ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2))),
-        L,
-    )
+    fake = OverlatticeResult(doubled, 1, 1, ((2, 0), (0, 2)), L)
     with pytest.raises(NotASublattice):
         verify_root_equality(fake, L)
 

@@ -23,8 +23,18 @@ from kummerlat import (
     q_value,
     roots,
 )
-from kummerlat.kummer import build_K_Q8hat, build_K_T24hat
-from kummerlat.lattice import _search_levels, solve
+from kummerlat.kummer import (
+    DELTA_1,
+    DELTA_2,
+    DELTA_2_ALT,
+    EVEN_SET_BLOCKS,
+    _t_base_vector,
+    build_K_Q8hat,
+    build_K_T24hat,
+)
+from kummerlat.lattice import _search_levels, dual_defect
+
+from fraction_oracles import fraction_contains, solve
 
 
 def L(text):
@@ -362,6 +372,78 @@ def test_overlattice_glue_errors(text, glue, exc, message):
         overlattice(lat, vectors)
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+def test_wrong_length_vectors_are_refused():
+    lat = L("8A1")
+    K = overlattice(lat, [GlueVector.in_dual(lat, [HALF] * 8)])
+    zero = [0] * 8
+    calls = [
+        lambda v: q_value(lat, v),
+        lat.in_dual,
+        lambda v: lat.pair(v, zero),
+        lambda v: lat.pair(zero, v),
+        lambda v: dual_defect(lat.gram, tuple(map(Fraction, v))),
+        K.contains,
+    ]
+    for call in calls:
+        for v in ([HALF] * 8 + [Fraction(1, 3)], zero + [HALF], [HALF] * 7, []):
+            with pytest.raises(ValueError) as info:
+                call(v)
+            assert type(info.value) is ValueError
+            assert str(info.value) == "vector has wrong length"
+
+
+def _membership_cases(name):
+    """(overlattice, vectors to test): the parent and overlattice bases, the
+    glue, the half even sets and the parent's discriminant generators."""
+    if name == "8A1":
+        lat = L("8A1")
+        glue = [tuple([HALF] * 8)]
+        K = overlattice(lat, [GlueVector.in_dual(lat, g) for g in glue])
+        extra = [tuple([HALF] * 4 + [0] * 4), tuple([HALF] * 2 + [0] * 6)]
+    elif name == "Q8hat":
+        K = build_K_Q8hat().K
+        glue = [_t_base_vector(d) for d in (DELTA_1, DELTA_2, DELTA_2_ALT)]
+        extra = []
+        for blocks in EVEN_SET_BLOCKS:
+            v = [Fraction(0)] * 19
+            for r in blocks:
+                v[3 * r - 2] = v[3 * r] = HALF
+            extra.append(tuple(v))
+    else:
+        K = build_K_T24hat().K
+        glue = [row for row in K.basis_in_parent if any(c.denominator != 1 for c in row)]
+        extra = []
+    n = K.parent.rank
+    units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    dual = list(discriminant_group(K.parent).generators)
+    return K, units + list(K.basis_in_parent) + glue + extra + dual
+
+
+@pytest.mark.parametrize("name", ["8A1", "Q8hat", "T24hat"])
+def test_contains_matches_fraction_oracle(name):
+    K, vectors = _membership_cases(name)
+    n = K.parent.rank
+    rng = random.Random(f"contains-{name}")
+    for _ in range(120):
+        # a random element of K, shifted half the time by a random dual
+        # vector or a coordinate vector over a small denominator
+        v = [Fraction(0)] * n
+        for row in rng.sample(K.basis_in_parent, 3):
+            c = rng.randint(-2, 2)
+            v = [a + c * b for a, b in zip(v, row)]
+        if rng.random() < 0.25:
+            v = [a + b for a, b in zip(v, rng.choice(vectors))]
+        elif rng.random() < 0.35:
+            v[rng.randrange(n)] += Fraction(rng.randint(1, 5), rng.randint(1, 6))
+        vectors.append(tuple(v))
+    verdicts = [K.contains(v) for v in vectors]
+    assert verdicts == [fraction_contains(K, v) for v in vectors]
+    assert min(verdicts.count(True), verdicts.count(False)) >= 20
+    if name == "Q8hat":
+        # the glue and the half even sets lie in the saturation
+        assert all(verdicts[2 * n: 2 * n + 6])
 
 
 def test_overlattice_det_identity_random_glue():

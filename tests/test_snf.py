@@ -95,6 +95,71 @@ def test_hermite_row_basis_spans_same_lattice():
     assert all(r[p] > 0 for r, p in zip(H, pivots))
 
 
+def random_unimodular(rng, m):
+    """A product of random elementary row operations, swaps and sign flips."""
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(3 * m):
+        i, j = rng.sample(range(m), 2) if m > 1 else (0, 0)
+        op = rng.randrange(3)
+        if op == 0 and i != j:
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        elif op == 1:
+            U[i], U[j] = U[j], U[i]
+        else:
+            U[i] = [-a for a in U[i]]
+    assert abs(det_int(U)) == 1
+    return U
+
+
+def random_rows(rng, rank_deficient):
+    """A random integer m x n matrix: m <= n rows, or rank deficient with
+    its last rows integer combinations of the others."""
+    n = rng.randint(1, 6)
+    m = rng.randint(2, 7) if rank_deficient else rng.randint(1, n)
+    A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    if rank_deficient:
+        k = rng.randint(1, m - 1)
+        for i in range(m - k, m):
+            c = [rng.randint(-2, 2) for _ in range(m - k)]
+            A[i] = [sum(ci * A[r][j] for ci, r in zip(c, range(m - k))) for j in range(n)]
+    return A
+
+
+@pytest.mark.parametrize("rank_deficient", [False, True])
+def test_hermite_row_basis_is_canonical(rank_deficient):
+    """The Hermite basis depends on the row span only: overlattice
+    membership reduces against its pivots."""
+    rng = random.Random(f"hermite-{rank_deficient}")
+    full_rank = []
+    for _ in range(200):
+        A = random_rows(rng, rank_deficient)
+        H = hermite_row_basis(A)
+        U = random_unimodular(rng, len(A))
+        assert hermite_row_basis(mat_mul(U, A)) == H
+        assert hermite_row_basis(H) == H
+        full_rank.append(len(H) == len(A))
+    # random rows of length n >= m are independent all but rarely
+    assert full_rank.count(not rank_deficient) >= (200 if rank_deficient else 190)
+
+
+def test_hermite_row_basis_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rng = random.Random(20261018)
+    for t in range(300):
+        A = random_rows(rng, t % 3 == 0)
+        if not any(any(r) for r in A):
+            continue
+        # sympy's form is column-style and pivots from the last coordinate:
+        # its columns, read backwards in reverse order, are our row basis of
+        # the coordinate-reversed rows
+        W = hermite_normal_form(sympy.Matrix(A).T)
+        theirs = [[int(x) for x in W[:, j]][::-1] for j in reversed(range(W.cols))]
+        assert hermite_row_basis([r[::-1] for r in A]) == theirs, A
+
+
 def test_certificate_check_survives_optimize():
     # python -O strips assert statements; the U*A*V = D check must still
     # raise, and the CLI must report it as an internal error (exit 3)

@@ -34,8 +34,17 @@ from kummerlat.torus import (
     SingularityReport,
     TorusGroup,
     UnrecognizedGroup,
+    TorusLattice,
     _map_from_quat,
     closure,
+)
+from kummerlat.lattice import DegenerateLattice
+
+from fraction_oracles import (
+    basis_columns,
+    fraction_to_lattice_matrix,
+    fraction_to_lattice_vector,
+    solve,
 )
 
 ONE = (1, 0, 0, 0)
@@ -621,3 +630,70 @@ def test_fixed_points_match_oracle_on_random_maps():
         denominators.update(c.denominator for p in fp.points for c in p)
     assert min(kinds[k] for k in ("finite", "empty", "positive_dimensional")) >= 30
     assert {2, 3, 4, 5, 6} <= denominators
+
+
+# --- change of basis: integer adjugate against the Fraction solve -------------
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the ValueError it raises."""
+    try:
+        return "ok", f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+NOT_PRESERVED = (ValueError, "linear map does not preserve the lattice")
+
+
+@pytest.mark.parametrize("name,lattice", list(product(_GROUPS, LATTICES)))
+def test_change_of_basis_matches_fraction_oracle(name, lattice):
+    lat = LATTICES[lattice]
+    _, sq_j, table = _GROUPS[name]
+    outcomes = []
+    for q, t in table:
+        frame = left_mult_matrix(q, sq_j)
+        got = outcome(lat.to_lattice_matrix, frame)
+        assert got == outcome(fraction_to_lattice_matrix, lat, frame)
+        outcomes.append(got)
+        vector = lat.to_lattice_vector(t)
+        assert vector == fraction_to_lattice_vector(lat, t)
+        assert all(type(c) is Fraction for c in vector)
+    assert (NOT_PRESERVED in outcomes) == ((name, lattice) in REJECTED)
+    assert all(o[0] == "ok" or o == NOT_PRESERVED for o in outcomes)
+
+
+def test_singular_torus_basis():
+    lat = TorusLattice("s", 2, ((2, 0, 0, 0), (0, 2, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1)))
+    singular = (DegenerateLattice, "torus lattice basis is singular")
+    frame = left_mult_matrix(QUAT_I)
+    assert outcome(lat.to_lattice_matrix, frame) == singular
+    assert outcome(fraction_to_lattice_matrix, lat, frame) == singular
+    assert outcome(lat.to_lattice_vector, ALPHA) == singular
+    assert outcome(fraction_to_lattice_vector, lat, ALPHA) == singular
+
+
+def test_change_of_basis_matches_fraction_oracle_on_random_lattices():
+    rng = random.Random(20261018)
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    kinds = Counter()
+    for _ in range(150):
+        den = rng.randint(1, 6)
+        lat = TorusLattice("r", den, tuple(tuple(rng.randint(-3, 3) for _ in range(4))
+                                           for _ in range(4)))
+        cols = basis_columns(lat)
+        inverse = solve(cols, identity)
+        if inverse is None or rng.random() < 0.5:
+            # mostly maps that do not preserve the lattice, or a singular basis
+            frame = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)]
+                     for _ in range(4)]
+        else:
+            # B P B^-1 for unimodular P is P in lattice coordinates
+            P, _ = elementary_pair(rng, 4)
+            frame = mat_mul(mat_mul(cols, P), inverse)
+        got = outcome(lat.to_lattice_matrix, frame)
+        assert got == outcome(fraction_to_lattice_matrix, lat, frame)
+        kinds[got[0]] += 1
+        v = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(4))
+        assert outcome(lat.to_lattice_vector, v) == outcome(fraction_to_lattice_vector, lat, v)
+    assert min(kinds["ok"], kinds[ValueError], kinds[DegenerateLattice]) >= 5
