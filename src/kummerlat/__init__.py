@@ -28,7 +28,6 @@ from .ade import (
     DynkinGraph,
     InvalidComponent,
     ParseError,
-    closed_form_disc,
     dynkin,
     enumerate_configs,
     gram,

@@ -1,5 +1,6 @@
 """ADE curve configurations: parsing, Gram/Dynkin builders, the orbifold
-deficiency m(C), closed-form discriminant groups and exhaustive census search.
+deficiency m(C), invariant factors from cyclic orders and exhaustive census
+search.
 
 A configuration is a multiset of components A_n (n >= 1), D_n (n >= 4) and
 E_6, E_7, E_8.  The canonical basis ordering inside a component is frozen:
@@ -73,17 +74,22 @@ class ADEConfig:
         pairs = {"A": self.a, "D": self.d, "E": self.e}[letter]
         return dict(pairs).get(n, 0)
 
+    def terms(self) -> list[tuple[str, int, int]]:
+        """(letter, n, count) per component type, in canonical block order;
+        sizes and m are sums over these, never over a list of components."""
+        return [
+            (letter, n, c)
+            for letter, pairs in (("A", self.a), ("D", self.d), ("E", self.e))
+            for n, c in pairs
+        ]
+
     def components(self) -> list[tuple[str, int]]:
         """Component list in canonical block order (A asc, D asc, E asc)."""
-        out = []
-        for letter, pairs in (("A", self.a), ("D", self.d), ("E", self.e)):
-            for n, c in pairs:
-                out.extend([(letter, n)] * c)
-        return out
+        return [(letter, n) for letter, n, c in self.terms() for _ in range(c)]
 
     @cached_property
     def rank(self) -> int:
-        return sum(n for _, n in self.components())
+        return sum(n * c for _, n, c in self.terms())
 
     def __add__(self, other: "ADEConfig") -> "ADEConfig":
         return ADEConfig.from_counts(Counter(self.components() + other.components()))
@@ -98,13 +104,8 @@ class ADEConfig:
     __rmul__ = __mul__
 
     def render(self) -> str:
-        if not self.components():
-            return "0"
-        parts = []
-        for letter, pairs in (("A", self.a), ("D", self.d), ("E", self.e)):
-            for n, c in pairs:
-                parts.append(f"{c if c > 1 else ''}{letter}{n}")
-        return "+".join(parts)
+        parts = [f"{c if c > 1 else ''}{letter}{n}" for letter, n, c in self.terms()]
+        return "+".join(parts) or "0"
 
     def __str__(self) -> str:
         return self.render()
@@ -178,7 +179,7 @@ def component_m(letter: str, n: int) -> Fraction:
 def m_value(config: ADEConfig) -> Fraction:
     """Orbifold Euler-number deficiency of the configuration: the sum of
     component_m over its components."""
-    return sum((component_m(letter, n) for letter, n in config.components()), Fraction(0))
+    return sum((c * component_m(letter, n) for letter, n, c in config.terms()), Fraction(0))
 
 
 def component_edges(letter: str, n: int) -> list[tuple[int, int]]:
@@ -247,24 +248,6 @@ def gram(config: ADEConfig, labels: tuple[str, ...] | None = None) -> GramLattic
         gram=tuple(tuple(row) for row in g),
         basis_labels=labels or tuple(_component_labels(config)),
     )
-
-
-def closed_form_disc(config: ADEConfig) -> tuple[int, ...]:
-    """Invariant factors of the discriminant group from the classical table.
-
-    A_n contributes Z_{n+1}; D_n contributes (Z_2)^2 for even n and Z_4 for
-    odd n; E_6, E_7, E_8 contribute Z_3, Z_2, nothing.  Must agree with the
-    Smith normal form of gram(config).
-    """
-    orders: list[int] = []
-    for n, c in config.a:
-        orders.extend([n + 1] * c)
-    for n, c in config.d:
-        orders.extend(([2, 2] if n % 2 == 0 else [4]) * c)
-    for n, c in config.e:
-        extra = {6: [3], 7: [2], 8: []}[n]
-        orders.extend(extra * c)
-    return invariant_factors_from_orders(orders)
 
 
 def invariant_factors_from_orders(orders: list[int]) -> tuple[int, ...]:
@@ -356,7 +339,8 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
     m_target = Fraction(m_target)
     if m_target <= 0:
         raise ValueError("m target must be positive")
-    catalog = _component_catalog(max_rank)
+    # component_m(letter, n) > n, so no component of rank above m fits
+    catalog = _component_catalog(min(max_rank, int(m_target)))
     density = Fraction(3, 2)  # A_1's m per unit rank, the maximum
     results: list[ADEConfig] = []
     acc: list[tuple[str, int, int]] = []

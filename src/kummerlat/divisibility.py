@@ -48,11 +48,11 @@ from .ade import (
     component_gram,
     dynkin,
     enumerate_configs,
-    gram,
+    invariant_factors_from_orders,
     m_value,
     max_disjoint_curves,
 )
-from .lattice import GramLattice, discriminant_group
+from .lattice import GramLattice, discriminant_group, group_symbol
 
 K3_AMBIENT_RANK = 22
 EVEN_SUPPORT_SIZES = (8, 16)
@@ -184,27 +184,26 @@ def _pairs_of_coeffs(coeffs, adj) -> tuple[tuple[int, int], ...] | None:
 
 
 class _Classes:
-    """The admissible p-divisible classes of a configuration, for p = 2 or 3.
+    """The allowed per-component patterns of p-divisible classes, for p = 2
+    or 3, with the F_p addition on packed classes.
 
     A class is one int.  Bit i means coefficient 1 on curve i; for p = 3
     only, bit n + i means coefficient 2 on curve i.  Components are
     disjoint, so per-component patterns combine by bitwise OR and the
     support size is the bit count.  Addition, and with it the nonzero
-    multiples, is the only per-prime operation.
+    multiples, is the only per-prime operation.  A class is admissible when
+    it is one of the candidates `_enumerate_candidates` lists.
     """
 
     def __init__(self, ctx: "_Context", p: int):
         n = ctx.n
-        self.patterns: list[list[int]] = []  # per component, sorted
-        self.checks: list[tuple[int, set[int]]] = []  # (component mask, patterns)
-        for letter, k, nodes in ctx.comps:
-            mask = sum(1 << ((c - 1) * n + node) for c in range(1, p) for node in nodes)
-            local = [
+        self.patterns: list[list[int]] = [  # per component, sorted
+            sorted(
                 sum(1 << ((c - 1) * n + nodes[i]) for i, c in enumerate(coeffs) if c)
                 for coeffs in _torsion_patterns(letter, k, p)
-            ]
-            self.patterns.append(sorted(local))
-            self.checks.append((mask, set(local)))
+            )
+            for letter, k, nodes in ctx.comps
+        ]
         if p == 2:
             self.sizes = EVEN_SUPPORT_SIZES
             self.add = operator.xor
@@ -223,26 +222,18 @@ class _Classes:
         self.add = add
         self.multiples = lambda v: (v, (v & low) << n | v >> n)  # v and -v
 
-    def ok(self, v: int) -> bool:
-        """Admissible: an allowed support size, and on every component it
-        meets an allowed pattern."""
-        if v.bit_count() not in self.sizes:
-            return False
-        for cmask, pats in self.checks:
-            sub = v & cmask
-            if sub and sub not in pats:
-                return False
-        return True
-
 
 class _Context:
     def __init__(self, config: ADEConfig):
         self.config = config
         self.graph = dynkin(config)
-        self.lattice = gram(config)
         self.labels = self.graph.nodes
         self.n = len(self.labels)
         self.comps = self.graph.component_nodes()  # (letter, n, node tuple)
+        # the discriminant group of an orthogonal sum is the sum of the blocks'
+        self.disc_factors = invariant_factors_from_orders(
+            [d for letter, k, _ in self.comps for d in _component_disc(letter, k).invariant_factors]
+        )
         self.classes = {p: _Classes(self, p) for p in (2, 3)}
 
     def mask_labels(self, mask: int) -> tuple[str, ...]:
@@ -423,19 +414,28 @@ def _local_cover(letter: str, n: int, local_mask: int) -> ADEConfig | str:
 
 def _find_code(cls: _Classes, cands: list[int], k: int) -> tuple[list[int] | None, int]:
     """Search for an F_p subspace of dimension k, with a basis drawn from the
-    admissible classes `cands`, all of whose nonzero elements are admissible.
+    candidates `cands`, all of whose nonzero elements are candidates.
 
     Returns (basis or None, largest dimension reached).  Extending the span
     by v adds m + w for each nonzero multiple m of v and each old element
-    w.  Each level keeps only the later candidates u with u + x admissible
+    w.  Each level keeps only the later candidates u with u + x in `cands`
     for every element x just added, so u is checked once against each span
     element w != 0.  That covers the other multiples of u as well: the new
-    elements are closed under negation, and so is admissibility (for
-    p = 3, negation swaps each oriented pair).  The case w = 0 needs no
-    check because every candidate is admissible, and a u inside the span
-    fails at u - u = 0.
+    elements are closed under negation, and so is `cands` (for p = 3,
+    negation swaps each oriented pair).  The case w = 0 needs no check, and
+    a u inside the span fails at u - u = 0.
+
+    Membership in `cands` is the admissibility test (an allowed support
+    size, and on every component nothing or one of its p-torsion patterns)
+    on every word checked, since each is a sum of candidates.  A global
+    search lists every pattern, so the two agree by definition.  A witness
+    search (p = 2 only) lists on each component just the 2-torsion
+    patterns supported in one independent set.  With zero these form a
+    group under XOR, so a sum of candidates has one of them or nothing on
+    each component, and is a candidate exactly when its size is allowed.
     """
-    add, ok, multiples = cls.add, cls.ok, cls.multiples
+    add, multiples = cls.add, cls.multiples
+    admissible = set(cands)
     best_seen = 0
     basis: list[int] = []
 
@@ -449,7 +449,7 @@ def _find_code(cls: _Classes, cands: list[int], k: int) -> tuple[list[int] | Non
             rest = [
                 u
                 for u in compatible[idx + 1 :]
-                if all(ok(add(u, x)) for x in new)
+                if all(add(u, x) in admissible for x in new)
             ]
             basis.append(v)
             if extend(rest, span + new):
@@ -508,52 +508,40 @@ def _component_autos(letter: str, n: int) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _component_policies(letter: str, n: int):
     """Independent-set policies per component, one per distinct alive
-    pattern set (up to diagram automorphism), keeping the largest set.
+    pattern set (up to diagram automorphism), keeping the largest set and,
+    among those, the least mask.
 
-    Returns tuples (size, alive_local_masks (sorted tuple), indset nodes).
+    Every independent set is built once, by doubling over the nodes: F(n+2)
+    sets for A_n.  Returns tuples (size, alive_local_masks (sorted tuple),
+    indset nodes).
     """
-    patterns = [
+    patterns = sorted(
         sum(c << i for i, c in enumerate(coeffs)) for coeffs in _torsion_patterns(letter, n, 2)
-    ]
-    edges = component_edges(letter, n)
+    )
     autos = _component_autos(letter, n)
+    adj = [0] * n
+    for i, j in component_edges(letter, n):
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    indsets = [0]  # in increasing order: each pass appends sets with top bit i
+    for i in range(n):
+        indsets += [s | 1 << i for s in indsets if not s & adj[i]]
 
-    def apply(perm: tuple[int, ...], mask: int) -> int:
-        out = 0
-        for i in range(n):
-            if mask >> i & 1:
-                out |= 1 << perm[i]
-        return out
-
-    def canon(alive: tuple[int, ...]) -> tuple[int, ...]:
-        return min(tuple(sorted(apply(p, m) for m in alive)) for p in autos)
-
-    best: dict[tuple[int, ...], tuple[int, int]] = {}
-    if n <= 14:
-        adj = [0] * n
-        for i, j in edges:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        for s in range(1 << n):
-            if any(s & adj[i] for i in range(n) if s >> i & 1):
-                continue
-            alive = tuple(sorted(p for p in patterns if p & ~s == 0))
-            key = canon(alive)
-            size = bin(s).count("1")
-            if key not in best or size > best[key][0]:
-                best[key] = (size, s)
-    else:
-        # large components: single max-independent-set policy
-        from .ade import _component_mis
-
-        size, chosen = _component_mis(letter, n)
-        s = sum(1 << i for i in chosen)
-        alive = tuple(sorted(p for p in patterns if p & ~s == 0))
-        best[canon(alive)] = (size, s)
-    out = []
-    for key, (size, s) in best.items():
-        alive = tuple(sorted(p for p in patterns if p & ~s == 0))
-        out.append((size, alive, tuple(i for i in range(n) if s >> i & 1)))
+    canon: dict[tuple[int, ...], tuple[int, ...]] = {}  # alive -> its least image
+    best: dict[tuple[int, ...], tuple[int, tuple[int, ...], int]] = {}
+    for s in indsets:
+        alive = tuple(p for p in patterns if p & ~s == 0)
+        if alive not in canon:
+            canon[alive] = min(
+                tuple(sorted(sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in alive))
+                for perm in autos
+            )
+        key = canon[alive]
+        if key not in best or s.bit_count() > best[key][0]:
+            best[key] = (s.bit_count(), alive, s)
+    out = [
+        (size, alive, tuple(i for i in range(n) if s >> i & 1)) for size, alive, s in best.values()
+    ]
     out.sort(key=lambda t: (-t[0], t[1]))
     return tuple(out)
 
@@ -637,10 +625,10 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     steps: list[ObstructionStep] = []
     excluded = False
 
-    disc = discriminant_group(ctx.lattice)
+    factors = ctx.disc_factors
     bound = min(rho, K3_AMBIENT_RANK - rho)
-    l2 = disc.primary_length(2)
-    l3 = disc.primary_length(3)
+    l2 = sum(1 for d in factors if d % 2 == 0)
+    l3 = sum(1 for d in factors if d % 3 == 0)
     k2 = max(0, -((l2 - bound) // -2))
     k3 = max(0, -((l3 - bound) // -2))
     maxd, _ = max_disjoint_curves(config)
@@ -650,8 +638,8 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
             "LengthRequirement",
             rank=rho,
             ambient_rank=K3_AMBIENT_RANK,
-            disc_group=disc.symbol(),
-            disc_length=disc.length,
+            disc_group=group_symbol(factors),
+            disc_length=len(factors),
             length_2=l2,
             length_3=l3,
             length_bound=bound,

@@ -16,6 +16,7 @@ overlattice Hermite basis and membership in it work on those numerators;
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -216,16 +217,15 @@ class DiscriminantGroup:
 
     def symbol(self) -> str:
         """Human-readable product form, e.g. 'Z2 x (Z4)^6'."""
-        if not self.invariant_factors:
-            return "trivial"
-        counts: dict[int, int] = {}
-        for d in self.invariant_factors:
-            counts[d] = counts.get(d, 0) + 1
-        parts = []
-        for d in sorted(counts):
-            k = counts[d]
-            parts.append(f"Z{d}" if k == 1 else f"(Z{d})^{k}")
-        return " x ".join(parts)
+        return group_symbol(self.invariant_factors)
+
+
+def group_symbol(factors: tuple[int, ...]) -> str:
+    """Product form of the abelian group with these invariant factors."""
+    if not factors:
+        return "trivial"
+    counts = sorted(Counter(factors).items())
+    return " x ".join(f"Z{d}" if k == 1 else f"(Z{d})^{k}" for d, k in counts)
 
 
 def q_value(L: GramLattice, x) -> Fraction:

@@ -7,7 +7,6 @@ from kummerlat import (
     ADEConfig,
     InvalidComponent,
     ParseError,
-    closed_form_disc,
     discriminant_group,
     dynkin,
     enumerate_configs,
@@ -16,6 +15,7 @@ from kummerlat import (
     max_disjoint_curves,
     parse_config,
 )
+from kummerlat.ade import invariant_factors_from_orders
 
 TABLE_10 = {
     "16A1": 16,
@@ -163,6 +163,23 @@ def test_dynkin_components():
 # --- closed-form discriminants -------------------------------------------------
 
 
+def closed_form_disc(config):
+    """Invariant factors of the discriminant group from the classical table.
+
+    A_n contributes Z_{n+1}; D_n contributes (Z_2)^2 for even n and Z_4 for
+    odd n; E_6, E_7, E_8 contribute Z_3, Z_2, nothing.  An oracle for the
+    Smith normal form of gram(config), and the other way round.
+    """
+    orders = []
+    for n, c in config.a:
+        orders.extend([n + 1] * c)
+    for n, c in config.d:
+        orders.extend(([2, 2] if n % 2 == 0 else [4]) * c)
+    for n, c in config.e:
+        orders.extend({6: [3], 7: [2], 8: []}[n] * c)
+    return invariant_factors_from_orders(orders)
+
+
 def test_closed_form_A3():
     assert closed_form_disc(parse_config("A3")) == (4,)
 
@@ -175,8 +192,9 @@ def test_closed_form_E8():
     assert closed_form_disc(parse_config("E8")) == ()
 
 
+# every component type of rank <= 19
 ALL_COMPONENTS = (
-    [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+    [f"A{n}" for n in range(1, 20)] + [f"D{n}" for n in range(4, 20)] + ["E6", "E7", "E8"]
 )
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -101,7 +102,11 @@ def test_obstruct_C3_cover():
     assert any("2A7" in s["cover_config"] and s["cover_rank"] == "20" for s in covers)
 
 
-@pytest.mark.parametrize("config,rank", [("20A1", 20), ("25A1", 25), ("A30", 30)])
+@pytest.mark.parametrize(
+    "config,rank",
+    [("20A1", 20), ("25A1", 25), ("A30", 30)]
+    + [(f"{c}A1", c) for c in (20000000, 999999999, 99999999999999999999)],
+)
 def test_obstruct_rank_above_19_excluded_at_once(config, rank):
     out = io.StringIO()
     start = time.perf_counter()
@@ -113,6 +118,40 @@ def test_obstruct_rank_above_19_excluded_at_once(config, rank):
     assert data["verdict"] == "Excluded"
     assert data["steps"] == [{"kind": "RankExceeds", "rank": str(rank), "rank_limit": "19"}]
     assert elapsed < 0.5
+
+
+def _main_stdout(*argv):
+    out = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), time.perf_counter() - start
+
+
+@pytest.mark.parametrize("count", [20000000, 999999999, 99999999999999999999])
+def test_obstruct_huge_count_text_excluded_at_once(count):
+    # rank and m come from the (n, count) pairs, never from a list of components
+    code, text, elapsed = _main_stdout("obstruct", "--config", f"{count}A1")
+    assert code == 0
+    assert text.splitlines() == [
+        f"configuration {count}A1: m = {Fraction(3 * count, 2)}, rank = {count}",
+        "verdict: Excluded",
+        f"  [RankExceeds] rank={count}, rank_limit=19",
+    ]
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("m", ["3/2", "6", "12"])
+def test_census_huge_max_rank_matches_small(m):
+    # no component of rank above m fits, so any max rank >= m gives one census
+    code, text, elapsed = _main_stdout("census", "--m", m, "--max-rank", "100000000", "--json")
+    assert code == 0
+    small_rank = str(2 * int(Fraction(m)))
+    _, small, _ = _main_stdout("census", "--m", m, "--max-rank", small_rank, "--json")
+    huge, small = json.loads(text), json.loads(small)
+    assert huge["count"] == small["count"] > 0
+    assert huge["configs"] == small["configs"]
+    assert elapsed < 5.0
 
 
 def test_torus_q8hat():

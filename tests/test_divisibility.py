@@ -1,6 +1,8 @@
+import random
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -17,16 +19,21 @@ from kummerlat import (
     required_even_sets,
     three_divisible_candidates,
 )
+from kummerlat import divisibility
 from kummerlat.divisibility import (
     EXCLUDED,
     NO_OBSTRUCTION,
+    _component_autos,
+    _component_policies,
     _Context,
     _enumerate_candidates,
     _find_code,
     _local_cover,
+    _torsion_patterns,
+    _witnesses,
 )
-from kummerlat.ade import classify_dynkin, component_edges
-from kummerlat.lattice import connected_components
+from kummerlat.ade import ADEConfig, _component_mis, classify_dynkin, component_edges
+from kummerlat.lattice import connected_components, discriminant_group, group_symbol
 
 TABLE_10 = [
     "16A1",
@@ -296,6 +303,166 @@ def test_found_code_spans_only_candidates(text, prime, k):
     }
     assert len(words) == prime**k - 1
     assert words <= {coeffs(c) for c in cands}
+
+
+# --- the per-component tables against their dense derivations ---------------------
+
+COMPONENT_TYPES = (
+    [("A", n) for n in range(1, 20)]
+    + [("D", n) for n in range(4, 20)]
+    + [("E", n) for n in (6, 7, 8)]
+)
+
+
+def atlas(max_rank=19):
+    """Every nonempty configuration of rank <= max_rank, from rank
+    partitions (independent of the m-driven enumerate_configs)."""
+    out = []
+
+    def walk(i, rem, counts):
+        if i == len(COMPONENT_TYPES):
+            if counts:
+                out.append(ADEConfig.from_counts(counts))
+            return
+        letter, n = COMPONENT_TYPES[i]
+        for c in range(rem // n + 1):
+            walk(i + 1, rem - c * n, {**counts, (letter, n): c} if c else counts)
+
+    walk(0, max_rank, {})
+    return out
+
+
+ATLAS = atlas()
+ATLAS_SAMPLE = random.Random(20261018).sample(ATLAS, 300)
+
+
+def test_atlas_size():
+    assert len(ATLAS) == 7573
+
+
+def componentwise_admissible(ctx, p, v):
+    """An allowed support size, and on every component nothing or one of the
+    component's p-torsion patterns."""
+    cls = ctx.classes[p]
+    if v.bit_count() not in cls.sizes:
+        return False
+    for (_, _, nodes), pats in zip(ctx.comps, cls.patterns):
+        cmask = sum(1 << ((c - 1) * ctx.n + node) for c in range(1, p) for node in nodes)
+        if v & cmask and v & cmask not in pats:
+            return False
+    return True
+
+
+def code_searches(ctx):
+    """(prime, candidates) of every witness and global search of a check."""
+    even = ctx.classes[2]
+    for w in _witnesses(ctx):
+        yield 2, _enumerate_candidates(even, [list(a) for a in w.allowed])
+    for p in (2, 3):
+        yield p, _enumerate_candidates(ctx.classes[p], ctx.classes[p].patterns)
+
+
+@pytest.mark.parametrize("sample", ["census", "atlas"])
+def test_candidate_membership_is_componentwise_admissibility(sample):
+    # every sum of up to three candidates, drawn from at most 24 of each search
+    texts = TABLE_10 + EXTRA_8 if sample == "census" else ATLAS_SAMPLE[:40]
+    rng = random.Random(7)
+    verdicts = Counter()
+    for text in texts:
+        ctx = _Context(parse_config(str(text)))
+        for p, cands in code_searches(ctx):
+            add = ctx.classes[p].add
+            members = set(cands)
+            chosen = rng.sample(cands, min(24, len(cands)))
+            for r in (1, 2, 3):
+                for combo in combinations_with_replacement(chosen, r):
+                    v = 0
+                    for u in combo:
+                        v = add(v, u)
+                    ok = componentwise_admissible(ctx, p, v)
+                    assert (v in members) == ok, (str(text), p, combo)
+                    verdicts[ok] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
+
+
+def scanned_policies(letter, n):
+    """The policy table from a scan of all 2^n node subsets."""
+    patterns = [sum(c << i for i, c in enumerate(co)) for co in _torsion_patterns(letter, n, 2)]
+    autos = _component_autos(letter, n)
+    adj = [0] * n
+    for i, j in component_edges(letter, n):
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+
+    def canon(alive):
+        return min(
+            tuple(sorted(sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in alive))
+            for perm in autos
+        )
+
+    best = {}
+    for s in range(1 << n):
+        if any(s & adj[i] for i in range(n) if s >> i & 1):
+            continue
+        key = canon(tuple(sorted(p for p in patterns if p & ~s == 0)))
+        if key not in best or s.bit_count() > best[key][0]:
+            best[key] = (s.bit_count(), s)
+    out = [
+        (
+            size,
+            tuple(sorted(p for p in patterns if p & ~s == 0)),
+            tuple(i for i in range(n) if s >> i & 1),
+        )
+        for size, s in best.values()
+    ]
+    return tuple(sorted(out, key=lambda t: (-t[0], t[1])))
+
+
+@pytest.mark.parametrize(
+    "letter,n", [t for t in COMPONENT_TYPES if t[1] <= 14], ids=lambda t: str(t)
+)
+def test_policies_match_subset_scan(letter, n):
+    assert _component_policies(letter, n) == scanned_policies(letter, n)
+
+
+def test_large_component_witnesses_come_from_largest_policy(monkeypatch):
+    # a policy below the maximum independent set of a component of rank >= 15
+    # leaves at most 4 curves elsewhere, too few for a 12-curve witness
+    configs = [c for c in ATLAS if any(n >= 15 for _, n in c.components())]
+    full = [_witnesses(_Context(c)) for c in configs]
+
+    def largest_only(letter, n):
+        if n < 15:
+            return _component_policies(letter, n)
+        size, chosen = _component_mis(letter, n)
+        s = sum(1 << i for i in chosen)
+        patterns = [sum(c << i for i, c in enumerate(co)) for co in _torsion_patterns(letter, n, 2)]
+        return ((size, tuple(sorted(p for p in patterns if p & ~s == 0)), chosen),)
+
+    monkeypatch.setattr(divisibility, "_component_policies", largest_only)
+    assert [_witnesses(_Context(c)) for c in configs] == full
+    assert len(configs) == 54
+    assert {c.render() for c, ws in zip(configs, full) if ws} == {"4A1+A15", "3A1+D16", "4A1+D15"}
+
+
+@pytest.mark.parametrize("text", TABLE_10 + EXTRA_8)
+def test_length_step_matches_dense_snf(text):
+    c = parse_config(text)
+    disc = discriminant_group(gram(c))
+    step = check_nonexistence(c).steps[0]
+    assert step.kind == "LengthRequirement"
+    assert step.get("disc_group") == disc.symbol()
+    assert step.get("disc_length") == str(disc.length)
+    assert step.get("length_2") == str(disc.primary_length(2))
+    assert step.get("length_3") == str(disc.primary_length(3))
+
+
+def test_disc_factors_match_dense_snf_on_atlas_sample():
+    for c in ATLAS_SAMPLE:
+        disc = discriminant_group(gram(c))
+        factors = _Context(c).disc_factors
+        assert factors == disc.invariant_factors, c.render()
+        assert group_symbol(factors) == disc.symbol()
 
 
 # --- required even sets ------------------------------------------------------

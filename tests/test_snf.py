@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,6 +159,29 @@ def test_hermite_row_basis_matches_sympy():
         W = hermite_normal_form(sympy.Matrix(A).T)
         theirs = [[int(x) for x in W[:, j]][::-1] for j in reversed(range(W.cols))]
         assert hermite_row_basis([r[::-1] for r in A]) == theirs, A
+
+
+def test_smith_normal_form_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(20261018)
+    shapes = Counter()
+    for t in range(300):
+        if t % 3 == 0:
+            n = rng.randint(1, 6)
+            A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        else:
+            A = random_rows(rng, t % 3 == 2)
+        m, n = len(A), len(A[0])
+        shapes["square" if m == n else "non-square"] += 1
+        shapes["singular" if m != n or det_int(A) == 0 else "regular"] += 1
+        D, _, _ = smith_normal_form(A)
+        S = sympy_snf(sympy.Matrix(A), domain=sympy.ZZ)
+        ours = [D[i][i] for i in range(min(m, n))]
+        theirs = [abs(int(S[i, i])) for i in range(min(m, n))]
+        assert ours == theirs, A
+    assert min(shapes.values()) >= 50, shapes
 
 
 def test_certificate_check_survives_optimize():
