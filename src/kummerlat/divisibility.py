@@ -11,8 +11,8 @@ an A_3 is never 3-divisible" fall out of the integrality test itself.
 
 Classes of both primes are packed into one int: bit i is coefficient 1 on
 curve i and, for p = 3, bit n + i is coefficient 2.  One enumeration, one
-admissibility test and one F_p subspace search serve p = 2 and p = 3; only
-addition differs (XOR, or a bitsliced mod-3 add on the two halves).
+admissibility test and one F_p code search serve p = 2 and p = 3; addition
+differs (XOR, or a bitsliced mod-3 add), and binary codes have a length bound.
 
 The nonexistence checker first excludes rank > 19 (the exceptional curves
 of a K3 span a negative-definite lattice) and then combines three
@@ -37,12 +37,13 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, product
 
 from .ade import (
     ADEConfig,
     DynkinGraph,
+    _component_mis,
     classify_dynkin,
     component_edges,
     component_gram,
@@ -50,7 +51,6 @@ from .ade import (
     enumerate_configs,
     invariant_factors_from_orders,
     m_value,
-    max_disjoint_curves,
 )
 from .lattice import GramLattice, discriminant_group, group_symbol
 
@@ -191,12 +191,14 @@ class _Classes:
     only, bit n + i means coefficient 2 on curve i.  Components are
     disjoint, so per-component patterns combine by bitwise OR and the
     support size is the bit count.  Addition, and with it the nonzero
-    multiples, is the only per-prime operation.  A class is admissible when
-    it is one of the candidates `_enumerate_candidates` lists.
+    multiples, is the per-prime operation (`_find_code` also reads p).  A
+    class is admissible when it is one of the candidates
+    `_enumerate_candidates` lists.
     """
 
     def __init__(self, ctx: "_Context", p: int):
-        n = ctx.n
+        n = self.n = ctx.n
+        self.p = p
         self.patterns: list[list[int]] = [  # per component, sorted
             sorted(
                 sum(1 << ((c - 1) * n + nodes[i]) for i, c in enumerate(coeffs) if c)
@@ -309,10 +311,14 @@ def three_divisible_candidates(config: ADEConfig) -> list[DivisibleCandidate]:
     return out
 
 
+def _disjoint_curves(config: ADEConfig) -> int:
+    """Size of a maximum set of pairwise disjoint curves, summed per type."""
+    return sum(c * _component_mis(letter, n)[0] for letter, n, c in config.terms())
+
+
 def required_even_sets(config: ADEConfig) -> int:
     """Number of independent even sets forced by r disjoint curves: r - 11."""
-    r, _ = max_disjoint_curves(config)
-    return max(0, r - 11)
+    return max(0, _disjoint_curves(config) - 11)
 
 
 # ---------------------------------------------------------------------------
@@ -413,69 +419,69 @@ def _local_cover(letter: str, n: int, local_mask: int) -> ADEConfig | str:
 
 
 def _find_code(cls: _Classes, cands: list[int], k: int) -> tuple[list[int] | None, int]:
-    """Search for an F_p subspace of dimension k, with a basis drawn from the
-    candidates `cands`, all of whose nonzero elements are candidates.
+    """Search for an F_p subspace of dimension k all of whose nonzero
+    elements are among the sorted candidates `cands`; return (basis or
+    None, largest dimension reached).
 
-    Returns (basis or None, largest dimension reached).  Extending the span
-    by v adds m + w for each nonzero multiple m of v and each old element
-    w.  Each level keeps only the later candidates u with u + x in `cands`
-    for every element x just added, so u is checked once against each span
-    element w != 0.  That covers the other multiples of u as well: the new
-    elements are closed under negation, and so is `cands` (for p = 3,
-    negation swaps each oriented pair).  The case w = 0 needs no check, and
-    a u inside the span fails at u - u = 0.
+    Each code is visited once, through its basis in reduced echelon form:
+    a vector's pivot is its highest curve, where its coefficient is 1,
+    pivots increase along the basis, and each basis vector is 0 on the
+    other pivots.  So the basis is drawn, in order of top curve, from the
+    candidates with top coefficient 1 (for p = 2, all of `cands`), and a
+    later one must be 0 on every chosen pivot.  Extending the span by v
+    adds m + w for each nonzero multiple m of v and each old element w;
+    each level keeps the later candidates u with u + x in `cands` for every
+    element x just added.  That covers the other multiples of u, since the
+    new elements and `cands` are closed under negation (for p = 3 it swaps
+    each oriented pair).  Membership is admissibility: a global search
+    lists every pattern, and in a witness search (p = 2) each component's
+    patterns form, with zero, a group under XOR.
 
-    Membership in `cands` is the admissibility test (an allowed support
-    size, and on every component nothing or one of its p-torsion patterns)
-    on every word checked, since each is a sum of candidates.  A global
-    search lists every pattern, so the two agree by definition.  A witness
-    search (p = 2 only) lists on each component just the 2-torsion
-    patterns supported in one independent set.  With zero these form a
-    group under XOR, so a sum of candidates has one of them or nothing on
-    each component, and is a candidate exactly when its size is allowed.
+    A binary code here has all nonzero weights 8 or 16 on the N curves the
+    candidates cover, so the search stops at t = min(k, d_max(N)), the
+    largest d with `_EVEN_CODE_LENGTH[d] <= N`; if t < k, a code of
+    dimension t is the best possible and the result is (None, t).
     """
-    add, multiples = cls.add, cls.multiples
+    add, multiples, n = cls.add, cls.multiples, cls.n
+    low = (1 << n) - 1
+    target, pool = k, cands
+    if cls.p == 2:
+        points = reduce(operator.or_, cands, 0).bit_count()
+        target = min(k, max((d for d, t in _EVEN_CODE_LENGTH.items() if t <= points), default=0))
+    else:  # top coefficient 1: the halves share no curve, so the low one is larger
+        pool = sorted((c for c in cands if c & low > c >> n), key=lambda c: c & low)
     admissible = set(cands)
     best_seen = 0
     basis: list[int] = []
 
-    def extend(compatible: list[int], span: list[int]) -> bool:
+    def extend(compatible: list[int], span: list[int], pivots: int) -> bool:
         nonlocal best_seen
         best_seen = max(best_seen, len(basis))
-        if len(basis) == k:
+        if len(basis) == target:
             return True
         for idx, v in enumerate(compatible):
+            top = 1 << (v & low).bit_length() - 1
+            taken = pivots | top | top << n  # both packed halves of each pivot
             new = [add(m, w) for m in multiples(v) for w in span]
-            rest = [
-                u
-                for u in compatible[idx + 1 :]
-                if all(add(u, x) in admissible for x in new)
-            ]
+            rest = [u for u in compatible[idx + 1 :] if not u & taken]
+            for x in new:
+                rest = [u for u in rest if add(u, x) in admissible]
             basis.append(v)
-            if extend(rest, span + new):
+            if extend(rest, span + new, taken):
                 return True
             basis.pop()
         return False
 
-    found = extend(cands, [0])
-    return (basis if found else None), (k if found else best_seen)
+    found = extend(pool, [0], 0)
+    return (basis if found and target == k else None), (target if found else best_seen)
 
 
-# Fewest points carrying a code of dimension d whose nonzero weights are all
-# 8 or 16 (Nikulin, "On Kummer surfaces", 1975; 16 points carry RM(1, 4)).
-# No such code has dimension 6 on at most 19 points (a weight-moment count
-# reduces it to a [9, 6, 4] or [13, 6, 6] code, which the Griesmer bound
-# forbids), and rank <= 19 bounds the points, so this caps the search.
-_PURE_A1_THRESHOLD = {1: 8, 2: 12, 3: 14, 4: 15, 5: 16}
-
-
-def _pure_a1_cap(allowed: list[list[int]]) -> int | None:
-    """Largest possible code dimension when every allowed pattern is a single
-    curve, else None."""
-    usable = [p for pats in allowed for p in pats]
-    if any(p.bit_count() != 1 for p in usable):
-        return None
-    return max((d for d, t in _PURE_A1_THRESHOLD.items() if t <= len(usable)), default=0)
+# Fewest points carrying a binary code of dimension d whose nonzero weights
+# are all 8 or 16: the Griesmer bound, met by RM(1, 4) on the 16 nodes of a
+# Kummer surface (Nikulin, "On Kummer surfaces", 1975) and its shortenings.
+# On at most 19 points (rank <= 19) a weight-moment count reduces d = 6 to a
+# [9, 6, 4] or [13, 6, 6] code, which the Griesmer bound forbids.
+_EVEN_CODE_LENGTH = {1: 8, 2: 12, 3: 14, 4: 15, 5: 16}
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +637,7 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     l3 = sum(1 for d in factors if d % 3 == 0)
     k2 = max(0, -((l2 - bound) // -2))
     k3 = max(0, -((l3 - bound) // -2))
-    maxd, _ = max_disjoint_curves(config)
+    maxd = _disjoint_curves(config)
     witnesses = _witnesses(ctx)
     steps.append(
         _step(
@@ -651,17 +657,10 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
         )
     )
 
-    def search(cls: _Classes, allowed: list[list[int]], cands: list[int], k: int):
-        cap = _pure_a1_cap(allowed)
-        if cap is not None and k > cap:
-            return None, cap
-        return _find_code(cls, cands, k)
-
     for w in witnesses:
-        allowed = [list(a) for a in w.allowed]
-        cands = _enumerate_candidates(even, allowed)
+        cands = _enumerate_candidates(even, [list(a) for a in w.allowed])
         if not excluded:
-            basis, best = search(even, allowed, cands, w.required)
+            basis, best = _find_code(even, cands, w.required)
             if basis is None:
                 steps.append(
                     _step(
@@ -706,7 +705,7 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
             continue
         cls = ctx.classes[prime]
         cands = _enumerate_candidates(cls, cls.patterns)
-        basis, best = search(cls, cls.patterns, cands, k)
+        basis, best = _find_code(cls, cands, k)
         steps.append(
             _step(
                 "AdmissibleCandidateCount",

@@ -1,6 +1,7 @@
 """Byte-for-byte guard on the output of every CLI command shown in the README,
-of `obstruct` on every configuration of the m = 24 census and on 18A1 and
-19A1, and of `torus` on every non-default lattice that a group preserves.
+of `obstruct` on every configuration of the m = 24 census, on 18A1 and
+19A1 and on the six deepest code searches of the atlas, and of `torus` on
+every non-default lattice that a group preserves.
 
 Each command runs in-process in text and `--json` form and is compared with
 its recorded output under `tests/golden/`.  To re-record after an intended
@@ -30,6 +31,8 @@ CENSUS_24 = (
 )
 # the largest rank <= 19 A1 configurations, where the double-cover scan is longest
 A1_TAIL = ("18A1", "19A1")
+# the deepest F_2 and F_3 code searches of the rank <= 19 atlas
+RESIDUE = ("9A1+2D4", "10A1+A2+D4", "10A1+A3+D4", "3A1+8A2", "8A2+A3", "7A2+A5")
 # (group, lattice) pairs off the default lattice; D12 lives on lattice b only
 TORUS_ON_LATTICE = (
     *((g, lat) for g in ("neg1", "i", "Q8_T24", "Q8hat") for lat in ("a0", "b", "product")),
@@ -39,7 +42,7 @@ TORUS_ON_LATTICE = (
 COMMANDS = [
     ("census_m24", ["census", "--m", "24", "--max-rank", "19"]),
     ("census_m3-2", ["census", "--m", "3/2", "--max-rank", "19"]),
-    *((f"obstruct_{c}", ["obstruct", "--config", c]) for c in CENSUS_24 + A1_TAIL),
+    *((f"obstruct_{c}", ["obstruct", "--config", c]) for c in CENSUS_24 + A1_TAIL + RESIDUE),
     *((f"kummer_{g}", ["kummer", "--group", g]) for g in KUMMER_GROUPS),
     *((f"torus_{g}", ["torus", "--group", g]) for g in TORUS_GROUPS),
     *((f"torus_{g}_on_{lat}", ["torus", "--group", g, "--lattice", lat])

@@ -1,7 +1,9 @@
+import operator
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -32,7 +34,7 @@ from kummerlat.divisibility import (
     _torsion_patterns,
     _witnesses,
 )
-from kummerlat.ade import ADEConfig, _component_mis, classify_dynkin, component_edges
+from kummerlat.ade import ADEConfig, _component_mis, classify_dynkin, component_edges, dynkin
 from kummerlat.lattice import connected_components, discriminant_group, group_symbol
 
 TABLE_10 = [
@@ -268,7 +270,9 @@ def test_kA1_verdicts(k):
         assert elapsed < 10.0
 
 
-def test_17A1_capped_without_search():
+def test_17A1_search_stops_at_dimension_5():
+    # 17 points carry no weight-{8,16} code of dimension 6, so the search
+    # looks for dimension 5, finds RM(1, 4) and reports the deficit
     start = time.perf_counter()
     report = check_nonexistence(parse_config("17A1"))
     elapsed = time.perf_counter() - start
@@ -287,21 +291,23 @@ def test_found_code_spans_only_candidates(text, prime, k):
     # plain mod-p arithmetic, independently of the packed addition
     ctx = _Context(parse_config(text))
     cls = ctx.classes[prime]
-    n = ctx.n
     cands = _enumerate_candidates(cls, cls.patterns)
     basis, found = _find_code(cls, cands, k)
     assert basis is not None and found == k
+    assert_spans_only_candidates(ctx.n, prime, basis, cands)
 
+
+def assert_spans_only_candidates(n, prime, basis, cands):
     def coeffs(v):
         return tuple((v >> i & 1) + 2 * (v >> (n + i) & 1) for i in range(n))
 
     vectors = [coeffs(b) for b in basis]
     words = {
         tuple(sum(c * vec[i] for c, vec in zip(cs, vectors)) % prime for i in range(n))
-        for cs in product(range(prime), repeat=k)
+        for cs in product(range(prime), repeat=len(basis))
         if any(cs)
     }
-    assert len(words) == prime**k - 1
+    assert len(words) == prime ** len(basis) - 1
     assert words <= {coeffs(c) for c in cands}
 
 
@@ -354,12 +360,17 @@ def componentwise_admissible(ctx, p, v):
 
 
 def code_searches(ctx):
-    """(prime, candidates) of every witness and global search of a check."""
+    """(prime, allowed patterns, candidates, required dimension) of every
+    witness and global search of a check; a global search that no length
+    excess forces requires dimension 0."""
+    length = check_nonexistence(ctx.config).steps[0]
     even = ctx.classes[2]
     for w in _witnesses(ctx):
-        yield 2, _enumerate_candidates(even, [list(a) for a in w.allowed])
+        yield 2, w.allowed, _enumerate_candidates(even, [list(a) for a in w.allowed]), w.required
     for p in (2, 3):
-        yield p, _enumerate_candidates(ctx.classes[p], ctx.classes[p].patterns)
+        cls = ctx.classes[p]
+        k = int(length.get(f"required_glue_{p}"))
+        yield p, cls.patterns, _enumerate_candidates(cls, cls.patterns), k
 
 
 @pytest.mark.parametrize("sample", ["census", "atlas"])
@@ -370,7 +381,7 @@ def test_candidate_membership_is_componentwise_admissibility(sample):
     verdicts = Counter()
     for text in texts:
         ctx = _Context(parse_config(str(text)))
-        for p, cands in code_searches(ctx):
+        for p, _, cands, _ in code_searches(ctx):
             add = ctx.classes[p].add
             members = set(cands)
             chosen = rng.sample(cands, min(24, len(cands)))
@@ -383,6 +394,148 @@ def test_candidate_membership_is_componentwise_admissibility(sample):
                     assert (v in members) == ok, (str(text), p, combo)
                     verdicts[ok] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100
+
+
+# --- the code search against the search it replaced --------------------------
+
+
+class SearchBudget(Exception):
+    """The oracle search passed its budget of candidate tests."""
+
+
+# Fewest points carrying a weight-{8,16} binary code of dimension d
+PURE_A1_THRESHOLD = {1: 8, 2: 12, 3: 14, 4: 15, 5: 16}
+
+
+def oracle_search(cls, allowed, cands, k, budget=None):
+    """The search `_find_code` replaced, as (found, largest dimension
+    reached).  When every allowed pattern is one curve the dimension is
+    capped from PURE_A1_THRESHOLD without a search; otherwise every
+    increasing basis drawn from `cands` is tried, so each code is visited
+    once per such basis.  Raises SearchBudget once more than `budget`
+    candidates have been tested."""
+    usable = [p for pats in allowed for p in pats]
+    if all(p.bit_count() == 1 for p in usable):
+        cap = max((d for d, t in PURE_A1_THRESHOLD.items() if t <= len(usable)), default=0)
+        if k > cap:
+            return False, cap
+    add, multiples = cls.add, cls.multiples
+    admissible = set(cands)
+    best_seen = tested = 0
+
+    def extend(compatible, span, depth):
+        nonlocal best_seen, tested
+        best_seen = max(best_seen, depth)
+        if depth == k:
+            return True
+        for idx, v in enumerate(compatible):
+            tested += len(compatible) - idx - 1
+            if budget is not None and tested > budget:
+                raise SearchBudget
+            new = [add(m, w) for m in multiples(v) for w in span]
+            rest = [u for u in compatible[idx + 1 :] if all(add(u, x) in admissible for x in new)]
+            if extend(rest, span + new, depth + 1):
+                return True
+        return False
+
+    found = extend(cands, [0], 0)
+    return found, (k if found else best_seen)
+
+
+# candidate tests after which the oracle gives up; a search past it is
+# skipped, since some witness searches the checker never reaches run for
+# minutes in either search
+ORACLE_BUDGET = 200_000
+# (searches compared, searches skipped at ORACLE_BUDGET)
+ORACLE_COUNTS = {"census": (119, 6), "atlas": (161, 5), "atlas_4A2": (96, 1)}
+
+
+def oracle_sample(sample):
+    if sample == "census":
+        return TABLE_10 + EXTRA_8
+    if sample == "atlas":
+        return ATLAS_SAMPLE[:100]
+    # four or more A2 components: most F_3 searches, up to dimension 3
+    rich = [c for c in ATLAS if ("A", 2) in {(t, n) for t, n, k in c.terms() if k >= 4}]
+    return random.Random(3).sample(rich, 120)
+
+
+@pytest.mark.parametrize("sample", sorted(ORACLE_COUNTS))
+def test_find_code_matches_oracle(sample):
+    # every witness and global search, on (found, largest dimension reached)
+    compared = skipped = 0
+    for text in oracle_sample(sample):
+        ctx = _Context(parse_config(str(text)))
+        for p, allowed, cands, k in code_searches(ctx):
+            if not k:
+                continue
+            cls = ctx.classes[p]
+            try:
+                expected = oracle_search(cls, allowed, cands, k, ORACLE_BUDGET)
+            except SearchBudget:
+                skipped += 1
+                continue
+            basis, dim = _find_code(cls, cands, k)
+            assert (basis is not None, dim) == expected, (str(text), p, k)
+            if basis is not None:
+                assert_spans_only_candidates(ctx.n, p, basis, cands)
+            compared += 1
+    assert (compared, skipped) == ORACLE_COUNTS[sample]
+
+
+@pytest.mark.parametrize("text", ["2D4+D5+D6", "3D4+D7", "7A1+A3+2D4"])
+def test_code_bound_decides_mixed_witness(text):
+    # one witness's candidates cover too few curves for a weight-{8,16} code
+    # of the required dimension k, so the search stops at k - 1, where the
+    # exhaustive oracle ends too
+    ctx = _Context(parse_config(text))
+    even = ctx.classes[2]
+    short = []
+    for w in _witnesses(ctx):
+        cands = _enumerate_candidates(even, [list(a) for a in w.allowed])
+        if cands and reduce(operator.or_, cands).bit_count() < PURE_A1_THRESHOLD[w.required]:
+            short.append((w, cands))
+    ((w, cands),) = short
+    k = w.required
+    assert _find_code(even, cands, k) == (None, k - 1)
+    assert oracle_search(even, w.allowed, cands, k) == (False, k - 1)
+
+
+@pytest.mark.parametrize("text", ["5A1+A3+A7+D4", "6A1+A3+D4+D6", "8A2+A3"])
+def test_search_visits_each_code_once(text):
+    # a search for dimension 3 that is not cut short by the length bound and
+    # ends at 2 expands one node per admissible code of dimension 1 or 2:
+    # each line, and each plane, counted from its C(p + 1, 2) pairs of lines
+    ctx = _Context(parse_config(text))
+    checked = 0
+    for p, _, cands, _ in code_searches(ctx):
+        cls = ctx.classes[p]
+        if not cands or p == 2 and reduce(operator.or_, cands).bit_count() < 14:
+            continue
+        nodes = 0
+        multiples = cls.multiples
+
+        def counted(v):  # called once per node the search expands
+            nonlocal nodes
+            nodes += 1
+            return multiples(v)
+
+        cls.multiples = counted
+        found = _find_code(cls, cands, 3)
+        cls.multiples = multiples
+        if found != (None, 2):
+            continue
+        members = set(cands)
+        lines = {min(multiples(v)) for v in cands}
+        pairs = sum(
+            1
+            for a, b in combinations(sorted(lines), 2)
+            if all(cls.add(m, b) in members for m in multiples(a))
+        )
+        assert pairs % (p * (p + 1) // 2) == 0
+        assert nodes == len(lines) + pairs // (p * (p + 1) // 2), (text, p)
+        checked += 1
+    assert checked
 
 
 def scanned_policies(letter, n):
@@ -473,6 +626,10 @@ def test_required_even_sets_thresholds():
     assert required_even_sets(parse_config("12A1")) == 1
     assert required_even_sets(parse_config("13A1")) == 2
     assert required_even_sets(parse_config("14A1")) == 3
+    # a sum over component types, never one entry per curve
+    huge = 99999999999999999999
+    assert required_even_sets(parse_config(f"{huge}A1")) == huge - 11
+    assert required_even_sets(parse_config(f"{huge}A3+D4")) == 2 * huge + 3 - 11
 
 
 # --- double cover transform ----------------------------------------------------
@@ -673,6 +830,30 @@ def test_cover_odd_branch_parity():
 def test_table_configs_unobstructed(text):
     report = check_nonexistence(parse_config(text))
     assert report.verdict == NO_OBSTRUCTION
+
+
+def one_curve_deletions(config):
+    graph = dynkin(config)
+    n = len(graph.nodes)
+    for gone in range(n):
+        index = {i: j for j, i in enumerate(i for i in range(n) if i != gone)}
+        yield classify_dynkin(
+            n - 1, [(index[i], index[j]) for i, j in graph.edges if gone not in (i, j)]
+        )
+
+
+def test_torus_configs_close_downward_unobstructed():
+    # a configuration on a K3 leaves one on the same K3 when a curve is
+    # deleted, so nothing below the ten torus quotients may be Excluded
+    closure = {parse_config(t) for t in TABLE_10}
+    todo = list(closure)
+    while todo:
+        for smaller in one_curve_deletions(todo.pop()):
+            if smaller.rank and smaller not in closure:
+                closure.add(smaller)
+                todo.append(smaller)
+    assert len(closure) == 829
+    assert [c.render() for c in closure if check_nonexistence(c).verdict != NO_OBSTRUCTION] == []
 
 
 @pytest.mark.parametrize("text", EXTRA_8)
