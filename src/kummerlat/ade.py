@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from .lattice import GramLattice, connected_components, direct_sum, frac_str
 
@@ -334,33 +335,30 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
 
     The search is exhaustive: each component contributes m >= 3/2 and the
     densest component per unit of rank is A_1 (3/2 per rank), which bounds
-    the tree.  Output sorted lexicographically by (rank, counts).
+    the tree.  It runs on m scaled to integers by the lcm of the catalog's
+    denominators.  Output sorted lexicographically by (rank, counts).
     """
     m_target = Fraction(m_target)
     if m_target <= 0:
         raise ValueError("m target must be positive")
     # component_m(letter, n) > n, so no component of rank above m fits
     catalog = _component_catalog(min(max_rank, int(m_target)))
-    density = Fraction(3, 2)  # A_1's m per unit rank, the maximum
+    scale = lcm(*(m.denominator for _, _, m in catalog))
+    if (m_target * scale).denominator != 1:  # no sum of component m values
+        return []
+    items = [(letter, n, int(m * scale)) for letter, n, m in catalog]
     results: list[ADEConfig] = []
-    acc: list[tuple[str, int, int]] = []
 
-    def descend(idx: int, rem_m: Fraction, rem_rank: int) -> None:
+    def descend(idx: int, rem_m: int, rem_rank: int, counts: dict) -> None:
         if rem_m == 0:
-            results.append(ADEConfig.from_counts({(l, n): c for l, n, c in acc}))
-            return
-        if idx == len(catalog) or rem_m < 0 or rem_m > density * rem_rank:
-            return
-        letter, n, m_comp = catalog[idx]
-        max_count = min(int(rem_m / m_comp), rem_rank // n)
-        for count in range(max_count, -1, -1):
-            if count:
-                acc.append((letter, n, count))
-            descend(idx + 1, rem_m - count * m_comp, rem_rank - count * n)
-            if count:
-                acc.pop()
+            results.append(ADEConfig.from_counts(counts))
+        elif idx < len(items) and 2 * rem_m <= 3 * scale * rem_rank:
+            letter, n, m_comp = items[idx]
+            for c in range(min(rem_m // m_comp, rem_rank // n), -1, -1):
+                more = {**counts, (letter, n): c} if c else counts
+                descend(idx + 1, rem_m - c * m_comp, rem_rank - c * n, more)
 
-    descend(0, m_target, max_rank)
+    descend(0, int(m_target * scale), max_rank, {})
     return sorted(results, key=ADEConfig.sort_key)
 
 

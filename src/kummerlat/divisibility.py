@@ -26,9 +26,10 @@ mechanisms:
   after gluing, counted prime by prime (order-2 glue comes from even sets,
   order-3 glue from 3-divisible sets);
 * double covers: a forced even set produces a double cover whose curve
-  configuration must again fit on a K3 (rank <= 19).  The cover is a sum
-  over components; on each ADE tree the branch preimages are disjoint
-  (-1)-curves, so it is contracted in one step and written down directly.
+  configuration must again fit on a K3 (rank <= 19).  The cover is a sum of
+  per-component pieces, each contracted in one step (on an ADE tree the
+  branch preimages are disjoint (-1)-curves), so the least cover rank over
+  the candidates of a witness is a knapsack over components.
 """
 
 from __future__ import annotations
@@ -242,30 +243,29 @@ class _Context:
         return tuple(self.labels[i] for i in range(self.n) if mask >> i & 1)
 
 
+def _live_sizes(cls: _Classes, allowed) -> list[int]:
+    """Bit t of entry i is set when some choice of at most one allowed
+    pattern on each of components i.. takes support size t to an allowed one."""
+    live = [sum(1 << s for s in cls.sizes)]
+    for pats in reversed(allowed):
+        live.append(reduce(operator.or_, (live[-1] >> p.bit_count() for p in pats), live[-1]))
+    return live[::-1]
+
+
 def _enumerate_candidates(cls: _Classes, allowed: list[list[int]]) -> list[int]:
     """All combinations of at most one allowed pattern per component whose
-    support size is admissible, sorted."""
-    lo, hi = min(cls.sizes), max(cls.sizes)
-    suffix = [0] * (len(allowed) + 1)
-    for i in range(len(allowed) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + max((p.bit_count() for p in allowed[i]), default=0)
-    out = []
-
-    def walk(i: int, v: int, size: int) -> None:
-        if size > hi:
-            return
-        if i == len(allowed):
-            if size in cls.sizes:
-                out.append(v)
-            return
-        if size + suffix[i] < lo:
-            return
-        walk(i + 1, v, size)
-        for p in allowed[i]:
-            walk(i + 1, v | p, size + p.bit_count())
-
-    walk(0, 0, 0)
-    return sorted(out)
+    support size is admissible, sorted: a DP over components that keeps the
+    partial classes by support size and drops a size once it is not live."""
+    live = _live_sizes(cls, allowed)
+    level: dict[int, list[int]] = {0: [0]} if live[0] & 1 else {}
+    for i, pats in enumerate(allowed):
+        nxt: dict[int, list[int]] = {}
+        for t, vs in level.items():
+            for p in (0, *pats):
+                if live[i + 1] >> (u := t + p.bit_count()) & 1:
+                    nxt.setdefault(u, []).extend([v | p for v in vs] if p else vs)
+        level = nxt
+    return sorted(v for vs in level.values() for v in vs)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +277,10 @@ def even_set_candidates(config: ADEConfig) -> list[DivisibleCandidate]:
     half-sum pairs integrally with every curve of the configuration."""
     ctx = _Context(config)
     cls = ctx.classes[2]
+    half = (Fraction(0), Fraction(1, 2))
     out = []
     for mask in _enumerate_candidates(cls, cls.patterns):
-        vectorc = tuple(
-            Fraction(1, 2) if mask >> i & 1 else Fraction(0) for i in range(ctx.n)
-        )
+        vectorc = tuple(half[mask >> i & 1] for i in range(ctx.n))
         out.append(DivisibleCandidate(2, ctx.mask_labels(mask), vectorc))
     out.sort(key=lambda c: (len(c.support), c.support))
     return out
@@ -298,6 +297,7 @@ def three_divisible_candidates(config: ADEConfig) -> list[DivisibleCandidate]:
     for i, j in ctx.graph.edges:
         adj[i].add(j)
         adj[j].add(i)
+    thirds = tuple(Fraction(c, 3) for c in range(3))
     out = []
     for v in _enumerate_candidates(cls, cls.patterns):
         coeffs = tuple((v >> i & 1) + 2 * (v >> (n + i) & 1) for i in range(n))
@@ -305,7 +305,7 @@ def three_divisible_candidates(config: ADEConfig) -> list[DivisibleCandidate]:
         if pairs is None:
             raise AssertionError("candidate coefficients fail to decompose")
         support = tuple((ctx.labels[i], ctx.labels[j]) for i, j in pairs)
-        vectorc = tuple(Fraction(c, 3) for c in coeffs)
+        vectorc = tuple(thirds[c] for c in coeffs)
         out.append(DivisibleCandidate(3, support, vectorc))
     out.sort(key=lambda c: (len(c.support), c.support))
     return out
@@ -681,7 +681,7 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
                     )
                 )
                 excluded = True
-        bad = _cover_scan(ctx, cands)
+        bad = _cover_exceeds(ctx, w.allowed, cands)
         if bad is not None:
             example_mask, example_cover = bad
             steps.append(
@@ -735,18 +735,28 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     )
 
 
-def _cover_scan(ctx: _Context, masks: list[int]):
-    """None if some candidate has an ADE cover of rank <= 19, else the first
-    candidate with its cover (None when that cover is not ADE)."""
-    first_bad = None
-    for mask in masks:
-        pieces = _cover_pieces(ctx.graph, mask)
-        ade = not any(isinstance(p, str) for p in pieces)
-        if ade and sum(p.rank for p in pieces) <= K3_RANK_LIMIT:
-            return None
-        if first_bad is None:
-            first_bad = (mask, sum(pieces, ADEConfig()) if ade else None)
-    return first_bad
+def _cover_exceeds(ctx: _Context, allowed, cands: list[int]):
+    """None if there is no candidate or some candidate has an ADE cover of
+    rank <= 19, else the least candidate with its cover (None if not ADE).
+    A cover is the sum of its components' `_local_cover` pieces, so the
+    least ADE cover rank per support size is a knapsack over components."""
+    live = _live_sizes(ctx.classes[2], allowed)
+    least = {0: 0}  # support size -> least ADE cover rank
+    for i, ((letter, k, start, _), pats) in enumerate(zip(ctx.graph.component_slices, allowed)):
+        nxt: dict[int, int] = {}
+        for p in (0, *pats):
+            piece = _local_cover(letter, k, p >> start)
+            if isinstance(piece, str):
+                continue
+            for t, r in least.items():
+                if live[i + 1] >> (u := t + p.bit_count()) & 1:
+                    nxt[u] = min(nxt.get(u, r + piece.rank), r + piece.rank)
+        least = nxt
+    if not cands or any(r <= K3_RANK_LIMIT for r in least.values()):
+        return None
+    pieces = _cover_pieces(ctx.graph, cands[0])
+    ade = not any(isinstance(p, str) for p in pieces)
+    return cands[0], (sum(pieces, ADEConfig()) if ade else None)
 
 
 # ---------------------------------------------------------------------------

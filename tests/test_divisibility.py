@@ -14,6 +14,7 @@ from kummerlat import (
     check_nonexistence,
     double_cover_transform,
     enriques_census,
+    enumerate_configs,
     even_set_candidates,
     gram,
     m_value,
@@ -24,10 +25,13 @@ from kummerlat import (
 from kummerlat import divisibility
 from kummerlat.divisibility import (
     EXCLUDED,
+    K3_RANK_LIMIT,
     NO_OBSTRUCTION,
     _component_autos,
     _component_policies,
     _Context,
+    _cover_exceeds,
+    _cover_pieces,
     _enumerate_candidates,
     _find_code,
     _local_cover,
@@ -536,6 +540,137 @@ def test_search_visits_each_code_once(text):
         assert nodes == len(lines) + pairs // (p * (p + 1) // 2), (text, p)
         checked += 1
     assert checked
+
+
+# --- the candidate and cover DPs against the walk and scan they replaced ------
+
+# the deepest F_2 and F_3 code searches of the rank <= 19 atlas
+RESIDUE = ["9A1+2D4", "10A1+A2+D4", "10A1+A3+D4", "3A1+8A2", "8A2+A3", "7A2+A5"]
+# the longest candidate lists and cover scans of the atlas
+DEEP = ["19A1", "18A1", "16A1+A3", "15A1+D4", "17A1+A2"]
+DP_SAMPLES = {
+    "census": TABLE_10 + EXTRA_8,
+    "atlas": [str(c) for c in ATLAS_SAMPLE],
+    "deep": RESIDUE + DEEP,
+}
+
+
+def oracle_enumerate(cls, allowed):
+    """The recursive walk `_enumerate_candidates` replaced: every choice of
+    at most one allowed pattern per component, cut when the support is too
+    large or can no longer reach the smallest allowed size."""
+    lo, hi = min(cls.sizes), max(cls.sizes)
+    suffix = [0] * (len(allowed) + 1)
+    for i in range(len(allowed) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + max((p.bit_count() for p in allowed[i]), default=0)
+    out = []
+
+    def walk(i, v, size):
+        if size > hi:
+            return
+        if i == len(allowed):
+            if size in cls.sizes:
+                out.append(v)
+            return
+        if size + suffix[i] < lo:
+            return
+        walk(i + 1, v, size)
+        for p in allowed[i]:
+            walk(i + 1, v | p, size + p.bit_count())
+
+    walk(0, 0, 0)
+    return sorted(out)
+
+
+def oracle_cover_scan(ctx, masks):
+    """The scan `_cover_exceeds` replaced: None if some
+    candidate has an ADE cover of rank <= 19, else the first candidate with
+    its cover (None when that cover is not ADE)."""
+    first_bad = None
+    for mask in masks:
+        pieces = _cover_pieces(ctx.graph, mask)
+        ade = not any(isinstance(p, str) for p in pieces)
+        if ade and sum(p.rank for p in pieces) <= K3_RANK_LIMIT:
+            return None
+        if first_bad is None:
+            first_bad = (mask, sum(pieces, ADEConfig()) if ade else None)
+    return first_bad
+
+
+# (searches compared, candidates listed) over every witness and global search
+ENUMERATION_COUNTS = {"census": (142, 55454), "atlas": (978, 102481), "deep": (108, 666158)}
+
+
+@pytest.mark.parametrize("sample", sorted(DP_SAMPLES))
+def test_enumeration_dp_matches_walk(sample):
+    searches = listed = 0
+    for text in DP_SAMPLES[sample]:
+        ctx = _Context(parse_config(text))
+        even = ctx.classes[2]
+        lists = [(even, [list(a) for a in w.allowed]) for w in _witnesses(ctx)]
+        lists += [(ctx.classes[p], ctx.classes[p].patterns) for p in (2, 3)]
+        for cls, allowed in lists:
+            cands = _enumerate_candidates(cls, allowed)
+            assert cands == oracle_enumerate(cls, allowed), (text, cls.p)
+            searches += 1
+            listed += len(cands)
+    assert (searches, listed) == ENUMERATION_COUNTS[sample]
+
+
+# (witnesses compared, CoverRankExceeds steps, witnesses without candidates)
+COVER_COUNTS = {"census": (106, 8, 6), "atlas": (378, 109, 53), "deep": (86, 36, 0)}
+
+
+@pytest.mark.parametrize("sample", sorted(DP_SAMPLES))
+def test_cover_dp_matches_scan(sample):
+    # the step, its example mask and its cover, for every witness; the least
+    # ADE cover rank is exactly 19 on some census and atlas witnesses
+    compared = fired = empty = 0
+    for text in DP_SAMPLES[sample]:
+        ctx = _Context(parse_config(text))
+        for w in _witnesses(ctx):
+            cands = _enumerate_candidates(ctx.classes[2], [list(a) for a in w.allowed])
+            got = _cover_exceeds(ctx, w.allowed, cands)
+            assert got == oracle_cover_scan(ctx, cands), (text, w.description)
+            compared += 1
+            fired += got is not None
+            empty += not cands
+    assert (compared, fired, empty) == COVER_COUNTS[sample]
+
+
+def test_cover_dp_reports_non_ade_example():
+    # no 2-torsion pattern of rank <= 19 has a non-ADE local cover, so the
+    # witness is made up: the centre of D4 alone branches into a triangle of
+    # leaves, and the one candidate, 5 curves of A1 and 3 centres, fires
+    # with a non-ADE example
+    ctx = _Context(parse_config("5A1+3D4"))
+    allowed = [[1 << (start + (k > 1))] for _, k, start, _ in ctx.graph.component_slices]
+    cands = _enumerate_candidates(ctx.classes[2], allowed)
+    assert len(cands) == 1
+    assert isinstance(_local_cover("D", 4, 0b10), str)
+    assert _cover_exceeds(ctx, allowed, cands) == (cands[0], None)
+    assert oracle_cover_scan(ctx, cands) == (cands[0], None)
+
+
+def test_enumerate_configs_matches_rank_partitions():
+    by_m = {}
+    for c in ATLAS:
+        by_m.setdefault(m_value(c), []).append(c)
+    rng = random.Random(24)
+    targets = [Fraction(3, 2), Fraction(6), Fraction(12), Fraction(24)]
+    targets += rng.sample(sorted(set(by_m) - set(targets)), 40)
+    for m in targets:
+        for max_rank in (9, 12, 19):
+            expected = sorted((c for c in by_m[m] if c.rank <= max_rank), key=ADEConfig.sort_key)
+            assert enumerate_configs(m, max_rank) == expected, (m, max_rank)
+    # no sum of component m values reaches these: 23 divides no denominator,
+    # and the last lies within 1e-40 of the 18 configurations of m = 24
+    for m in (Fraction(100, 7), Fraction(200, 23), 24 + Fraction(1, 10**40)):
+        assert m not in by_m
+        assert enumerate_configs(m, 19) == []
+    for m in (0, Fraction(-3, 2)):
+        with pytest.raises(ValueError):
+            enumerate_configs(m, 19)
 
 
 def scanned_policies(letter, n):
