@@ -93,7 +93,10 @@ class ADEConfig:
         return sum(n * c for _, n, c in self.terms())
 
     def __add__(self, other: "ADEConfig") -> "ADEConfig":
-        return ADEConfig.from_counts(Counter(self.components() + other.components()))
+        counts: Counter[tuple[str, int]] = Counter()
+        for letter, n, c in self.terms() + other.terms():
+            counts[letter, n] += c
+        return ADEConfig.from_counts(counts)
 
     def __mul__(self, k: int) -> "ADEConfig":
         return ADEConfig(

@@ -20,7 +20,8 @@ mechanisms:
 
 * counting: any set R of r >= 12 pairwise disjoint curves forces an
   F_2-space of divisible classes supported on R of dimension r - 11, all of
-  whose nonzero elements must be admissible candidates;
+  whose nonzero elements must be admissible candidates; the witness sets R
+  are built once per component type and joined across types;
 * global length: the discriminant group of a rank-rho configuration inside
   the rank-22 unimodular K3 lattice must reach length <= min(rho, 22 - rho)
   after gluing, counted prime by prime (order-2 glue comes from even sets,
@@ -39,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, groupby, product
 
 from .ade import (
     ADEConfig,
@@ -144,23 +145,25 @@ def _torsion_patterns(letter: str, n: int, p: int) -> tuple[tuple[int, ...], ...
     parts = [
         (g, d // p) for d, g in zip(disc.invariant_factors, disc.generators) if d % p == 0
     ]
-    adj = [set() for _ in range(n)]
-    for i, j in component_edges(letter, n):
-        adj[i].add(j)
-        adj[j].add(i)
     pats = set()
     for combo in product(range(p), repeat=len(parts)):
         x = [sum(c * m * g[j] for c, (g, m) in zip(combo, parts)) % 1 for j in range(n)]
         if any((p * v).denominator != 1 for v in x):
             raise AssertionError(f"{p}-torsion class is not a 1/{p}-sum")
         coeffs = tuple(int(p * v) for v in x)
-        if any(coeffs) and (p == 2 or _pairs_of_coeffs(coeffs, adj) is not None):
+        if any(coeffs) and (p == 2 or _pairs_of_coeffs(letter, n, coeffs) is not None):
             pats.add(coeffs)
     return tuple(sorted(pats))
 
 
-def _pairs_of_coeffs(coeffs, adj) -> tuple[tuple[int, int], ...] | None:
-    """Decompose a mod-3 coefficient vector into oriented disjoint A_2 pairs."""
+@lru_cache(maxsize=None)
+def _pairs_of_coeffs(letter: str, n: int, coeffs) -> tuple[tuple[int, int], ...] | None:
+    """Decompose a mod-3 coefficient vector on one component into oriented
+    disjoint A_2 pairs (local node indices)."""
+    adj = [set() for _ in range(n)]
+    for i, j in component_edges(letter, n):
+        adj[i].add(j)
+        adj[j].add(i)
     support = [i for i, c in enumerate(coeffs) if c]
     seen = set()
     pairs = []
@@ -202,10 +205,10 @@ class _Classes:
         self.p = p
         self.patterns: list[list[int]] = [  # per component, sorted
             sorted(
-                sum(1 << ((c - 1) * n + nodes[i]) for i, c in enumerate(coeffs) if c)
+                sum(1 << ((c - 1) * n + start + i) for i, c in enumerate(coeffs) if c)
                 for coeffs in _torsion_patterns(letter, k, p)
             )
-            for letter, k, nodes in ctx.comps
+            for letter, k, start, _ in ctx.graph.component_slices
         ]
         if p == 2:
             self.sizes = EVEN_SUPPORT_SIZES
@@ -232,10 +235,10 @@ class _Context:
         self.graph = dynkin(config)
         self.labels = self.graph.nodes
         self.n = len(self.labels)
-        self.comps = self.graph.component_nodes()  # (letter, n, node tuple)
         # the discriminant group of an orthogonal sum is the sum of the blocks'
+        blocks = [_component_disc(letter, k) for letter, k, _, _ in self.graph.component_slices]
         self.disc_factors = invariant_factors_from_orders(
-            [d for letter, k, _ in self.comps for d in _component_disc(letter, k).invariant_factors]
+            [d for g in blocks for d in g.invariant_factors]
         )
         self.classes = {p: _Classes(self, p) for p in (2, 3)}
 
@@ -252,7 +255,7 @@ def _live_sizes(cls: _Classes, allowed) -> list[int]:
     return live[::-1]
 
 
-def _enumerate_candidates(cls: _Classes, allowed: list[list[int]]) -> list[int]:
+def _enumerate_candidates(cls: _Classes, allowed) -> list[int]:
     """All combinations of at most one allowed pattern per component whose
     support size is admissible, sorted: a DP over components that keeps the
     partial classes by support size and drops a size once it is not live."""
@@ -293,17 +296,16 @@ def three_divisible_candidates(config: ADEConfig) -> list[DivisibleCandidate]:
     ctx = _Context(config)
     cls = ctx.classes[3]
     n = ctx.n
-    adj = [set() for _ in range(n)]
-    for i, j in ctx.graph.edges:
-        adj[i].add(j)
-        adj[j].add(i)
     thirds = tuple(Fraction(c, 3) for c in range(3))
     out = []
     for v in _enumerate_candidates(cls, cls.patterns):
         coeffs = tuple((v >> i & 1) + 2 * (v >> (n + i) & 1) for i in range(n))
-        pairs = _pairs_of_coeffs(coeffs, adj)
-        if pairs is None:
-            raise AssertionError("candidate coefficients fail to decompose")
+        pairs = []  # components are increasing node ranges, so this stays sorted
+        for letter, k, start, stop in ctx.graph.component_slices:
+            local = _pairs_of_coeffs(letter, k, coeffs[start:stop])
+            if local is None:
+                raise AssertionError("candidate coefficients fail to decompose")
+            pairs += [(start + i, start + j) for i, j in local]
         support = tuple((ctx.labels[i], ctx.labels[j]) for i, j in pairs)
         vectorc = tuple(thirds[c] for c in coeffs)
         out.append(DivisibleCandidate(3, support, vectorc))
@@ -357,7 +359,7 @@ def double_cover_transform(config: ADEConfig, candidate) -> ADEConfig:
     for piece in pieces:
         if isinstance(piece, str):
             raise NotADEAfterContraction(piece)
-    return ADEConfig.from_counts(Counter(c for piece in pieces for c in piece.components()))
+    return sum(pieces, ADEConfig())
 
 
 def _cover_pieces(graph: DynkinGraph, mask: int) -> list[ADEConfig | str]:
@@ -557,54 +559,41 @@ class _Witness:
     size: int
     required: int
     allowed: tuple[tuple[int, ...], ...]  # per component: global pattern masks
-    curves: tuple[str, ...]
+    curves: int  # mask of the witness's disjoint curves
     description: str
 
 
 def _witnesses(ctx: _Context) -> list[_Witness]:
-    groups: dict[tuple[str, int], list[int]] = {}
-    for idx, (letter, k, _) in enumerate(ctx.comps):
-        groups.setdefault((letter, k), []).append(idx)
+    """Every choice of one policy per component whose curves number 12 or
+    more.  The policy multisets of each component type are built once, as
+    (size, allowed masks, curve mask, description part), with each local
+    mask moved onto its component as mask << start; only the join over
+    types runs per witness."""
     per_type = []
-    for (letter, k), members in sorted(groups.items()):
+    for (letter, k), slices in groupby(ctx.graph.component_slices, key=lambda s: s[:2]):
+        starts = [start for _, _, start, _ in slices]
         policies = _component_policies(letter, k)
-        assignments = list(
-            combinations_with_replacement(range(len(policies)), len(members))
-        )
-        per_type.append(((letter, k), members, policies, assignments))
-
-    witnesses = []
-    for combo in product(*(range(len(t[3])) for t in per_type)):
-        size = 0
-        allowed: dict[int, tuple[int, ...]] = {}
-        curve_nodes: list[int] = []
-        desc_parts = []
-        for ((letter, k), members, policies, assignments), pick in zip(per_type, combo):
-            counts: dict[int, int] = {}
-            for comp_idx, pol_idx in zip(members, assignments[pick]):
-                psize, alive_local, nodes_local = policies[pol_idx]
-                size += psize
-                counts[pol_idx] = counts.get(pol_idx, 0) + 1
-                _, _, comp_nodes = ctx.comps[comp_idx]
-                allowed[comp_idx] = tuple(
-                    sum(1 << comp_nodes[i] for i in range(k) if m >> i & 1)
-                    for m in alive_local
+        options = []
+        for pick in combinations_with_replacement(range(len(policies)), len(starts)):
+            chosen = [policies[i] for i in pick]
+            counts = ",".join(f"p{i}x{c}" for i, c in sorted(Counter(pick).items()))
+            options.append(
+                (
+                    sum(size for size, _, _ in chosen),
+                    tuple(tuple(m << s for m in alive) for s, (_, alive, _) in zip(starts, chosen)),
+                    sum(1 << s + i for s, (_, _, nodes) in zip(starts, chosen) for i in nodes),
+                    f"{letter}{k}:{counts}",
                 )
-                curve_nodes.extend(comp_nodes[i] for i in nodes_local)
-            desc_parts.append(
-                f"{letter}{k}:" + ",".join(f"p{p}x{c}" for p, c in sorted(counts.items()))
             )
-        if size < 12:
-            continue
-        witnesses.append(
-            _Witness(
-                size=size,
-                required=size - 11,
-                allowed=tuple(allowed[i] for i in range(len(ctx.comps))),
-                curves=tuple(ctx.labels[i] for i in sorted(curve_nodes)),
-                description="; ".join(desc_parts),
-            )
-        )
+        per_type.append(options)
+    witnesses = []
+    for combo in product(*per_type):
+        size = sum(t[0] for t in combo)
+        if size >= 12:
+            allowed = tuple(a for t in combo for a in t[1])
+            curves = sum(t[2] for t in combo)
+            description = "; ".join(t[3] for t in combo)
+            witnesses.append(_Witness(size, size - 11, allowed, curves, description))
     witnesses.sort(key=lambda w: (w.required, w.size, w.description))
     return witnesses
 
@@ -658,14 +647,15 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     )
 
     for w in witnesses:
-        cands = _enumerate_candidates(even, [list(a) for a in w.allowed])
+        cands = _enumerate_candidates(even, w.allowed)
         if not excluded:
             basis, best = _find_code(even, cands, w.required)
             if basis is None:
+                curves = " ".join(ctx.mask_labels(w.curves))
                 steps.append(
                     _step(
                         "AdmissibleCandidateCount",
-                        witness_curves=" ".join(w.curves),
+                        witness_curves=curves,
                         witness_size=w.size,
                         required_independent=w.required,
                         admissible_candidates=len(cands),
@@ -675,7 +665,7 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
                 steps.append(
                     _step(
                         "IndependenceDeficit",
-                        witness_curves=" ".join(w.curves),
+                        witness_curves=curves,
                         required=w.required,
                         available=best,
                     )
@@ -687,7 +677,7 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
             steps.append(
                 _step(
                     "CoverRankExceeds",
-                    witness_curves=" ".join(w.curves),
+                    witness_curves=" ".join(ctx.mask_labels(w.curves)),
                     witness_size=w.size,
                     candidates=len(cands),
                     example_even_set=" ".join(ctx.mask_labels(example_mask)),

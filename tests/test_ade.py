@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,15 @@ def test_rank_examples():
     assert ADEConfig().rank == 0
 
 
+def test_add_sums_counts_per_type():
+    # a sum over component types, never one entry per component
+    huge = 99999999999999999999
+    total = parse_config(f"{huge}A1+D4") + parse_config("A1+2A3")
+    assert total == parse_config(f"{huge + 1}A1+2A3+D4")
+    assert total.rank == huge + 11
+    assert parse_config("E8") + ADEConfig() == parse_config("E8")
+
+
 small_configs = st.builds(
     ADEConfig.of,
     a=st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=3),
@@ -126,6 +136,7 @@ small_configs = st.builds(
 @given(small_configs, small_configs)
 def test_m_additive(c1, c2):
     assert m_value(c1 + c2) == m_value(c1) + m_value(c2)
+    assert c1 + c2 == ADEConfig.from_counts(Counter(c1.components() + c2.components()))
 
 
 @settings(max_examples=40, deadline=None)

@@ -356,7 +356,7 @@ def componentwise_admissible(ctx, p, v):
     cls = ctx.classes[p]
     if v.bit_count() not in cls.sizes:
         return False
-    for (_, _, nodes), pats in zip(ctx.comps, cls.patterns):
+    for (_, _, nodes), pats in zip(ctx.graph.component_nodes(), cls.patterns):
         cmask = sum(1 << ((c - 1) * ctx.n + node) for c in range(1, p) for node in nodes)
         if v & cmask and v & cmask not in pats:
             return False
@@ -733,6 +733,80 @@ def test_large_component_witnesses_come_from_largest_policy(monkeypatch):
     assert {c.render() for c, ws in zip(configs, full) if ws} == {"4A1+A15", "3A1+D16", "4A1+D15"}
 
 
+def oracle_witnesses(ctx):
+    """The witness builder `_witnesses` replaced: every policy combination
+    built in full over per-node tuples, then dropped below 12 curves; the
+    curves come as labels."""
+    comps = ctx.graph.component_nodes()
+    groups: dict[tuple[str, int], list[int]] = {}
+    for idx, (letter, k, _) in enumerate(comps):
+        groups.setdefault((letter, k), []).append(idx)
+    per_type = []
+    for (letter, k), members in sorted(groups.items()):
+        policies = _component_policies(letter, k)
+        assignments = list(combinations_with_replacement(range(len(policies)), len(members)))
+        per_type.append(((letter, k), members, policies, assignments))
+
+    witnesses = []
+    for combo in product(*(range(len(t[3])) for t in per_type)):
+        size = 0
+        allowed: dict[int, tuple[int, ...]] = {}
+        curve_nodes: list[int] = []
+        desc_parts = []
+        for ((letter, k), members, policies, assignments), pick in zip(per_type, combo):
+            counts: dict[int, int] = {}
+            for comp_idx, pol_idx in zip(members, assignments[pick]):
+                psize, alive_local, nodes_local = policies[pol_idx]
+                size += psize
+                counts[pol_idx] = counts.get(pol_idx, 0) + 1
+                _, _, comp_nodes = comps[comp_idx]
+                allowed[comp_idx] = tuple(
+                    sum(1 << comp_nodes[i] for i in range(k) if m >> i & 1) for m in alive_local
+                )
+                curve_nodes.extend(comp_nodes[i] for i in nodes_local)
+            desc_parts.append(
+                f"{letter}{k}:" + ",".join(f"p{p}x{c}" for p, c in sorted(counts.items()))
+            )
+        if size < 12:
+            continue
+        witnesses.append(
+            (
+                size,
+                size - 11,
+                tuple(allowed[i] for i in range(len(comps))),
+                tuple(ctx.labels[i] for i in sorted(curve_nodes)),
+                "; ".join(desc_parts),
+            )
+        )
+    witnesses.sort(key=lambda w: (w[1], w[0], w[4]))
+    return witnesses
+
+
+WITNESS_SAMPLES = {
+    "census": TABLE_10 + EXTRA_8,
+    "atlas": [str(c) for c in ATLAS_SAMPLE],
+    "large": [c.render() for c in ATLAS if any(n >= 15 for _, n, _ in c.terms())],
+    "deep": DEEP,
+}
+# (configurations, witnesses) compared
+WITNESS_COUNTS = {"census": (18, 106), "atlas": (300, 378), "large": (54, 3), "deep": (5, 53)}
+
+
+@pytest.mark.parametrize("sample", sorted(WITNESS_SAMPLES))
+def test_witnesses_match_oracle(sample):
+    configs = witnesses = 0
+    for text in WITNESS_SAMPLES[sample]:
+        ctx = _Context(parse_config(text))
+        got = [
+            (w.size, w.required, w.allowed, ctx.mask_labels(w.curves), w.description)
+            for w in _witnesses(ctx)
+        ]
+        assert got == oracle_witnesses(ctx), text
+        configs += 1
+        witnesses += len(got)
+    assert (configs, witnesses) == WITNESS_COUNTS[sample]
+
+
 @pytest.mark.parametrize("text", TABLE_10 + EXTRA_8)
 def test_length_step_matches_dense_snf(text):
     c = parse_config(text)
@@ -989,6 +1063,22 @@ def test_torus_configs_close_downward_unobstructed():
                 todo.append(smaller)
     assert len(closure) == 829
     assert [c.render() for c in closure if check_nonexistence(c).verdict != NO_OBSTRUCTION] == []
+
+
+def test_atlas_sample_verdicts_monotone_under_deletion():
+    # a configuration on a K3 leaves one on the same K3 when a curve is
+    # deleted, so no one-curve deletion of an unobstructed one is Excluded
+    verdicts = {c: check_nonexistence(c).verdict for c in ATLAS_SAMPLE}
+    assert Counter(verdicts.values()) == {NO_OBSTRUCTION: 240, EXCLUDED: 60}
+    pairs = {
+        (c, smaller)
+        for c, v in verdicts.items()
+        if v == NO_OBSTRUCTION
+        for smaller in one_curve_deletions(c)
+    }
+    assert len(pairs) == 2141
+    deletions = {smaller for _, smaller in pairs}
+    assert [c.render() for c in deletions if check_nonexistence(c).verdict != NO_OBSTRUCTION] == []
 
 
 @pytest.mark.parametrize("text", EXTRA_8)
