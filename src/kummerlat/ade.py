@@ -19,9 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import lcm, prod
 
-from .lattice import GramLattice, connected_components, direct_sum, frac_str
+from .lattice import GramLattice, connected_components, direct_sum, frac_str, primary_chain
 
 ADE_E_RANKS = (6, 7, 8)
 
@@ -256,33 +256,8 @@ def gram(config: ADEConfig, labels: tuple[str, ...] | None = None) -> GramLattic
 
 def invariant_factors_from_orders(orders: list[int]) -> tuple[int, ...]:
     """Convert a multiset of cyclic orders to the invariant factor chain."""
-    primary: dict[int, list[int]] = {}
-    for o in orders:
-        if o <= 1:
-            continue
-        rest = o
-        p = 2
-        while p * p <= rest:
-            if rest % p == 0:
-                e = 0
-                while rest % p == 0:
-                    rest //= p
-                    e += 1
-                primary.setdefault(p, []).append(p**e)
-            p += 1
-        if rest > 1:
-            primary.setdefault(rest, []).append(rest)
-    for p in primary:
-        primary[p].sort(reverse=True)
-    depth = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for i in range(depth):
-        f = 1
-        for p in primary:
-            if i < len(primary[p]):
-                f *= primary[p][i]
-        factors.append(f)
-    return tuple(sorted(factors))
+    chain = primary_chain((o, None) for o in orders if o > 1)
+    return tuple(prod(q for q, _, _ in parts) for parts in chain)
 
 
 @lru_cache(maxsize=None)

@@ -54,7 +54,7 @@ from .ade import (
     invariant_factors_from_orders,
     m_value,
 )
-from .lattice import GramLattice, discriminant_group, group_symbol
+from .lattice import GramLattice, discriminant_group, group_symbol, length_bound
 
 K3_AMBIENT_RANK = 22
 EVEN_SUPPORT_SIZES = (8, 16)
@@ -621,7 +621,7 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     excluded = False
 
     factors = ctx.disc_factors
-    bound = min(rho, K3_AMBIENT_RANK - rho)
+    bound = length_bound(rho, K3_AMBIENT_RANK)
     l2 = sum(1 for d in factors if d % 2 == 0)
     l3 = sum(1 for d in factors if d % 3 == 0)
     k2 = max(0, -((l2 - bound) // -2))

@@ -20,8 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
-from operator import mul
+from math import gcd, isqrt, lcm, prod
+from operator import itemgetter, mul
 
 from .snf import det_int, hermite_row_basis, mat_mul, smith_normal_form
 
@@ -145,8 +145,15 @@ class GramLattice:
         return len(self.gram)
 
     @cached_property
+    def blocks(self) -> tuple[tuple[list[int], tuple[tuple[int, ...], ...]], ...]:
+        """Orthogonal blocks: (basis indices, Gram) for each connected
+        component of the Gram's support graph, ordered by smallest index."""
+        comps = connected_components([[j for j, g in enumerate(row) if g] for row in self.gram])
+        return tuple((c, tuple(tuple(self.gram[i][j] for j in c) for i in c)) for c in comps)
+
+    @cached_property
     def det(self) -> int:
-        return det_int([list(r) for r in self.gram])
+        return prod(det_int(g) for _, g in self.blocks)
 
     def pair(self, x, y) -> Fraction:
         """Bilinear pairing x . y with respect to the Gram matrix."""
@@ -238,22 +245,62 @@ def q_value(L: GramLattice, x) -> Fraction:
     return Fraction(sum(map(mul, nums, prods)) % (2 * den2), den2)
 
 
+def primary_chain(pieces) -> list[list[tuple[int, int, object]]]:
+    """Invariant-factor chain of a sum of cyclic groups Z/d, from pieces (d, x)
+    with d > 1 and any payload x.  Trial division splits each piece into parts
+    (q, d, x), q = p^e exactly dividing d; per prime the parts are sorted by q
+    (stably) and aligned at the top.  Returns the factors in ascending order,
+    each as its list of parts (the factor is the product of their q)."""
+    by_prime: dict[int, list] = {}
+    for d, x in pieces:
+        rest, p = d, 2
+        while rest > 1:
+            p = p if p * p <= rest else rest
+            q = 1
+            while rest % p == 0:
+                rest, q = rest // p, q * p
+            if q > 1:
+                by_prime.setdefault(p, []).append((q, d, x))
+            p += 1
+    for parts in by_prime.values():
+        parts.sort(key=itemgetter(0))
+    depth = max(map(len, by_prime.values()), default=0)
+    return [[ps[-k] for ps in by_prime.values() if len(ps) >= k] for k in range(depth, 0, -1)]
+
+
 def discriminant_group(L: GramLattice) -> DiscriminantGroup:
-    """Invariant factors of coker(gram) with generators lifted to L^vee."""
+    """Invariant factors of coker(gram) with generators lifted to L^vee.
+
+    L^vee / L is the sum of the blocks' groups.  Each block's certified Smith
+    form gives pieces V_i / d, which split into parts c V_i / q of prime-power
+    order q (c = (d / q)^-1 mod q, so the parts add up to the piece) for
+    `primary_chain`.  A generator and its q-value are the sums of its parts'
+    (parts of coprime orders pair integrally): one block keeps its V_i / d.
+    """
     if L.det == 0:
         raise DegenerateLattice("discriminant group needs det != 0")
-    D, U, V = smith_normal_form([list(r) for r in L.gram])
-    n = L.rank
-    factors = []
-    gens = []
-    qs = []
-    for i in range(n):
-        d = D[i][i]
-        if d > 1:
-            g = tuple(Fraction(V[j][i] % d, d) for j in range(n))
-            factors.append(d)
-            gens.append(g)
-            qs.append(q_value(L, g))
+    pieces = []
+    for comp, g in L.blocks:
+        D, _, V = smith_normal_form(g)
+        pieces += [(D[i][i], (comp, g, [r[i] for r in V])) for i in range(len(g)) if D[i][i] > 1]
+    factors, gens, qs = [], [], []
+    for parts in primary_chain(pieces):
+        f = prod(q for q, _, _ in parts)
+        nums, qnum = [0] * L.rank, 0
+        for q, d, (comp, g, col) in parts:
+            c, w = pow(d // q, -1, q), f // q
+            v = [c * x % q for x in col]
+            gv = [sum(a * b for a, b in zip(row, v) if b) for row in g]
+            if any(s % q for s in gv):
+                raise NotInDual(f"a part of order {q} pairs non-integrally with the lattice")
+            for i, x in zip(comp, v):
+                nums[i] += w * x
+            qnum += w * w * sum(map(mul, v, gv))
+        factors.append(f)
+        # one Fraction per distinct coordinate, shared across the generator
+        frac = {x: Fraction(x % f, f) for x in set(nums)}
+        gens.append(tuple(map(frac.__getitem__, nums)))
+        qs.append(Fraction(qnum % (2 * f * f), f * f))
     disc = DiscriminantGroup(tuple(factors), tuple(gens), tuple(qs))
     if disc.order != abs(L.det):
         raise AssertionError("invariant factor product differs from |det|")
@@ -445,16 +492,11 @@ def roots(L: GramLattice) -> list[RationalVector]:
     The raw vector count is 2 * len(result).
     """
     n = L.rank
-    # blocks: connected components of the support graph of the Gram matrix
-    blocks = connected_components([[j for j, g in enumerate(row) if g] for row in L.gram])
     out: list[tuple[int, ...]] = []
-    if len(blocks) > 1:
+    if len(L.blocks) > 1:
         # roots of an orthogonal direct sum live inside single blocks
-        for comp in blocks:
-            sub = GramLattice(
-                gram=tuple(tuple(L.gram[i][j] for j in comp) for i in comp)
-            )
-            for r in roots(sub):
+        for comp, g in L.blocks:
+            for r in roots(GramLattice(gram=g)):
                 full = [0] * n
                 for pos, val in zip(comp, r):
                     full[pos] = val.numerator
@@ -476,13 +518,15 @@ class LengthBoundResult:
     excess: int
 
 
-def length_bound_check(L: GramLattice, ambient_rank: int) -> LengthBoundResult:
-    """Primitive-sublattice length bound inside a unimodular ambient lattice.
+def length_bound(rank: int, ambient_rank: int) -> int:
+    """For a primitive sublattice of rank r in a unimodular lattice of rank
+    N, the discriminant group length cannot exceed min(r, N - r)."""
+    return min(rank, ambient_rank - rank)
 
-    For a primitive sublattice of rank r in ambient rank N, the discriminant
-    group length cannot exceed min(r, N - r).
-    """
+
+def length_bound_check(L: GramLattice, ambient_rank: int) -> LengthBoundResult:
+    """Primitive-sublattice length bound inside a unimodular ambient lattice."""
     disc = discriminant_group(L)
-    bound = min(L.rank, ambient_rank - L.rank)
+    bound = length_bound(L.rank, ambient_rank)
     excess = max(0, disc.length - bound)
     return LengthBoundResult(excess == 0, disc.length, bound, excess)

@@ -89,16 +89,20 @@ def smith_normal_form(
 
     t = 0
     while t < min(m, n):
-        # global minimum pivot, re-selected after every elementary operation
-        # (keeps intermediate entries small; naive clearing can blow up)
+        # global minimum pivot (the first unit), re-selected after every
+        # elementary operation (keeps intermediate entries small)
         piv = None
-        best = None
+        best = 0
         for i in range(t, m):
+            row = A[i]
             for j in range(t, n):
-                v = A[i][j]
-                if v != 0 and (best is None or abs(v) < best):
-                    piv = (i, j)
-                    best = abs(v)
+                v = abs(row[j])
+                if v and (not best or v < best):
+                    piv, best = (i, j), v
+                    if v == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         if piv != (t, t):
@@ -113,13 +117,10 @@ def smith_normal_form(
         if j is not None:
             add_col(j, t, -(A[t][j] // d))
             continue
-        # pivot must divide every entry of the trailing block for the
-        # divisibility chain; merge an offending row and reduce again
-        offender = None
-        for i in range(t + 1, m):
-            if any(x % d for x in A[i][t + 1 :]):
-                offender = i
-                break
+        # a non-unit pivot must divide the trailing block for the divisibility
+        # chain; merge an offending row and reduce again
+        rows = range(t + 1, m) if best > 1 else ()
+        offender = next((i for i in rows if any(x % d for x in A[i][t + 1 :])), None)
         if offender is not None:
             add_row(t, offender, 1)
             continue

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from kummerlat import (
     parse_config,
 )
 from kummerlat.ade import invariant_factors_from_orders
+
+from test_snf import oracle_smith_normal_form
 
 TABLE_10 = {
     "16A1": 16,
@@ -201,6 +204,19 @@ def test_closed_form_T24hat_config():
 
 def test_closed_form_E8():
     assert closed_form_disc(parse_config("E8")) == ()
+
+
+def test_invariant_factors_from_orders_match_smith_form():
+    """The chain of a sum of cyclic groups is the Smith form of diag(orders)."""
+    rng = random.Random(15)
+    pool = list(range(1, 61)) + [49, 121, 125, 243, 997, 9409, 9973, 2 * 9973, 9991]
+    for _ in range(300):
+        orders = [rng.choice(pool) for _ in range(rng.randint(0, 7))]
+        diag = [[o * (i == j) for j in range(len(orders))] for i, o in enumerate(orders)]
+        D = oracle_smith_normal_form(diag)[0]
+        assert invariant_factors_from_orders(orders) == tuple(
+            D[i][i] for i in range(len(orders)) if D[i][i] > 1
+        ), orders
 
 
 # every component type of rank <= 19

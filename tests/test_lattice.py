@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, isqrt
@@ -23,18 +24,24 @@ from kummerlat import (
     q_value,
     roots,
 )
+from kummerlat.ade import component_gram
 from kummerlat.kummer import (
     DELTA_1,
     DELTA_2,
     DELTA_2_ALT,
     EVEN_SET_BLOCKS,
+    GROUP_CONFIGS,
     _t_base_vector,
+    build_F,
     build_K_Q8hat,
     build_K_T24hat,
 )
-from kummerlat.lattice import _search_levels, dual_defect
+from kummerlat.lattice import _search_levels, direct_sum, dual_defect, length_bound
+from kummerlat.snf import det_int, hermite_row_basis
 
 from fraction_oracles import fraction_contains, solve
+from test_divisibility import ATLAS_SAMPLE, COMPONENT_TYPES
+from test_snf import oracle_smith_normal_form
 
 
 def L(text):
@@ -85,6 +92,129 @@ def test_disc_generator_orders():
 
 def test_disc_degenerate():
     lat = GramLattice(gram=((0, 0), (0, 0)))
+    with pytest.raises(DegenerateLattice):
+        discriminant_group(lat)
+
+
+# --- per-block discriminant groups and determinants against the dense ones ---
+
+
+def oracle_discriminant_group(lat):
+    """(invariant factors, generators) from one Smith form of the whole Gram:
+    generator i is column i of V over d_i, coordinates reduced into [0, 1)."""
+    D, _, V = oracle_smith_normal_form([list(r) for r in lat.gram])
+    n = lat.rank
+    pieces = [(D[i][i], i) for i in range(n) if D[i][i] > 1]
+    gens = tuple(tuple(Fraction(V[j][i] % d, d) for j in range(n)) for d, i in pieces)
+    return tuple(d for d, _ in pieces), gens
+
+
+def first_fit_sums(seed):
+    """Every component type once, shuffled and packed first-fit into direct
+    sums of rank <= 19, in the shuffled block order."""
+    types = list(COMPONENT_TYPES)
+    random.Random(seed).shuffle(types)
+    bins = []
+    for letter, n in types:
+        fit = next((b for b in bins if sum(k for _, k in b) + n <= 19), None)
+        if fit is None:
+            bins.append([(letter, n)])
+        else:
+            fit.append((letter, n))
+    return [GramLattice(gram=direct_sum([component_gram(*t) for t in b])) for b in bins]
+
+
+def permuted(lat, seed):
+    """The same lattice in a shuffled basis, so that blocks interleave."""
+    perm = list(range(lat.rank))
+    random.Random(seed).shuffle(perm)
+    return GramLattice(gram=tuple(tuple(lat.gram[i][j] for j in perm) for i in perm))
+
+
+def disc_oracle_inputs():
+    """(kind, lattice) for the per-block versus dense comparisons."""
+    for letter, n in COMPONENT_TYPES:
+        yield "component", GramLattice(gram=component_gram(letter, n))
+    for config in ATLAS_SAMPLE:
+        yield "atlas", gram(config)
+    for seed in range(4):
+        for k, lat in enumerate(first_fit_sums(seed)):
+            yield "first-fit", lat
+            yield "permuted", permuted(lat, 100 * seed + k)
+    for group in GROUP_CONFIGS:
+        yield "F", build_F(group)
+    for build in (build_K_Q8hat, build_K_T24hat):
+        yield "K", build().K.lattice
+
+
+DISC_ORACLE_INPUTS = list(disc_oracle_inputs())
+
+
+def test_disc_matches_dense_oracle():
+    kinds = Counter()
+    for kind, lat in DISC_ORACLE_INPUTS:
+        kinds[kind] += 1
+        d = discriminant_group(lat)
+        factors, dense_gens = oracle_discriminant_group(lat)
+        assert d.invariant_factors == factors, (kind, lat.gram)
+        for f, g, q in zip(d.invariant_factors, d.generators, d.q_values):
+            # g lies in L^vee with exact order f, and q is its q-value
+            assert dual_defect(lat.gram, g) == (f, None)
+            assert q == q_value(lat, g)
+        # L and the generators span L^vee: their index over L is |det|
+        den = max(factors, default=1)
+        rows = [[den * (i == j) for j in range(lat.rank)] for i in range(lat.rank)]
+        rows += [[int(den * c) for c in g] for g in d.generators]
+        H = hermite_row_basis(rows)
+        assert den**lat.rank == abs(lat.det) * abs(det_int(H))
+        if len(lat.blocks) == 1:
+            kinds["one block"] += 1
+            assert d.generators == dense_gens, (kind, lat.gram)
+    assert kinds == {
+        "component": 38, "atlas": 300, "first-fit": 91, "permuted": 91, "F": 10, "K": 2,
+        "one block": 123,
+    }, kinds
+
+
+def test_disc_A3_keeps_dense_generator():
+    d = discriminant_group(L("A3"))
+    assert d.generators == ((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),)
+    assert d.q_values == (Fraction(5, 4),)
+
+
+def test_block_det_matches_dense():
+    for kind, lat in DISC_ORACLE_INPUTS:
+        assert lat.det == det_int([list(r) for r in lat.gram]), (kind, lat.gram)
+
+
+@pytest.mark.parametrize(
+    "blocks, det",
+    [
+        ([[[0, 1], [1, 0]]], -1),  # the hyperbolic plane
+        ([[[0, 1], [1, 0]], [[-2]]], 2),
+        ([[[1, 2], [2, 1]], [[-2]], [[-2]]], -12),
+        ([[[2, 1], [1, 2]], [[0, 3], [3, 0]], [[-1]]], 27),
+    ],
+)
+def test_block_det_signs(blocks, det):
+    lat = permuted(GramLattice(gram=direct_sum(blocks)), 7)
+    assert len(lat.blocks) == len(blocks)
+    assert lat.det == det == det_int([list(r) for r in lat.gram])
+    assert discriminant_group(lat).order == abs(det)
+    assert oracle_discriminant_group(lat)[0] == discriminant_group(lat).invariant_factors
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [[[-2]], [[2, 2], [2, 2]]],
+        [[[0]], [[-2, 1], [1, -2]]],
+        [[[-2, 1, 0], [1, -2, 1], [0, 1, -2]], [[1, 1, 0], [1, 2, 1], [0, 1, 1]]],
+    ],
+)
+def test_singular_block_is_degenerate(blocks):
+    lat = GramLattice(gram=direct_sum(blocks))
+    assert lat.det == 0 == det_int([list(r) for r in lat.gram])
     with pytest.raises(DegenerateLattice):
         discriminant_group(lat)
 
@@ -471,6 +601,7 @@ def test_overlattice_invariant_product():
 
 def test_length_bound_12A1():
     res = length_bound_check(L("12A1"), 22)
+    assert res.bound == length_bound(12, 22) == 10
     assert not res.ok
     assert res.excess == 2
     assert res.length == 12

@@ -8,7 +8,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kummerlat.snf import det_int, hermite_row_basis, mat_mul, smith_normal_form
+from kummerlat.ade import component_gram
+from kummerlat.kummer import build_K_Q8hat, build_K_T24hat
+from kummerlat.snf import det_int, hermite_row_basis, identity_matrix, mat_mul, smith_normal_form
+
+from test_divisibility import COMPONENT_TYPES
 
 
 def assert_snf_certificate(M):
@@ -210,3 +214,105 @@ def test_certificate_check_survives_optimize():
     assert "raised: Smith normal form certificate" in res.stdout
     assert res.returncode == 3
     assert "internal invariant violation" in res.stderr
+
+
+# --- the unit-pivot Smith form against the full-scan one ----------------------
+
+
+def oracle_smith_normal_form(mat):
+    """The Smith form before the unit-pivot exits: every pivot is a global
+    minimum found by a full scan, and the divisibility scan runs for every
+    pivot, units included."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    A = [list(row) for row in mat]
+    U = identity_matrix(m)
+    V = identity_matrix(n)
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for r in A:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(dst, src, q):
+        A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
+        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+
+    def add_col(dst, src, q):
+        for r in A:
+            r[dst] += q * r[src]
+        for r in V:
+            r[dst] += q * r[src]
+
+    t = 0
+    while t < min(m, n):
+        piv = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = A[i][j]
+                if v != 0 and (best is None or abs(v) < best):
+                    piv = (i, j)
+                    best = abs(v)
+        if piv is None:
+            break
+        if piv != (t, t):
+            swap_rows(t, piv[0])
+            swap_cols(t, piv[1])
+        d = A[t][t]
+        i = next((i for i in range(t + 1, m) if A[i][t] != 0), None)
+        if i is not None:
+            add_row(i, t, -(A[i][t] // d))
+            continue
+        j = next((j for j in range(t + 1, n) if A[t][j] != 0), None)
+        if j is not None:
+            add_col(j, t, -(A[t][j] // d))
+            continue
+        offender = None
+        for i in range(t + 1, m):
+            if any(x % d for x in A[i][t + 1 :]):
+                offender = i
+                break
+        if offender is not None:
+            add_row(t, offender, 1)
+            continue
+        t += 1
+
+    for i in range(min(m, n)):
+        if A[i][i] < 0:
+            A[i] = [-x for x in A[i]]
+            U[i] = [-x for x in U[i]]
+    return A, U, V
+
+
+def oracle_inputs():
+    """(kind, matrix): seeded random matrices, the 38 ADE block Grams and
+    the Grams of the two glued K lattices."""
+    rng = random.Random(20261018)
+    for t in range(600):
+        if t % 3 == 0:
+            # entries up to 2 give many unit pivots and singular matrices
+            n, size = rng.randint(1, 7), (9, 2)[t % 2]
+            yield "square", [[rng.randint(-size, size) for _ in range(n)] for _ in range(n)]
+        else:
+            yield "rows", random_rows(rng, rank_deficient=t % 3 == 2)
+    for letter, n in COMPONENT_TYPES:
+        yield "ADE", component_gram(letter, n)
+    for build in (build_K_Q8hat, build_K_T24hat):
+        yield "K", [list(r) for r in build().K.lattice.gram]
+
+
+def test_smith_normal_form_matches_full_scan():
+    kinds = Counter()
+    for kind, M in oracle_inputs():
+        m, n = len(M), len(M[0])
+        kinds[kind] += 1
+        kinds["non-square" if m != n else "singular" if det_int(M) == 0 else "regular"] += 1
+        assert smith_normal_form(M) == oracle_smith_normal_form(M), M
+    assert (kinds["ADE"], kinds["K"]) == (38, 2)
+    assert min(kinds[k] for k in ("non-square", "singular", "regular")) >= 30, kinds
