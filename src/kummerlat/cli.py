@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import divisibility, kummer, torus
 from .ade import enumerate_configs, m_value, parse_config
@@ -137,6 +138,7 @@ def _torsion_pair(text: str):
     return (_parse_rational(parts[0]), _parse_rational(parts[1]))
 
 
+@cache  # built once per process; parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kummerlat",

@@ -475,6 +475,7 @@ def _find_code(cls: _Classes, cands: list[int], k: int) -> tuple[list[int] | Non
         return False
 
     found = extend(pool, [0], 0)
+    del extend  # the closure refers to itself: free its search state now, not at a GC pass
     return (basis if found and target == k else None), (target if found else best_seen)
 
 

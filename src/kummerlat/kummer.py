@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .ade import ADEConfig, parse_config
 from . import ade
@@ -124,10 +125,8 @@ def _t_base_vector(coeffs: tuple[int, ...]) -> tuple[Fraction, ...]:
     """
     out = [Fraction(0)] * 19
     for r, c in enumerate(coeffs):
-        base = 1 + 3 * r
-        out[base] += Fraction(c, 4)
-        out[base + 1] += Fraction(2 * c, 4)
-        out[base + 2] += Fraction(3 * c, 4)
+        for s in range(3):
+            out[1 + 3 * r + s] += Fraction((s + 1) * c, 4)
     return tuple(out)
 
 
@@ -165,8 +164,7 @@ def build_K_Q8hat() -> KummerReport:
         v = [Fraction(0)] * 19
         for r in blocks:
             for s in (1, 3):
-                idx = 1 + 3 * (r - 1) + (s - 1)
-                v[idx] = Fraction(1, 2)
+                v[3 * r - 3 + s] = Fraction(1, 2)  # C_r^s
                 support.append(f"C{r}^{s}")
         if not K.contains(tuple(v)):
             raise AssertionError("half even set is missing from the saturation")
@@ -179,7 +177,7 @@ def build_K_Q8hat() -> KummerReport:
 
     alt = GlueVector.in_dual(F, _t_base_vector(DELTA_2_ALT))
     K_alt = overlattice(F, [d1, alt])
-    if K_alt.basis_in_parent != K.basis_in_parent:
+    if [[x * K.den for x in r] for r in K_alt.H] != [[x * K_alt.den for x in r] for r in K.H]:
         raise AssertionError("alternative second glue generates a different lattice")
     notes.append("delta_2 and its variant (3,1,2,0,3,1) generate the same lattice")
 
@@ -214,27 +212,25 @@ def build_K_T24hat() -> KummerReport:
     spec = spec_for("T24hat")
     F = build_F(spec)
     disc_F = discriminant_group(F)
-    n = F.rank
 
     # canonical block layout: 4 x A2 at 0,2,4,6; 2 x A3 at 8,11; A5 at 14
     free_pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
     a5_pairs = [(14, 15), (17, 18)]
     pairs = free_pairs + a5_pairs
 
+    # an orientation is the numerator w of w / 3, integral iff F.w = 0 mod 3
     valid = []
     for orient in product((1, 2), repeat=len(pairs)):
-        v = [Fraction(0)] * n
+        w = [0] * F.rank
         for (i, j), o in zip(pairs, orient):
-            ci, cj = (1, 2) if o == 1 else (2, 1)
-            v[i] = Fraction(ci, 3)
-            v[j] = Fraction(cj, 3)
-        if F.in_dual(tuple(v)):
-            valid.append((orient, tuple(v)))
+            w[i], w[j] = o, 3 - o
+        if all(sum(map(mul, row, w)) % 3 == 0 for row in F.gram):
+            valid.append((orient, w))
     if not valid:
         raise NoIntegralOrientation("no integral orientation for the order-3 glue")
 
-    orient, gamma = valid[0]
-    g = GlueVector.in_dual(F, gamma)
+    orient, w = valid[0]
+    g = GlueVector.in_dual(F, [Fraction(c, 3) for c in w])
     K = overlattice(F, [g])
     disc_K = discriminant_group(K.lattice)
 
@@ -244,7 +240,7 @@ def build_K_T24hat() -> KummerReport:
 
     labels = F.basis_labels
     orient_desc = tuple(
-        f"({labels[i]},{labels[j]}) <- ({1 if o == 1 else 2},{2 if o == 1 else 1})"
+        f"({labels[i]},{labels[j]}) <- ({o},{3 - o})"
         for (i, j), o in zip(pairs, orient)
     )
     return KummerReport(
@@ -258,7 +254,7 @@ def build_K_T24hat() -> KummerReport:
         root_pairs_K=len(roots_K),
         roots_equal=equal,
         glue_info=(f"integral orientations: {len(valid)}",) + orient_desc,
-        notes=(f"q(gamma) = {q_value(F, gamma)}",),
+        notes=(f"q(gamma) = {q_value(F, g.vector)}",),
     )
 
 
@@ -270,12 +266,12 @@ def _same_roots(K: OverlatticeResult, roots_parent, roots_over) -> bool:
     """
     den = K.den
     over_in_parent = set()
-    for w in mat_mul([[c.numerator for c in r] for r in roots_over], K.H):
+    for w in mat_mul(roots_over, K.H):
         if any(x % den for x in w):
             return False  # a root of the overlattice outside the parent
-        nz = next((x for x in w if x), 0)
+        nz = next(filter(None, w), 0)
         over_in_parent.add(tuple(x // den if nz > 0 else -x // den for x in w))
-    return {tuple(v) for v in roots_parent} == over_in_parent
+    return set(roots_parent) == over_in_parent
 
 
 def verify_root_equality(K: OverlatticeResult, F: GramLattice) -> bool:
@@ -283,11 +279,8 @@ def verify_root_equality(K: OverlatticeResult, F: GramLattice) -> bool:
 
     Raises NotASublattice when F is not contained in the overlattice.
     """
-    n = F.rank
-    for i in range(n):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-        if not K.contains(e):
-            raise NotASublattice("parent basis vector missing from overlattice")
+    if not all(K.contains([int(i == j) for j in range(F.rank)]) for i in range(F.rank)):
+        raise NotASublattice("parent basis vector missing from overlattice")
     return _same_roots(K, roots(F), roots(K.lattice))
 
 

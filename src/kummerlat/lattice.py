@@ -10,7 +10,9 @@ and runs on Python ints - never floats: a rational vector (or a set of
 them) is held as integer numerators over one common denominator, the lcm of
 its denominators.  Pairings, dual and glue checks, the root search, the
 overlattice Hermite basis and membership in it work on those numerators;
-`fractions.Fraction` appears only on values returned to the caller.
+`fractions.Fraction` appears only on rational values returned to the caller,
+so roots come back as integer tuples.  Determinants, discriminant groups and
+roots handle each distinct orthogonal block of a Gram once per call.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
 
@@ -148,12 +151,12 @@ class GramLattice:
     def blocks(self) -> tuple[tuple[list[int], tuple[tuple[int, ...], ...]], ...]:
         """Orthogonal blocks: (basis indices, Gram) for each connected
         component of the Gram's support graph, ordered by smallest index."""
-        comps = connected_components([[j for j, g in enumerate(row) if g] for row in self.gram])
-        return tuple((c, tuple(tuple(self.gram[i][j] for j in c) for i in c)) for c in comps)
+        comps = connected_components([list(compress(range(self.rank), row)) for row in self.gram])
+        return tuple((c, tuple(tuple(map(self.gram[i].__getitem__, c)) for i in c)) for c in comps)
 
     @cached_property
     def det(self) -> int:
-        return prod(det_int(g) for _, g in self.blocks)
+        return prod(det_int(g) ** k for g, k in Counter(g for _, g in self.blocks).items())
 
     def pair(self, x, y) -> Fraction:
         """Bilinear pairing x . y with respect to the Gram matrix."""
@@ -188,11 +191,9 @@ def direct_sum(blocks: list[list[list[int]]]) -> list[list[int]]:
     out = [[0] * n for _ in range(n)]
     ofs = 0
     for b in blocks:
-        k = len(b)
-        for i in range(k):
-            for j in range(k):
-                out[ofs + i][ofs + j] = b[i][j]
-        ofs += k
+        for i, row in enumerate(b):
+            out[ofs + i][ofs : ofs + len(b)] = row
+        ofs += len(b)
     return out
 
 
@@ -210,10 +211,7 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
     @property
     def length(self) -> int:
@@ -247,42 +245,54 @@ def q_value(L: GramLattice, x) -> Fraction:
 
 def primary_chain(pieces) -> list[list[tuple[int, int, object]]]:
     """Invariant-factor chain of a sum of cyclic groups Z/d, from pieces (d, x)
-    with d > 1 and any payload x.  Trial division splits each piece into parts
-    (q, d, x), q = p^e exactly dividing d; per prime the parts are sorted by q
-    (stably) and aligned at the top.  Returns the factors in ascending order,
-    each as its list of parts (the factor is the product of their q)."""
-    by_prime: dict[int, list] = {}
+    with d > 1 and any payload x.  A coprime base B of the orders (gcd
+    refinement, no factoring) splits each piece into parts (q, d, x), q = b^e
+    exactly dividing d for b in B; per base element the parts are sorted by q
+    (stably) and aligned at the top, which for every prime p | b is the
+    alignment of the p-parts.  Returns the factors in ascending order, each as
+    its list of parts (the factor is the product of their q)."""
+    pieces = list(pieces)
+    base: list[int] = []
+    todo = list(dict.fromkeys(d for d, _ in pieces))
+    while todo:
+        a = todo.pop()
+        b = next((b for b in base if gcd(a, b) > 1), None)
+        if b is None:
+            base.append(a)
+        else:  # a = g (a/g), b = g (b/g): the product of the pending terms drops
+            base.remove(b)
+            g = gcd(a, b)
+            todo += [t for t in (g, a // g, b // g) if t > 1]
+    by_base: dict[int, list] = {b: [] for b in base}
     for d, x in pieces:
-        rest, p = d, 2
-        while rest > 1:
-            p = p if p * p <= rest else rest
-            q = 1
-            while rest % p == 0:
-                rest, q = rest // p, q * p
+        for b, parts in by_base.items():
+            q = gcd(d, b ** d.bit_length())  # d is a product of powers of the base
             if q > 1:
-                by_prime.setdefault(p, []).append((q, d, x))
-            p += 1
-    for parts in by_prime.values():
+                parts.append((q, d, x))
+    for parts in by_base.values():
         parts.sort(key=itemgetter(0))
-    depth = max(map(len, by_prime.values()), default=0)
-    return [[ps[-k] for ps in by_prime.values() if len(ps) >= k] for k in range(depth, 0, -1)]
+    depth = max(map(len, by_base.values()), default=0)
+    return [[ps[-k] for ps in by_base.values() if len(ps) >= k] for k in range(depth, 0, -1)]
 
 
 def discriminant_group(L: GramLattice) -> DiscriminantGroup:
     """Invariant factors of coker(gram) with generators lifted to L^vee.
 
-    L^vee / L is the sum of the blocks' groups.  Each block's certified Smith
-    form gives pieces V_i / d, which split into parts c V_i / q of prime-power
-    order q (c = (d / q)^-1 mod q, so the parts add up to the piece) for
-    `primary_chain`.  A generator and its q-value are the sums of its parts'
-    (parts of coprime orders pair integrally): one block keeps its V_i / d.
+    L^vee / L is the sum of the blocks' groups.  The certified Smith form of
+    each distinct block Gram gives pieces V_i / d, which split into parts
+    c V_i / q of pairwise coprime orders q (c = (d / q)^-1 mod q, so the parts
+    add up to the piece) for `primary_chain`.  A generator and its q-value
+    are the sums of its parts' (parts of coprime orders pair integrally): one
+    block keeps its V_i / d.
     """
     if L.det == 0:
         raise DegenerateLattice("discriminant group needs det != 0")
-    pieces = []
+    snf, pieces = {}, []
     for comp, g in L.blocks:
-        D, _, V = smith_normal_form(g)
-        pieces += [(D[i][i], (comp, g, [r[i] for r in V])) for i in range(len(g)) if D[i][i] > 1]
+        if g not in snf:  # one Smith form per distinct block Gram
+            D, _, V = smith_normal_form(g)
+            snf[g] = [(D[i][i], [r[i] for r in V]) for i in range(len(g)) if D[i][i] > 1]
+        pieces += [(d, (comp, g, col)) for d, col in snf[g]]
     factors, gens, qs = [], [], []
     for parts in primary_chain(pieces):
         f = prod(q for q, _, _ in parts)
@@ -290,7 +300,7 @@ def discriminant_group(L: GramLattice) -> DiscriminantGroup:
         for q, d, (comp, g, col) in parts:
             c, w = pow(d // q, -1, q), f // q
             v = [c * x % q for x in col]
-            gv = [sum(a * b for a, b in zip(row, v) if b) for row in g]
+            gv = [sum(map(mul, row, v)) for row in g]
             if any(s % q for s in gv):
                 raise NotInDual(f"a part of order {q} pairs non-integrally with the lattice")
             for i, x in zip(comp, v):
@@ -462,52 +472,59 @@ def _block_roots(q) -> list[tuple[int, ...]]:
 
     def descend(i: int, rem: int, zero_above: bool) -> None:
         D, u, W = levels[i]
-        C = sum(c * x[j] for j, c in u)
+        C = 0
+        for j, c in u:
+            C += c * x[j]
         # D x_i + C ranges over [-m, m]; while x_j = 0 for all j > i only
         # x_i >= 0 is searched, which finds each pair once
         m = isqrt(rem // W)
         lo = 0 if zero_above else -((m + C) // D)
-        for xi in range(lo, (m - C) // D + 1):
-            t = D * xi + C
-            x[i] = xi
-            if i:
+        if i:
+            for xi in range(lo, (m - C) // D + 1):
+                t = D * xi + C
+                x[i] = xi
                 descend(i - 1, rem - W * t * t, zero_above and not xi)
-            elif rem == W * t * t:
-                found.append(tuple(x))
-        x[i] = 0
+            x[i] = 0
+        elif W * m * m == rem:  # last level: rem == W t^2 only for t = -m, m
+            for t in sorted({-m, m}):
+                xi, r = divmod(t - C, D)
+                if not r and xi >= lo:
+                    found.append((xi, *x[1:]))
 
     if n:
         descend(n - 1, 2 * S, True)
     return found
 
 
-def roots(L: GramLattice) -> list[RationalVector]:
+def roots(L: GramLattice) -> list[tuple[int, ...]]:
     """All norm -2 vectors of a negative definite lattice, one per {x, -x} pair.
 
     Exact Fincke-Pohst enumeration on -gram in Python ints: a fraction-free
     LDL scaled to integer weights and centres, with exact isqrt bounds, and
-    each pair searched once.  Orthogonal blocks are searched apart.  Pairs
-    are reported by the representative whose first nonzero coordinate is
-    positive, sorted; coordinates convert to `Fraction` only on return.
-    The raw vector count is 2 * len(result).
+    each pair searched once.  Roots of an orthogonal sum lie in single
+    blocks, so each distinct block Gram is searched once per call and its
+    roots are placed at every block with that Gram.  Pairs are reported by
+    the representative whose first nonzero coordinate is positive, as
+    sorted integer tuples.  The raw vector count is 2 * len(result).
     """
     n = L.rank
-    out: list[tuple[int, ...]] = []
-    if len(L.blocks) > 1:
-        # roots of an orthogonal direct sum live inside single blocks
-        for comp, g in L.blocks:
-            for r in roots(GramLattice(gram=g)):
+    found, out = {}, []  # per call: each distinct block Gram's roots
+    for comp, g in L.blocks:
+        if g not in found:
+            found[g] = [v if next(filter(None, v)) > 0 else tuple(-c for c in v)
+                        for v in _block_roots([[-x for x in row] for row in g])]
+        a, k = comp[0], len(comp)
+        if comp[-1] - a + 1 == k:  # contiguous: (0,)*a + r + (0,)*b
+            head, tail = (0,) * a, (0,) * (n - a - k)
+            out += [head + r + tail for r in found[g]]
+        else:
+            for r in found[g]:
                 full = [0] * n
                 for pos, val in zip(comp, r):
-                    full[pos] = val.numerator
+                    full[pos] = val
                 out.append(tuple(full))
-    else:
-        for v in _block_roots([[-g for g in row] for row in L.gram]):
-            out.append(v if next(c for c in v if c) > 0 else tuple(-c for c in v))
     out.sort()
-    # one Fraction per distinct coordinate value, shared by every vector
-    frac = {c: Fraction(c) for c in {c for v in out for c in v}}
-    return [tuple(map(frac.__getitem__, v)) for v in out]
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +18,9 @@ from kummerlat import (
     max_disjoint_curves,
     parse_config,
 )
-from kummerlat.ade import invariant_factors_from_orders
+from kummerlat.ade import component_gram, invariant_factors_from_orders
 
+from test_divisibility import COMPONENT_TYPES
 from test_snf import oracle_smith_normal_form
 
 TABLE_10 = {
@@ -217,6 +219,58 @@ def test_invariant_factors_from_orders_match_smith_form():
         assert invariant_factors_from_orders(orders) == tuple(
             D[i][i] for i in range(len(orders)) if D[i][i] > 1
         ), orders
+
+
+def trial_division_chain(orders):
+    """Invariant factors of a sum of cyclic groups Z/d, by factoring each
+    order by trial division: per prime, the prime-power parts sorted and
+    aligned at the top of the chain."""
+    by_prime = {}
+    for d in orders:
+        rest, p = d, 2
+        while rest > 1:
+            p = p if p * p <= rest else rest
+            q = 1
+            while rest % p == 0:
+                rest, q = rest // p, q * p
+            if q > 1:
+                by_prime.setdefault(p, []).append(q)
+            p += 1
+    for parts in by_prime.values():
+        parts.sort()
+    depth = max(map(len, by_prime.values()), default=0)
+    return tuple(
+        prod(ps[-k] for ps in by_prime.values() if len(ps) >= k) for k in range(depth, 0, -1)
+    )
+
+
+def test_coprime_base_chain_matches_trial_division():
+    rng = random.Random(17)
+    # composite orders whose coprime base is not prime: 6 and 10 refine to 2, 3, 5
+    pool = list(range(2, 61)) + [6, 10, 15, 36, 100, 210, 243, 1024, 2310, 9409, 9973 * 9967]
+    for _ in range(400):
+        orders = [rng.choice(pool) for _ in range(rng.randint(0, 9))]
+        assert invariant_factors_from_orders(orders) == trial_division_chain(orders), orders
+
+
+@pytest.mark.parametrize("letter,n", COMPONENT_TYPES, ids=[f"{t}{n}" for t, n in COMPONENT_TYPES])
+def test_coprime_base_chain_on_component_types(letter, n):
+    # the Smith orders of the block, alone, three times, and next to every other type
+    D = oracle_smith_normal_form(component_gram(letter, n))[0]
+    orders = [D[i][i] for i in range(n)]
+    others = [oracle_smith_normal_form(component_gram(*t))[0][-1][-1] for t in COMPONENT_TYPES]
+    for multiset in (orders, orders * 3, orders + others):
+        assert invariant_factors_from_orders(multiset) == trial_division_chain(multiset)
+
+
+def test_coprime_base_chain_on_huge_primes():
+    # no factoring: orders built from primes near 10^12 and 10^14
+    p, q, r = 1000000000039, 100000000000031, 999999999989
+    for orders in ([p], [p * q, q], [p * p, p * q, r], [p * q * r, p, q * r, 6 * q]):
+        D = oracle_smith_normal_form([[o * (i == j) for j in range(len(orders))]
+                                      for i, o in enumerate(orders)])[0]
+        want = tuple(D[i][i] for i in range(len(orders)) if D[i][i] > 1)
+        assert invariant_factors_from_orders(orders) == want, orders
 
 
 # every component type of rank <= 19

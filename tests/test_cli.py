@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -216,3 +216,38 @@ def test_deterministic_output():
     b = run_cli("kummer", "--group", "T24hat", "--json").stdout
     assert a == b
 
+
+
+# valid and invalid runs: argparse usage errors, ValueError exits and JSON output
+MIXED_ARGVS = [
+    ["census", "--m", "3/2", "--json"],
+    ["obstruct", "--config", "2D3"],
+    ["kummer", "--group", "Z2", "--json"],
+    ["census"],
+    ["torus", "--group", "Q8", "--e1", "1/2,0"],
+    ["obstruct", "--config", "11A1+2A3", "--json"],
+    ["kummer", "--group", "nope"],
+    ["torus", "--group", "neg1", "--json"],
+]
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call():
+    fresh = []
+    for argv in MIXED_ARGVS:
+        cli.build_parser.cache_clear()
+        fresh.append(run_main(argv))
+    cli.build_parser.cache_clear()
+    shared = [run_main(argv) for argv in MIXED_ARGVS]
+    assert cli.build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 2, 0, 2, 0]

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -24,6 +25,7 @@ from kummerlat import (
     q_value,
     roots,
 )
+from kummerlat import lattice
 from kummerlat.ade import component_gram
 from kummerlat.kummer import (
     DELTA_1,
@@ -124,10 +126,16 @@ def first_fit_sums(seed):
     return [GramLattice(gram=direct_sum([component_gram(*t) for t in b])) for b in bins]
 
 
-def permuted(lat, seed):
-    """The same lattice in a shuffled basis, so that blocks interleave."""
-    perm = list(range(lat.rank))
+def shuffled(n, seed):
+    perm = list(range(n))
     random.Random(seed).shuffle(perm)
+    return perm
+
+
+def permuted(lat, seed):
+    """The same lattice in a shuffled basis, so that blocks interleave: basis
+    vector i is the old basis vector shuffled(rank, seed)[i]."""
+    perm = shuffled(lat.rank, seed)
     return GramLattice(gram=tuple(tuple(lat.gram[i][j] for j in perm) for i in perm))
 
 
@@ -194,6 +202,11 @@ def test_block_det_matches_dense():
         ([[[0, 1], [1, 0]], [[-2]]], 2),
         ([[[1, 2], [2, 1]], [[-2]], [[-2]]], -12),
         ([[[2, 1], [1, 2]], [[0, 3], [3, 0]], [[-1]]], 27),
+        # repeated blocks: one det_int each, raised to the multiplicity
+        ([[[0, 1], [1, 0]]] * 3 + [[[-2]]], 2),
+        ([[[0, 1], [1, 0]]] * 2 + [[[-2]]], -2),
+        ([[[1, 2], [2, 1]]] * 3 + [[[-2]]], 54),
+        ([[[-2, 1], [1, -2]]] * 4 + [[[-2]]], -162),
     ],
 )
 def test_block_det_signs(blocks, det):
@@ -210,6 +223,7 @@ def test_block_det_signs(blocks, det):
         [[[-2]], [[2, 2], [2, 2]]],
         [[[0]], [[-2, 1], [1, -2]]],
         [[[-2, 1, 0], [1, -2, 1], [0, 1, -2]], [[1, 1, 0], [1, 2, 1], [0, 1, 1]]],
+        [[[2, 2], [2, 2]]] * 3 + [[[-2]]],
     ],
 )
 def test_singular_block_is_degenerate(blocks):
@@ -217,6 +231,33 @@ def test_singular_block_is_degenerate(blocks):
     assert lat.det == 0 == det_int([list(r) for r in lat.gram])
     with pytest.raises(DegenerateLattice):
         discriminant_group(lat)
+
+
+@pytest.mark.parametrize("text, distinct", [("19A1", 1), ("A1+6A3", 2), ("4A2+2A3+A5", 3)])
+def test_smith_and_det_once_per_distinct_block(monkeypatch, text, distinct):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(lattice, name)
+        return lambda g: calls.update([name]) or real(g)
+
+    for name in ("smith_normal_form", "det_int"):
+        monkeypatch.setattr(lattice, name, counted(name))
+    lat = L(text)
+    d = discriminant_group(lat)
+    assert calls == {"smith_normal_form": distinct, "det_int": distinct}
+    assert d.invariant_factors == oracle_discriminant_group(lat)[0]
+
+
+def test_disc_huge_prime_block():
+    # the coprime base splits the orders without factoring them
+    p = 100000000000031
+    lat = GramLattice(gram=((-p,),))
+    start = time.perf_counter()
+    d = discriminant_group(lat)
+    assert time.perf_counter() - start < 0.1
+    assert d.invariant_factors == (p,) and d.generators == ((Fraction(1, p),),)
+    assert d.q_values == (2 - Fraction(1, p),)
 
 
 # --- q values ---------------------------------------------------------------
@@ -436,6 +477,44 @@ def test_roots_match_fraction_search_kummer(build):
         got = roots(lat)
         assert got == fraction_roots(lat)
         assert len(got) == {"Q8hat": 37, "T24hat": 39}[report.group]
+
+
+# --- roots of split and repeated blocks --------------------------------------
+
+
+def sign_normalised(vectors):
+    return sorted(v if next(filter(None, v)) > 0 else tuple(-c for c in v) for v in vectors)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_roots_of_permuted_first_fit_sums(seed):
+    split = 0
+    for k, lat in enumerate(first_fit_sums(seed)):
+        perm = shuffled(lat.rank, 100 * seed + k)
+        shuffled_lat = permuted(lat, 100 * seed + k)
+        split += any(c[-1] - c[0] + 1 != len(c) for c, _ in shuffled_lat.blocks)
+        got = roots(shuffled_lat)
+        assert got == sign_normalised(tuple(r[i] for i in perm) for r in roots(lat))
+        assert all(type(c) is int for v in got for c in v)
+    assert split >= 5  # non-contiguous blocks are scattered, not concatenated
+
+
+@pytest.mark.parametrize("text, pairs", [("19A1", 19), ("A1+6A3", 37), ("A1+6A2", 19)])
+def test_roots_of_repeated_blocks(text, pairs):
+    lat = L(text)
+    got = roots(lat)
+    assert len(got) == pairs and got == fraction_roots(lat)
+    assert all(type(c) is int for v in got for c in v)
+
+
+@pytest.mark.parametrize("text, distinct", [("19A1", 1), ("A1+6A3", 2), ("4A2+2A3+A5", 3)])
+def test_block_roots_once_per_distinct_block(monkeypatch, text, distinct):
+    calls = []
+    real = lattice._block_roots
+    monkeypatch.setattr(lattice, "_block_roots", lambda q: calls.append(q) or real(q))
+    lat = L(text)
+    assert roots(lat) == fraction_roots(lat)
+    assert len(calls) == distinct
 
 
 # --- glue and overlattices ---------------------------------------------------
