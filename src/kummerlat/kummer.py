@@ -125,8 +125,10 @@ def _t_base_vector(coeffs: tuple[int, ...]) -> tuple[Fraction, ...]:
     """
     out = [Fraction(0)] * 19
     for r, c in enumerate(coeffs):
-        for s in range(3):
-            out[1 + 3 * r + s] += Fraction((s + 1) * c, 4)
+        base = 1 + 3 * r
+        out[base] += Fraction(c, 4)
+        out[base + 1] += Fraction(2 * c, 4)
+        out[base + 2] += Fraction(3 * c, 4)
     return tuple(out)
 
 
@@ -164,7 +166,8 @@ def build_K_Q8hat() -> KummerReport:
         v = [Fraction(0)] * 19
         for r in blocks:
             for s in (1, 3):
-                v[3 * r - 3 + s] = Fraction(1, 2)  # C_r^s
+                idx = 1 + 3 * (r - 1) + (s - 1)
+                v[idx] = Fraction(1, 2)
                 support.append(f"C{r}^{s}")
         if not K.contains(tuple(v)):
             raise AssertionError("half even set is missing from the saturation")
@@ -240,7 +243,7 @@ def build_K_T24hat() -> KummerReport:
 
     labels = F.basis_labels
     orient_desc = tuple(
-        f"({labels[i]},{labels[j]}) <- ({o},{3 - o})"
+        f"({labels[i]},{labels[j]}) <- ({1 if o == 1 else 2},{2 if o == 1 else 1})"
         for (i, j), o in zip(pairs, orient)
     )
     return KummerReport(
@@ -269,7 +272,7 @@ def _same_roots(K: OverlatticeResult, roots_parent, roots_over) -> bool:
     for w in mat_mul(roots_over, K.H):
         if any(x % den for x in w):
             return False  # a root of the overlattice outside the parent
-        nz = next(filter(None, w), 0)
+        nz = next((x for x in w if x), 0)
         over_in_parent.add(tuple(x // den if nz > 0 else -x // den for x in w))
     return set(roots_parent) == over_in_parent
 
@@ -279,8 +282,11 @@ def verify_root_equality(K: OverlatticeResult, F: GramLattice) -> bool:
 
     Raises NotASublattice when F is not contained in the overlattice.
     """
-    if not all(K.contains([int(i == j) for j in range(F.rank)]) for i in range(F.rank)):
-        raise NotASublattice("parent basis vector missing from overlattice")
+    n = F.rank
+    for i in range(n):
+        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+        if not K.contains(e):
+            raise NotASublattice("parent basis vector missing from overlattice")
     return _same_roots(K, roots(F), roots(K.lattice))
 
 

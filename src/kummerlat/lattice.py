@@ -10,9 +10,8 @@ and runs on Python ints - never floats: a rational vector (or a set of
 them) is held as integer numerators over one common denominator, the lcm of
 its denominators.  Pairings, dual and glue checks, the root search, the
 overlattice Hermite basis and membership in it work on those numerators;
-`fractions.Fraction` appears only on rational values returned to the caller,
-so roots come back as integer tuples.  Determinants, discriminant groups and
-roots handle each distinct orthogonal block of a Gram once per call.
+`fractions.Fraction` appears only on rational values returned to the caller
+(roots are integer tuples).  Each distinct block is handled once per call.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
 
@@ -151,8 +149,8 @@ class GramLattice:
     def blocks(self) -> tuple[tuple[list[int], tuple[tuple[int, ...], ...]], ...]:
         """Orthogonal blocks: (basis indices, Gram) for each connected
         component of the Gram's support graph, ordered by smallest index."""
-        comps = connected_components([list(compress(range(self.rank), row)) for row in self.gram])
-        return tuple((c, tuple(tuple(map(self.gram[i].__getitem__, c)) for i in c)) for c in comps)
+        comps = connected_components([[j for j, g in enumerate(row) if g] for row in self.gram])
+        return tuple((c, tuple(tuple(self.gram[i][j] for j in c) for i in c)) for c in comps)
 
     @cached_property
     def det(self) -> int:
@@ -191,9 +189,11 @@ def direct_sum(blocks: list[list[list[int]]]) -> list[list[int]]:
     out = [[0] * n for _ in range(n)]
     ofs = 0
     for b in blocks:
-        for i, row in enumerate(b):
-            out[ofs + i][ofs : ofs + len(b)] = row
-        ofs += len(b)
+        k = len(b)
+        for i in range(k):
+            for j in range(k):
+                out[ofs + i][ofs + j] = b[i][j]
+        ofs += k
     return out
 
 
@@ -211,7 +211,10 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        return prod(self.invariant_factors)
+        out = 1
+        for d in self.invariant_factors:
+            out *= d
+        return out
 
     @property
     def length(self) -> int:
@@ -245,12 +248,10 @@ def q_value(L: GramLattice, x) -> Fraction:
 
 def primary_chain(pieces) -> list[list[tuple[int, int, object]]]:
     """Invariant-factor chain of a sum of cyclic groups Z/d, from pieces (d, x)
-    with d > 1 and any payload x.  A coprime base B of the orders (gcd
-    refinement, no factoring) splits each piece into parts (q, d, x), q = b^e
-    exactly dividing d for b in B; per base element the parts are sorted by q
-    (stably) and aligned at the top, which for every prime p | b is the
-    alignment of the p-parts.  Returns the factors in ascending order, each as
-    its list of parts (the factor is the product of their q)."""
+    with d > 1 and any payload x.  A coprime base of the orders, found by gcd
+    refinement without factoring, splits each piece into parts (q, d, x); per
+    base element the parts are sorted by q (stably) and aligned at the top.
+    Returns the factors in ascending order, each as its list of parts."""
     pieces = list(pieces)
     base: list[int] = []
     todo = list(dict.fromkeys(d for d, _ in pieces))
@@ -279,11 +280,10 @@ def discriminant_group(L: GramLattice) -> DiscriminantGroup:
     """Invariant factors of coker(gram) with generators lifted to L^vee.
 
     L^vee / L is the sum of the blocks' groups.  The certified Smith form of
-    each distinct block Gram gives pieces V_i / d, which split into parts
-    c V_i / q of pairwise coprime orders q (c = (d / q)^-1 mod q, so the parts
-    add up to the piece) for `primary_chain`.  A generator and its q-value
-    are the sums of its parts' (parts of coprime orders pair integrally): one
-    block keeps its V_i / d.
+    each distinct block Gram gives pieces V_i / d, split by `primary_chain`
+    into parts c V_i / q of coprime orders q (c = (d / q)^-1 mod q).  A
+    generator and its q-value are the sums of its parts' (parts of coprime
+    orders pair integrally): one block keeps its V_i / d.
     """
     if L.det == 0:
         raise DegenerateLattice("discriminant group needs det != 0")
@@ -300,7 +300,7 @@ def discriminant_group(L: GramLattice) -> DiscriminantGroup:
         for q, d, (comp, g, col) in parts:
             c, w = pow(d // q, -1, q), f // q
             v = [c * x % q for x in col]
-            gv = [sum(map(mul, row, v)) for row in g]
+            gv = [sum(a * b for a, b in zip(row, v) if b) for row in g]
             if any(s % q for s in gv):
                 raise NotInDual(f"a part of order {q} pairs non-integrally with the lattice")
             for i, x in zip(comp, v):
@@ -513,16 +513,11 @@ def roots(L: GramLattice) -> list[tuple[int, ...]]:
         if g not in found:
             found[g] = [v if next(filter(None, v)) > 0 else tuple(-c for c in v)
                         for v in _block_roots([[-x for x in row] for row in g])]
-        a, k = comp[0], len(comp)
-        if comp[-1] - a + 1 == k:  # contiguous: (0,)*a + r + (0,)*b
-            head, tail = (0,) * a, (0,) * (n - a - k)
-            out += [head + r + tail for r in found[g]]
-        else:
-            for r in found[g]:
-                full = [0] * n
-                for pos, val in zip(comp, r):
-                    full[pos] = val
-                out.append(tuple(full))
+        for r in found[g]:
+            full = [0] * n
+            for pos, val in zip(comp, r):
+                full[pos] = val
+            out.append(tuple(full))
     out.sort()
     return out
 

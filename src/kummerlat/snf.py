@@ -72,7 +72,9 @@ def smith_normal_form(
         U[i], U[j] = U[j], U[i]
 
     def swap_cols(i: int, j: int) -> None:
-        for r in (*A, *V):
+        for r in A:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
             r[i], r[j] = r[j], r[i]
 
     def add_row(dst: int, src: int, q: int) -> None:
@@ -80,14 +82,17 @@ def smith_normal_form(
         U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
 
     def add_col(dst: int, src: int, q: int) -> None:
-        for r in (*A, *V):
+        for r in A:
+            r[dst] += q * r[src]
+        for r in V:
             r[dst] += q * r[src]
 
     t = 0
     while t < min(m, n):
         # global minimum pivot (the first unit), re-selected after every
         # elementary operation (keeps intermediate entries small)
-        piv, best = None, 0
+        piv = None
+        best = 0
         for i in range(t, m):
             row = A[i]
             for j in range(t, n):
@@ -104,13 +109,6 @@ def smith_normal_form(
             swap_rows(t, piv[0])
             swap_cols(t, piv[1])
         d = A[t][t]
-        if best == 1:  # the re-scans keep a unit pivot: clear its column, then its row
-            for i in [i for i in range(t + 1, m) if A[i][t]]:
-                add_row(i, t, -A[i][t] * d)
-            for j in [j for j in range(t + 1, n) if A[t][j]]:
-                add_col(j, t, -A[t][j] * d)
-            t += 1
-            continue
         i = next((i for i in range(t + 1, m) if A[i][t] != 0), None)
         if i is not None:
             add_row(i, t, -(A[i][t] // d))
@@ -121,7 +119,8 @@ def smith_normal_form(
             continue
         # a non-unit pivot must divide the trailing block for the divisibility
         # chain; merge an offending row and reduce again
-        offender = next((i for i in range(t + 1, m) if any(x % d for x in A[i][t + 1 :])), None)
+        rows = range(t + 1, m) if best > 1 else ()
+        offender = next((i for i in rows if any(x % d for x in A[i][t + 1 :])), None)
         if offender is not None:
             add_row(t, offender, 1)
             continue

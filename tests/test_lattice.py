@@ -1,9 +1,8 @@
 import random
-import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, isqrt
+from math import ceil, floor, isqrt, lcm
 from operator import mul
 
 import pytest
@@ -250,14 +249,22 @@ def test_smith_and_det_once_per_distinct_block(monkeypatch, text, distinct):
 
 
 def test_disc_huge_prime_block():
-    # the coprime base splits the orders without factoring them
     p = 100000000000031
-    lat = GramLattice(gram=((-p,),))
-    start = time.perf_counter()
-    d = discriminant_group(lat)
-    assert time.perf_counter() - start < 0.1
+    d = discriminant_group(GramLattice(gram=((-p,),)))
     assert d.invariant_factors == (p,) and d.generators == ((Fraction(1, p),),)
     assert d.q_values == (2 - Fraction(1, p),)
+
+
+def test_disc_huge_composite_blocks():
+    # the coprime base splits the orders without factoring them; trial
+    # division up to the prime factors of p * q (near 10^14) would not finish
+    p, q = 100000000000031, 100000000000133
+    lat = GramLattice(gram=((-2 * p, 0), (0, -2 * p * q)))
+    d = discriminant_group(lat)
+    assert d.invariant_factors == (2 * p, 2 * p * q)
+    for f, g, qv in zip(d.invariant_factors, d.generators, d.q_values):
+        assert lcm(*(c.denominator for c in g)) == f  # the order of g mod L = Z^2
+        assert lat.in_dual(g) and q_value(lat, g) == qv
 
 
 # --- q values ---------------------------------------------------------------
