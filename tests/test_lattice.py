@@ -503,7 +503,7 @@ def test_roots_of_permuted_first_fit_sums(seed):
         got = roots(shuffled_lat)
         assert got == sign_normalised(tuple(r[i] for i in perm) for r in roots(lat))
         assert all(type(c) is int for v in got for c in v)
-    assert split >= 5  # non-contiguous blocks are scattered, not concatenated
+    assert split >= 5  # the permuted sums do have non-contiguous blocks
 
 
 @pytest.mark.parametrize("text, pairs", [("19A1", 19), ("A1+6A3", 37), ("A1+6A2", 19)])
