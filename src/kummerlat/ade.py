@@ -337,6 +337,7 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
                 descend(idx + 1, rem_m - c * m_comp, rem_rank - c * n, more)
 
     descend(0, int(m_target * scale), max_rank, {})
+    del descend  # the closure refers to itself: free it now, not at a GC pass
     return sorted(results, key=ADEConfig.sort_key)
 
 

@@ -294,21 +294,24 @@ def three_divisible_candidates(config: ADEConfig) -> list[DivisibleCandidate]:
     sub-configurations whose weighted third-sum is integral against all
     curves."""
     ctx = _Context(config)
-    cls = ctx.classes[3]
-    n = ctx.n
+    cls, n, labels = ctx.classes[3], ctx.n, ctx.labels
     thirds = tuple(Fraction(c, 3) for c in range(3))
-    out = []
-    for v in _enumerate_candidates(cls, cls.patterns):
-        coeffs = tuple((v >> i & 1) + 2 * (v >> (n + i) & 1) for i in range(n))
-        pairs = []  # components are increasing node ranges, so this stays sorted
-        for letter, k, start, stop in ctx.graph.component_slices:
-            local = _pairs_of_coeffs(letter, k, coeffs[start:stop])
-            if local is None:
-                raise AssertionError("candidate coefficients fail to decompose")
-            pairs += [(start + i, start + j) for i, j in local]
-        support = tuple((ctx.labels[i], ctx.labels[j]) for i, j in pairs)
-        vectorc = tuple(thirds[c] for c in coeffs)
-        out.append(DivisibleCandidate(3, support, vectorc))
+    def coeffs(v: int, lo: int = 0, hi: int = n) -> tuple[int, ...]:  # of curves lo .. hi - 1
+        return tuple((v >> i & 1) + 2 * (v >> (n + i) & 1) for i in range(lo, hi))
+    # each component's bits and the labelled pairs of its allowed patterns
+    # (which decompose), built once per pattern
+    parts = []
+    for (letter, k, start, stop), pats in zip(ctx.graph.component_slices, cls.patterns):
+        table = {0: ()}
+        for v in pats:
+            local = _pairs_of_coeffs(letter, k, coeffs(v, start, stop))
+            table[v] = tuple((labels[start + i], labels[start + j]) for i, j in local)
+        bits = ((1 << k) - 1) << start
+        parts.append((bits | bits << n, table))
+    # components are increasing node ranges, so a candidate's pairs stay sorted
+    out = [DivisibleCandidate(3, sum((table[v & bits] for bits, table in parts), ()),
+                              tuple(thirds[c] for c in coeffs(v)))
+           for v in _enumerate_candidates(cls, cls.patterns)]
     out.sort(key=lambda c: (len(c.support), c.support))
     return out
 
@@ -338,10 +341,9 @@ def double_cover_transform(config: ADEConfig, candidate) -> ADEConfig:
     (-2)-curves; the result is recognized as an ADE configuration,
     component by component.
     """
-    graph = dynkin(config)
+    graph, index_of = _labelled_graph(config)
     if isinstance(candidate, DivisibleCandidate):
         candidate = candidate.support
-    index_of = {lab: i for i, lab in enumerate(graph.nodes)}
     mask = sum(1 << index_of[lab] for lab in set(candidate))
     hits = [0] * len(graph.nodes)
     for i, j in graph.edges:
@@ -360,6 +362,12 @@ def double_cover_transform(config: ADEConfig, candidate) -> ADEConfig:
         if isinstance(piece, str):
             raise NotADEAfterContraction(piece)
     return sum(pieces, ADEConfig())
+
+
+@lru_cache(maxsize=64)
+def _labelled_graph(config: ADEConfig) -> tuple[DynkinGraph, dict[str, int]]:
+    graph = dynkin(config)  # and each node label's index, once per configuration
+    return graph, {lab: i for i, lab in enumerate(graph.nodes)}
 
 
 def _cover_pieces(graph: DynkinGraph, mask: int) -> list[ADEConfig | str]:

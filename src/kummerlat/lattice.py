@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm, prod
+from itertools import compress
 from operator import itemgetter, mul
 
-from .snf import det_int, hermite_row_basis, mat_mul, smith_normal_form
+from .snf import bareiss, det_int, hermite_row_basis, mat_mul, smith_normal_form
 
 RationalVector = tuple[Fraction, ...]
 
@@ -437,26 +438,18 @@ def _search_levels(q) -> tuple[int, list]:
     Level k is (D_k, [(j, U_kj) for j > k], W_k): the centre of x_k is
     -C_k / D_k with C_k = sum_j U_kj x_j, and for the returned scale S,
     S x.q.x = sum_k W_k (D_k x_k + C_k)^2 with every W_k an integer.
-    Raises NotNegativeDefinite (the caller passes -gram) when a pivot fails.
+    Raises NotNegativeDefinite (the caller passes -gram) unless every
+    leading principal minor is positive.
     """
-    n = len(q)
-    m = [list(row) for row in q]
-    prev = 1
-    raw = []
-    for k in range(n):
-        p = m[k][k]
-        if p <= 0:
-            raise NotNegativeDefinite("Gram matrix is not negative definite")
-        row = m[k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            f = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (p * mi[j] - f * row[j]) // prev
-        g = gcd(p, *row[k + 1:])
+    swaps, rows = bareiss(q)
+    if swaps or len(rows) < len(q) or any(row[k] <= 0 for k, row in enumerate(rows)):
+        raise NotNegativeDefinite("Gram matrix is not negative definite")
+    prev, raw = 1, []
+    for k, row in enumerate(rows):
+        p, g = row[k], gcd(*row[k:])
         D = p // g
-        # level weight p / (prev D^2)
-        raw.append((D, [(j, row[j] // g) for j in range(k + 1, n) if row[j]], p, prev * D * D))
+        u = [(j, row[j] // g) for j in compress(range(k + 1, len(q)), row[k + 1 :])]
+        raw.append((D, u, p, prev * D * D))  # level weight p / (prev D^2)
         prev = p
     S = lcm(*(w_den for *_, w_den in raw))
     return S, [(D, u, w_num * (S // w_den)) for D, u, w_num, w_den in raw]
@@ -483,8 +476,20 @@ def _block_roots(q) -> list[tuple[int, ...]]:
             for xi in range(lo, (m - C) // D + 1):
                 t = D * xi + C
                 x[i] = xi
-                descend(i - 1, rem - W * t * t, zero_above and not xi)
-            x[i] = 0
+                if r := rem - W * t * t:
+                    descend(i - 1, r, zero_above and not xi)
+                    continue
+                # zero budget: each lower level is forced, D_k x_k + C_k = 0
+                for k in range(i - 1, -1, -1):
+                    Dk, uk, _ = levels[k]
+                    Ck = 0
+                    for j, c in uk:
+                        Ck += c * x[j]
+                    x[k], s = divmod(-Ck, Dk)
+                    if s:
+                        break
+                else:
+                    found.append(tuple(x))
         elif W * m * m == rem:  # last level: rem == W t^2 only for t = -m, m
             for t in sorted({-m, m}):
                 xi, r = divmod(t - C, D)
@@ -493,6 +498,7 @@ def _block_roots(q) -> list[tuple[int, ...]]:
 
     if n:
         descend(n - 1, 2 * S, True)
+    del descend  # the closure refers to itself: free its search state now, not at a GC pass
     return found
 
 
@@ -502,22 +508,21 @@ def roots(L: GramLattice) -> list[tuple[int, ...]]:
     Exact Fincke-Pohst enumeration on -gram in Python ints: a fraction-free
     LDL scaled to integer weights and centres, with exact isqrt bounds, and
     each pair searched once.  Roots of an orthogonal sum lie in single
-    blocks, so each distinct block Gram is searched once per call and its
-    roots are placed at every block with that Gram.  Pairs are reported by
-    the representative whose first nonzero coordinate is positive, as
-    sorted integer tuples.  The raw vector count is 2 * len(result).
+    blocks, so each distinct block Gram is searched once per call, in
+    reversed coordinates, and its roots are placed at every block with that
+    Gram.  Pairs are reported by the representative whose first nonzero
+    coordinate is positive, as sorted integer tuples (2 * len(result) vectors).
     """
     n = L.rank
     found, out = {}, []  # per call: each distinct block Gram's roots
     for comp, g in L.blocks:
-        if g not in found:
-            found[g] = [v if next(filter(None, v)) > 0 else tuple(-c for c in v)
-                        for v in _block_roots([[-x for x in row] for row in g])]
-        for r in found[g]:
-            full = [0] * n
-            for pos, val in zip(comp, r):
-                full[pos] = val
-            out.append(tuple(full))
+        if g not in found:  # searched in reversed coordinates, each root padded by a 0
+            rev = [[-x for x in reversed(row)] for row in reversed(g)]
+            found[g] = [(*y, 0) for y in _block_roots(rev)]
+        idx = [-1] * n  # (*y, 0)[idx[i]] is coordinate i of the placed root y
+        for c, i in enumerate(reversed(comp)):
+            idx[i] = c
+        out += map(itemgetter(*idx) if n > 1 else itemgetter(slice(1)), found[g])  # 1-tuples
     out.sort()
     return out
 

@@ -10,46 +10,64 @@ IntMatrix = list[list[int]]
 
 
 def identity_matrix(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n, k = len(a), len(b)
+    """a * b, skipping the zero entries of both factors."""
     m = len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
+    out = []
+    for ai in a:
+        oi = [0] * m
+        for c, bt in zip(ai, b):
             if c:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += c * bt[j]
+                for j, x in enumerate(bt):
+                    if x:
+                        oi[j] += c * x
+        out.append(oi)
     return out
+
+
+def bareiss(mat: IntMatrix) -> tuple[int, IntMatrix]:
+    """Fraction-free (Bareiss) elimination of a square integer matrix.
+
+    Returns (swaps, rows): rows[k][k:] is pivot row k and rows[k][k] the k-th
+    pivot, with no swaps the leading principal minor of order k + 1.  A zero
+    pivot is swapped with the first nonzero entry below it; a singular matrix
+    gives fewer rows.  A row that is 0 in the pivot column is only rescaled by
+    p_k / p_{k-1}: it stays stale, and as these factors telescope, its next
+    update divides by the pivot `at` it is current for.
+    """
+    n = len(mat)
+    a, at = [list(r) for r in mat], [1] * n
+    swaps, prev = 0, 1
+    for k in range(n):
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return swaps, a[:k]
+            a[k], a[piv], at[k], at[piv] = a[piv], a[k], at[piv], at[k]
+            swaps += 1
+        row, s = a[k], at[k]
+        if s != prev:
+            row[k:] = [x * prev // s for x in row[k:]]
+        p = row[k]
+        for i in range(k + 1, n):
+            ri, s, f = a[i], at[i], a[i][k]
+            if f:
+                for j in range(k + 1, n):
+                    ri[j] = (p * ri[j] - f * row[j]) // s
+                at[i] = p
+        prev = p
+    return swaps, a
 
 
 def det_int(mat: IntMatrix) -> int:
     """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    swaps, rows = bareiss(mat)
+    if len(rows) < len(mat):
+        return 0
+    return (-1) ** swaps * rows[-1][-1] if rows else 1
 
 
 def smith_normal_form(
@@ -64,35 +82,17 @@ def smith_normal_form(
     m = len(mat)
     n = len(mat[0]) if m else 0
     A = [list(row) for row in mat]
-    U = identity_matrix(m)
-    V = identity_matrix(n)
-
-    def swap_rows(i: int, j: int) -> None:
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
+    U, W = identity_matrix(m), identity_matrix(n)  # W = V^T: column operations update one row
 
     def add_row(dst: int, src: int, q: int) -> None:
         A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
         U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
 
-    def add_col(dst: int, src: int, q: int) -> None:
-        for r in A:
-            r[dst] += q * r[src]
-        for r in V:
-            r[dst] += q * r[src]
-
     t = 0
     while t < min(m, n):
         # global minimum pivot (the first unit), re-selected after every
         # elementary operation (keeps intermediate entries small)
-        piv = None
-        best = 0
+        piv, best = None, 0
         for i in range(t, m):
             row = A[i]
             for j in range(t, n):
@@ -105,9 +105,12 @@ def smith_normal_form(
                 break
         if piv is None:
             break
-        if piv != (t, t):
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
+        i, j = piv
+        A[t], A[i], U[t], U[i] = A[i], A[t], U[i], U[t]
+        if j != t:  # rows above t are zero from column t on
+            for r in A[t:]:
+                r[t], r[j] = r[j], r[t]
+            W[t], W[j] = W[j], W[t]
         d = A[t][t]
         i = next((i for i in range(t + 1, m) if A[i][t] != 0), None)
         if i is not None:
@@ -115,7 +118,9 @@ def smith_normal_form(
             continue
         j = next((j for j in range(t + 1, n) if A[t][j] != 0), None)
         if j is not None:
-            add_col(j, t, -(A[t][j] // d))
+            q = -(A[t][j] // d)  # column t is clear, so only row t of A changes
+            A[t][j] += q * d
+            W[j] = [a + q * b for a, b in zip(W[j], W[t])]
             continue
         # a non-unit pivot must divide the trailing block for the divisibility
         # chain; merge an offending row and reduce again
@@ -130,6 +135,7 @@ def smith_normal_form(
         if A[i][i] < 0:
             A[i] = [-x for x in A[i]]
             U[i] = [-x for x in U[i]]
+    V = [list(c) for c in zip(*W)]
     # self-certification, kept under python -O
     if mat_mul(mat_mul(U, mat), V) != A:
         raise AssertionError("Smith normal form certificate U*A*V = D fails")

@@ -1,8 +1,9 @@
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, isqrt, lcm
+from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
 
 import pytest
@@ -17,6 +18,7 @@ from kummerlat import (
     NotNegativeDefinite,
     OddGlue,
     discriminant_group,
+    enumerate_configs,
     gram,
     length_bound_check,
     overlattice,
@@ -522,6 +524,163 @@ def test_block_roots_once_per_distinct_block(monkeypatch, text, distinct):
     lat = L(text)
     assert roots(lat) == fraction_roots(lat)
     assert len(calls) == distinct
+
+
+# --- the lazy-row levels and the forced-level root search against dense ones --
+
+
+def oracle_search_levels(q):
+    """The Fincke-Pohst levels from the dense Bareiss loop before lazy rows."""
+    n = len(q)
+    m = [list(row) for row in q]
+    prev = 1
+    raw = []
+    for k in range(n):
+        p = m[k][k]
+        if p <= 0:
+            raise NotNegativeDefinite("Gram matrix is not negative definite")
+        row = m[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            f = mi[k]
+            for j in range(k + 1, n):
+                mi[j] = (p * mi[j] - f * row[j]) // prev
+        g = gcd(p, *row[k + 1:])
+        D = p // g
+        raw.append((D, [(j, row[j] // g) for j in range(k + 1, n) if row[j]], p, prev * D * D))
+        prev = p
+    S = lcm(*(w_den for *_, w_den in raw))
+    return S, [(D, u, w_num * (S // w_den)) for D, u, w_num, w_den in raw]
+
+
+def oracle_block_roots(q):
+    """The root search before forced levels: one recursive call per level,
+    down to the last, on the dense levels."""
+    S, levels = oracle_search_levels(q)
+    n = len(levels)
+    x = [0] * n
+    found = []
+
+    def descend(i, rem, zero_above):
+        D, u, W = levels[i]
+        C = sum(c * x[j] for j, c in u)
+        m = isqrt(rem // W)
+        lo = 0 if zero_above else -((m + C) // D)
+        if i:
+            for xi in range(lo, (m - C) // D + 1):
+                t = D * xi + C
+                x[i] = xi
+                descend(i - 1, rem - W * t * t, zero_above and not xi)
+            x[i] = 0
+        elif W * m * m == rem:
+            for t in sorted({-m, m}):
+                xi, r = divmod(t - C, D)
+                if not r and xi >= lo:
+                    found.append((xi, *x[1:]))
+
+    if n:
+        descend(n - 1, 2 * S, True)
+    return found
+
+
+def oracle_roots(lat):
+    """Roots block by block from the recursive search, each pair's sign and
+    full-length vector fixed one root at a time."""
+    out = []
+    for comp, g in lat.blocks:
+        for v in oracle_block_roots([[-x for x in row] for row in g]):
+            full = [0] * lat.rank
+            for i, c in zip(comp, v):
+                full[i] = c if next(filter(None, v)) > 0 else -c
+            out.append(tuple(full))
+    return sorted(out)
+
+
+def definite_inputs():
+    """(kind, positive definite matrix): the negated ADE and K Grams,
+    scrambled ADE Grams and seeded B B^T + I for sparse and dense B."""
+    for letter, n in COMPONENT_TYPES:
+        yield "ADE", [[-x for x in row] for row in component_gram(letter, n)]
+    for build in (build_K_Q8hat, build_K_T24hat):
+        yield "K", [[-x for x in row] for row in build().K.lattice.gram]
+    for seed, text in enumerate(SCRAMBLE_CONFIGS):
+        yield "scrambled", [[-x for x in row] for row in scrambled(text, seed).gram]
+    rng = random.Random(20261019)
+    for t in range(60):
+        n = rng.randint(1, 7)
+        pick = (lambda: rng.choice((0, 0, 0, 1, -1))) if t % 2 else (lambda: rng.randint(-2, 2))
+        B = [[pick() for _ in range(n)] for _ in range(n)]
+        yield "B B^T + I", [[sum(map(mul, r, s)) + (i == j) for j, s in enumerate(B)]
+                            for i, r in enumerate(B)]
+
+
+def test_search_levels_and_block_roots_match_dense_recursion():
+    kinds = Counter()
+    for kind, q in definite_inputs():
+        kinds[kind] += 1
+        assert _search_levels(q) == oracle_search_levels(q), (kind, q)
+        found = lattice._block_roots(q)
+        assert found == oracle_block_roots(q), (kind, q)
+        kinds["roots"] += bool(found)
+    assert (kinds["ADE"], kinds["K"], kinds["scrambled"]) == (38, 2, 10)
+    assert kinds["roots"] >= 70, kinds
+
+
+def test_search_levels_refuse_the_same_inputs():
+    """Indefinite and semidefinite matrices, zero leading minors included:
+    the lazy levels raise exactly where the dense ones do."""
+    rng = random.Random(20261019)
+    raised = Counter()
+    for t in range(400):
+        n = rng.randint(1, 6)
+        if t % 2:  # semidefinite: B B^T for a singular B
+            B = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            B[rng.randrange(n)] = [0] * n
+            q = [[sum(map(mul, r, s)) for s in B] for r in B]
+        else:
+            q = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    q[i][j] = q[j][i] = rng.randint(-3, 3) + 4 * (i == j)
+        try:
+            want = oracle_search_levels(q)
+        except NotNegativeDefinite:
+            raised["dense"] += 1
+            with pytest.raises(NotNegativeDefinite):
+                _search_levels(q)
+            raised["both"] += 1
+        else:
+            assert _search_levels(q) == want
+    assert raised["both"] == raised["dense"] >= 200, raised
+    for q in ([[0, 1], [1, 0]], [[0]], [[1, 0], [0, 0]], [[2, 1, 1], [1, 2, 1], [1, 1, 0]]):
+        with pytest.raises(NotNegativeDefinite):
+            _search_levels(q)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_roots_of_permuted_first_fit_sums_match_recursion(seed):
+    for k, lat in enumerate(first_fit_sums(seed)):
+        shuffled_lat = permuted(lat, 100 * seed + k)
+        assert roots(shuffled_lat) == oracle_roots(shuffled_lat)
+        assert roots(lat) == oracle_roots(lat)
+
+
+def test_root_search_and_census_leave_no_garbage():
+    """The recursive searches free their self-referencing closures: with the
+    collector off, nothing is left for it."""
+    lat = L("A1+6A3")
+    roots(lat)
+    enumerate_configs(24, 19)
+    gc.collect()
+    gc.disable()
+    try:
+        roots(L("A1+6A3"))
+        left_by_roots = gc.collect()
+        enumerate_configs(24, 19)
+        left_by_census = gc.collect()
+    finally:
+        gc.enable()
+    assert (left_by_roots, left_by_census) == (0, 0)
 
 
 # --- glue and overlattices ---------------------------------------------------

@@ -4,13 +4,21 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kummerlat.ade import component_gram
 from kummerlat.kummer import build_K_Q8hat, build_K_T24hat
-from kummerlat.snf import det_int, hermite_row_basis, identity_matrix, mat_mul, smith_normal_form
+from kummerlat.snf import (
+    bareiss,
+    det_int,
+    hermite_row_basis,
+    identity_matrix,
+    mat_mul,
+    smith_normal_form,
+)
 
 from test_divisibility import COMPONENT_TYPES
 
@@ -316,3 +324,99 @@ def test_smith_normal_form_matches_full_scan():
         assert smith_normal_form(M) == oracle_smith_normal_form(M), M
     assert (kinds["ADE"], kinds["K"]) == (38, 2)
     assert min(kinds[k] for k in ("non-square", "singular", "regular")) >= 30, kinds
+
+
+# --- the lazy-row Bareiss and the zero-skipping product against dense ones ----
+
+
+def oracle_det_int(mat):
+    """The dense Bareiss determinant before lazy rows: every row below the
+    pivot is updated at every step."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    a = [list(row) for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def oracle_mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def square_inputs():
+    """(kind, matrix): seeded random sparse, dense, singular and zero-pivot
+    square matrices, the 38 ADE block Grams and the two glued K Grams."""
+    rng = random.Random(20261019)
+    for t in range(150):
+        n = rng.randint(1, 12)
+        yield "sparse", [[rng.choice((0,) * 6 + (-2, -1, 1, 3)) for _ in range(n)] for _ in range(n)]
+        n = rng.randint(1, 7)
+        yield "dense", [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        # the last rows are integer combinations of the others
+        n = rng.randint(2, 8)
+        M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+        while len(M) < n:
+            c = [rng.randint(-2, 2) for _ in M]
+            M.append([sum(ci * r[j] for ci, r in zip(c, M)) for j in range(n)])
+        rng.shuffle(M)
+        yield "singular", M
+        # shuffled rows of an upper triangular matrix: leading minors vanish
+        n = rng.randint(2, 9)
+        M = [[rng.choice((-3, -1, 1, 2)) if i == j else rng.randint(-4, 4) * (j > i)
+              for j in range(n)] for i in range(n)]
+        rng.shuffle(M)
+        yield "zero pivot", M
+    for letter, n in COMPONENT_TYPES:
+        yield "ADE", component_gram(letter, n)
+    for build in (build_K_Q8hat, build_K_T24hat):
+        yield "K", [list(r) for r in build().K.lattice.gram]
+
+
+def test_det_int_matches_dense_bareiss():
+    kinds = Counter()
+    for kind, M in square_inputs():
+        swaps, rows = bareiss(M)
+        d = det_int(M)
+        assert d == oracle_det_int(M), (kind, M)
+        kinds[kind] += 1
+        kinds["det 0"] += d == 0
+        kinds["swapped"] += swaps > 0
+        if not swaps:  # the pivots are the leading principal minors
+            assert [r[k] for k, r in enumerate(rows)] == [
+                oracle_det_int([r[: k + 1] for r in M[: k + 1]]) for k in range(len(rows))
+            ], (kind, M)
+    assert (kinds["ADE"], kinds["K"]) == (38, 2)
+    assert min(kinds[k] for k in ("sparse", "dense", "singular", "zero pivot")) == 150
+    assert kinds["det 0"] >= 150 and kinds["swapped"] >= 150, kinds
+
+
+def test_mat_mul_matches_dense_product():
+    rng = random.Random(20261019)
+    for t in range(300):
+        m, k, n = rng.randint(0, 6), rng.randint(1, 6), rng.randint(1, 6)
+        pick = (lambda: rng.choice((0, 0, 0, -1, 2))) if t % 2 else (lambda: rng.randint(-9, 9))
+        a = [[pick() for _ in range(k)] for _ in range(m)]
+        b = [[pick() for _ in range(n)] for _ in range(k)]
+        assert mat_mul(a, b) == oracle_mat_mul(a, b)
+    for kind, M in square_inputs():
+        assert mat_mul(M, M) == oracle_mat_mul(M, M), kind
+    assert mat_mul([[Fraction(1, 2), 0]], [[2, 0], [0, Fraction(1, 3)]]) == [[1, 0]]
+
+
+def test_smith_normal_form_matches_full_scan_on_square_inputs():
+    for kind, M in square_inputs():
+        assert smith_normal_form(M) == oracle_smith_normal_form(M), (kind, M)
