@@ -366,7 +366,7 @@ def double_cover_transform(config: ADEConfig, candidate) -> ADEConfig:
 
 @lru_cache(maxsize=64)
 def _labelled_graph(config: ADEConfig) -> tuple[DynkinGraph, dict[str, int]]:
-    graph = dynkin(config)  # and each node label's index, once per configuration
+    graph = dynkin(config)  # built once per configuration, with its label index
     return graph, {lab: i for i, lab in enumerate(graph.nodes)}
 
 

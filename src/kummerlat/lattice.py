@@ -21,8 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm, prod
 from itertools import compress
+from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
 
 from .snf import bareiss, det_int, hermite_row_basis, mat_mul, smith_normal_form
@@ -522,7 +522,7 @@ def roots(L: GramLattice) -> list[tuple[int, ...]]:
         idx = [-1] * n  # (*y, 0)[idx[i]] is coordinate i of the placed root y
         for c, i in enumerate(reversed(comp)):
             idx[i] = c
-        out += map(itemgetter(*idx) if n > 1 else itemgetter(slice(1)), found[g])  # 1-tuples
+        out += map(itemgetter(*idx) if n > 1 else itemgetter(slice(1)), found[g])  # rank 1: 1-tuple
     out.sort()
     return out
 
