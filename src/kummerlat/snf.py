@@ -38,9 +38,8 @@ def bareiss(mat: IntMatrix) -> tuple[int, IntMatrix]:
     p_k / p_{k-1}: it stays stale, and as these factors telescope, its next
     update divides by the pivot `at` it is current for.
     """
-    n = len(mat)
+    n, swaps, prev = len(mat), 0, 1
     a, at = [list(r) for r in mat], [1] * n
-    swaps, prev = 0, 1
     for k in range(n):
         if not a[k][k]:
             piv = next((i for i in range(k + 1, n) if a[i][k]), None)
@@ -88,10 +87,10 @@ def smith_normal_form(
         A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
         U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
 
-    t = 0
-    while t < min(m, n):
-        # global minimum pivot (the first unit), re-selected after every
-        # elementary operation (keeps intermediate entries small)
+    for t in range(min(m, n)):
+        # pivot: the first entry (row by row) of least nonzero size in the trailing
+        # block; an operation changes one row, so afterwards only a smaller entry
+        # of that row can take its place (never for a unit)
         piv, best = None, 0
         for i in range(t, m):
             row = A[i]
@@ -103,33 +102,34 @@ def smith_normal_form(
                         break
             if best == 1:
                 break
-        if piv is None:
-            break
-        i, j = piv
-        A[t], A[i], U[t], U[i] = A[i], A[t], U[i], U[t]
-        if j != t:  # rows above t are zero from column t on
-            for r in A[t:]:
-                r[t], r[j] = r[j], r[t]
-            W[t], W[j] = W[j], W[t]
-        d = A[t][t]
-        i = next((i for i in range(t + 1, m) if A[i][t] != 0), None)
-        if i is not None:
-            add_row(i, t, -(A[i][t] // d))
-            continue
-        j = next((j for j in range(t + 1, n) if A[t][j] != 0), None)
-        if j is not None:
-            q = -(A[t][j] // d)  # column t is clear, so only row t of A changes
-            A[t][j] += q * d
-            W[j] = [a + q * b for a, b in zip(W[j], W[t])]
-            continue
-        # a non-unit pivot must divide the trailing block for the divisibility
-        # chain; merge an offending row and reduce again
-        rows = range(t + 1, m) if best > 1 else ()
-        offender = next((i for i in rows if any(x % d for x in A[i][t + 1 :])), None)
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        t += 1
+        while piv:
+            i, j = piv
+            A[t], A[i], U[t], U[i] = A[i], A[t], U[i], U[t]
+            if j != t:  # rows above t are zero from column t on
+                for r in A[t:]:
+                    r[t], r[j] = r[j], r[t]
+                W[t], W[j] = W[j], W[t]
+            d, piv = A[t][t], None
+            for i in range(t + 1, m):  # clear column t
+                if A[i][t]:
+                    add_row(i, t, -(A[i][t] // d))
+                    if best > 1 and min(size := [abs(x) or best for x in A[i][t:]]) < best:
+                        best, piv = min(size), (i, t + size.index(min(size)))
+                        break
+            while not piv:
+                for j in range(t + 1, n):  # clear row t: column t is clear, so no other row changes
+                    if A[t][j]:
+                        q, A[t][j] = A[t][j] // d, A[t][j] % d
+                        W[j] = [a - q * b for a, b in zip(W[j], W[t])]
+                        if A[t][j]:
+                            best, piv = abs(A[t][j]), (t, j)
+                            break
+                else:  # a non-unit pivot must divide the trailing block: merge an offending row
+                    rows = range(t + 1, m) if best > 1 else ()
+                    offender = next((i for i in rows if any(x % d for x in A[i][t + 1 :])), None)
+                    if offender is None:
+                        break
+                    add_row(t, offender, 1)
 
     for i in range(min(m, n)):
         if A[i][i] < 0:
