@@ -28,6 +28,7 @@ from .ade import (
     DynkinGraph,
     InvalidComponent,
     ParseError,
+    RankLimitExceeded,
     dynkin,
     enumerate_configs,
     gram,

@@ -9,7 +9,9 @@ E_6, E_7, E_8.  The canonical basis ordering inside a component is frozen:
 * D_n: a path of n-2 nodes, then the two fork leaves attached to node n-2;
 * E_n: a path of n-1 nodes, then the branch node attached to path node 3.
 
-Component blocks are ordered A ascending, then D, then E.
+Component blocks are ordered A ascending, then D, then E.  Curve-level
+builders and per-node tables refuse rank above K3_RANK_LIMIT with
+RankLimitExceeded.
 """
 
 from __future__ import annotations
@@ -22,8 +24,11 @@ from functools import cached_property, lru_cache
 from math import lcm, prod
 
 from .lattice import GramLattice, connected_components, direct_sum, frac_str, primary_chain
+from .snf import bareiss
 
 ADE_E_RANKS = (6, 7, 8)
+# the exceptional curves of a K3 span a negative-definite lattice of rank <= 19
+K3_RANK_LIMIT = 19
 
 
 class ParseError(ValueError):
@@ -36,6 +41,15 @@ class ParseError(ValueError):
 
 class InvalidComponent(ValueError):
     """A component outside the ADE family (D1-D3, E5, E9, ...)."""
+
+
+class RankLimitExceeded(ValueError):
+    """Rank above 19, which no K3 carries, given to a curve-level builder."""
+
+
+def _check_rank(rank: int) -> None:
+    if rank > K3_RANK_LIMIT:
+        raise RankLimitExceeded(f"rank {rank} exceeds the K3 limit {K3_RANK_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -188,24 +202,40 @@ def m_value(config: ADEConfig) -> Fraction:
 
 def component_edges(letter: str, n: int) -> list[tuple[int, int]]:
     """Edges of one component in the canonical 0-based node ordering."""
+    _check_component(letter, n)
     if letter == "A":
         return [(s, s + 1) for s in range(n - 1)]
-    if letter == "D":
-        spine = [(s, s + 1) for s in range(n - 3)]
-        return spine + [(n - 3, n - 2), (n - 3, n - 1)]
-    if letter == "E":
-        spine = [(s, s + 1) for s in range(n - 2)]
-        return spine + [(2, n - 1)]
-    raise InvalidComponent(f"{letter}{n}")
+    # a path through all nodes but the last, which hangs off node n - 3 (D) or 2 (E)
+    return [(s, s + 1) for s in range(n - 2)] + [(n - 3 if letter == "D" else 2, n - 1)]
 
 
-def component_gram(letter: str, n: int) -> list[list[int]]:
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = -2
+@lru_cache(maxsize=None)
+def _neighbours(letter: str, n: int) -> tuple[int, ...]:
+    """Bit mask of each node's neighbours in one component.  Every per-node
+    table starts here, so a component of rank above 19 is refused first."""
+    _check_rank(n)
+    adj = [0] * n
     for i, j in component_edges(letter, n):
-        g[i][j] = g[j][i] = 1
-    return g
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return tuple(adj)
+
+
+@lru_cache(maxsize=None)
+def _independent_sets(letter: str, n: int) -> tuple[int, ...]:
+    """Every independent node set of one component, as increasing masks,
+    built once by doubling over the nodes: F(n+2) sets for A_n."""
+    adj = _neighbours(letter, n)
+    sets = [0]  # each pass appends the sets whose top bit is i
+    for i in range(n):
+        sets += [s | 1 << i for s in sets if not s & adj[i]]
+    return tuple(sets)
+
+
+@lru_cache(maxsize=None)
+def component_gram(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
+    adj = _neighbours(letter, n)
+    return tuple(tuple(-2 if i == j else adj[i] >> j & 1 for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -234,18 +264,17 @@ def _component_labels(config: ADEConfig) -> list[str]:
 
 
 def dynkin(config: ADEConfig) -> DynkinGraph:
-    labels = _component_labels(config)
-    edges = []
-    slices = []
-    ofs = 0
+    _check_rank(config.rank)
+    edges, slices, ofs = [], [], 0
     for letter, n in config.components():
-        edges.extend((ofs + i, ofs + j) for i, j in component_edges(letter, n))
+        edges += [(ofs + i, ofs + j) for i, j in component_edges(letter, n)]
         slices.append((letter, n, ofs, ofs + n))
         ofs += n
-    return DynkinGraph(tuple(labels), tuple(edges), tuple(slices))
+    return DynkinGraph(tuple(_component_labels(config)), tuple(edges), tuple(slices))
 
 
 def gram(config: ADEConfig, labels: tuple[str, ...] | None = None) -> GramLattice:
+    _check_rank(config.rank)
     blocks = [component_gram(letter, n) for letter, n in config.components()]
     g = direct_sum(blocks)
     return GramLattice(
@@ -260,42 +289,14 @@ def invariant_factors_from_orders(orders: list[int]) -> tuple[int, ...]:
     return tuple(prod(q for q, _, _ in parts) for parts in chain)
 
 
-@lru_cache(maxsize=None)
-def _component_mis(letter: str, n: int) -> tuple[int, tuple[int, ...]]:
-    """Maximum independent set of one component graph, with witness nodes."""
-    adj = [0] * n
-    for i, j in component_edges(letter, n):
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    memo: dict[int, tuple[int, int]] = {}
-
-    def best(mask: int) -> tuple[int, int]:
-        if mask == 0:
-            return (0, 0)
-        if mask in memo:
-            return memo[mask]
-        v = (mask & -mask).bit_length() - 1
-        take_size, take_set = best(mask & ~((1 << v) | adj[v]))
-        take = (take_size + 1, take_set | (1 << v))
-        skip = best(mask & ~(1 << v))
-        out = take if take[0] >= skip[0] else skip
-        memo[mask] = out
-        return out
-
-    size, chosen = best((1 << n) - 1)
-    return size, tuple(i for i in range(n) if chosen >> i & 1)
-
-
 def max_disjoint_curves(config: ADEConfig) -> tuple[int, tuple[str, ...]]:
     """Size of a maximum set of pairwise disjoint curves, plus a witness."""
     graph = dynkin(config)
-    total = 0
     witness: list[str] = []
-    for letter, n, nodes in graph.component_nodes():
-        size, chosen = _component_mis(letter, n)
-        total += size
-        witness.extend(graph.nodes[nodes[i]] for i in chosen)
-    return total, tuple(witness)
+    for letter, n, start, _ in graph.component_slices:
+        best = max(_independent_sets(letter, n), key=int.bit_count)  # the least largest set
+        witness += [graph.nodes[start + i] for i in range(n) if best >> i & 1]
+    return len(witness), tuple(witness)
 
 
 def _component_catalog(max_rank: int) -> list[tuple[str, int, Fraction]]:
@@ -342,43 +343,29 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
 
 
 def classify_dynkin(n_nodes: int, edges: list[tuple[int, int]]) -> ADEConfig:
-    """Recognize a disjoint union of ADE diagrams; raises ValueError if not."""
+    """Recognize a disjoint union of ADE diagrams; raises ValueError if not.
+
+    A connected graph is an ADE diagram exactly when 2I - A is positive
+    definite, A counting the edges between two nodes; its rank and
+    determinant then name it: det n + 1 for A_n, 4 for D_n (n >= 4) and
+    3, 2, 1 for E_6, E_7, E_8.  Bareiss elimination checks definiteness: no
+    swap, and every pivot (a leading principal minor) positive.
+    """
     adj: list[set[int]] = [set() for _ in range(n_nodes)]
+    meets: Counter[tuple[int, int]] = Counter()
     for i, j in edges:
         if i == j:
             raise ValueError("self loop")
         adj[i].add(j)
         adj[j].add(i)
+        meets[i, j] += 1
+        meets[j, i] += 1
     counts: Counter[tuple[str, int]] = Counter()
     for comp in connected_components(adj):
         n = len(comp)
-        n_edges = sum(1 for i, j in edges if i in comp and j in comp)
-        if n_edges != n - 1:
-            raise ValueError("component is not a tree")
-        degrees = sorted(len(adj[v]) for v in comp)
-        branch = [v for v in comp if len(adj[v]) >= 3]
-        if not branch:
-            counts[("A", n)] += 1
-            continue
-        if len(branch) > 1 or degrees[-1] > 3:
+        swaps, rows = bareiss([[2 if i == j else -meets[i, j] for j in comp] for i in comp])
+        if swaps or len(rows) < n or any(rows[k][k] <= 0 for k in range(n)):
             raise ValueError("not an ADE diagram")
-        b = branch[0]
-        arms = []
-        for start in adj[b]:
-            length = 1
-            prev, cur = b, start
-            while True:
-                nxt = [w for w in adj[cur] if w != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            arms.append(length)
-        arms.sort()
-        if arms[0] == 1 and arms[1] == 1:
-            counts[("D", n)] += 1
-        elif arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-            counts[("E", n)] += 1
-        else:
-            raise ValueError("not an ADE diagram")
+        det = rows[-1][-1]
+        counts["A" if det == n + 1 else "D" if det == 4 else "E", n] += 1
     return ADEConfig.from_counts(counts)

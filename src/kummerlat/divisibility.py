@@ -43,9 +43,11 @@ from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, groupby, product
 
 from .ade import (
+    K3_RANK_LIMIT,
     ADEConfig,
     DynkinGraph,
-    _component_mis,
+    _independent_sets,
+    _neighbours,
     classify_dynkin,
     component_edges,
     component_gram,
@@ -59,8 +61,6 @@ from .lattice import GramLattice, discriminant_group, group_symbol, length_bound
 K3_AMBIENT_RANK = 22
 EVEN_SUPPORT_SIZES = (8, 16)
 THREE_SUPPORT_SIZES = (6, 9)
-# the exceptional curves of a K3 span a negative-definite lattice of rank <= 19
-K3_RANK_LIMIT = 19
 
 EXCLUDED = "Excluded"
 NO_OBSTRUCTION = "NoObstructionFound"
@@ -129,7 +129,7 @@ def _step(kind: str, **data) -> ObstructionStep:
 
 @lru_cache(maxsize=None)
 def _component_disc(letter: str, n: int):
-    g = GramLattice(gram=tuple(tuple(r) for r in component_gram(letter, n)))
+    g = GramLattice(gram=component_gram(letter, n))
     return discriminant_group(g)
 
 
@@ -160,21 +160,18 @@ def _torsion_patterns(letter: str, n: int, p: int) -> tuple[tuple[int, ...], ...
 def _pairs_of_coeffs(letter: str, n: int, coeffs) -> tuple[tuple[int, int], ...] | None:
     """Decompose a mod-3 coefficient vector on one component into oriented
     disjoint A_2 pairs (local node indices)."""
-    adj = [set() for _ in range(n)]
-    for i, j in component_edges(letter, n):
-        adj[i].add(j)
-        adj[j].add(i)
-    support = [i for i, c in enumerate(coeffs) if c]
+    adj = _neighbours(letter, n)
+    support = sum(1 << i for i, c in enumerate(coeffs) if c)
     seen = set()
     pairs = []
-    for i in support:
-        if i in seen:
+    for i, c in enumerate(coeffs):
+        if not c or i in seen:
             continue
-        partners = [j for j in adj[i] if coeffs[j]]
-        if len(partners) != 1:
+        partners = adj[i] & support
+        if partners.bit_count() != 1:
             return None
-        j = partners[0]
-        if [k for k in adj[j] if coeffs[k]] != [i]:
+        j = partners.bit_length() - 1
+        if adj[j] & support != 1 << i:
             return None
         if {coeffs[i], coeffs[j]} != {1, 2}:
             return None
@@ -318,7 +315,9 @@ def three_divisible_candidates(config: ADEConfig) -> list[DivisibleCandidate]:
 
 def _disjoint_curves(config: ADEConfig) -> int:
     """Size of a maximum set of pairwise disjoint curves, summed per type."""
-    return sum(c * _component_mis(letter, n)[0] for letter, n, c in config.terms())
+    return sum(
+        c * max(map(int.bit_count, _independent_sets(letter, n))) for letter, n, c in config.terms()
+    )
 
 
 def required_even_sets(config: ADEConfig) -> int:
@@ -391,21 +390,16 @@ def _local_cover(letter: str, n: int, local_mask: int) -> ADEConfig | str:
     both meet.  Returns the ADE type, or the NotADEAfterContraction
     message so that a failing piece is cached too.
     """
-    edges = component_edges(letter, n)
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    branch = [local_mask >> i & 1 for i in range(n)]
+    adj = _neighbours(letter, n)
     nodes: dict[int, range] = {}  # curve off the branch -> its preimages
     size = 0
     for i in range(n):
-        if not branch[i]:
-            k = 1 if any(branch[j] for j in nbrs[i]) else 2
+        if not local_mask >> i & 1:
+            k = 1 if adj[i] & local_mask else 2
             nodes[i] = range(size, size + k)
             size += k
     meet: Counter[tuple[int, int]] = Counter()
-    for i, j in edges:
+    for i, j in component_edges(letter, n):
         if i in nodes and j in nodes:
             a, b = nodes[i], nodes[j]
             if len(a) + len(b) == 2:
@@ -413,8 +407,8 @@ def _local_cover(letter: str, n: int, local_mask: int) -> ADEConfig | str:
             else:
                 meet.update(zip(a, b) if len(a) == len(b) else product(a, b))
     for i in range(n):
-        if branch[i]:
-            meet.update(combinations([nodes[j][0] for j in nbrs[i] if j in nodes], 2))
+        if local_mask >> i & 1:
+            meet.update(combinations([nodes[j][0] for j in nodes if adj[i] >> j & 1], 2))
     bad = next((k for k in meet.values() if k > 1), None)
     if bad is not None:
         return f"contracted intersection number {bad}"
@@ -526,24 +520,14 @@ def _component_autos(letter: str, n: int) -> list[tuple[int, ...]]:
 def _component_policies(letter: str, n: int):
     """Independent-set policies per component, one per distinct alive
     pattern set (up to diagram automorphism), keeping the largest set and,
-    among those, the least mask.
-
-    Every independent set is built once, by doubling over the nodes: F(n+2)
-    sets for A_n.  Returns tuples (size, alive_local_masks (sorted tuple),
-    indset nodes).
+    among those, the least mask.  Returns tuples (size, alive_local_masks
+    (sorted tuple), indset nodes).
     """
+    indsets = _independent_sets(letter, n)
     patterns = sorted(
         sum(c << i for i, c in enumerate(coeffs)) for coeffs in _torsion_patterns(letter, n, 2)
     )
     autos = _component_autos(letter, n)
-    adj = [0] * n
-    for i, j in component_edges(letter, n):
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    indsets = [0]  # in increasing order: each pass appends sets with top bit i
-    for i in range(n):
-        indsets += [s | 1 << i for s in indsets if not s & adj[i]]
-
     canon: dict[tuple[int, ...], tuple[int, ...]] = {}  # alive -> its least image
     best: dict[tuple[int, ...], tuple[int, tuple[int, ...], int]] = {}
     for s in indsets:

@@ -57,7 +57,6 @@ GROUP_CONFIGS: dict[str, str] = {
 class KummerLatticeSpec:
     group_name: str
     config: ADEConfig
-    glue: tuple[GlueVector, ...] = ()
 
 
 @dataclass(frozen=True)

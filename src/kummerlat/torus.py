@@ -419,8 +419,8 @@ def parse_abcd(text: str) -> RationalVector:
 def stabilizer_ade_type(matrices) -> tuple[str, int] | str:
     """Quotient-singularity type of a finite stabilizer of linear parts.
 
-    Cyclic groups of order n give A_{n-1}; the quaternion group of order 8
-    gives D_4; binary dihedral groups of order 4m give D_{m+2}; the binary
+    Cyclic groups of order n give A_{n-1}; binary dihedral groups of order
+    4m give D_{m+2} (the quaternion group, m = 2, gives D_4); the binary
     tetrahedral group of order 24 gives E_6.
     """
     mats = [[list(r) for r in m] for m in matrices]
@@ -443,8 +443,6 @@ def stabilizer_ade_type(matrices) -> tuple[str, int] | str:
     if order in orders:
         return ("A", order - 1)
     involutions = orders.count(2)
-    if order == 8 and involutions == 1:
-        return ("D", 4)
     if order % 4 == 0 and involutions == 1 and orders.count(order // 2) > 0:
         # binary dihedral of order 4m contains a cyclic subgroup of order 2m
         m = order // 4

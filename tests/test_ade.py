@@ -20,7 +20,7 @@ from kummerlat import (
 )
 from kummerlat.ade import component_gram, invariant_factors_from_orders
 
-from test_divisibility import COMPONENT_TYPES
+from test_divisibility import COMPONENT_TYPES, oracle_component_mis
 from test_snf import oracle_smith_normal_form
 
 TABLE_10 = {
@@ -326,6 +326,25 @@ def brute_force_mis(text):
 @pytest.mark.parametrize("text", ["A7", "D8", "E8", "A3+D4", "2A2+D5"])
 def test_max_disjoint_brute_force(text):
     assert max_disjoint_curves(parse_config(text))[0] == brute_force_mis(text)
+
+
+def oracle_max_disjoint(config):
+    graph = dynkin(config)
+    witness = []
+    for letter, n, start, _ in graph.component_slices:
+        witness += [graph.nodes[start + i] for i in oracle_component_mis(letter, n)[1]]
+    return len(witness), tuple(witness)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ADEConfig.from_counts({t: 1}) for t in COMPONENT_TYPES]
+    + [parse_config(t) for t in sorted(TABLE_10) + EXTRA_8],
+    ids=str,
+)
+def test_max_disjoint_matches_memoized_search(config):
+    # size and witness labels, against the take-or-skip recursion
+    assert max_disjoint_curves(config) == oracle_max_disjoint(config)
 
 
 # --- census ---------------------------------------------------------------

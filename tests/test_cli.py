@@ -120,6 +120,70 @@ def test_obstruct_rank_above_19_excluded_at_once(config, rank):
     assert elapsed < 0.5
 
 
+TOTALITY_SCRIPT = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import inspect
+import kummerlat
+from kummerlat import RankLimitExceeded, parse_config
+
+def takes_config(fn):
+    params = list(inspect.signature(fn).parameters.values())
+    return bool(params) and params[0].annotation == "ADEConfig"
+
+names = sorted(
+    name for name in kummerlat.__all__
+    if inspect.isfunction(getattr(kummerlat, name)) and takes_config(getattr(kummerlat, name))
+)
+out = []
+for text in sys.argv[1:]:
+    config = parse_config(text)
+    for name in names:
+        args = (config, ()) if name == "double_cover_transform" else (config,)
+        start = time.perf_counter()
+        try:
+            getattr(kummerlat, name)(*args)
+            outcome = "returned"
+        except RankLimitExceeded:
+            outcome = "refused"
+        except Exception as exc:  # MemoryError and RecursionError included
+            outcome = type(exc).__name__
+        out.append([text, name, outcome, time.perf_counter() - start])
+print(json.dumps(out))
+"""
+
+
+def test_config_functions_total_under_memory_cap():
+    # every public function of a configuration returns or refuses rank > 19
+    # at once, with the address space of the child capped at 1 GB
+    texts = ["99999999999999999999A1", "A40", "A2000", "20A1"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run(
+        [sys.executable, "-c", TOTALITY_SCRIPT, *texts],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    rows = json.loads(res.stdout)
+    assert sorted({name for _, name, _, _ in rows}) == [
+        "check_nonexistence",
+        "double_cover_transform",
+        "dynkin",
+        "even_set_candidates",
+        "gram",
+        "m_value",
+        "max_disjoint_curves",
+        "required_even_sets",
+        "three_divisible_candidates",
+    ]
+    returned = {(text, name) for text, name, outcome, _ in rows if outcome == "returned"}
+    assert returned == {
+        (text, name) for text in texts for name in ("check_nonexistence", "m_value")
+    } | {("99999999999999999999A1", "required_even_sets"), ("20A1", "required_even_sets")}
+    assert {outcome for _, _, outcome, _ in rows} == {"returned", "refused"}
+    assert max(elapsed for _, _, _, elapsed in rows) < 0.5
+
+
 def _main_stdout(*argv):
     out = io.StringIO()
     start = time.perf_counter()

@@ -3,7 +3,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -38,7 +38,7 @@ from kummerlat.divisibility import (
     _torsion_patterns,
     _witnesses,
 )
-from kummerlat.ade import ADEConfig, _component_mis, classify_dynkin, component_edges, dynkin
+from kummerlat.ade import ADEConfig, classify_dynkin, component_edges, dynkin
 from kummerlat.lattice import connected_components, discriminant_group, group_symbol
 
 TABLE_10 = [
@@ -673,6 +673,33 @@ def test_enumerate_configs_matches_rank_partitions():
             enumerate_configs(m, 19)
 
 
+@lru_cache(maxsize=None)
+def oracle_component_mis(letter, n):
+    """Maximum independent set of one component graph, with witness nodes,
+    by a memoized take-or-skip recursion on the lowest node."""
+    adj = [0] * n
+    for i, j in component_edges(letter, n):
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    memo: dict[int, tuple[int, int]] = {}
+
+    def best(mask: int) -> tuple[int, int]:
+        if mask == 0:
+            return (0, 0)
+        if mask in memo:
+            return memo[mask]
+        v = (mask & -mask).bit_length() - 1
+        take_size, take_set = best(mask & ~((1 << v) | adj[v]))
+        take = (take_size + 1, take_set | (1 << v))
+        skip = best(mask & ~(1 << v))
+        out = take if take[0] >= skip[0] else skip
+        memo[mask] = out
+        return out
+
+    size, chosen = best((1 << n) - 1)
+    return size, tuple(i for i in range(n) if chosen >> i & 1)
+
+
 def scanned_policies(letter, n):
     """The policy table from a scan of all 2^n node subsets."""
     patterns = [sum(c << i for i, c in enumerate(co)) for co in _torsion_patterns(letter, n, 2)]
@@ -722,7 +749,7 @@ def test_large_component_witnesses_come_from_largest_policy(monkeypatch):
     def largest_only(letter, n):
         if n < 15:
             return _component_policies(letter, n)
-        size, chosen = _component_mis(letter, n)
+        size, chosen = oracle_component_mis(letter, n)
         s = sum(1 << i for i in chosen)
         patterns = [sum(c << i for i, c in enumerate(co)) for co in _torsion_patterns(letter, n, 2)]
         return ((size, tuple(sorted(p for p in patterns if p & ~s == 0)), chosen),)
@@ -1041,19 +1068,24 @@ def test_table_configs_unobstructed(text):
     assert report.verdict == NO_OBSTRUCTION
 
 
-def one_curve_deletions(config):
+def deletion_graphs(config):
+    """The graph (node count, edges) left by deleting each curve in turn."""
     graph = dynkin(config)
     n = len(graph.nodes)
     for gone in range(n):
         index = {i: j for j, i in enumerate(i for i in range(n) if i != gone)}
-        yield classify_dynkin(
-            n - 1, [(index[i], index[j]) for i, j in graph.edges if gone not in (i, j)]
-        )
+        yield n - 1, [(index[i], index[j]) for i, j in graph.edges if gone not in (i, j)]
 
 
-def test_torus_configs_close_downward_unobstructed():
-    # a configuration on a K3 leaves one on the same K3 when a curve is
-    # deleted, so nothing below the ten torus quotients may be Excluded
+def one_curve_deletions(config):
+    for n, edges in deletion_graphs(config):
+        yield classify_dynkin(n, edges)
+
+
+@lru_cache(maxsize=None)
+def torus_closure():
+    """The ten torus quotients and everything reached from them by deleting
+    curves one at a time."""
     closure = {parse_config(t) for t in TABLE_10}
     todo = list(closure)
     while todo:
@@ -1061,8 +1093,99 @@ def test_torus_configs_close_downward_unobstructed():
             if smaller.rank and smaller not in closure:
                 closure.add(smaller)
                 todo.append(smaller)
+    return sorted(closure, key=ADEConfig.sort_key)
+
+
+def test_torus_configs_close_downward_unobstructed():
+    # a configuration on a K3 leaves one on the same K3 when a curve is
+    # deleted, so nothing below the ten torus quotients may be Excluded
+    closure = torus_closure()
     assert len(closure) == 829
     assert [c.render() for c in closure if check_nonexistence(c).verdict != NO_OBSTRUCTION] == []
+
+
+def oracle_classify_dynkin(n_nodes, edges):
+    """ADE recognition by walking the arms of a tree from its branch node."""
+    adj: list[set[int]] = [set() for _ in range(n_nodes)]
+    for i, j in edges:
+        if i == j:
+            raise ValueError("self loop")
+        adj[i].add(j)
+        adj[j].add(i)
+    counts: Counter[tuple[str, int]] = Counter()
+    for comp in connected_components(adj):
+        n = len(comp)
+        if sum(1 for i, j in edges if i in comp and j in comp) != n - 1:
+            raise ValueError("component is not a tree")
+        branch = [v for v in comp if len(adj[v]) >= 3]
+        if not branch:
+            counts[("A", n)] += 1
+            continue
+        if len(branch) > 1 or len(adj[branch[0]]) > 3:
+            raise ValueError("not an ADE diagram")
+        arms = []
+        for start in adj[branch[0]]:
+            length, prev, cur = 1, branch[0], start
+            while nxt := [w for w in adj[cur] if w != prev]:
+                prev, cur = cur, nxt[0]
+                length += 1
+            arms.append(length)
+        arms.sort()
+        if arms[:2] == [1, 1]:
+            counts[("D", n)] += 1
+        elif arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
+            counts[("E", n)] += 1
+        else:
+            raise ValueError("not an ADE diagram")
+    return ADEConfig.from_counts(counts)
+
+
+def random_graphs(rng, count):
+    """Seeded trees, forests, cycles and dense graphs on up to 20 nodes."""
+    for k in range(count):
+        n = rng.randint(1, 20)
+        kind = k % 4
+        if kind == 0:  # a tree: each node joins an earlier one
+            edges = [(rng.randrange(i), i) for i in range(1, n)]
+        elif kind == 1:  # a forest: a tree with edges dropped
+            edges = [(rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.8]
+        elif kind == 2:  # a cycle, with a tree hanging off it
+            c = min(n, rng.randint(3, 8))
+            edges = [(i, (i + 1) % c) for i in range(c)] if c >= 3 else []
+            edges += [(rng.randrange(i), i) for i in range(c, n)]
+        else:  # dense
+            n = rng.randint(1, 8)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield n, [(perm[i], perm[j]) if rng.random() < 0.5 else (perm[j], perm[i]) for i, j in edges]
+
+
+def recognized(classify, n, edges):
+    try:
+        return classify(n, edges)
+    except ValueError:
+        return ValueError
+
+
+def test_classify_dynkin_matches_arm_walk():
+    rng = random.Random(20261019)
+    base = [g for c in torus_closure() for g in deletion_graphs(c)]
+    base += random_graphs(rng, 3000)
+    graphs = list(base)
+    for n, edges in rng.sample(base, 2000):
+        if edges:  # a repeated edge, either way round
+            i, j = rng.choice(edges)
+            graphs.append((n, edges + [rng.choice([(i, j), (j, i)])]))
+        if n:
+            v = rng.randrange(n)
+            graphs.append((n, edges + [(v, v)]))
+    verdicts = Counter()
+    for n, edges in graphs:
+        want = recognized(oracle_classify_dynkin, n, edges)
+        assert recognized(classify_dynkin, n, edges) == want, (n, edges)
+        verdicts[want is ValueError] += 1
+    assert verdicts[True] > 2000 and verdicts[False] > 10000, verdicts
 
 
 def test_atlas_sample_verdicts_monotone_under_deletion():
