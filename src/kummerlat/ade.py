@@ -181,17 +181,15 @@ def parse_config(text: str) -> ADEConfig:
     return ADEConfig.from_counts(counts)
 
 
+def _group_order(letter: str, n: int) -> int | None:
+    """|G| for the finite group G of the quotient singularity of type letter_n:
+    n+1 for A_n, 4(n-2) for D_n and 24, 48, 120 for E_6, E_7, E_8 (else None)."""
+    return n + 1 if letter == "A" else 4 * (n - 2) if letter == "D" else {6: 24, 7: 48, 8: 120}.get(n)
+
+
 def component_m(letter: str, n: int) -> Fraction:
-    """m of one component: (n+1) - 1/|G| for the finite group G of the
-    quotient singularity, |G| = n+1 for A_n, 4(n-2) for D_n and 24, 48, 120
-    for E_6, E_7, E_8."""
-    if letter == "A":
-        order = n + 1
-    elif letter == "D":
-        order = 4 * (n - 2)
-    else:
-        order = {6: 24, 7: 48, 8: 120}[n]
-    return Fraction(n + 1) - Fraction(1, order)
+    """m of one component: (n+1) - 1/|G| (`_group_order`)."""
+    return Fraction(n + 1) - Fraction(1, _group_order(letter, n))
 
 
 def m_value(config: ADEConfig) -> Fraction:

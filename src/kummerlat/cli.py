@@ -1,8 +1,9 @@
 """Command line front end: census, kummer, obstruct and torus subcommands.
 
 Exit codes: 0 on success (an Excluded verdict is data, not an error),
-2 on usage errors, 3 on internal invariant violations.  All rationals in
-JSON output are strings "p/q"; output is deterministic for fixed input.
+2 on usage errors, 3 on internal invariant violations, among them a torus
+stabilizer outside the ADE table.  All rationals in JSON output are
+strings "p/q"; output is deterministic for fixed input.
 """
 
 from __future__ import annotations
@@ -182,11 +183,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
-        parser.exit(2, f"error: {exc}\n")
-    except AssertionError as exc:
+    # the parser refuses unknown group names, so UnrecognizedGroup is a stabilizer's
+    except (AssertionError, torus.UnrecognizedGroup) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return INTERNAL_ERROR_EXIT
+    except (ValueError, KeyError) as exc:
+        parser.exit(2, f"error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -14,10 +14,10 @@ groups the primitive saturation is generated over F by explicit glue:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from operator import getitem
 
 from .ade import ADEConfig, parse_config
 from . import ade
@@ -103,32 +103,22 @@ def build_F(spec: KummerLatticeSpec | str) -> GramLattice:
     """Curve lattice of the configuration, with quotient-style labels."""
     if isinstance(spec, str):
         spec = spec_for(spec)
-    labels = _curve_labels(spec.group_name, spec.config)
+    labels = None
+    if spec.group_name == "Q8hat":  # A1 block first (C0), then the six A3 blocks C_r^s
+        labels = ("C0", *(f"C{r}^{s}" for r in range(1, 7) for s in (1, 2, 3)))
     return ade.gram(spec.config, labels=labels)
 
 
-def _curve_labels(group_name: str, config: ADEConfig) -> tuple[str, ...] | None:
-    if group_name == "Q8hat":
-        # A1 block first (C0), then the six A3 blocks C_r^s
-        labels = ["C0"]
-        for r in range(1, 7):
-            labels.extend(f"C{r}^{s}" for s in range(1, 4))
-        return tuple(labels)
-    return None
+def _t_base_nums(coeffs: tuple[int, ...]) -> list[int]:
+    """Coefficients on t_1..t_6 as numerators over 4 of A1+6A3 curve
+    coordinates: t_r = (1/4)(C_r^1 + 2 C_r^2 + 3 C_r^3); coordinate 0 is the
+    A_1 curve."""
+    return [0] + [s * c for c in coeffs for s in (1, 2, 3)]
 
 
 def _t_base_vector(coeffs: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """Expand coefficients on t_1..t_6 into A1+6A3 curve coordinates.
-
-    t_r = (1/4)(C_r^1 + 2 C_r^2 + 3 C_r^3); coordinate 0 is the A_1 curve.
-    """
-    out = [Fraction(0)] * 19
-    for r, c in enumerate(coeffs):
-        base = 1 + 3 * r
-        out[base] += Fraction(c, 4)
-        out[base + 1] += Fraction(2 * c, 4)
-        out[base + 2] += Fraction(3 * c, 4)
-    return tuple(out)
+    """`_t_base_nums` over 4, as a rational vector."""
+    return tuple(Fraction(x, 4) for x in _t_base_nums(coeffs))
 
 
 DELTA_1 = (1, 1, 1, 1, 2, 0)
@@ -138,61 +128,43 @@ DELTA_2_ALT = (3, 1, 2, 0, 3, 1)
 EVEN_SET_BLOCKS = ((1, 2, 3, 4), (3, 4, 5, 6), (1, 2, 5, 6))
 
 
+def _saturation(spec: KummerLatticeSpec, F: GramLattice, glue: list[GlueVector]) -> KummerReport:
+    """Report on F, its overlattice K by the glue, and their roots."""
+    K = overlattice(F, glue)
+    roots_F, roots_K = roots(F), roots(K.lattice)
+    return KummerReport(
+        group=spec.group_name, config=spec.config, F=F, disc_F=discriminant_group(F), K=K,
+        disc_K=discriminant_group(K.lattice), root_pairs_F=len(roots_F),
+        root_pairs_K=len(roots_K), roots_equal=_same_roots(K, roots_F, roots_K),
+    )
+
+
 def build_K_Q8hat() -> KummerReport:
     """Index-16 saturation of the A1+6A3 curve lattice by delta_1, delta_2."""
     spec = spec_for("Q8hat")
     F = build_F(spec)
-    disc_F = discriminant_group(F)
+    d1, d2 = (GlueVector.in_dual(F, _t_base_vector(d)) for d in (DELTA_1, DELTA_2))
+    report = _saturation(spec, F, [d1, d2])
 
-    d1 = GlueVector.in_dual(F, _t_base_vector(DELTA_1))
-    d2 = GlueVector.in_dual(F, _t_base_vector(DELTA_2))
-    K = overlattice(F, [d1, d2])
-    disc_K = discriminant_group(K.lattice)
-
-    roots_F = roots(F)
-    roots_K = roots(K.lattice)
-    equal = _same_roots(K, roots_F, roots_K)
-
+    # vectors as numerators over 4; x / 4 lies in F iff every numerator is 0 mod 4
+    n1, n2 = _t_base_nums(DELTA_1), _t_base_nums(DELTA_2)
+    doubled_glue = [[2 * a for a in n1], [2 * (a + b) for a, b in zip(n1, n2)], [2 * b for b in n2]]
     even_sets = []
-    notes = []
-    doubled_glue = [
-        tuple(2 * c for c in d1.vector),
-        tuple(2 * c for c in d2.vector),
-        tuple(2 * (a + b) for a, b in zip(d1.vector, d2.vector)),
-    ]
-    for blocks, double in zip(EVEN_SET_BLOCKS, (doubled_glue[0], doubled_glue[2], doubled_glue[1])):
-        support = []
-        v = [Fraction(0)] * 19
+    for blocks, double in zip(EVEN_SET_BLOCKS, doubled_glue):
+        half = [0] * 19  # 1/2 on C_r^1 and C_r^3
         for r in blocks:
-            for s in (1, 3):
-                idx = 1 + 3 * (r - 1) + (s - 1)
-                v[idx] = Fraction(1, 2)
-                support.append(f"C{r}^{s}")
-        if not K.contains(tuple(v)):
+            half[3 * r - 2] = half[3 * r] = 2
+        if not report.K._contains(4, half):
             raise AssertionError("half even set is missing from the saturation")
         # the doubled glue classes and the half even sets agree mod F
-        if any((a - b).denominator != 1 for a, b in zip(double, v)):
+        if any((a - b) % 4 for a, b in zip(double, half)):
             raise AssertionError("doubled glue does not reduce to the even set")
-        even_sets.append(tuple(support))
-    notes.append("half of each even set v_1, v_2, v_3 lies in the saturation")
-    notes.append("2*delta_1, 2*delta_2, 2*(delta_1+delta_2) reduce to v_1/2, v_3/2, v_2/2 mod F")
-
-    alt = GlueVector.in_dual(F, _t_base_vector(DELTA_2_ALT))
-    K_alt = overlattice(F, [d1, alt])
-    if [[x * K.den for x in r] for r in K_alt.H] != [[x * K_alt.den for x in r] for r in K.H]:
+        even_sets.append(tuple(f"C{r}^{s}" for r in blocks for s in (1, 3)))
+    # delta_2 + alt lies in F, so <delta_1, alt> and <delta_1, delta_2> agree mod F
+    if any((a + b) % 4 for a, b in zip(DELTA_2, DELTA_2_ALT)):
         raise AssertionError("alternative second glue generates a different lattice")
-    notes.append("delta_2 and its variant (3,1,2,0,3,1) generate the same lattice")
-
-    return KummerReport(
-        group="Q8hat",
-        config=spec.config,
-        F=F,
-        disc_F=disc_F,
-        K=K,
-        disc_K=disc_K,
-        root_pairs_F=len(roots_F),
-        root_pairs_K=len(roots_K),
-        roots_equal=equal,
+    return replace(
+        report,
         even_sets=tuple(even_sets),
         glue_info=(
             "delta_1 = (1,1,1,1,2,0) in base t_1..t_6",
@@ -200,7 +172,11 @@ def build_K_Q8hat() -> KummerReport:
             f"q(delta_1) = {q_value(F, d1.vector)}",
             f"q(delta_2) = {q_value(F, d2.vector)}",
         ),
-        notes=tuple(notes),
+        notes=(
+            "half of each even set v_1, v_2, v_3 lies in the saturation",
+            "2*delta_1, 2*delta_2, 2*(delta_1+delta_2) reduce to v_1/2, v_3/2, v_2/2 mod F",
+            "delta_2 and its variant (3,1,2,0,3,1) generate the same lattice",
+        ),
     )
 
 
@@ -213,48 +189,35 @@ def build_K_T24hat() -> KummerReport:
     """
     spec = spec_for("T24hat")
     F = build_F(spec)
-    disc_F = discriminant_group(F)
 
     # canonical block layout: 4 x A2 at 0,2,4,6; 2 x A3 at 8,11; A5 at 14
     free_pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
     a5_pairs = [(14, 15), (17, 18)]
     pairs = free_pairs + a5_pairs
 
-    # an orientation is the numerator w of w / 3, integral iff F.w = 0 mod 3
-    valid = []
-    for orient in product((1, 2), repeat=len(pairs)):
-        w = [0] * F.rank
-        for (i, j), o in zip(pairs, orient):
-            w[i], w[j] = o, 3 - o
-        if all(sum(map(mul, row, w)) % 3 == 0 for row in F.gram):
-            valid.append((orient, w))
+    # an orientation o gives the numerator w of w / 3, o on one curve of each pair
+    # and 3 - o on the other; it is integral iff F.w = sum of o (col_i - col_j) is
+    # 0 mod 3, a sum of per-pair residue columns (on the rows where one is nonzero)
+    diffs = [d for d in ([row[i] - row[j] for i, j in pairs] for row in F.gram)
+             if any(x % 3 for x in d)]
+    cols = [[tuple(o * d[k] % 3 for d in diffs) for o in (0, 1, 2)] for k in range(len(pairs))]
+    valid = [orient for orient in product((1, 2), repeat=len(pairs))
+             if not any(sum(x) % 3 for x in zip(*map(getitem, cols, orient)))]
     if not valid:
         raise NoIntegralOrientation("no integral orientation for the order-3 glue")
 
-    orient, w = valid[0]
+    orient = valid[0]
+    w = [0] * F.rank
+    for (i, j), o in zip(pairs, orient):
+        w[i], w[j] = o, 3 - o
     g = GlueVector.in_dual(F, [Fraction(c, 3) for c in w])
-    K = overlattice(F, [g])
-    disc_K = discriminant_group(K.lattice)
-
-    roots_F = roots(F)
-    roots_K = roots(K.lattice)
-    equal = _same_roots(K, roots_F, roots_K)
-
     labels = F.basis_labels
     orient_desc = tuple(
         f"({labels[i]},{labels[j]}) <- ({1 if o == 1 else 2},{2 if o == 1 else 1})"
         for (i, j), o in zip(pairs, orient)
     )
-    return KummerReport(
-        group="T24hat",
-        config=spec.config,
-        F=F,
-        disc_F=disc_F,
-        K=K,
-        disc_K=disc_K,
-        root_pairs_F=len(roots_F),
-        root_pairs_K=len(roots_K),
-        roots_equal=equal,
+    return replace(
+        _saturation(spec, F, [g]),
         glue_info=(f"integral orientations: {len(valid)}",) + orient_desc,
         notes=(f"q(gamma) = {q_value(F, g.vector)}",),
     )
@@ -281,11 +244,8 @@ def verify_root_equality(K: OverlatticeResult, F: GramLattice) -> bool:
 
     Raises NotASublattice when F is not contained in the overlattice.
     """
-    n = F.rank
-    for i in range(n):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-        if not K.contains(e):
-            raise NotASublattice("parent basis vector missing from overlattice")
+    if not all(K.contains([int(i == j) for j in range(F.rank)]) for i in range(F.rank)):
+        raise NotASublattice("parent basis vector missing from overlattice")
     return _same_roots(K, roots(F), roots(K.lattice))
 
 
@@ -298,11 +258,4 @@ def build_group_report(group_name: str) -> KummerReport:
         return build_K_T24hat()
     spec = spec_for(group_name)
     F = build_F(spec)
-    disc_F = discriminant_group(F)
-    return KummerReport(
-        group=group_name,
-        config=spec.config,
-        F=F,
-        disc_F=disc_F,
-        root_pairs_F=len(roots(F)),
-    )
+    return KummerReport(group_name, spec.config, F, discriminant_group(F), root_pairs_F=len(roots(F)))

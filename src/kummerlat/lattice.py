@@ -25,7 +25,7 @@ from itertools import compress
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
 
-from .snf import bareiss, det_int, hermite_row_basis, mat_mul, smith_normal_form
+from .snf import _smith, bareiss, det_int, hermite_row_basis, mat_mul
 
 RationalVector = tuple[Fraction, ...]
 
@@ -76,7 +76,7 @@ def _dual_products(gram, x: RationalVector) -> tuple[int, list[int], list[int]]:
     """(den, nums, prods): x = nums / den with den the lcm of the denominators
     of x, and prods = gram.nums, so that x.e_i = prods[i] / den."""
     den, (nums,) = _integer_rows([x], len(gram))
-    prods = [sum(g * v for g, v in zip(row, nums) if v) for row in gram]
+    prods = [sum(map(mul, row, nums)) for row in gram]
     return den, nums, prods
 
 
@@ -125,20 +125,15 @@ class GramLattice:
     basis_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(tuple(map(int, row)) for row in self.gram)
         object.__setattr__(self, "gram", g)
         n = len(g)
-        for row in g:
-            if len(row) != n:
-                raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        if any(len(row) != n for row in g):
+            raise ValueError("Gram matrix must be square")
+        if g != tuple(zip(*g)):
+            raise ValueError("Gram matrix must be symmetric")
         if not self.basis_labels:
-            object.__setattr__(
-                self, "basis_labels", tuple(f"e{i+1}" for i in range(n))
-            )
+            object.__setattr__(self, "basis_labels", tuple(f"e{i+1}" for i in range(n)))
         elif len(self.basis_labels) != n:
             raise ValueError("label count does not match rank")
 
@@ -212,10 +207,7 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
     @property
     def length(self) -> int:
@@ -280,18 +272,26 @@ def primary_chain(pieces) -> list[list[tuple[int, int, object]]]:
 def discriminant_group(L: GramLattice) -> DiscriminantGroup:
     """Invariant factors of coker(gram) with generators lifted to L^vee.
 
-    L^vee / L is the sum of the blocks' groups.  The certified Smith form of
-    each distinct block Gram gives pieces V_i / d, split by `primary_chain`
+    L^vee / L is the sum of the blocks' groups.  The Smith form U G V = D of
+    each distinct block Gram G gives pieces V_i / d, split by `primary_chain`
     into parts c V_i / q of coprime orders q (c = (d / q)^-1 mod q).  A
     generator and its q-value are the sums of its parts' (parts of coprime
     orders pair integrally): one block keeps its V_i / d.
+
+    The result certifies itself, without U or the Smith steps: |det V| = 1,
+    every part lies in L^vee and the factors multiply to |det L|.  Then the
+    columns V_i / d_i span a lattice of index prod d_i = |det L| over Z^n
+    inside L^vee, which is all of L^vee.
     """
     if L.det == 0:
         raise DegenerateLattice("discriminant group needs det != 0")
     snf, pieces = {}, []
     for comp, g in L.blocks:
         if g not in snf:  # one Smith form per distinct block Gram
-            D, _, V = smith_normal_form(g)
+            D, _, V = _smith(g, False)
+            _, rows = bareiss(V)
+            if len(rows) < len(V) or abs(rows[-1][-1]) != 1:
+                raise AssertionError("Smith form transform V is not unimodular")
             snf[g] = [(D[i][i], [r[i] for r in V]) for i in range(len(g)) if D[i][i] > 1]
         pieces += [(d, (comp, g, col)) for d, col in snf[g]]
     factors, gens, qs = [], [], []
@@ -301,7 +301,7 @@ def discriminant_group(L: GramLattice) -> DiscriminantGroup:
         for q, d, (comp, g, col) in parts:
             c, w = pow(d // q, -1, q), f // q
             v = [c * x % q for x in col]
-            gv = [sum(a * b for a, b in zip(row, v) if b) for row in g]
+            gv = [sum(map(mul, row, v)) for row in g]
             if any(s % q for s in gv):
                 raise NotInDual(f"a part of order {q} pairs non-integrally with the lattice")
             for i, x in zip(comp, v):
@@ -371,6 +371,10 @@ class OverlatticeResult:
         reduces to zero against the Hermite pivots H[i][i].
         """
         d, (x,) = _integer_rows([vec(coords)], self.parent.rank)
+        return self._contains(d, x)
+
+    def _contains(self, d: int, x: list[int]) -> bool:
+        """`contains` for the vector x / d given by integer numerators."""
         if self.den % d:
             return False
         x = [c * (self.den // d) for c in x]
@@ -397,8 +401,8 @@ def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
     den2 = den * den
     prods = mat_mul(nums, gram)
     pairs = mat_mul(prods, [list(c) for c in zip(*nums)])
-    for a, (prod, pair) in enumerate(zip(prods, pairs)):
-        i = next((i for i, s in enumerate(prod) if s % den), None)
+    for a, (row, pair) in enumerate(zip(prods, pairs)):
+        i = next((i for i, s in enumerate(row) if s % den), None)
         if i is not None:
             raise NonIntegralGlue(f"glue #{a} pairs non-integrally with basis {i}")
         s = pair[a]
@@ -413,7 +417,7 @@ def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
     H = hermite_row_basis([[den if j == i else 0 for j in range(n)] for i in range(n)] + nums)
     if len(H) != n:
         raise AssertionError("overlattice basis is not full rank")
-    index, rest = divmod(den**n, abs(det_int(H)))
+    index, rest = divmod(den**n, prod(H[i][i] for i in range(n)))  # H is upper triangular
     if rest:
         raise AssertionError("index [L':L] is not an integer")
     # b_i . b_j = (H G H^T)_ij / den^2 for the basis b_i = H_i / den

@@ -14,16 +14,17 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """a * b, skipping the zero entries of both factors."""
+    """a * b, skipping the zero entries of both factors (those of b listed
+    once per row)."""
     m = len(b[0]) if b else 0
+    nonzero = [[(j, x) for j, x in enumerate(bt) if x] for bt in b]
     out = []
     for ai in a:
         oi = [0] * m
-        for c, bt in zip(ai, b):
+        for c, bt in zip(ai, nonzero):
             if c:
-                for j, x in enumerate(bt):
-                    if x:
-                        oi[j] += c * x
+                for j, x in bt:
+                    oi[j] += c * x
         out.append(oi)
     return out
 
@@ -78,14 +79,22 @@ def smith_normal_form(
     (determinant +-1).  Total on integer matrices, including singular and
     non-square input.
     """
+    return _smith(mat, True)
+
+
+def _smith(mat: IntMatrix, track_u: bool) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """`smith_normal_form`; without track_u the row operations are not
+    recorded, U has empty rows and there is no certificate U*A*V = D."""
     m = len(mat)
     n = len(mat[0]) if m else 0
     A = [list(row) for row in mat]
-    U, W = identity_matrix(m), identity_matrix(n)  # W = V^T: column operations update one row
+    U = identity_matrix(m) if track_u else [[] for _ in range(m)]
+    W = identity_matrix(n)  # W = V^T: column operations update one row
 
     def add_row(dst: int, src: int, q: int) -> None:
         A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+        if track_u:
+            U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
 
     for t in range(min(m, n)):
         # pivot: the first entry (row by row) of least nonzero size in the trailing
@@ -125,8 +134,9 @@ def smith_normal_form(
                             best, piv = abs(A[t][j]), (t, j)
                             break
                 else:  # a non-unit pivot must divide the trailing block: merge an offending row
-                    rows = range(t + 1, m) if best > 1 else ()
-                    offender = next((i for i in rows if any(x % d for x in A[i][t + 1 :])), None)
+                    if best == 1:
+                        break
+                    offender = next((i for i in range(t + 1, m) if any(x % d for x in A[i][t + 1 :])), None)
                     if offender is None:
                         break
                     add_row(t, offender, 1)
@@ -137,7 +147,7 @@ def smith_normal_form(
             U[i] = [-x for x in U[i]]
     V = [list(c) for c in zip(*W)]
     # self-certification, kept under python -O
-    if mat_mul(mat_mul(U, mat), V) != A:
+    if track_u and mat_mul(mat_mul(U, mat), V) != A:
         raise AssertionError("Smith normal form certificate U*A*V = D fails")
     return A, U, V
 

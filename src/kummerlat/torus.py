@@ -1,53 +1,49 @@
 """Finite affine group actions on real 4-tori with exact arithmetic.
 
-Group elements are affine maps x -> Mx + r written in coordinates of the
-defining lattice, so the linear part is an integer matrix with determinant
-+-1 and the translation is a rational vector taken mod Z^4.  Fixed points
-are solved exactly via the Smith normal form of M - I; quotient
-singularities are read off from orbit stabilizers through the standard
-quotient-singularity dictionary (cyclic Z_n -> A_{n-1}, quaternion of order
-8 -> D_4, binary dihedral of order 4m -> D_{m+2}, binary tetrahedral -> E_6).
+Group elements are affine maps x -> Mx + r in coordinates of the defining
+lattice: M is an integer matrix of determinant +-1 and r a rational vector
+mod Z^4.  Fixed points are solved exactly via the Smith normal form of
+M - I.  The singular points of the quotient are the fixed points of one
+generator of each cyclic subgroup of prime order, read off one table of
+element orders per group; each orbit stabilizer is named from the same
+table by the quotient-singularity dictionary (cyclic of order n -> A_{n-1},
+binary dihedral of order 4m -> D_{m+2}, binary tetrahedral, octahedral,
+icosahedral -> E_6, E_7, E_8).
 
-Every translation and every fixed point lies in (1/N)Z^4/Z^4 for some N, so
-the action runs on Python ints: a point is an int 4-tuple mod N and a group
-element is its integer M with the translation numerators mod N.  Closure,
-fixed points, orbits and stabilizers are computed that way.  A torus
-lattice basis is likewise integer numerators over one denominator, and the
-change into lattice coordinates is an integer product with its adjugate.
-Arithmetic runs on these integer numerators; points and translations
-convert to `Fraction` only on returned values (`AffineTorusMap`,
-`FixedPointSet.points`, `SingularityReport`).  `AffineTorusMap.__call__` and
-`compose` are the exception: they act on `Fraction` points directly.
+Every translation and fixed point lies in (1/N)Z^4/Z^4 for some N, so the
+action runs on Python ints: a point is an int 4-tuple mod N and an element
+is its integer M with the translation numerators mod N.  A torus lattice
+basis is integer numerators over one denominator, and the change into
+lattice coordinates is an integer product with its adjugate.  Points and
+translations become `Fraction` only on returned values (`AffineTorusMap`,
+`FixedPointSet.points`, `SingularityReport`); `AffineTorusMap.__call__` and
+`compose` act on `Fraction` points directly.
 
 Every standard group is generated by maps x -> qx + t in a quaternion
-algebra with I^2 = -1, J^2 = sq_j and K = IJ.  One matrix,
-`left_mult_matrix(q, sq_j)`, is x -> qx in the frame (1, I, J, K) for both
-algebras in use: Hamilton's quaternions (sq_j = -1) carry the
-Hurwitz-order groups, and the algebra with J^2 = -3 carries the binary
-dihedral group of order 12, the unit group of its maximal order with the
-rational basis 1, I, (I+J)/2, (1+K)/2.  The table `_GROUPS` gives each
-group its default lattice, sq_j and generators as (q, frame translation)
-pairs; every generator is written in coordinates of the lattice it acts on,
-which it must preserve.
+algebra with I^2 = -1, J^2 = sq_j and K = IJ; `left_mult_matrix(q, sq_j)`
+is x -> qx in the frame (1, I, J, K).  Hamilton's quaternions (sq_j = -1)
+carry the Hurwitz-order groups; the algebra with J^2 = -3 carries the
+binary dihedral group of order 12, the unit group of its maximal order with
+rational basis 1, I, (I+J)/2, (1+K)/2.  `_GROUPS` gives each group its
+default lattice, sq_j and generators as (q, frame translation) pairs, each
+written in coordinates of a lattice it must preserve.
 
 Two-torsion points on the Hurwitz lattice are written in the 'abcd'
 shorthand: abcd = (a/2) + (b/2) i + (c/2) j + (d/2) t for the lattice basis
 (1, i, j, t), t = (1+i+j+k)/2.
 """
-
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul
 
-from .ade import ADEConfig
+from .ade import ADEConfig, _group_order
 from .lattice import DegenerateLattice, RationalVector, _integer_rows, frac_str
-from .snf import det_int, identity_matrix, mat_mul, smith_normal_form
+from .snf import det_int, mat_mul, smith_normal_form
 
 
 class ClosureExceedsBound(ValueError):
@@ -175,10 +171,7 @@ class AffineTorusMap:
         return cls(lin, tr)
 
     def __call__(self, point: RationalVector) -> RationalVector:
-        return tuple(
-            (sum(self.linear[i][j] * point[j] for j in range(4)) + self.translation[i]) % 1
-            for i in range(4)
-        )
+        return tuple((sum(map(mul, row, point)) + r) % 1 for row, r in zip(self.linear, self.translation))
 
     def compose(self, other: "AffineTorusMap") -> "AffineTorusMap":
         lin = tuple(map(tuple, mat_mul(self.linear, other.linear)))
@@ -204,7 +197,22 @@ class TorusGroup:
 
 def _apply(m, t, x, n: int) -> tuple[int, ...]:
     """Mx + t mod n on numerators over n."""
-    return tuple((sum(a * b for a, b in zip(row, x)) + ti) % n for row, ti in zip(m, t))
+    x0, x1, x2, x3 = x
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    t0, t1, t2, t3 = t
+    return ((a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3 + t0) % n,
+            (b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 + t1) % n,
+            (c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3 + t2) % n,
+            (d0 * x0 + d1 * x1 + d2 * x2 + d3 * x3 + t3) % n)
+
+
+def _compose(g, h, n: int):
+    """g h for (M, translation numerators mod n) pairs."""
+    (m, t), (k, s) = g, h
+    (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = k
+    return tuple((a * p0 + b * q0 + c * r0 + d * s0, a * p1 + b * q1 + c * r1 + d * s1,
+                  a * p2 + b * q2 + c * r2 + d * s2, a * p3 + b * q3 + c * r3 + d * s3)
+                 for a, b, c, d in m), _apply(m, t, s, n)
 
 
 def closure(generators, bound: int = 120) -> tuple[AffineTorusMap, ...]:
@@ -216,23 +224,21 @@ def closure(generators, bound: int = 120) -> tuple[AffineTorusMap, ...]:
     """
     n, nums = _integer_rows([g.translation for g in generators], 4)
     gens = [(g.linear, tuple(x % n for x in t)) for g, t in zip(generators, nums)]
-    els = {(_IDENTITY, (0,) * 4)}
+    els = {(_IDENTITY, (0,) * 4), *gens}
     frontier = list(gens)
-    els.update(frontier)
     while frontier:
         new = []
         for m, t in gens:
             for k, s in frontier:
-                gh = (tuple(map(tuple, mat_mul(m, k))), _apply(m, t, s, n))
+                gh = _compose((m, t), (k, s), n)
                 if gh not in els:
                     els.add(gh)
                     new.append(gh)
                     if len(els) > bound:
                         raise ClosureExceedsBound(f"closure exceeded {bound} elements")
         frontier = new
-    return tuple(
-        AffineTorusMap(lin, tuple(Fraction(x, n) for x in t)) for lin, t in sorted(els)
-    )
+    frac = {x: Fraction(x, n) for _, t in els for x in t}
+    return tuple(AffineTorusMap(lin, tuple(map(frac.__getitem__, t))) for lin, t in sorted(els))
 
 
 QUAT_I = (0, 1, 0, 0)
@@ -326,6 +332,8 @@ def _two_torsion_pair(e, label: str):
 class FixedPointSet:
     kind: str  # "finite" | "empty" | "positive_dimensional"
     points: tuple[RationalVector, ...] = ()
+    # (q, nums): the points as int 4-tuples mod q, for the quotient's orbit pass
+    _over: tuple = field(default=(1, ()), compare=False, repr=False)
 
 
 def fixed_points(g: AffineTorusMap) -> FixedPointSet:
@@ -336,7 +344,7 @@ def fixed_points(g: AffineTorusMap) -> FixedPointSet:
     positive-dimensional fixed locus.  With r = t/N and U(M - I)V = D the
     Smith form, y = V^-1 x solves d_i y_i = c_i/N mod 1 for c = -Ut, so the
     points are enumerated as ints mod Q = N lcm(d_i) and become `Fraction`
-    only in the returned set.
+    only in the returned set, which also keeps them as (Q, ints).
     """
     if g.is_identity():
         raise ValueError("fixed points of the identity are the whole torus")
@@ -350,17 +358,18 @@ def fixed_points(g: AffineTorusMap) -> FixedPointSet:
     if 0 in d:
         return FixedPointSet("positive_dimensional")
     q = n * lcm(*d)
-    # y_i = (c_i + k n) / (d_i n) for k in range(d_i), as numerators over q
-    ys = [[(ci + k * n) * (q // (di * n)) for k in range(di)] for di, ci in zip(d, c)]
-    points = {
-        tuple(sum(v * y for v, y in zip(row, combo)) % q for row in V)
-        for combo in product(*ys)
-    }
+    # x = V y with y_i = (c_i + k n) / (d_i n) for k in range(d_i): add the
+    # columns' multiples one column at a time, as numerators over q
+    points = [(0, 0, 0, 0)]
+    for col, di, ci in zip(zip(*V), d, c):
+        steps = [[(ci + k * n) * (q // (di * n)) * v for v in col] for k in range(di)]
+        points = [tuple(map(add, p, y)) for p in points for y in steps]
+    points = sorted({tuple(x % q for x in p) for p in points})
     if len(points) != abs(det_int(A)):
         raise AssertionError("fixed point count disagrees with |det(M - I)|")
-    return FixedPointSet(
-        "finite", tuple(tuple(Fraction(x, q) for x in p) for p in sorted(points))
-    )
+    frac = {x: Fraction(x, q) for x in {x for p in points for x in p}}
+    return FixedPointSet("finite", tuple(tuple(map(frac.__getitem__, p)) for p in points),
+                         (q, tuple(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +396,7 @@ class SingularityReport:
                     "stabilizer_order": self.stabilizer_orders[orbit_idx],
                     "ade": "%s%d" % self.stabilizer_types[orbit_idx],
                 }
-                short = abcd_shorthand(p)
-                if short is not None:
+                if (short := abcd_shorthand(p)) is not None:
                     entry["abcd"] = short
                 pts.append(entry)
         return {
@@ -416,91 +424,115 @@ def parse_abcd(text: str) -> RationalVector:
     return tuple(Fraction(int(ch), 2) for ch in text)
 
 
+def _cyclic_orders(maps, n: int) -> tuple[list[int], list[int], list[int]]:
+    """(orders, dets, primes) of the (M, t mod n) pairs of a finite group.
+
+    Each cyclic subgroup <g> not yet covered is walked once, g, g^2, ..., 1:
+    g^k has order ord(g) / gcd(k, ord(g)) and determinant det(M)^k.  `primes`
+    holds the least index generating each cyclic subgroup of prime order.  A
+    power outside the pairs raises AssertionError: they are not a group.
+    """
+    index = {g: i for i, g in enumerate(maps)}
+    orders, dets, primes = [0] * len(maps), [0] * len(maps), set()
+    for i, g in enumerate(maps):
+        if orders[i]:
+            continue
+        walk, h = [i], g
+        while h[0] != _IDENTITY or any(h[1]):
+            h = _compose(g, h, n)
+            if h not in index:
+                raise AssertionError("a power leaves the element set: the group is not closed")
+            walk.append(index[h])
+        k, det = len(walk), det_int(g[0])
+        for e, j in enumerate(walk, 1):
+            orders[j], dets[j] = k // gcd(e, k), det**e
+        # the subgroup of prime order p is generated by each g^(ek/p), 0 < e < p
+        primes.update(min(walk[e * k // p - 1] for e in range(1, p)) for p in range(2, k + 1)
+                      if k % p == 0 and all(p % q for q in range(2, p)))
+    return orders, dets, sorted(primes)
+
+
+def _ade_type(orders: list[int]) -> tuple[str, int]:
+    """ADE type of a finite subgroup of SL(2, C) from its element orders.
+
+    It is cyclic of order n + 1 (A_n) when an element has the group's order;
+    otherwise -1 is its one involution and its largest element order is
+    2(n - 2) for the binary dihedral group of D_n, 2(n - 3) for the binary
+    polyhedral group of E_n.  The group order must then be the one
+    `ade.component_m` uses for that type.
+    """
+    size, top = len(orders), max(orders, default=0)
+    if top == size:
+        letter, rank = "A", size - 1
+    else:
+        letter, rank = ("D", top // 2 + 2) if 2 * top == size else ("E", top // 2 + 3)
+    if size < 2 or letter != "A" and orders.count(2) != 1 or _group_order(letter, rank) != size:
+        raise UnrecognizedGroup(f"stabilizer of order {size} not classified")
+    return letter, rank
+
+
 def stabilizer_ade_type(matrices) -> tuple[str, int] | str:
     """Quotient-singularity type of a finite stabilizer of linear parts.
 
     Cyclic groups of order n give A_{n-1}; binary dihedral groups of order
     4m give D_{m+2} (the quaternion group, m = 2, gives D_4); the binary
-    tetrahedral group of order 24 gives E_6.
+    tetrahedral, octahedral and icosahedral groups give E_6, E_7, E_8.
+    A matrix of determinant -1 gives NON_SYMPLECTIC.
     """
-    mats = [[list(r) for r in m] for m in matrices]
-    order = len(mats)
-    if any(det_int(m) != 1 for m in mats):
-        return NON_SYMPLECTIC
-    if order == 1:
-        raise UnrecognizedGroup("trivial stabilizer has no singularity type")
-    identity = identity_matrix(4)
-
-    def mat_order(m) -> int:
-        p = m
-        for k in range(1, order + 1):
-            if p == identity:
-                return k
-            p = mat_mul(m, p)
-        raise UnrecognizedGroup("element order exceeds group order")
-
-    orders = sorted(mat_order(m) for m in mats)
-    if order in orders:
-        return ("A", order - 1)
-    involutions = orders.count(2)
-    if order % 4 == 0 and involutions == 1 and orders.count(order // 2) > 0:
-        # binary dihedral of order 4m contains a cyclic subgroup of order 2m
-        m = order // 4
-        if order in (8, 12, 16, 20, 24):
-            return ("D", m + 2)
-    if order == 24 and involutions == 1:
-        return ("E", 6)
-    raise UnrecognizedGroup(f"stabilizer of order {order} not classified")
+    orders, dets, _ = _cyclic_orders([(tuple(map(tuple, m)), (0, 0, 0, 0)) for m in matrices], 1)
+    return NON_SYMPLECTIC if any(d != 1 for d in dets) else _ade_type(orders)
 
 
 def singularity_configuration(group: TorusGroup) -> SingularityReport:
     """Quotient singularities of the torus by the group action.
 
-    Collects the fixed points of all nontrivial elements, partitions them
-    into orbits, classifies each orbit stabilizer and assembles the ADE
-    configuration.  Raises NonIsolatedFixedLocus if some element fixes a
-    positive-dimensional set.
+    A point with a nontrivial stabilizer is fixed by an element of prime
+    order (Cauchy), and Fix(g) = Fix(g^k) for k prime to ord(g), so the
+    singular points are the fixed points of one generator of each cyclic
+    subgroup of prime order, read off one table of element orders.  They are
+    partitioned into orbits, each orbit stabilizer is classified from the
+    same table, and the ADE configuration is assembled.  Raises
+    NonIsolatedFixedLocus if some element fixes a positive-dimensional set:
+    then so does its power of prime order, whose fixed set contains its own.
 
-    Points are int 4-tuples mod N, N the lcm of all point and translation
-    denominators.  One pass over the sorted points takes each unvisited p
+    Points are int 4-tuples mod N, a common denominator of all points and
+    translations.  One pass over the sorted points takes each unvisited p
     (the least point of its orbit), builds its image row g(p) over the
     group once, and reads the orbit and the stabilizer of p off that row.
     The report holds the `Fraction` points that `fixed_points` returned.
     """
-    fixed = []
-    for g in group.elements:
-        if g.is_identity():
-            continue
-        fp = fixed_points(g)
+    n, nums = _integer_rows([g.translation for g in group.elements], 4)
+    maps = [(g.linear, tuple(x % n for x in t)) for g, t in zip(group.elements, nums)]
+    orders, dets, primes = _cyclic_orders(maps, n)
+    solved = [fixed_points(group.elements[i]) for i in primes]
+    for i, fp in zip(primes, solved):
         if fp.kind == "positive_dimensional":
-            raise NonIsolatedFixedLocus(g)
-        fixed.extend(fp.points)
-    n, nums = _integer_rows(fixed + [g.translation for g in group.elements], 4)
-    nums = [tuple(x % n for x in v) for v in nums]
-    frac = dict(zip(nums, fixed))
-    maps = [(g.linear, t) for g, t in zip(group.elements, nums[len(fixed):])]
+            raise NonIsolatedFixedLocus(group.elements[i])
+    # every point and translation over N, the `Fraction` of each point kept for the report
+    N = lcm(n, *(fp._over[0] for fp in solved))
+    maps = [(m, tuple(x * (N // n) for x in t)) for m, t in maps]
+    frac = {tuple(x * (N // fp._over[0]) for x in p): f
+            for fp in solved for p, f in zip(fp._over[1], fp.points)}
+    n = N
 
-    orbits = []
-    stab_orders = []
-    stab_types = []
+    orbits, stab_orders, stab_types = [], [], []
     visited: set[tuple[int, ...]] = set()
     for p in sorted(frac):
         if p in visited:
             continue
         row = [_apply(m, t, p, n) for m, t in maps]
         orbit = sorted(set(row))
-        stab = [g for g, x in zip(group.elements, row) if x == p]
+        stab = [i for i, x in enumerate(row) if x == p]
         if len(orbit) * len(stab) != len(group):
             raise AssertionError("orbit-stabilizer identity violated")
         if not all(x in frac for x in orbit):
             raise AssertionError("an orbit leaves the fixed points: the group is not closed")
+        if any(dets[i] != 1 for i in stab):
+            raise UnrecognizedGroup("non-symplectic stabilizer encountered")
         visited.update(orbit)
         orbits.append(tuple(frac[x] for x in orbit))
-        ade_type = stabilizer_ade_type([g.linear for g in stab])
-        if ade_type == NON_SYMPLECTIC:
-            raise UnrecognizedGroup("non-symplectic stabilizer encountered")
         stab_orders.append(len(stab))
-        stab_types.append(ade_type)
+        stab_types.append(_ade_type([orders[i] for i in stab]))
 
     config = ADEConfig.from_counts(Counter(stab_types))
     if config.rank != sum(n for _, n in stab_types):
@@ -546,9 +578,8 @@ def lieberman_check(e1, e2) -> LiebermanReport:
     fp_tau = fixed_points(tau)
     fp_neg = fixed_points(neg.compose(tau))
     free = fp_tau.kind == "empty" and fp_neg.kind == "empty"
-    config = None
-    if free:
-        config = singularity_configuration(standard_group("lieberman", e1=e1, e2=e2)).config
+    config = (singularity_configuration(standard_group("lieberman", e1=e1, e2=e2)).config
+              if free else None)
     return LiebermanReport(
         e1=tau.translation[:2],
         e2=tau.translation[2:],

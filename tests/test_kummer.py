@@ -216,3 +216,42 @@ def test_same_roots_matches_fraction_oracle(build):
     verdicts = [_same_roots(K, a, b) for a, b in cases]
     assert verdicts == [fraction_same_roots(K, a, b) for a, b in cases]
     assert verdicts == [True, False, False, True, False]
+
+
+def test_alternative_glue_generates_the_same_lattice():
+    # the report shows this by the congruence delta_2 + alt = 0 mod F; the
+    # overlattice it no longer builds agrees
+    from kummerlat import GlueVector
+    from kummerlat.kummer import DELTA_1, DELTA_2, DELTA_2_ALT, _t_base_vector
+
+    F = build_F("Q8hat")
+    d1, d2, alt = (GlueVector.in_dual(F, _t_base_vector(d)) for d in (DELTA_1, DELTA_2, DELTA_2_ALT))
+    assert overlattice(F, [d1, alt]).H == overlattice(F, [d1, d2]).H
+    assert all((a + b) % 4 == 0 for a, b in zip(DELTA_2, DELTA_2_ALT))
+    assert "delta_2 and its variant (3,1,2,0,3,1) generate the same lattice" in build_K_Q8hat().notes
+
+
+# Smith forms (one per distinct block Gram of F and of K, none certified by
+# U*A*V) and overlattices of each saturation report: Q8hat built a second
+# overlattice for the alternative glue before
+REPORT_COUNTS = {"Q8hat": {"_smith": 4, "overlattice": 1},
+                 "T24hat": {"_smith": 5, "overlattice": 1}}
+
+
+@pytest.mark.parametrize("group", sorted(REPORT_COUNTS))
+def test_saturation_report_operation_counts(monkeypatch, group):
+    from collections import Counter
+
+    from kummerlat import kummer, lattice, snf
+
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or real(*a))
+
+    counted(lattice, "_smith")
+    counted(kummer, "overlattice")
+    counted(snf, "smith_normal_form")
+    build_group_report(group)
+    assert calls == REPORT_COUNTS[group]

@@ -240,14 +240,49 @@ def test_smith_and_det_once_per_distinct_block(monkeypatch, text, distinct):
 
     def counted(name):
         real = getattr(lattice, name)
-        return lambda g: calls.update([name]) or real(g)
+        return lambda *args: calls.update([name]) or real(*args)
 
-    for name in ("smith_normal_form", "det_int"):
+    # the discriminant path takes its Smith forms from the uncertified `_smith`
+    for name in ("_smith", "det_int"):
         monkeypatch.setattr(lattice, name, counted(name))
     lat = L(text)
     d = discriminant_group(lat)
-    assert calls == {"smith_normal_form": distinct, "det_int": distinct}
+    assert calls == {"_smith": distinct, "det_int": distinct}
     assert d.invariant_factors == oracle_discriminant_group(lat)[0]
+
+
+def mutated_smith(mutate):
+    """lattice._smith with its (D, V) changed in place by mutate."""
+    real = lattice._smith
+
+    def smith(mat, track_u):
+        D, U, V = real(mat, track_u)
+        mutate(D, V)
+        return D, U, V
+
+    return smith
+
+
+@pytest.mark.parametrize(
+    "mutate, error, message",
+    [
+        # V with a doubled column of factor 1: every part still lies in L^vee
+        # and the factors still multiply to |det|
+        (lambda D, V: [r.__setitem__(0, 2 * r[0]) for r in V], AssertionError, "not unimodular"),
+        # V unimodular, same factors, but (V_2 + V_0) / 4 is not in L^vee
+        (lambda D, V: [r.__setitem__(2, r[2] + r[0]) for r in V], NotInDual, "non-integrally"),
+        # factor 4 read as 2: V_2 / 2 lies in L^vee, but the order is 2, not 4
+        (lambda D, V: D[2].__setitem__(2, 2), AssertionError, "invariant factor product"),
+    ],
+)
+def test_discriminant_certificate_needs_each_check(monkeypatch, mutate, error, message):
+    # the Smith form of A3 is diag(1, 1, 4); each mutation passes the other
+    # two checks, so each check is needed
+    D, _, _ = lattice._smith([list(r) for r in L("A3").gram], False)
+    assert [D[i][i] for i in range(3)] == [1, 1, 4]
+    monkeypatch.setattr(lattice, "_smith", mutated_smith(mutate))
+    with pytest.raises(error, match=message):
+        discriminant_group(L("A3"))
 
 
 def test_disc_huge_prime_block():

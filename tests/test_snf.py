@@ -196,10 +196,22 @@ def test_smith_normal_form_matches_sympy():
     assert min(shapes.values()) >= 50, shapes
 
 
+def run_optimized(script):
+    """Run a script under python -O with the package on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(script)],
+        capture_output=True, text=True, env=env,
+    )
+
+
 def test_certificate_check_survives_optimize():
     # python -O strips assert statements; the U*A*V = D check must still
-    # raise, and the CLI must report it as an internal error (exit 3)
-    script = textwrap.dedent(
+    # raise, and the CLI must report it as an internal error (exit 3).  The
+    # torus command reaches the certified form through its fixed-point solve
+    # (the discriminant path certifies its own output instead, tested below).
+    res = run_optimized(
         """
         import sys
         from kummerlat import cli, snf
@@ -210,18 +222,34 @@ def test_certificate_check_survives_optimize():
         except AssertionError as exc:
             print("raised:", exc)
         print("optimize:", sys.flags.optimize)
-        sys.exit(cli.main(["kummer", "--group", "Z2"]))
+        sys.exit(cli.main(["torus", "--group", "neg1"]))
         """
-    )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    res = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert "optimize: 1" in res.stdout
     assert "raised: Smith normal form certificate" in res.stdout
     assert res.returncode == 3
     assert "internal invariant violation" in res.stderr
+
+
+def test_discriminant_certificate_survives_optimize():
+    # a Smith transform V of determinant 2 must fail the discriminant
+    # group's unimodularity check under python -O, with exit 3 from the CLI
+    res = run_optimized(
+        """
+        import sys
+        from kummerlat import cli, lattice
+        real = lattice._smith
+        def doubled(mat, track_u):
+            D, U, V = real(mat, track_u)
+            return D, U, [[2 * r[0], *r[1:]] for r in V]
+        lattice._smith = doubled
+        print("optimize:", sys.flags.optimize)
+        sys.exit(cli.main(["kummer", "--group", "Z2"]))
+        """
+    )
+    assert "optimize: 1" in res.stdout
+    assert res.returncode == 3
+    assert "internal invariant violation: Smith form transform V is not unimodular" in res.stderr
 
 
 # --- the unit-pivot Smith form against the full-scan one ----------------------

@@ -402,36 +402,119 @@ def test_non_closed_element_set_fails_loudly(picks):
         singularity_configuration(group)
 
 
-# --- stabilizer classification -------------------------------------------------
+ROTATE_FIRST_PLANE = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
-def test_stabilizer_types_basic():
-    neg = tuple(tuple(-1 if i == j else 0 for j in range(4)) for i in range(4))
-    ident = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-    assert stabilizer_ade_type([ident, neg]) == ("A", 1)
+def cyclic_group(linear):
+    """The cyclic group of a linear map of finite order, on the Lipschitz lattice."""
+    from kummerlat.torus import LIPSCHITZ
+
+    g = AffineTorusMap.of(linear)
+    elements, h = [IDENTITY_MAP], g
+    while not h.is_identity():
+        elements.append(h)
+        h = g.compose(h)
+    return TorusGroup("cyclic", LIPSCHITZ, tuple(elements))
 
 
-def test_stabilizer_types_from_groups():
-    q8 = standard_group("Q8")
-    mats = [g.linear for g in q8.elements]
-    assert stabilizer_ade_type(mats) == ("D", 4)
-    t24 = standard_group("T24")
-    assert stabilizer_ade_type([g.linear for g in t24.elements]) == ("E", 6)
-    z4 = standard_group("i")
-    assert stabilizer_ade_type([g.linear for g in z4.elements]) == ("A", 3)
-    d12 = standard_group("D12")
-    assert stabilizer_ade_type([g.linear for g in d12.elements]) == ("D", 5)
+def test_non_isolated_locus_seen_through_the_prime_order_power():
+    # an order-4 rotation fixing a 2-plane: only its square has prime order,
+    # and the square's fixed set contains the plane
+    group = cyclic_group(ROTATE_FIRST_PLANE)
+    assert len(group) == 4
+    with pytest.raises(NonIsolatedFixedLocus) as info:
+        singularity_configuration(group)
+    square = AffineTorusMap.of(mat_mul(ROTATE_FIRST_PLANE, ROTATE_FIRST_PLANE))
+    assert info.value.element == square
+    assert fixed_points(square).kind == "positive_dimensional"
 
 
-def test_non_symplectic_marker():
-    refl = tuple(
-        tuple((-1 if i == 0 else 1) if i == j else 0 for j in range(4))
-        for i in range(4)
-    )
-    ident = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-    from kummerlat.torus import NON_SYMPLECTIC
+def test_power_outside_the_element_set_fails_loudly():
+    # the rotation of order 4 without its square and cube
+    rotation = AffineTorusMap.of(ROTATE_FIRST_PLANE)
+    group = TorusGroup("open", HURWITZ, (IDENTITY_MAP, rotation))
+    with pytest.raises(AssertionError, match="not closed"):
+        singularity_configuration(group)
 
-    assert stabilizer_ade_type([ident, refl]) == NON_SYMPLECTIC
+
+PRIME_ORDER_SOLVES = {"neg1": 1, "i": 1, "Q8": 1, "Q8_T24": 1, "Q8hat": 1, "D12": 2,
+                      "T24": 5, "T24hat": 5}
+
+
+def test_one_solve_per_cyclic_subgroup_of_prime_order(monkeypatch):
+    # one solve per nontrivial element before the prime-order route (82), 17 now
+    from kummerlat import torus
+
+    solved = []
+    real = torus.fixed_points
+    monkeypatch.setattr(torus, "fixed_points", lambda g: solved.append(g) or real(g))
+    counts = {}
+    for name in PRIME_ORDER_SOLVES:
+        before = len(solved)
+        singularity_configuration(standard_group(name))
+        counts[name] = len(solved) - before
+    assert counts == PRIME_ORDER_SOLVES
+    assert sum(counts.values()) == 17
+    assert sum(len(standard_group(name)) - 1 for name in counts) == 82
+
+
+def orders_of(counts):
+    """Element orders of a group given as {order: number of elements}."""
+    return [o for o, k in counts.items() for _ in range(k)]
+
+
+def binary_dihedral_orders(m):
+    """BD_4m: a cyclic subgroup of order 2m and 2m elements of order 4."""
+    from math import gcd
+
+    return [2 * m // gcd(e, 2 * m) for e in range(2 * m)] + [4] * (2 * m)
+
+
+@pytest.mark.parametrize(
+    "orders,expected",
+    [([1, 2], ("A", 1)), ([1, 5, 5, 5, 5], ("A", 4))]
+    + [(binary_dihedral_orders(m), ("D", m + 2)) for m in (2, 3, 4, 5, 6, 12, 30)]
+    + [
+        (orders_of({1: 1, 2: 1, 3: 8, 4: 6, 6: 8}), ("E", 6)),
+        (orders_of({1: 1, 2: 1, 3: 8, 4: 18, 6: 8, 8: 12}), ("E", 7)),
+        (orders_of({1: 1, 2: 1, 3: 20, 4: 30, 5: 24, 6: 20, 10: 24}), ("E", 8)),
+    ],
+)
+def test_stabilizer_rule_reads_the_group_order_table(orders, expected):
+    from kummerlat.ade import component_m
+    from kummerlat.torus import _ade_type
+
+    assert _ade_type(orders) == expected
+    assert component_m(*expected) == expected[1] + 1 - Fraction(1, len(orders))
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [
+        [],  # empty
+        [1],  # trivial
+        [1, 2, 2, 2],  # Klein four group
+        orders_of({1: 1, 2: 5, 4: 2}),  # dihedral of order 8
+        orders_of({1: 1, 2: 3, 4: 12}),  # Z4 x Z4
+        orders_of({1: 1, 2: 1, 3: 8, 6: 8}),  # Z3 x Z6: one involution, but order 18
+    ],
+)
+def test_stabilizer_rule_refuses_other_groups(orders):
+    from kummerlat.torus import _ade_type
+
+    with pytest.raises(UnrecognizedGroup, match="not classified"):
+        _ade_type(orders)
+
+
+def test_unclassified_stabilizer_exits_3(monkeypatch, capsys):
+    from kummerlat import cli, torus
+
+    # with binary dihedral group orders off by one, the D4 stabilizers of Q8
+    # (order 8) match no type
+    real = torus._group_order
+    monkeypatch.setattr(torus, "_group_order", lambda letter, n: real(letter, n) + (letter == "D"))
+    assert cli.main(["torus", "--group", "Q8"]) == 3
+    assert "stabilizer of order 8 not classified" in capsys.readouterr().err
 
 
 # --- lieberman ---------------------------------------------------------------
@@ -508,9 +591,40 @@ def oracle_closure(generators):
     return tuple(sorted(els, key=lambda e: (e.linear, e.translation)))
 
 
+def oracle_stabilizer_ade_type(matrices):
+    """The stabilizer rule before the order table: each element's order by
+    repeated products, and a hand list of binary dihedral orders."""
+    mats = [[list(r) for r in m] for m in matrices]
+    order = len(mats)
+    if any(det_int(m) != 1 for m in mats):
+        return "NonSymplectic"
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+
+    def mat_order(m):
+        p = m
+        for k in range(1, order + 1):
+            if p == identity:
+                return k
+            p = mat_mul(m, p)
+        raise UnrecognizedGroup("element order exceeds group order")
+
+    orders = sorted(mat_order(m) for m in mats)
+    if order in orders:
+        return ("A", order - 1)
+    involutions = orders.count(2)
+    if order % 4 == 0 and involutions == 1 and orders.count(order // 2) > 0:
+        if order in (8, 12, 16, 20, 24):
+            return ("D", order // 4 + 2)
+    if order == 24 and involutions == 1:
+        return ("E", 6)
+    raise UnrecognizedGroup(f"stabilizer of order {order} not classified")
+
+
 def oracle_singularity_configuration(group):
-    """Every orbit rebuilt from each of its points, every stabilizer by
-    applying every element again, all through Fraction-valued g(p)."""
+    """The fixed points of every nontrivial element (not only of the
+    prime-order ones), every orbit rebuilt from each of its points, every
+    stabilizer by applying every element again, all through Fraction-valued
+    g(p), and each stabilizer typed by the old rule."""
     all_points = set()
     for g in group.elements:
         if g.is_identity():
@@ -526,7 +640,7 @@ def oracle_singularity_configuration(group):
         stab = [g for g in group.elements if g(orbit[0]) == orbit[0]]
         assert len(orbit) * len(stab) == len(group.elements)
         stab_orders.append(len(stab))
-        stab_types.append(stabilizer_ade_type([g.linear for g in stab]))
+        stab_types.append(oracle_stabilizer_ade_type([g.linear for g in stab]))
     return SingularityReport(
         group=group.name,
         lattice=group.lattice.name,
@@ -569,6 +683,63 @@ def test_lieberman_matches_oracle(e1, e2):
     for g in group.elements:
         if not g.is_identity():
             assert fixed_points(g) == oracle_fixed_points(g)
+
+
+def orbifold_euler(report):
+    """Sum over the singular orbits of n_p + 1 - 1/|G_p|."""
+    return sum(Fraction(n + 1) - Fraction(1, order)
+               for (_, n), order in zip(report.stabilizer_types, report.stabilizer_orders))
+
+
+ACCEPTED = [pair for pair in product(_GROUPS, LATTICES) if pair not in REJECTED]
+
+
+@pytest.mark.parametrize("name,lattice", ACCEPTED)
+def test_orbifold_euler_identity(name, lattice):
+    # e(T) = 0, so the orbifold Euler number of a K3 quotient is sum (n_p + 1
+    # - 1/|G_p|) = 24: the equality case of the orbifold BMY inequality
+    assert len(ACCEPTED) == 23
+    assert orbifold_euler(singularity_configuration(standard_group(name, lattice=lattice))) == 24
+
+
+def test_orbifold_euler_identity_enriques():
+    # the Lieberman quotient is an Enriques surface: 8A1 gives 12
+    group = standard_group("lieberman", e1=(HALF, 0), e2=(0, HALF))
+    report = singularity_configuration(group)
+    assert report.config.render() == "8A1"
+    assert orbifold_euler(report) == 12
+
+
+# --- stabilizer classification -------------------------------------------------
+
+
+def test_stabilizer_types_basic():
+    neg = tuple(tuple(-1 if i == j else 0 for j in range(4)) for i in range(4))
+    ident = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
+    assert stabilizer_ade_type([ident, neg]) == ("A", 1)
+
+
+def test_stabilizer_types_from_groups():
+    q8 = standard_group("Q8")
+    mats = [g.linear for g in q8.elements]
+    assert stabilizer_ade_type(mats) == ("D", 4)
+    t24 = standard_group("T24")
+    assert stabilizer_ade_type([g.linear for g in t24.elements]) == ("E", 6)
+    z4 = standard_group("i")
+    assert stabilizer_ade_type([g.linear for g in z4.elements]) == ("A", 3)
+    d12 = standard_group("D12")
+    assert stabilizer_ade_type([g.linear for g in d12.elements]) == ("D", 5)
+
+
+def test_non_symplectic_marker():
+    refl = tuple(
+        tuple((-1 if i == 0 else 1) if i == j else 0 for j in range(4))
+        for i in range(4)
+    )
+    ident = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
+    from kummerlat.torus import NON_SYMPLECTIC
+
+    assert stabilizer_ade_type([ident, refl]) == NON_SYMPLECTIC
 
 
 def elementary_pair(rng, steps):
