@@ -172,6 +172,8 @@ def parse_config(text: str) -> ADEConfig:
         if not m:
             raise ParseError(f"malformed term {term!r}", pos)
         mult = int(m.group(1)) if m.group(1) else 1
+        if not mult:
+            raise ParseError(f"zero count in term {term!r}", pos)
         letter = m.group(2)
         n = int(m.group(3))
         _check_component(letter, n)
@@ -316,8 +318,8 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
     denominators.  Output sorted lexicographically by (rank, counts).
     """
     m_target = Fraction(m_target)
-    if m_target <= 0:
-        raise ValueError("m target must be positive")
+    if m_target <= 0 or max_rank < 0:
+        raise ValueError("m target must be positive and max rank nonnegative")
     # component_m(letter, n) > n, so no component of rank above m fits
     catalog = _component_catalog(min(max_rank, int(m_target)))
     scale = lcm(*(m.denominator for _, _, m in catalog))

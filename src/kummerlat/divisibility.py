@@ -31,6 +31,13 @@ mechanisms:
   per-component pieces, each contracted in one step (on an ADE tree the
   branch preimages are disjoint (-1)-curves), so the least cover rank over
   the candidates of a witness is a knapsack over components.
+
+Only a code search lists candidates.  One DP over components counts a
+witness's candidates and finds their least cover rank, and a walk down the
+components gives the least candidate as an example.  A witness of dimension
+1 needs one candidate, and the global F_2 step is proved by any witness code
+of at least its dimension, since a witness code's words are global
+candidates; only the other searches run.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, groupby, product
+from math import inf
 
 from .ade import (
     K3_RANK_LIMIT,
@@ -268,6 +276,39 @@ def _enumerate_candidates(cls: _Classes, allowed) -> list[int]:
     return sorted(v for vs in level.values() for v in vs)
 
 
+def _candidate_dp(ctx: _Context, cls: _Classes, allowed) -> tuple[int, float]:
+    """How many candidates `_enumerate_candidates` lists and, for p = 2, the
+    least rank of their ADE double covers (inf if none), without the list:
+    the same DP, keeping per support size a count and a least rank.  A cover
+    is the sum of its components' `_local_cover` pieces, so the least rank
+    is a knapsack over components."""
+    live = _live_sizes(cls, allowed)
+    level = {0: (1, 0)} if live[0] & 1 else {}
+    for i, ((letter, k, start, _), pats) in enumerate(zip(ctx.graph.component_slices, allowed)):
+        nxt: dict[int, tuple[int, float]] = {}
+        for p in (0, *pats):
+            piece = _local_cover(letter, k, p >> start) if cls.p == 2 else ADEConfig()
+            rank = piece.rank if isinstance(piece, ADEConfig) else inf
+            for t, (c, r) in level.items():
+                if live[i + 1] >> (u := t + p.bit_count()) & 1:
+                    c0, r0 = nxt.get(u, (0, inf))
+                    nxt[u] = c0 + c, min(r0, r + rank)
+        level = nxt
+    return sum(c for c, _ in level.values()), min((r for _, r in level.values()), default=inf)
+
+
+def _least_candidate(cls: _Classes, allowed) -> int:
+    """The least candidate, without the list.  A component's patterns lie
+    above the earlier components' (for p = 3 its coefficient-2 bits fix its
+    pattern), so walk down from the last component, taking the least
+    pattern after which the earlier components still reach an allowed size."""
+    live, t, mask = _live_sizes(cls, allowed[::-1]), 0, 0
+    for pats, below in zip(reversed(allowed), live[1:]):
+        p = min(p for p in (0, *pats) if below >> t + p.bit_count() & 1)
+        t, mask = t + p.bit_count(), mask | p
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # public candidate operations
 
@@ -439,7 +480,9 @@ def _find_code(cls: _Classes, cands: list[int], k: int) -> tuple[list[int] | Non
     new elements and `cands` are closed under negation (for p = 3 it swaps
     each oriented pair).  Membership is admissibility: a global search
     lists every pattern, and in a witness search (p = 2) each component's
-    patterns form, with zero, a group under XOR.
+    patterns form, with zero, a group under XOR.  The checker lists `cands`
+    only to call this: for a witness of dimension 2 or more, and for a
+    global step that no witness code proves.
 
     A binary code here has all nonzero weights 8 or 16 on the N curves the
     candidates cover, so the search stops at t = min(k, d_max(N)), the
@@ -639,32 +682,19 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
         )
     )
 
+    proved = 0  # largest dimension of a witness code found; its words are global candidates
     for w in witnesses:
-        cands = _enumerate_candidates(even, w.allowed)
+        count, bad = _cover_exceeds(ctx, w.allowed)
         if not excluded:
-            basis, best = _find_code(even, cands, w.required)
-            if basis is None:
-                curves = " ".join(ctx.mask_labels(w.curves))
-                steps.append(
-                    _step(
-                        "AdmissibleCandidateCount",
-                        witness_curves=curves,
-                        witness_size=w.size,
-                        required_independent=w.required,
-                        admissible_candidates=len(cands),
-                        independent_found=best,
-                    )
-                )
-                steps.append(
-                    _step(
-                        "IndependenceDeficit",
-                        witness_curves=curves,
-                        required=w.required,
-                        available=best,
-                    )
-                )
+            if w.required == 1:  # any one candidate spans a code of dimension 1
+                best = min(count, 1)
+            else:
+                best = _find_code(even, _enumerate_candidates(even, w.allowed), w.required)[1]
+            proved = max(proved, best)
+            if best < w.required:
+                where = {"witness_curves": " ".join(ctx.mask_labels(w.curves))}
+                steps += _search_steps(where, w.required, count, best, witness_size=w.size)
                 excluded = True
-        bad = _cover_exceeds(ctx, w.allowed, cands)
         if bad is not None:
             example_mask, example_cover = bad
             steps.append(
@@ -672,7 +702,7 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
                     "CoverRankExceeds",
                     witness_curves=" ".join(ctx.mask_labels(w.curves)),
                     witness_size=w.size,
-                    candidates=len(cands),
+                    candidates=count,
                     example_even_set=" ".join(ctx.mask_labels(example_mask)),
                     cover_config=(
                         example_cover.render() if example_cover else "not ADE"
@@ -687,29 +717,13 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
         if k == 0 or excluded:
             continue
         cls = ctx.classes[prime]
-        cands = _enumerate_candidates(cls, cls.patterns)
-        basis, best = _find_code(cls, cands, k)
-        steps.append(
-            _step(
-                "AdmissibleCandidateCount",
-                scope="global",
-                prime=prime,
-                required_independent=k,
-                admissible_candidates=len(cands),
-                independent_found=best,
-            )
-        )
-        if basis is None:
-            steps.append(
-                _step(
-                    "IndependenceDeficit",
-                    scope="global",
-                    prime=prime,
-                    required=k,
-                    available=best,
-                )
-            )
-            excluded = True
+        if prime == 2 and proved >= k:  # a subcode of a witness code proves it
+            count, best = _candidate_dp(ctx, cls, cls.patterns)[0], k
+        else:
+            cands = _enumerate_candidates(cls, cls.patterns)
+            count, best = len(cands), _find_code(cls, cands, k)[1]
+        steps += _search_steps({"scope": "global", "prime": prime}, k, count, best)
+        excluded = best < k
 
     return ObstructionReport(
         config=config,
@@ -718,28 +732,27 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     )
 
 
-def _cover_exceeds(ctx: _Context, allowed, cands: list[int]):
-    """None if there is no candidate or some candidate has an ADE cover of
-    rank <= 19, else the least candidate with its cover (None if not ADE).
-    A cover is the sum of its components' `_local_cover` pieces, so the
-    least ADE cover rank per support size is a knapsack over components."""
-    live = _live_sizes(ctx.classes[2], allowed)
-    least = {0: 0}  # support size -> least ADE cover rank
-    for i, ((letter, k, start, _), pats) in enumerate(zip(ctx.graph.component_slices, allowed)):
-        nxt: dict[int, int] = {}
-        for p in (0, *pats):
-            piece = _local_cover(letter, k, p >> start)
-            if isinstance(piece, str):
-                continue
-            for t, r in least.items():
-                if live[i + 1] >> (u := t + p.bit_count()) & 1:
-                    nxt[u] = min(nxt.get(u, r + piece.rank), r + piece.rank)
-        least = nxt
-    if not cands or any(r <= K3_RANK_LIMIT for r in least.values()):
-        return None
-    pieces = _cover_pieces(ctx.graph, cands[0])
+def _search_steps(where: dict, k: int, count: int, best: int, **extra) -> list[ObstructionStep]:
+    """A code search's AdmissibleCandidateCount step, and its
+    IndependenceDeficit step when the search fell short of dimension k."""
+    steps = [_step("AdmissibleCandidateCount", **where, **extra, required_independent=k,
+                   admissible_candidates=count, independent_found=best)]
+    if best < k:
+        steps.append(_step("IndependenceDeficit", **where, required=k, available=best))
+    return steps
+
+
+def _cover_exceeds(ctx: _Context, allowed) -> tuple[int, tuple[int, ADEConfig | None] | None]:
+    """The number of even-set candidates on `allowed`, with None if there is
+    none or some candidate has an ADE cover of rank <= 19, else the least
+    candidate with its cover (None if not ADE); no candidate is listed."""
+    count, least = _candidate_dp(ctx, ctx.classes[2], allowed)
+    if not count or least <= K3_RANK_LIMIT:
+        return count, None
+    mask = _least_candidate(ctx.classes[2], allowed)
+    pieces = _cover_pieces(ctx.graph, mask)
     ade = not any(isinstance(p, str) for p in pieces)
-    return cands[0], (sum(pieces, ADEConfig()) if ade else None)
+    return count, (mask, sum(pieces, ADEConfig()) if ade else None)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,15 @@ def test_parse_invalid_component():
         parse_config("A0")
 
 
+@pytest.mark.parametrize("text, position", [("0A1", 0), ("A1+0A2", 3), ("2A1 + 00D4", 5)])
+def test_parse_refuses_zero_count(text, position):
+    # "0A1" was read as the empty configuration, whose rendering "0" the
+    # parser refuses
+    with pytest.raises(ParseError, match="zero count") as err:
+        parse_config(text)
+    assert err.value.position == position
+
+
 def test_parse_error_has_position():
     with pytest.raises(ParseError) as err:
         parse_config("2A1+؟+A3")
@@ -377,6 +386,13 @@ def test_census_deterministic():
 def test_census_rejects_nonpositive_m():
     with pytest.raises(ValueError):
         enumerate_configs(0, 19)
+
+
+@pytest.mark.parametrize("max_rank", [-1, -19])
+def test_census_rejects_negative_max_rank(max_rank):
+    with pytest.raises(ValueError, match="max rank"):
+        enumerate_configs(Fraction(3, 2), max_rank)
+    assert enumerate_configs(Fraction(3, 2), 0) == []
 
 
 # --- JSON render -----------------------------------------------------------

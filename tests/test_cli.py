@@ -272,6 +272,27 @@ def test_usage_error_exit_2():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["obstruct", "--config", "0A1"], "zero count in term '0A1'"),
+        (["obstruct", "--config", "A1+0D4", "--json"], "zero count in term '0D4'"),
+        (["census", "--m", "3/2", "--max-rank", "-1"], "max rank nonnegative"),
+        (["census", "--m", "24", "--max-rank", "-1", "--json"], "max rank nonnegative"),
+    ],
+    ids=["obstruct-0A1", "obstruct-0D4-json", "census-m1.5", "census-m24-json"],
+)
+def test_zero_count_and_negative_max_rank_exit_2(argv, message):
+    # both used to exit 0: "0A1" as the empty configuration, a negative max
+    # rank as an empty census
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in err.getvalue()
+    assert out.getvalue() == ""
+
+
 def test_deterministic_output():
     a = run_cli("obstruct", "--config", "5A1+A3+A7+D4", "--json").stdout
     b = run_cli("obstruct", "--config", "5A1+A3+A7+D4", "--json").stdout

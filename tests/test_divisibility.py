@@ -1,3 +1,5 @@
+import hashlib
+import json
 import operator
 import random
 import time
@@ -29,11 +31,13 @@ from kummerlat.divisibility import (
     NO_OBSTRUCTION,
     _component_autos,
     _component_policies,
+    _candidate_dp,
     _Context,
     _cover_exceeds,
     _cover_pieces,
     _enumerate_candidates,
     _find_code,
+    _least_candidate,
     _local_cover,
     _torsion_patterns,
     _witnesses,
@@ -599,11 +603,21 @@ def oracle_cover_scan(ctx, masks):
 
 # (searches compared, candidates listed) over every witness and global search
 ENUMERATION_COUNTS = {"census": (142, 55454), "atlas": (978, 102481), "deep": (108, 666158)}
+# (counts compared, least candidates compared), the latter on nonempty lists,
+# by prime
+COUNT_DP_COUNTS = {
+    "census": (142, {2: 114, 3: 4}),
+    "atlas": (978, {2: 446, 3: 6}),
+    "deep": (108, {2: 94, 3: 3}),
+}
 
 
 @pytest.mark.parametrize("sample", sorted(DP_SAMPLES))
 def test_enumeration_dp_matches_walk(sample):
+    # the list against the walk it replaced, and the count DP and the
+    # least-candidate walk, which build no list, against the list
     searches = listed = 0
+    least = Counter()
     for text in DP_SAMPLES[sample]:
         ctx = _Context(parse_config(text))
         even = ctx.classes[2]
@@ -612,9 +626,14 @@ def test_enumeration_dp_matches_walk(sample):
         for cls, allowed in lists:
             cands = _enumerate_candidates(cls, allowed)
             assert cands == oracle_enumerate(cls, allowed), (text, cls.p)
+            assert _candidate_dp(ctx, cls, allowed)[0] == len(cands), (text, cls.p)
+            if cands:
+                assert _least_candidate(cls, allowed) == cands[0], (text, cls.p)
+                least[cls.p] += 1
             searches += 1
             listed += len(cands)
     assert (searches, listed) == ENUMERATION_COUNTS[sample]
+    assert (searches, least) == COUNT_DP_COUNTS[sample]
 
 
 # (witnesses compared, CoverRankExceeds steps, witnesses without candidates)
@@ -630,7 +649,8 @@ def test_cover_dp_matches_scan(sample):
         ctx = _Context(parse_config(text))
         for w in _witnesses(ctx):
             cands = _enumerate_candidates(ctx.classes[2], [list(a) for a in w.allowed])
-            got = _cover_exceeds(ctx, w.allowed, cands)
+            count, got = _cover_exceeds(ctx, w.allowed)
+            assert count == len(cands), (text, w.description)
             assert got == oracle_cover_scan(ctx, cands), (text, w.description)
             compared += 1
             fired += got is not None
@@ -648,8 +668,129 @@ def test_cover_dp_reports_non_ade_example():
     cands = _enumerate_candidates(ctx.classes[2], allowed)
     assert len(cands) == 1
     assert isinstance(_local_cover("D", 4, 0b10), str)
-    assert _cover_exceeds(ctx, allowed, cands) == (cands[0], None)
+    assert _cover_exceeds(ctx, allowed) == (1, (cands[0], None))
     assert oracle_cover_scan(ctx, cands) == (cands[0], None)
+
+
+# --- the searches the checker skips, against the full search -------------------
+
+
+def searches_run(ctx, skipped):
+    """(prime, dimension, candidates) of each code search the checker should
+    run, in order.  Where it skips one (a witness of dimension 1, or a global
+    F_2 step that a witness code of at least its dimension proves), the full
+    `_find_code` on the listed candidates must give what the checker reports,
+    and `skipped` counts it by kind."""
+    even = ctx.classes[2]
+    runs = []
+    excluded, proved = False, 0
+    for w in _witnesses(ctx):
+        if not excluded:
+            cands = _enumerate_candidates(even, w.allowed)
+            basis, dim = _find_code(even, cands, w.required)
+            if w.required == 1:
+                assert (basis is not None, dim) == (bool(cands), min(len(cands), 1))
+                skipped["witness"] += 1
+            else:
+                runs.append((2, w.required, len(cands)))
+            proved, excluded = max(proved, dim), basis is None
+        excluded |= _cover_exceeds(ctx, w.allowed)[1] is not None
+    report = check_nonexistence(ctx.config)
+    glue = {p: int(report.steps[0].get(f"required_glue_{p}")) for p in (2, 3)}
+    for p, k in glue.items():
+        if not k or excluded:
+            continue
+        cls = ctx.classes[p]
+        cands = _enumerate_candidates(cls, cls.patterns)
+        basis, dim = _find_code(cls, cands, k)
+        if p == 2 and proved >= k:
+            assert (basis is not None, dim) == (True, k)
+            step = next(s for s in report.steps if s.get("scope") == "global")  # p = 2 comes first
+            assert step.get("prime") == "2"
+            assert step.get("admissible_candidates") == str(len(cands))
+            assert step.get("independent_found") == str(k)
+            skipped["global"] += 1
+        else:
+            runs.append((p, k, len(cands)))
+        excluded = basis is None
+    return runs
+
+
+# searches the checker skips, by kind, and searches it runs
+SKIPPED_COUNTS = {
+    "census": ({"witness": 44, "global": 7}, 36),
+    "atlas": ({"witness": 54, "global": 15}, 6),
+}
+
+
+@pytest.mark.parametrize("sample", sorted(SKIPPED_COUNTS))
+def test_skipped_searches_match_full_search(monkeypatch, sample):
+    # the checker runs exactly the other searches, on the same candidates
+    texts = TABLE_10 + EXTRA_8 if sample == "census" else ATLAS_SAMPLE[:100]
+    calls = []
+    real = divisibility._find_code
+
+    def recorded(cls, cands, k):
+        calls.append((cls.p, k, len(cands)))
+        return real(cls, cands, k)
+
+    monkeypatch.setattr(divisibility, "_find_code", recorded)
+    skipped = Counter()
+    ran = 0
+    for text in texts:
+        ctx = _Context(parse_config(str(text)))
+        expected = searches_run(ctx, skipped)
+        calls.clear()
+        check_nonexistence(ctx.config)
+        assert calls == expected, str(text)
+        ran += len(calls)
+    assert (skipped, ran) == SKIPPED_COUNTS[sample]
+
+
+def test_census_lists_candidates_only_for_searches(monkeypatch):
+    # 118 lists and 87 code searches before the checker counted candidates
+    # without listing them
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(divisibility, name)
+        monkeypatch.setattr(divisibility, name, lambda *a: calls.update([name]) or real(*a))
+
+    counted("_enumerate_candidates")
+    counted("_find_code")
+    for text in TABLE_10 + EXTRA_8:
+        check_nonexistence(parse_config(text))
+    assert calls == {"_enumerate_candidates": 36, "_find_code": 36}
+
+
+def test_global_f2_search_runs_unless_a_witness_code_proves_it(monkeypatch):
+    # on the atlas a witness code proves every global F_2 step the checker
+    # reaches; without the 16-curve witness of 16A1 (its code, RM(1, 4), has
+    # dimension 5, and it is the last) the step runs its own search and
+    # reports the same
+    config = parse_config("16A1")
+    full = check_nonexistence(config)
+    witnesses, real = divisibility._witnesses, divisibility._find_code
+    calls = []
+    monkeypatch.setattr(divisibility, "_witnesses", lambda ctx: witnesses(ctx)[:-1])
+    monkeypatch.setattr(divisibility, "_find_code", lambda *a: calls.append(a[::2]) or real(*a))
+    short = check_nonexistence(config)
+    assert [(cls.p, k) for cls, k in calls] == [(2, 2), (2, 3), (2, 4), (2, 5)]
+    assert short.verdict == full.verdict == NO_OBSTRUCTION
+    assert short.steps[1:] == full.steps[1:]
+
+
+def test_atlas_verdicts_and_report_digest():
+    # every configuration of rank <= 19: the verdict histogram, and a digest
+    # of the reports that pins them byte for byte
+    digest = hashlib.sha256()
+    verdicts = Counter()
+    for c in ATLAS:
+        report = check_nonexistence(c).to_json_dict()
+        verdicts[report["verdict"]] += 1
+        digest.update((json.dumps(report, sort_keys=True) + "\n").encode())
+    assert verdicts == {NO_OBSTRUCTION: 6158, EXCLUDED: 1415}
+    assert digest.hexdigest() == "f4b3974787242071483e5b35497663047f3b83b19efacc6ce7685ac417c05984"
 
 
 def test_enumerate_configs_matches_rank_partitions():
