@@ -11,8 +11,9 @@ an A_3 is never 3-divisible" fall out of the integrality test itself.
 
 Classes of both primes are packed into one int: bit i is coefficient 1 on
 curve i and, for p = 3, bit n + i is coefficient 2.  One enumeration, one
-admissibility test and one F_p code search serve p = 2 and p = 3; addition
-differs (XOR, or a bitsliced mod-3 add), and binary codes have a length bound.
+admissibility test and one F_p code search, cut off by one table of code
+lengths, serve p = 2 and p = 3; only addition differs (XOR, or a bitsliced
+mod-3 add), with the multiples and basis pool that follow from it.
 
 The nonexistence checker first excludes rank > 19 (the exceptional curves
 of a K3 span a negative-definite lattice) and then combines three
@@ -145,9 +146,9 @@ def _component_disc(letter: str, n: int):
 def _torsion_patterns(letter: str, n: int, p: int) -> tuple[tuple[int, ...], ...]:
     """Coefficient vectors (mod p) of the nonzero p-torsion dual classes.
 
-    For p = 3 only classes that decompose into disjoint, mutually
-    non-adjacent adjacent pairs carrying coefficients {1, 2} qualify as
-    supports of 3-divisible sets.
+    For p = 3 each one is c (1, 2) on disjoint, mutually non-adjacent A_2
+    pairs of the component: only A_{3k-1} and E_6 have 3-torsion, and the
+    tests check the pairs on every component type.
     """
     disc = _component_disc(letter, n)
     parts = [
@@ -158,34 +159,8 @@ def _torsion_patterns(letter: str, n: int, p: int) -> tuple[tuple[int, ...], ...
         x = [sum(c * m * g[j] for c, (g, m) in zip(combo, parts)) % 1 for j in range(n)]
         if any((p * v).denominator != 1 for v in x):
             raise AssertionError(f"{p}-torsion class is not a 1/{p}-sum")
-        coeffs = tuple(int(p * v) for v in x)
-        if any(coeffs) and (p == 2 or _pairs_of_coeffs(letter, n, coeffs) is not None):
-            pats.add(coeffs)
-    return tuple(sorted(pats))
-
-
-@lru_cache(maxsize=None)
-def _pairs_of_coeffs(letter: str, n: int, coeffs) -> tuple[tuple[int, int], ...] | None:
-    """Decompose a mod-3 coefficient vector on one component into oriented
-    disjoint A_2 pairs (local node indices)."""
-    adj = _neighbours(letter, n)
-    support = sum(1 << i for i, c in enumerate(coeffs) if c)
-    seen = set()
-    pairs = []
-    for i, c in enumerate(coeffs):
-        if not c or i in seen:
-            continue
-        partners = adj[i] & support
-        if partners.bit_count() != 1:
-            return None
-        j = partners.bit_length() - 1
-        if adj[j] & support != 1 << i:
-            return None
-        if {coeffs[i], coeffs[j]} != {1, 2}:
-            return None
-        seen.update((i, j))
-        pairs.append((i, j) if coeffs[i] == 1 else (j, i))
-    return tuple(sorted(pairs))
+        pats.add(tuple(int(p * v) for v in x))
+    return tuple(sorted(pats - {(0,) * n}))
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +174,10 @@ class _Classes:
     A class is one int.  Bit i means coefficient 1 on curve i; for p = 3
     only, bit n + i means coefficient 2 on curve i.  Components are
     disjoint, so per-component patterns combine by bitwise OR and the
-    support size is the bit count.  Addition, and with it the nonzero
-    multiples, is the per-prime operation (`_find_code` also reads p).  A
-    class is admissible when it is one of the candidates
-    `_enumerate_candidates` lists.
+    support size is the bit count.  Addition, the nonzero multiples and
+    `pool`, the sorted candidates with coefficient 1 on their top curve, are
+    the per-prime operations.  A class is admissible when it is one of the
+    candidates `_enumerate_candidates` lists.
     """
 
     def __init__(self, ctx: "_Context", p: int):
@@ -219,9 +194,12 @@ class _Classes:
             self.sizes = EVEN_SUPPORT_SIZES
             self.add = operator.xor
             self.multiples = lambda v: (v,)
+            self.pool = lambda cands: cands  # already sorted by top curve
             return
         self.sizes = tuple(2 * s for s in THREE_SUPPORT_SIZES)  # curves
         low = (1 << n) - 1
+        # the halves share no curve, so top coefficient 1 means the low half is larger
+        self.pool = lambda cs: sorted((c for c in cs if c & low > c >> n), key=lambda c: c & low)
 
         def add(u: int, v: int) -> int:
             # coefficient 1 from 0+1, 1+0, 2+2; coefficient 2 from 0+2, 2+0, 1+1
@@ -316,40 +294,32 @@ def _least_candidate(cls: _Classes, allowed) -> int:
 def even_set_candidates(config: ADEConfig) -> list[DivisibleCandidate]:
     """All admissible even-set candidates: 8 or 16 disjoint curves whose
     half-sum pairs integrally with every curve of the configuration."""
-    ctx = _Context(config)
-    cls = ctx.classes[2]
-    half = (Fraction(0), Fraction(1, 2))
-    out = []
-    for mask in _enumerate_candidates(cls, cls.patterns):
-        vectorc = tuple(half[mask >> i & 1] for i in range(ctx.n))
-        out.append(DivisibleCandidate(2, ctx.mask_labels(mask), vectorc))
-    out.sort(key=lambda c: (len(c.support), c.support))
-    return out
+    return _candidates(config, 2)
 
 
 def three_divisible_candidates(config: ADEConfig) -> list[DivisibleCandidate]:
     """All admissible 3-divisible candidates: 6 or 9 disjoint oriented A_2
     sub-configurations whose weighted third-sum is integral against all
     curves."""
+    return _candidates(config, 3)
+
+
+def _candidates(config: ADEConfig, p: int) -> list[DivisibleCandidate]:
+    """The candidates of prime p, labelled: for p = 3 each curve with
+    coefficient 1 is paired with its one neighbour of coefficient 2."""
     ctx = _Context(config)
-    cls, n, labels = ctx.classes[3], ctx.n, ctx.labels
-    thirds = tuple(Fraction(c, 3) for c in range(3))
-    def coeffs(v: int, lo: int = 0, hi: int = n) -> tuple[int, ...]:  # of curves lo .. hi - 1
-        return tuple((v >> i & 1) + 2 * (v >> (n + i) & 1) for i in range(lo, hi))
-    # each component's bits and the labelled pairs of its allowed patterns
-    # (which decompose), built once per pattern
-    parts = []
-    for (letter, k, start, stop), pats in zip(ctx.graph.component_slices, cls.patterns):
-        table = {0: ()}
-        for v in pats:
-            local = _pairs_of_coeffs(letter, k, coeffs(v, start, stop))
-            table[v] = tuple((labels[start + i], labels[start + j]) for i, j in local)
-        bits = ((1 << k) - 1) << start
-        parts.append((bits | bits << n, table))
-    # components are increasing node ranges, so a candidate's pairs stay sorted
-    out = [DivisibleCandidate(3, sum((table[v & bits] for bits, table in parts), ()),
-                              tuple(thirds[c] for c in coeffs(v)))
-           for v in _enumerate_candidates(cls, cls.patterns)]
+    cls, n, labels = ctx.classes[p], ctx.n, ctx.labels
+    slices = ctx.graph.component_slices
+    neighbours = [m << start for letter, k, start, _ in slices for m in _neighbours(letter, k)]
+    values = tuple(Fraction(c, p) for c in range(p))
+    out = []
+    for v in _enumerate_candidates(cls, cls.patterns):
+        support = tuple(
+            labels[i] if p == 2 else (labels[i], labels[(neighbours[i] & v >> n).bit_length() - 1])
+            for i in range(n) if v >> i & 1
+        )
+        coeffs = tuple(values[(v >> i & 1) + 2 * (v >> n + i & 1)] for i in range(n))
+        out.append(DivisibleCandidate(p, support, coeffs))
     out.sort(key=lambda c: (len(c.support), c.support))
     return out
 
@@ -379,14 +349,20 @@ def double_cover_transform(config: ADEConfig, candidate) -> ADEConfig:
     preimages.  The (-1)-curves are pairwise disjoint and meet no other
     branch preimage, so one contraction of all of them leaves only
     (-2)-curves; the result is recognized as an ADE configuration,
-    component by component.
+    component by component.  Raises ValueError on an unknown label and on
+    branch curves that are not an even set.
     """
     graph, index_of = _labelled_graph(config)
     if isinstance(candidate, DivisibleCandidate):
         candidate = candidate.support
+    if unknown := [lab for lab in candidate if lab not in index_of]:
+        raise ValueError(f"unknown curve label {unknown[0]!r}")
     mask = sum(1 << index_of[lab] for lab in set(candidate))
     hits = [0] * len(graph.nodes)
     for i, j in graph.edges:
+        if mask >> i & mask >> j & 1:
+            meet = f"branch curves {graph.nodes[i]} and {graph.nodes[j]} meet"
+            raise ValueError(f"candidate is not an even set ({meet})")
         hits[i] += mask >> j & 1
         hits[j] += mask >> i & 1
     for i, h in enumerate(hits):
@@ -471,9 +447,9 @@ def _find_code(cls: _Classes, cands: list[int], k: int) -> tuple[list[int] | Non
     Each code is visited once, through its basis in reduced echelon form:
     a vector's pivot is its highest curve, where its coefficient is 1,
     pivots increase along the basis, and each basis vector is 0 on the
-    other pivots.  So the basis is drawn, in order of top curve, from the
-    candidates with top coefficient 1 (for p = 2, all of `cands`), and a
-    later one must be 0 on every chosen pivot.  Extending the span by v
+    other pivots.  So the basis is drawn from `cls.pool(cands)`, the
+    candidates with top coefficient 1 in order of top curve, and a later
+    one must be 0 on every chosen pivot.  Extending the span by v
     adds m + w for each nonzero multiple m of v and each old element w;
     each level keeps the later candidates u with u + x in `cands` for every
     element x just added.  That covers the other multiples of u, since the
@@ -484,19 +460,17 @@ def _find_code(cls: _Classes, cands: list[int], k: int) -> tuple[list[int] | Non
     only to call this: for a witness of dimension 2 or more, and for a
     global step that no witness code proves.
 
-    A binary code here has all nonzero weights 8 or 16 on the N curves the
-    candidates cover, so the search stops at t = min(k, d_max(N)), the
-    largest d with `_EVEN_CODE_LENGTH[d] <= N`; if t < k, a code of
-    dimension t is the best possible and the result is (None, t).
+    A code here lives on the N curves the candidates cover, in either packed
+    half, with every nonzero word on 8 or 16 of them (p = 2) or on 12 or 18
+    (p = 3).  So the search stops at t = min(k, d_max(N)), the largest d
+    with `_CODE_LENGTH[p][d] <= N`; if t < k, a code of dimension t is the
+    best possible and the result is (None, t).
     """
     add, multiples, n = cls.add, cls.multiples, cls.n
     low = (1 << n) - 1
-    target, pool = k, cands
-    if cls.p == 2:
-        points = reduce(operator.or_, cands, 0).bit_count()
-        target = min(k, max((d for d, t in _EVEN_CODE_LENGTH.items() if t <= points), default=0))
-    else:  # top coefficient 1: the halves share no curve, so the low one is larger
-        pool = sorted((c for c in cands if c & low > c >> n), key=lambda c: c & low)
+    u = reduce(operator.or_, cands, 0)
+    points = ((u | u >> n) & low).bit_count()
+    target = min(k, max((d for d, t in _CODE_LENGTH[cls.p].items() if t <= points), default=0))
     admissible = set(cands)
     best_seen = 0
     basis: list[int] = []
@@ -519,44 +493,41 @@ def _find_code(cls: _Classes, cands: list[int], k: int) -> tuple[list[int] | Non
             basis.pop()
         return False
 
-    found = extend(pool, [0], 0)
+    found = extend(cls.pool(cands), [0], 0)
     del extend  # the closure refers to itself: free its search state now, not at a GC pass
     return (basis if found and target == k else None), (target if found else best_seen)
 
 
-# Fewest points carrying a binary code of dimension d whose nonzero weights
-# are all 8 or 16: the Griesmer bound, met by RM(1, 4) on the 16 nodes of a
-# Kummer surface (Nikulin, "On Kummer surfaces", 1975) and its shortenings.
-# On at most 19 points (rank <= 19) a weight-moment count reduces d = 6 to a
-# [9, 6, 4] or [13, 6, 6] code, which the Griesmer bound forbids.
-_EVEN_CODE_LENGTH = {1: 8, 2: 12, 3: 14, 4: 15, 5: 16}
+# Fewest curves carrying a code of dimension d, per prime.  Binary, weights
+# 8 or 16: the Griesmer bound, met by RM(1, 4) on the 16 nodes of a Kummer
+# surface (Nikulin, "On Kummer surfaces", 1975) and its shortenings; no code
+# of dimension 6 lies on at most 19 curves.  Ternary: every pattern is
+# c (1, 2) on each A_2 pair it covers, so a code is one on the pairs with
+# weights 6 or 9, and the Griesmer bound for [n, d, 6]_3 gives 6, 8 and 9
+# pairs (Barth's nine cusps meet d = 3); d = 4 needs 10 pairs, and at most
+# 19 curves hold 9.  Tier-1 re-derives both tables by classifying the codes.
+_CODE_LENGTH = {2: {1: 8, 2: 12, 3: 14, 4: 15, 5: 16}, 3: {1: 12, 2: 16, 3: 18}}
 
 
 # ---------------------------------------------------------------------------
 # witness sets
 
 
-def _component_autos(letter: str, n: int) -> list[tuple[int, ...]]:
-    autos = [tuple(range(n))]
-    if letter == "A" and n > 1:
-        autos.append(tuple(reversed(range(n))))
-    elif letter == "D":
-        if n == 4:
-            for perm in (
-                (0, 1, 3, 2),
-                (2, 1, 0, 3),
-                (3, 1, 2, 0),
-                (2, 1, 3, 0),
-                (3, 1, 0, 2),
-            ):
-                autos.append(perm)
-        else:
-            swap = list(range(n))
-            swap[n - 2], swap[n - 1] = swap[n - 1], swap[n - 2]
-            autos.append(tuple(swap))
-    elif letter == "E" and n == 6:
-        autos.append((4, 3, 2, 1, 0, 5))
-    return autos
+@lru_cache(maxsize=None)
+def _component_autos(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """The diagram automorphisms of one component, as node permutations:
+    nodes 0, 1, ... are mapped in turn, each to an unused node with the
+    same adjacency to the images of the nodes mapped before."""
+    adj = _neighbours(letter, n)
+    perms: list[tuple[int, ...]] = [()]
+    for i in range(n):
+        perms = [
+            perm + (j,)
+            for perm in perms
+            for j in range(n)
+            if j not in perm and all(adj[i] >> a & 1 == adj[j] >> b & 1 for a, b in enumerate(perm))
+        ]
+    return tuple(perms)
 
 
 @lru_cache(maxsize=None)
@@ -645,7 +616,9 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     above 19, a set of r >= 12 disjoint curves without its r - 11
     independent admissible even sets, a p-primary length excess without
     enough p-divisible glue, or a forced even set all of whose double covers
-    exceed rank 19.
+    exceed rank 19.  On every input of rank <= 19 a witness code proves the
+    global F_2 step whenever it is reached, so the global F_2 search is a
+    fallback that only a test which drops witnesses runs.
     """
     rho = config.rank
     if rho > K3_RANK_LIMIT:

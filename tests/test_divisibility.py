@@ -407,24 +407,128 @@ def test_candidate_membership_is_componentwise_admissibility(sample):
 # --- the code search against the search it replaced --------------------------
 
 
+def code_lengths(p, weights, points, information_sets=True):
+    """{d: fewest points} over the F_p codes of dimension d on at most
+    `points` points whose nonzero words all have a weight in `weights`; the
+    first dimension missing has no code.
+
+    Up to the order of its points, a code with a chosen basis is the
+    multiset of its columns in F_p^d, each taken up to a nonzero scalar
+    (first nonzero entry 1), which changes no weight; the zero column counts
+    the unused points.  Every code of dimension d + 1 extends one of its
+    subcodes of dimension d by a row.  Adding an old word to that row spans
+    the same code, so the row may vanish on one point of each column of an
+    information set (`information_sets`)."""
+    table, level, d = {}, {(((), points),)}, 0
+    while level:
+        level = {new for code in level for new in extend_code(p, weights, code, information_sets)}
+        d += 1
+        if level:
+            table[d] = min(points - dict(code).get((0,) * d, 0) for code in level)
+    return table
+
+
+def extend_code(p, weights, code, information_sets):
+    """The codes one dimension above `code`, a sorted tuple of (column,
+    multiplicity).  Each column type splits its points among the new
+    entries (0 or 1 below the zero column, which keeps the new columns
+    normalized), and each new word (a, 1) must get an allowed weight; the
+    other new words are multiples of these."""
+    d = len(code[0][0])
+    words = list(product(range(p), repeat=d))
+    pinned = independent_columns(p, [c for c, _ in code]) if information_sets else set()
+    options = []  # per column type: (new columns, weight added to each new word)
+    for idx, (c, m) in enumerate(code):
+        values = range(p) if any(c) else range(2)
+        options.append([
+            (
+                tuple((c + (v,), x) for v, x in zip(values, parts) if x),
+                [sum(x for v, x in zip(values, parts) if (v + sum(map(operator.mul, a, c))) % p)
+                 for a in words],
+            )
+            for parts in splits(m, len(values), int(idx in pinned))
+        ])
+    rest = [sum(m for _, m in code[i:]) for i in range(len(code) + 1)]
+    found = []
+
+    def walk(i, weight, columns):
+        if not all(any(w <= t <= w + rest[i] for t in weights) for w in weight):
+            return
+        if i == len(options):
+            found.append(tuple(sorted(columns)))
+            return
+        for new, adds in options[i]:
+            walk(i + 1, list(map(operator.add, weight, adds)), columns + new)
+
+    walk(0, [0] * len(words), ())
+    return found
+
+
+def independent_columns(p, columns):
+    """Indices of columns that form a basis of their span, by elimination
+    mod p."""
+    rows, picked = [], set()
+    for idx, c in enumerate(columns):
+        v = list(c)
+        for pivot, row in rows:
+            f = v[pivot]
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+        if any(v):
+            pivot = next(i for i, x in enumerate(v) if x)
+            inverse = pow(v[pivot], -1, p)
+            rows.append((pivot, [x * inverse % p for x in v]))
+            picked.add(idx)
+    return picked
+
+
+def splits(m, k, least_first=0):
+    """Every way to write m as an ordered sum of k parts, the first at
+    least least_first."""
+    if k == 1:
+        return [(m,)] if m >= least_first else []
+    return [(x, *rest) for x in range(least_first, m + 1) for rest in splits(m - x, k - 1)]
+
+
+@lru_cache(maxsize=None)
+def derived_code_length():
+    """`_find_code`'s table of fewest curves per code dimension, derived
+    apart from it, on at most 19 curves (rank <= 19).  Binary codes live on
+    the curves with weights 8 or 16.  A ternary word is c (1, 2) on each
+    A_2 pair it covers, so a ternary code lives on at most 9 pairs with
+    weights 6 or 9, and each pair is two curves."""
+    pairs = code_lengths(3, (6, 9), 19 // 2)
+    return {2: code_lengths(2, (8, 16), 19), 3: {d: 2 * t for d, t in pairs.items()}}
+
+
+def test_code_length_table_is_derived():
+    # both tables entry for entry, and so no code one dimension above either
+    # (binary d = 6, ternary d = 4)
+    assert derived_code_length() == divisibility._CODE_LENGTH
+    # the information-set cut loses no code, seen where the full search is cheap
+    assert code_lengths(3, (6, 9), 9, information_sets=False) == code_lengths(3, (6, 9), 9)
+
+
+def covered_curves(n, cands):
+    """How many curves the packed candidates cover, in either half."""
+    u = reduce(operator.or_, cands, 0)
+    return ((u | u >> n) & ((1 << n) - 1)).bit_count()
+
+
 class SearchBudget(Exception):
     """The oracle search passed its budget of candidate tests."""
-
-
-# Fewest points carrying a weight-{8,16} binary code of dimension d
-PURE_A1_THRESHOLD = {1: 8, 2: 12, 3: 14, 4: 15, 5: 16}
 
 
 def oracle_search(cls, allowed, cands, k, budget=None):
     """The search `_find_code` replaced, as (found, largest dimension
     reached).  When every allowed pattern is one curve the dimension is
-    capped from PURE_A1_THRESHOLD without a search; otherwise every
-    increasing basis drawn from `cands` is tried, so each code is visited
-    once per such basis.  Raises SearchBudget once more than `budget`
-    candidates have been tested."""
+    capped from the derived binary code lengths without a search; otherwise
+    every increasing basis drawn from `cands` is tried, so each code is
+    visited once per such basis.  Raises SearchBudget once more than
+    `budget` candidates have been tested."""
     usable = [p for pats in allowed for p in pats]
     if all(p.bit_count() == 1 for p in usable):
-        cap = max((d for d, t in PURE_A1_THRESHOLD.items() if t <= len(usable)), default=0)
+        lengths = derived_code_length()[2]
+        cap = max((d for d, t in lengths.items() if t <= len(usable)), default=0)
         if k > cap:
             return False, cap
     add, multiples = cls.add, cls.multiples
@@ -501,7 +605,7 @@ def test_code_bound_decides_mixed_witness(text):
     short = []
     for w in _witnesses(ctx):
         cands = _enumerate_candidates(even, [list(a) for a in w.allowed])
-        if cands and reduce(operator.or_, cands).bit_count() < PURE_A1_THRESHOLD[w.required]:
+        if cands and covered_curves(ctx.n, cands) < derived_code_length()[2][w.required]:
             short.append((w, cands))
     ((w, cands),) = short
     k = w.required
@@ -509,7 +613,7 @@ def test_code_bound_decides_mixed_witness(text):
     assert oracle_search(even, w.allowed, cands, k) == (False, k - 1)
 
 
-@pytest.mark.parametrize("text", ["5A1+A3+A7+D4", "6A1+A3+D4+D6", "8A2+A3"])
+@pytest.mark.parametrize("text", ["5A1+A3+A7+D4", "6A1+A3+D4+D6", "7A2+A5"])
 def test_search_visits_each_code_once(text):
     # a search for dimension 3 that is not cut short by the length bound and
     # ends at 2 expands one node per admissible code of dimension 1 or 2:
@@ -518,7 +622,7 @@ def test_search_visits_each_code_once(text):
     checked = 0
     for p, _, cands, _ in code_searches(ctx):
         cls = ctx.classes[p]
-        if not cands or p == 2 and reduce(operator.or_, cands).bit_count() < 14:
+        if not cands or covered_curves(ctx.n, cands) < derived_code_length()[p][3]:
             continue
         nodes = 0
         multiples = cls.multiples
@@ -839,6 +943,67 @@ def oracle_component_mis(letter, n):
 
     size, chosen = best((1 << n) - 1)
     return size, tuple(i for i in range(n) if chosen >> i & 1)
+
+
+def oracle_pairs(letter, n, coeffs):
+    """Decompose a mod-3 coefficient vector on one component into oriented
+    disjoint A_2 pairs (node with coefficient 1, node with coefficient 2),
+    or None when it does not split so."""
+    adj = [0] * n
+    for i, j in component_edges(letter, n):
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    support = sum(1 << i for i, c in enumerate(coeffs) if c)
+    pairs = set()
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        partners = adj[i] & support
+        j = partners.bit_length() - 1
+        if partners.bit_count() != 1 or adj[j] & support != 1 << i or {c, coeffs[j]} != {1, 2}:
+            return None
+        pairs.add((i, j) if c == 1 else (j, i))
+    return sorted(pairs)
+
+
+def test_three_torsion_patterns_are_oriented_A2_pairs():
+    # the 3-divisible candidates pair each curve of coefficient 1 with its one
+    # neighbour of coefficient 2, and the ternary code lengths count pairs:
+    # both need every 3-torsion pattern to be c (1, 2) on disjoint A_2 pairs
+    found = {}
+    for letter, n in COMPONENT_TYPES:
+        for coeffs in _torsion_patterns(letter, n, 3):
+            pairs = oracle_pairs(letter, n, coeffs)
+            assert pairs is not None, (letter, n, coeffs)
+            found.setdefault((letter, n), []).append(len(pairs))
+    assert found == {("A", 3 * k - 1): [k, k] for k in range(1, 7)} | {("E", 6): [2, 2]}
+
+
+def oracle_component_autos(letter, n):
+    """The diagram automorphisms of one component, by hand: A_n reverses,
+    D_4 permutes its three leaves, D_n swaps its two short arms and E_6
+    reverses its long path."""
+    autos = [tuple(range(n))]
+    if letter == "A" and n > 1:
+        autos.append(tuple(reversed(range(n))))
+    elif letter == "D":
+        if n == 4:
+            autos += [(0, 1, 3, 2), (2, 1, 0, 3), (3, 1, 2, 0), (2, 1, 3, 0), (3, 1, 0, 2)]
+        else:
+            swap = list(range(n))
+            swap[n - 2], swap[n - 1] = swap[n - 1], swap[n - 2]
+            autos.append(tuple(swap))
+    elif letter == "E" and n == 6:
+        autos.append((4, 3, 2, 1, 0, 5))
+    return autos
+
+
+def test_component_autos_match_hand_table():
+    for letter, n in COMPONENT_TYPES:
+        autos = _component_autos(letter, n)
+        assert len(set(autos)) == len(autos), (letter, n)
+        assert set(autos) == set(oracle_component_autos(letter, n)), (letter, n)
+    assert len(COMPONENT_TYPES) == 38
 
 
 def scanned_policies(letter, n):
@@ -1198,6 +1363,19 @@ def test_cover_odd_branch_parity():
     with pytest.raises(ValueError) as err:
         double_cover_transform(parse_config("A1+D4+A3"), ["A3.1.1"])
     assert str(err.value) == "candidate is not an even set (odd branch parity)"
+
+
+def test_cover_meeting_branch_curves():
+    # the two curves of an A_2 meet, so they are no even set
+    with pytest.raises(ValueError) as err:
+        double_cover_transform(parse_config("A2"), ["A2.1.1", "A2.1.2"])
+    assert str(err.value) == "candidate is not an even set (branch curves A2.1.1 and A2.1.2 meet)"
+
+
+def test_cover_unknown_label():
+    with pytest.raises(ValueError) as err:
+        double_cover_transform(parse_config("A1+D4+A3"), ["A3.1.1", "nope", "A3.1.3"])
+    assert str(err.value) == "unknown curve label 'nope'"
 
 
 # --- the checker ------------------------------------------------------------
