@@ -38,7 +38,10 @@ witness's candidates and finds their least cover rank, and a walk down the
 components gives the least candidate as an example.  A witness of dimension
 1 needs one candidate, and the global F_2 step is proved by any witness code
 of at least its dimension, since a witness code's words are global
-candidates; only the other searches run.
+candidates.  Where only A_1 curves or both patterns of A_2 pairs are
+allowed, every word of an allowed weight is a candidate, so the code-length
+table is exact (zero columns pad a shortest code) and decides; only the
+other searches run.
 """
 
 from __future__ import annotations
@@ -258,15 +261,14 @@ def _candidate_dp(ctx: _Context, cls: _Classes, allowed) -> tuple[int, float]:
     """How many candidates `_enumerate_candidates` lists and, for p = 2, the
     least rank of their ADE double covers (inf if none), without the list:
     the same DP, keeping per support size a count and a least rank.  A cover
-    is the sum of its components' `_local_cover` pieces, so the least rank
-    is a knapsack over components."""
+    is the sum of its components' `_local_cover` pieces (a non-ADE piece is
+    a message, with no rank), so the least rank is a knapsack."""
     live = _live_sizes(cls, allowed)
     level = {0: (1, 0)} if live[0] & 1 else {}
     for i, ((letter, k, start, _), pats) in enumerate(zip(ctx.graph.component_slices, allowed)):
         nxt: dict[int, tuple[int, float]] = {}
         for p in (0, *pats):
-            piece = _local_cover(letter, k, p >> start) if cls.p == 2 else ADEConfig()
-            rank = piece.rank if isinstance(piece, ADEConfig) else inf
+            rank = getattr(_local_cover(letter, k, p >> start), "rank", inf) if cls.p == 2 else 0
             for t, (c, r) in level.items():
                 if live[i + 1] >> (u := t + p.bit_count()) & 1:
                     c0, r0 = nxt.get(u, (0, inf))
@@ -457,20 +459,19 @@ def _find_code(cls: _Classes, cands: list[int], k: int) -> tuple[list[int] | Non
     each oriented pair).  Membership is admissibility: a global search
     lists every pattern, and in a witness search (p = 2) each component's
     patterns form, with zero, a group under XOR.  The checker lists `cands`
-    only to call this: for a witness of dimension 2 or more, and for a
-    global step that no witness code proves.
+    only to call this, where the table does not decide (`_code_dim`): for a
+    witness of dimension 2 or more, and for a global step that no witness
+    code proves.
 
     A code here lives on the N curves the candidates cover, in either packed
     half, with every nonzero word on 8 or 16 of them (p = 2) or on 12 or 18
-    (p = 3).  So the search stops at t = min(k, d_max(N)), the largest d
-    with `_CODE_LENGTH[p][d] <= N`; if t < k, a code of dimension t is the
-    best possible and the result is (None, t).
+    (p = 3).  So the search stops at t = min(k, d_max(N)) (`_table_dim`);
+    if t < k, a code of dimension t is the best possible and the result is
+    (None, t).
     """
     add, multiples, n = cls.add, cls.multiples, cls.n
     low = (1 << n) - 1
-    u = reduce(operator.or_, cands, 0)
-    points = ((u | u >> n) & low).bit_count()
-    target = min(k, max((d for d, t in _CODE_LENGTH[cls.p].items() if t <= points), default=0))
+    target = _table_dim(cls, reduce(operator.or_, cands, 0), k)
     admissible = set(cands)
     best_seen = 0
     basis: list[int] = []
@@ -506,7 +507,25 @@ def _find_code(cls: _Classes, cands: list[int], k: int) -> tuple[list[int] | Non
 # weights 6 or 9, and the Griesmer bound for [n, d, 6]_3 gives 6, 8 and 9
 # pairs (Barth's nine cusps meet d = 3); d = 4 needs 10 pairs, and at most
 # 19 curves hold 9.  Tier-1 re-derives both tables by classifying the codes.
+# Zero columns pad a shortest code to any N points, so where every word of an
+# allowed weight on them is a candidate (`_code_dim`) the table is exact.
 _CODE_LENGTH = {2: {1: 8, 2: 12, 3: 14, 4: 15, 5: 16}, 3: {1: 12, 2: 16, 3: 18}}
+
+
+def _table_dim(cls: _Classes, cover: int, k: int) -> int:
+    """min(k, d_max(N)), the largest d with `_CODE_LENGTH[p][d] <= N`, where
+    N counts the curves that `cover` meets in either packed half."""
+    points = ((cover | cover >> cls.n) & ((1 << cls.n) - 1)).bit_count()
+    return min(k, max((d for d, t in _CODE_LENGTH[cls.p].items() if t <= points), default=0))
+
+
+def _code_dim(cls: _Classes, allowed, k: int) -> int:
+    """The largest dimension, up to k, of an F_p code of candidates on
+    `allowed`: by the table, with no list, when each nonempty allowed set is
+    the p - 1 multiples of one class on p - 1 curves (A_1, or v, -v on A_2)."""
+    if all(len(ps) == cls.p - 1 == q.bit_count() for ps in allowed for q in ps):
+        return _table_dim(cls, reduce(operator.or_, (q for ps in allowed for q in ps), 0), k)
+    return _find_code(cls, _enumerate_candidates(cls, allowed), k)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +678,8 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     for w in witnesses:
         count, bad = _cover_exceeds(ctx, w.allowed)
         if not excluded:
-            if w.required == 1:  # any one candidate spans a code of dimension 1
-                best = min(count, 1)
-            else:
-                best = _find_code(even, _enumerate_candidates(even, w.allowed), w.required)[1]
+            # any one candidate spans a code of dimension 1
+            best = min(count, 1) if w.required == 1 else _code_dim(even, w.allowed, w.required)
             proved = max(proved, best)
             if best < w.required:
                 where = {"witness_curves": " ".join(ctx.mask_labels(w.curves))}
@@ -677,9 +694,7 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
                     witness_size=w.size,
                     candidates=count,
                     example_even_set=" ".join(ctx.mask_labels(example_mask)),
-                    cover_config=(
-                        example_cover.render() if example_cover else "not ADE"
-                    ),
+                    cover_config=example_cover.render() if example_cover else "not ADE",
                     cover_rank=(example_cover.rank if example_cover else -1),
                     rank_limit=K3_RANK_LIMIT,
                 )
@@ -690,19 +705,14 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
         if k == 0 or excluded:
             continue
         cls = ctx.classes[prime]
-        if prime == 2 and proved >= k:  # a subcode of a witness code proves it
-            count, best = _candidate_dp(ctx, cls, cls.patterns)[0], k
-        else:
-            cands = _enumerate_candidates(cls, cls.patterns)
-            count, best = len(cands), _find_code(cls, cands, k)[1]
+        count = _candidate_dp(ctx, cls, cls.patterns)[0]
+        # a subcode of a witness code proves the F_2 step
+        best = k if prime == 2 and proved >= k else _code_dim(cls, cls.patterns, k)
         steps += _search_steps({"scope": "global", "prime": prime}, k, count, best)
         excluded = best < k
 
-    return ObstructionReport(
-        config=config,
-        verdict=EXCLUDED if excluded else NO_OBSTRUCTION,
-        steps=tuple(steps),
-    )
+    verdict = EXCLUDED if excluded else NO_OBSTRUCTION
+    return ObstructionReport(config=config, verdict=verdict, steps=tuple(steps))
 
 
 def _search_steps(where: dict, k: int, count: int, best: int, **extra) -> list[ObstructionStep]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import operator
 import random
 import time
@@ -779,12 +780,26 @@ def test_cover_dp_reports_non_ade_example():
 # --- the searches the checker skips, against the full search -------------------
 
 
+def complete_search(ctx, p, allowed):
+    """Whether each component with allowed patterns is an A_1 with its one
+    pattern (p = 2) or an A_2 with both of its patterns (p = 3): then the
+    candidates are every word of an allowed weight on those curves or pairs,
+    and the code-length table decides the search."""
+    only = ("A", 1, 1) if p == 2 else ("A", 2, 2)
+    return all(
+        (letter, k, len(pats)) == only
+        for (letter, k, _, _), pats in zip(ctx.graph.component_slices, allowed)
+        if pats
+    )
+
+
 def searches_run(ctx, skipped):
     """(prime, dimension, candidates) of each code search the checker should
-    run, in order.  Where it skips one (a witness of dimension 1, or a global
-    F_2 step that a witness code of at least its dimension proves), the full
-    `_find_code` on the listed candidates must give what the checker reports,
-    and `skipped` counts it by kind."""
+    run, in order.  Where it skips one (a witness of dimension 1, a global
+    F_2 step that a witness code of at least its dimension proves, or a
+    search the code-length table decides), the full `_find_code` on the
+    listed candidates must give what the checker reports, and `skipped`
+    counts it by kind."""
     even = ctx.classes[2]
     runs = []
     excluded, proved = False, 0
@@ -795,7 +810,7 @@ def searches_run(ctx, skipped):
             if w.required == 1:
                 assert (basis is not None, dim) == (bool(cands), min(len(cands), 1))
                 skipped["witness"] += 1
-            else:
+            elif not table_decides(ctx, even, w.allowed, w.required, cands, dim, skipped):
                 runs.append((2, w.required, len(cands)))
             proved, excluded = max(proved, dim), basis is None
         excluded |= _cover_exceeds(ctx, w.allowed)[1] is not None
@@ -807,23 +822,35 @@ def searches_run(ctx, skipped):
         cls = ctx.classes[p]
         cands = _enumerate_candidates(cls, cls.patterns)
         basis, dim = _find_code(cls, cands, k)
+        where = ("AdmissibleCandidateCount", "global", str(p))
+        (step,) = [s for s in report.steps if (s.kind, s.get("scope"), s.get("prime")) == where]
+        assert step.get("admissible_candidates") == str(len(cands))
+        assert step.get("independent_found") == str(dim)
         if p == 2 and proved >= k:
             assert (basis is not None, dim) == (True, k)
-            step = next(s for s in report.steps if s.get("scope") == "global")  # p = 2 comes first
-            assert step.get("prime") == "2"
-            assert step.get("admissible_candidates") == str(len(cands))
-            assert step.get("independent_found") == str(k)
             skipped["global"] += 1
-        else:
+        elif not table_decides(ctx, cls, cls.patterns, k, cands, dim, skipped):
             runs.append((p, k, len(cands)))
         excluded = basis is None
     return runs
 
 
+def table_decides(ctx, cls, allowed, k, cands, dim, skipped):
+    """Whether the code-length table decides a search; if it does, its
+    dimension must be `_find_code`'s on the listed candidates and the DP
+    count the length of the list, and `skipped` counts it."""
+    if not complete_search(ctx, cls.p, allowed):
+        return False
+    assert divisibility._code_dim(cls, allowed, k) == dim
+    assert _candidate_dp(ctx, cls, allowed)[0] == len(cands)
+    skipped["table"] += 1
+    return True
+
+
 # searches the checker skips, by kind, and searches it runs
 SKIPPED_COUNTS = {
-    "census": ({"witness": 44, "global": 7}, 36),
-    "atlas": ({"witness": 54, "global": 15}, 6),
+    "census": ({"witness": 44, "global": 7, "table": 7}, 29),
+    "atlas": ({"witness": 54, "global": 15, "table": 1}, 5),
 }
 
 
@@ -853,35 +880,95 @@ def test_skipped_searches_match_full_search(monkeypatch, sample):
 
 def test_census_lists_candidates_only_for_searches(monkeypatch):
     # 118 lists and 87 code searches before the checker counted candidates
-    # without listing them
-    calls = Counter()
+    # without listing them, and 36 and 36 (33549 candidates listed) before
+    # the code-length table decided complete searches
+    calls, listed = Counter(), 0
+    real_list, real_find = divisibility._enumerate_candidates, divisibility._find_code
 
-    def counted(name):
-        real = getattr(divisibility, name)
-        monkeypatch.setattr(divisibility, name, lambda *a: calls.update([name]) or real(*a))
+    def enumerate_candidates(*a):
+        nonlocal listed
+        calls["_enumerate_candidates", text] += 1
+        cands = real_list(*a)
+        listed += len(cands)
+        return cands
 
-    counted("_enumerate_candidates")
-    counted("_find_code")
+    def find_code(*a):
+        calls["_find_code", text] += 1
+        return real_find(*a)
+
+    monkeypatch.setattr(divisibility, "_enumerate_candidates", enumerate_candidates)
+    monkeypatch.setattr(divisibility, "_find_code", find_code)
     for text in TABLE_10 + EXTRA_8:
         check_nonexistence(parse_config(text))
-    assert calls == {"_enumerate_candidates": 36, "_find_code": 36}
+    totals = Counter(name for name, _ in calls.elements())
+    assert totals == {"_enumerate_candidates": 29, "_find_code": 29}
+    assert listed == 3900
+    assert not {text for _, text in calls} & {"16A1", "9A2"}
 
 
 def test_global_f2_search_runs_unless_a_witness_code_proves_it(monkeypatch):
     # on the atlas a witness code proves every global F_2 step the checker
-    # reaches; without the 16-curve witness of 16A1 (its code, RM(1, 4), has
-    # dimension 5, and it is the last) the step runs its own search and
-    # reports the same
-    config = parse_config("16A1")
-    full = check_nonexistence(config)
+    # reaches.  Without its last witness (the one of dimension 2) A1+6A3
+    # runs the global F_2 search on its own, incomplete candidates; 16A1
+    # without its 16-curve witness (its code, RM(1, 4), has dimension 5, and
+    # it is the last) has every search decided by the code-length table.
+    # Both report the same steps
+    expected = {"A1+6A3": [(2, 2)], "16A1": []}
+    full = {text: check_nonexistence(parse_config(text)) for text in expected}
     witnesses, real = divisibility._witnesses, divisibility._find_code
     calls = []
     monkeypatch.setattr(divisibility, "_witnesses", lambda ctx: witnesses(ctx)[:-1])
     monkeypatch.setattr(divisibility, "_find_code", lambda *a: calls.append(a[::2]) or real(*a))
-    short = check_nonexistence(config)
-    assert [(cls.p, k) for cls, k in calls] == [(2, 2), (2, 3), (2, 4), (2, 5)]
-    assert short.verdict == full.verdict == NO_OBSTRUCTION
-    assert short.steps[1:] == full.steps[1:]
+    for text, searches in expected.items():
+        calls.clear()
+        short = check_nonexistence(parse_config(text))
+        assert [(cls.p, k) for cls, k in calls] == searches, text
+        assert short.verdict == full[text].verdict == NO_OBSTRUCTION
+        assert short.steps[1:] == full[text].steps[1:]
+
+
+# (searches compared, of them decided by the code-length table, by prime and
+# by whether there is a candidate)
+TABLE_COUNTS = {
+    "census": (142, {(2, True): 8, (2, False): 1, (3, True): 1, (3, False): 14}),
+    "atlas": (978, {(2, True): 39, (2, False): 45, (3, False): 214}),
+    "deep": (108, {(2, True): 38, (2, False): 1, (3, True): 2, (3, False): 8}),
+}
+
+
+@pytest.mark.parametrize("sample", sorted(TABLE_COUNTS))
+def test_code_length_table_decides_complete_searches(monkeypatch, sample):
+    # every witness and global search: the table decides exactly the
+    # complete ones, and there it gives the full search's dimension, past
+    # any table entry, and the derived table's; every word of an allowed
+    # weight is a candidate, and the DP counts them
+    searched = []
+    real = divisibility._find_code
+    # a search the table does not decide is only recorded: past the
+    # required dimension some run for minutes
+    monkeypatch.setattr(divisibility, "_find_code", lambda *a: searched.append(1) or (None, -1))
+    compared, decided = 0, Counter()
+    for text in DP_SAMPLES[sample]:
+        ctx = _Context(parse_config(text))
+        for p, allowed, cands, _ in code_searches(ctx):
+            cls = ctx.classes[p]
+            k = max(derived_code_length()[p]) + 1
+            searched.clear()
+            dim = divisibility._code_dim(cls, allowed, k)
+            compared += 1
+            assert (not searched) == complete_search(ctx, p, allowed), (text, p)
+            if searched:
+                continue
+            basis, found = real(cls, cands, k)
+            points = sum(1 for pats in allowed if pats)  # curves (p = 2) or A_2 pairs
+            weights = (8, 16) if p == 2 else (6, 9)
+            assert len(cands) == sum(math.comb(points, w) * (p - 1) ** w for w in weights)
+            assert _candidate_dp(ctx, cls, allowed)[0] == len(cands)
+            lengths = derived_code_length()[p]
+            exact = max((d for d, t in lengths.items() if t <= points * (p - 1)), default=0)
+            assert basis is None and dim == found == exact, (text, p)
+            decided[p, bool(cands)] += 1
+    assert (compared, decided) == TABLE_COUNTS[sample]
 
 
 def test_atlas_verdicts_and_report_digest():
