@@ -9,12 +9,6 @@ sub-configurations.  Candidates are computed per component from the torsion
 of the component discriminant groups, so obstructions like "an A_2 inside
 an A_3 is never 3-divisible" fall out of the integrality test itself.
 
-Classes of both primes are packed into one int: bit i is coefficient 1 on
-curve i and, for p = 3, bit n + i is coefficient 2.  One enumeration, one
-admissibility test and one F_p code search, cut off by one table of code
-lengths, serve p = 2 and p = 3; only addition differs (XOR, or a bitsliced
-mod-3 add), with the multiples and basis pool that follow from it.
-
 The nonexistence checker first excludes rank > 19 (the exceptional curves
 of a K3 span a negative-definite lattice) and then combines three
 mechanisms:
@@ -33,15 +27,12 @@ mechanisms:
   branch preimages are disjoint (-1)-curves), so the least cover rank over
   the candidates of a witness is a knapsack over components.
 
-Only a code search lists candidates.  One DP over components counts a
-witness's candidates and finds their least cover rank, and a walk down the
-components gives the least candidate as an example.  A witness of dimension
-1 needs one candidate, and the global F_2 step is proved by any witness code
-of at least its dimension, since a witness code's words are global
-candidates.  Where only A_1 curves or both patterns of A_2 pairs are
-allowed, every word of an allowed weight is a candidate, so the code-length
-table is exact (zero columns pad a shortest code) and decides; only the
-other searches run.
+No check lists candidates.  One DP over components counts a witness's
+candidates and finds their least cover rank, and a walk down the
+components gives the least candidate as an example.  Every witness search
+of dimension 2 or more and every global step, p = 2 or 3, is one match: up
+to a change of basis the codes are repeated simplex and first-order affine
+codes, and a code exists exactly when one splits among the components.
 """
 
 from __future__ import annotations
@@ -171,17 +162,11 @@ def _torsion_patterns(letter: str, n: int, p: int) -> tuple[tuple[int, ...], ...
 
 
 class _Classes:
-    """The allowed per-component patterns of p-divisible classes, for p = 2
-    or 3, with the F_p addition on packed classes.
-
-    A class is one int.  Bit i means coefficient 1 on curve i; for p = 3
-    only, bit n + i means coefficient 2 on curve i.  Components are
-    disjoint, so per-component patterns combine by bitwise OR and the
-    support size is the bit count.  Addition, the nonzero multiples and
-    `pool`, the sorted candidates with coefficient 1 on their top curve, are
-    the per-prime operations.  A class is admissible when it is one of the
-    candidates `_enumerate_candidates` lists.
-    """
+    """The allowed per-component patterns of p-divisible classes, p = 2 or
+    3, and the allowed support sizes in curves.  A class is one int: bit i
+    is coefficient 1 on curve i and, for p = 3 only, bit n + i coefficient 2.
+    Components are disjoint, so patterns combine by bitwise OR and the
+    support size is the bit count."""
 
     def __init__(self, ctx: "_Context", p: int):
         n = self.n = ctx.n
@@ -193,26 +178,7 @@ class _Classes:
             )
             for letter, k, start, _ in ctx.graph.component_slices
         ]
-        if p == 2:
-            self.sizes = EVEN_SUPPORT_SIZES
-            self.add = operator.xor
-            self.multiples = lambda v: (v,)
-            self.pool = lambda cands: cands  # already sorted by top curve
-            return
-        self.sizes = tuple(2 * s for s in THREE_SUPPORT_SIZES)  # curves
-        low = (1 << n) - 1
-        # the halves share no curve, so top coefficient 1 means the low half is larger
-        self.pool = lambda cs: sorted((c for c in cs if c & low > c >> n), key=lambda c: c & low)
-
-        def add(u: int, v: int) -> int:
-            # coefficient 1 from 0+1, 1+0, 2+2; coefficient 2 from 0+2, 2+0, 1+1
-            u1, u2, v1, v2 = u & low, u >> n, v & low, v >> n
-            s1 = (u1 ^ v1) & ~(u2 | v2) | (u2 & v2)
-            s2 = (u2 ^ v2) & ~(u1 | v1) | (u1 & v1)
-            return s1 | s2 << n
-
-        self.add = add
-        self.multiples = lambda v: (v, (v & low) << n | v >> n)  # v and -v
+        self.sizes = EVEN_SUPPORT_SIZES if p == 2 else tuple(2 * s for s in THREE_SUPPORT_SIZES)
 
 
 class _Context:
@@ -438,94 +404,130 @@ def _local_cover(letter: str, n: int, local_mask: int) -> ADEConfig | str:
 
 
 # ---------------------------------------------------------------------------
-# F_p code search over packed classes (everywhere-admissible subspaces)
+# F_p codes of candidates: one match against a catalogue of codes
 
 
-def _find_code(cls: _Classes, cands: list[int], k: int) -> tuple[list[int] | None, int]:
-    """Search for an F_p subspace of dimension k all of whose nonzero
-    elements are among the sorted candidates `cands`; return (basis or
-    None, largest dimension reached).
-
-    Each code is visited once, through its basis in reduced echelon form:
-    a vector's pivot is its highest curve, where its coefficient is 1,
-    pivots increase along the basis, and each basis vector is 0 on the
-    other pivots.  So the basis is drawn from `cls.pool(cands)`, the
-    candidates with top coefficient 1 in order of top curve, and a later
-    one must be 0 on every chosen pivot.  Extending the span by v
-    adds m + w for each nonzero multiple m of v and each old element w;
-    each level keeps the later candidates u with u + x in `cands` for every
-    element x just added.  That covers the other multiples of u, since the
-    new elements and `cands` are closed under negation (for p = 3 it swaps
-    each oriented pair).  Membership is admissibility: a global search
-    lists every pattern, and in a witness search (p = 2) each component's
-    patterns form, with zero, a group under XOR.  The checker lists `cands`
-    only to call this, where the table does not decide (`_code_dim`): for a
-    witness of dimension 2 or more, and for a global step that no witness
-    code proves.
-
-    A code here lives on the N curves the candidates cover, in either packed
-    half, with every nonzero word on 8 or 16 of them (p = 2) or on 12 or 18
-    (p = 3).  So the search stops at t = min(k, d_max(N)) (`_table_dim`);
-    if t < k, a code of dimension t is the best possible and the result is
-    (None, t).
-    """
-    add, multiples, n = cls.add, cls.multiples, cls.n
-    low = (1 << n) - 1
-    target = _table_dim(cls, reduce(operator.or_, cands, 0), k)
-    admissible = set(cands)
-    best_seen = 0
-    basis: list[int] = []
-
-    def extend(compatible: list[int], span: list[int], pivots: int) -> bool:
-        nonlocal best_seen
-        best_seen = max(best_seen, len(basis))
-        if len(basis) == target:
-            return True
-        for idx, v in enumerate(compatible):
-            top = 1 << (v & low).bit_length() - 1
-            taken = pivots | top | top << n  # both packed halves of each pivot
-            new = [add(m, w) for m in multiples(v) for w in span]
-            rest = [u for u in compatible[idx + 1 :] if not u & taken]
-            for x in new:
-                rest = [u for u in rest if add(u, x) in admissible]
-            basis.append(v)
-            if extend(rest, span + new, taken):
-                return True
-            basis.pop()
-        return False
-
-    found = extend(cls.pool(cands), [0], 0)
-    del extend  # the closure refers to itself: free its search state now, not at a GC pass
-    return (basis if found and target == k else None), (target if found else best_seen)
+def _normal(v: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Nonzero v up to a scalar: first nonzero entry 1 (units of F_2, F_3 are self-inverse)."""
+    return tuple(y * next(x for x in v if x) % p for y in v)
 
 
-# Fewest curves carrying a code of dimension d, per prime.  Binary, weights
-# 8 or 16: the Griesmer bound, met by RM(1, 4) on the 16 nodes of a Kummer
-# surface (Nikulin, "On Kummer surfaces", 1975) and its shortenings; no code
-# of dimension 6 lies on at most 19 curves.  Ternary: every pattern is
-# c (1, 2) on each A_2 pair it covers, so a code is one on the pairs with
-# weights 6 or 9, and the Griesmer bound for [n, d, 6]_3 gives 6, 8 and 9
-# pairs (Barth's nine cusps meet d = 3); d = 4 needs 10 pairs, and at most
-# 19 curves hold 9.  Tier-1 re-derives both tables by classifying the codes.
-# Zero columns pad a shortest code to any N points, so where every word of an
-# allowed weight on them is a candidate (`_code_dim`) the table is exact.
-_CODE_LENGTH = {2: {1: 8, 2: 12, 3: 14, 4: 15, 5: 16}, 3: {1: 12, 2: 16, 3: 18}}
+@lru_cache(maxsize=None)
+def _catalogue(p: int) -> dict[int, tuple[dict[tuple[int, ...], int], ...]]:
+    """The codes a search can find, by dimension d, as normalized columns
+    with multiplicities in curves: up to GL(d, p), the codes with weights 8
+    or 16 on <= 19 curves (6 or 9 on <= 9 A_2 pairs, each two curves with
+    one column) are all points of PG(d - 1, p) (simplex) or all points off a
+    hyperplane (affine), each 8 (6) or 16 (9) / p^(d-1) times where whole,
+    up to RM(1, 4) on a Kummer surface's 16 nodes (Nikulin 1975) and Barth's
+    nine cusps (1998).  Tier-1 classifies the codes apart from this."""
+    low, top = EVEN_SUPPORT_SIZES if p == 2 else THREE_SUPPORT_SIZES
+    out = {}
+    for d in range(1, top.bit_length() + 1):  # every d with 2^(d-1) <= top
+        points = [v for v in product(range(p), repeat=d) if any(v) and _normal(v, p) == v]
+        out[d] = tuple(
+            {v: (p - 1) * weight // p ** (d - 1) for v in columns}
+            for weight, columns in ((low, points), (top, [v for v in points if v[0]]))
+            if weight % p ** (d - 1) == 0
+        )
+    return {d: codes for d, codes in out.items() if codes}
 
 
-def _table_dim(cls: _Classes, cover: int, k: int) -> int:
-    """min(k, d_max(N)), the largest d with `_CODE_LENGTH[p][d] <= N`, where
-    N counts the curves that `cover` meets in either packed half."""
-    points = ((cover | cover >> cls.n) & ((1 << cls.n) - 1)).bit_count()
-    return min(k, max((d for d, t in _CODE_LENGTH[cls.p].items() if t <= points), default=0))
+@lru_cache(maxsize=None)
+def _shape(p: int, n: int, pats: tuple[int, ...]):
+    """A component's allowed patterns as (words, shape) over a basis `rows`
+    of their span: node i's code column is sum_j rows[j][i] l_j for free l_j
+    in F_p^d, so the patterns with 0 must be a subspace, and the shape is
+    the nodes' normalized coefficient vectors with counts."""
+    nodes = [i for i in range(n) if any(q >> i & 1 or q >> n + i & 1 for q in pats)]
+    vecs = {tuple((q >> i & 1) + 2 * (q >> n + i & 1) for i in nodes) for q in pats}
+    rows, span = [], {(): (0,) * len(nodes)}  # coefficients on the rows -> vector
+    for v in sorted(vecs):
+        if v not in span.values():
+            rows.append(v)
+            span = {cs + (c,): tuple((a + c * b) % p for a, b in zip(w, v))
+                    for cs, w in span.items() for c in range(p)}
+    if set(span.values()) != vecs | {(0,) * len(nodes)}:
+        raise AssertionError(f"allowed patterns {pats} with 0 are not an F_{p}-subspace")
+    words = {cs: sum(1 << (x - 1) * n + i for i, x in zip(nodes, w) if x) for cs, w in span.items()}
+    return words, tuple(sorted(Counter(_normal(col, p) for col in zip(*rows)).items()))
 
 
-def _code_dim(cls: _Classes, allowed, k: int) -> int:
-    """The largest dimension, up to k, of an F_p code of candidates on
-    `allowed`: by the table, with no list, when each nonempty allowed set is
-    the p - 1 multiples of one class on p - 1 curves (A_1, or v, -v on A_2)."""
-    if all(len(ps) == cls.p - 1 == q.bit_count() for ps in allowed for q in ps):
-        return _table_dim(cls, reduce(operator.or_, (q for ps in allowed for q in ps), 0), k)
-    return _find_code(cls, _enumerate_candidates(cls, allowed), k)[1]
+@lru_cache(maxsize=None)
+def _options(p: int, shape, d: int, c: int):
+    """The column multisets a shape can give catalogue code c of dimension d,
+    as count vectors over its columns with free vectors giving each, and the largest total."""
+    code = _catalogue(p)[d][c]
+    index = {v: i for i, v in enumerate(code)}
+    limit = (*code.values(), 0)  # the last count is of columns off the code
+    out: dict[tuple[int, ...], tuple] = {}
+    for lams in product(product(range(p), repeat=d), repeat=len(shape[0][0])):
+        counts = [0] * len(limit)
+        for u, m in shape:
+            col = tuple(sum(map(operator.mul, u, lt)) % p for lt in zip(*lams))
+            if any(col):
+                counts[index.get(_normal(col, p), -1)] += m
+        if all(map(operator.le, counts, limit)):
+            out.setdefault(tuple(counts[:-1]), lams)
+    return tuple(sorted(out.items())), max(map(sum, out))
+
+
+def _split(p: int, shapes, d: int, c: int) -> dict[int, tuple] | None:
+    """Free vectors per component (others 0) giving exactly the columns of
+    catalogue code c of dimension d, or None: most constrained shapes first,
+    identical ones in non-decreasing options, failed states kept, and a tail
+    of shapes of one column t times takes any remainder of t-multiples it fits."""
+    code = _catalogue(p)[d][c]
+    opts = [_options(p, s, d, c) for s in shapes]
+    ts = [s[0][1] if len(s) == 1 == len(s[0][0]) else 0 for s in shapes]
+    order = sorted(range(len(ts)), key=lambda i: (ts[i] > 0, -ts[i] or len(opts[i][0]), shapes[i]))
+    room, tail = [0] * (len(order) + 1), [0] * (len(order) + 1)  # suffix sums; common t or 0
+    for i in reversed(range(len(order))):
+        room[i] = room[i + 1] + opts[order[i]][1]
+        tail[i] = ts[order[i]] if i + 1 == len(order) or tail[i + 1] == ts[order[i]] else 0
+    failed = set()
+
+    def walk(i: int, rem: tuple[int, ...], lo: int) -> dict[int, tuple] | None:
+        if not any(rem):
+            return {}
+        if sum(rem) > room[i]:
+            return None
+        if t := tail[i]:
+            if any(x % t for x in rem) or sum(rem) // t > len(order) - i:
+                return None
+            return dict(zip(order[i:], ((v,) for v, x in zip(code, rem) for _ in range(x // t))))
+        if (i, rem, lo) in failed:
+            return None
+        j = order[i]
+        same = i + 1 < len(order) and shapes[order[i + 1]] == shapes[j]
+        for idx in range(lo, len(opts[j][0])):
+            counts, lams = opts[j][0][idx]
+            if all(map(operator.le, counts, rem)):
+                rest = walk(i + 1, tuple(map(operator.sub, rem, counts)), idx if same else 0)
+                if rest is not None:
+                    return {**rest, j: lams}
+        failed.add((i, rem, lo))
+        return None
+
+    found = walk(0, tuple(code.values()), 0)
+    del walk  # the closure refers to itself: free its search state now, not at a GC pass
+    return found
+
+
+def _largest_code(cls: _Classes, allowed, k: int) -> list[int]:
+    """A basis of a code of the largest dimension d <= k whose nonzero words
+    are all candidates on `allowed`: a linear map from F_p^d into the
+    components' patterns with 0, so the rows of a catalogue code that splits
+    among the shapes, mapped back; d falls from k until one splits."""
+    p, n = cls.p, cls.n
+    comps = [_shape(p, n, tuple(pats)) for pats in allowed if pats]
+    shapes = [shape for _, shape in comps]
+    for d in range(k, 0, -1):
+        splits = (_split(p, shapes, d, c) for c in range(len(_catalogue(p).get(d, ()))))
+        if (best := next((s for s in splits if s is not None), None)) is not None:
+            rows = [(comps[j][0], list(zip(*lams))) for j, lams in best.items()]
+            return [sum(words[cs[t]] for words, cs in rows) for t in range(d)]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +637,8 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     above 19, a set of r >= 12 disjoint curves without its r - 11
     independent admissible even sets, a p-primary length excess without
     enough p-divisible glue, or a forced even set all of whose double covers
-    exceed rank 19.  On every input of rank <= 19 a witness code proves the
-    global F_2 step whenever it is reached, so the global F_2 search is a
-    fallback that only a test which drops witnesses runs.
+    exceed rank 19.  A witness of dimension 1 needs one candidate, and
+    every other code search is one catalogue match (`_largest_code`).
     """
     rho = config.rank
     if rho > K3_RANK_LIMIT:
@@ -674,13 +675,12 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
         )
     )
 
-    proved = 0  # largest dimension of a witness code found; its words are global candidates
     for w in witnesses:
         count, bad = _cover_exceeds(ctx, w.allowed)
         if not excluded:
             # any one candidate spans a code of dimension 1
-            best = min(count, 1) if w.required == 1 else _code_dim(even, w.allowed, w.required)
-            proved = max(proved, best)
+            k = w.required
+            best = min(count, 1) if k == 1 else len(_largest_code(even, w.allowed, k))
             if best < w.required:
                 where = {"witness_curves": " ".join(ctx.mask_labels(w.curves))}
                 steps += _search_steps(where, w.required, count, best, witness_size=w.size)
@@ -706,8 +706,7 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
             continue
         cls = ctx.classes[prime]
         count = _candidate_dp(ctx, cls, cls.patterns)[0]
-        # a subcode of a witness code proves the F_2 step
-        best = k if prime == 2 and proved >= k else _code_dim(cls, cls.patterns, k)
+        best = len(_largest_code(cls, cls.patterns, k))
         steps += _search_steps({"scope": "global", "prime": prime}, k, count, best)
         excluded = best < k
 

@@ -37,7 +37,7 @@ from kummerlat.divisibility import (
     _cover_exceeds,
     _cover_pieces,
     _enumerate_candidates,
-    _find_code,
+    _largest_code,
     _least_candidate,
     _local_cover,
     _torsion_patterns,
@@ -176,8 +176,8 @@ def test_three_divisible_class_vectors_in_dual():
 
 @pytest.mark.parametrize("text", ["9A2", "4A2+2A3+A5", "6A2+A5"])
 def test_three_divisible_candidates_closed_under_negation(text):
-    # -x is again a candidate: the code search relies on this to skip
-    # checking the multiples of a new basis vector
+    # -x is again a candidate: the packed search oracle relies on this to
+    # skip checking the multiples of a new basis vector
     vectors = {c.class_vector for c in three_divisible_candidates(parse_config(text))}
     assert vectors
     for vec in vectors:
@@ -297,13 +297,12 @@ def test_17A1_search_stops_at_dimension_5():
 )
 def test_found_code_spans_only_candidates(text, prime, k):
     # expand the packed basis into coefficient vectors and span it with
-    # plain mod-p arithmetic, independently of the packed addition
+    # plain mod-p arithmetic, independently of the match
     ctx = _Context(parse_config(text))
     cls = ctx.classes[prime]
-    cands = _enumerate_candidates(cls, cls.patterns)
-    basis, found = _find_code(cls, cands, k)
-    assert basis is not None and found == k
-    assert_spans_only_candidates(ctx.n, prime, basis, cands)
+    basis = _largest_code(cls, cls.patterns, k)
+    assert len(basis) == k
+    assert_spans_only_candidates(ctx.n, prime, basis, _enumerate_candidates(cls, cls.patterns))
 
 
 def assert_spans_only_candidates(n, prime, basis, cands):
@@ -317,7 +316,8 @@ def assert_spans_only_candidates(n, prime, basis, cands):
         if any(cs)
     }
     assert len(words) == prime ** len(basis) - 1
-    assert words <= {coeffs(c) for c in cands}
+    packed = {sum(1 << (x - 1) * n + i for i, x in enumerate(w) if x) for w in words}
+    assert packed <= set(cands)
 
 
 # --- the per-component tables against their dense derivations ---------------------
@@ -368,6 +368,30 @@ def componentwise_admissible(ctx, p, v):
     return True
 
 
+def packed_ops(cls):
+    """The F_p addition on packed classes, the nonzero multiples of a class,
+    and `pool`, the sorted candidates with coefficient 1 on their top curve:
+    the operations of the packed code searches below."""
+    if cls.p == 2:
+        return operator.xor, lambda v: (v,), lambda cands: cands  # already sorted by top curve
+    n = cls.n
+    low = (1 << n) - 1
+
+    def add(u, v):
+        # coefficient 1 from 0+1, 1+0, 2+2; coefficient 2 from 0+2, 2+0, 1+1
+        u1, u2, v1, v2 = u & low, u >> n, v & low, v >> n
+        s1 = (u1 ^ v1) & ~(u2 | v2) | (u2 & v2)
+        s2 = (u2 ^ v2) & ~(u1 | v1) | (u1 & v1)
+        return s1 | s2 << n
+
+    return (
+        add,
+        lambda v: (v, (v & low) << n | v >> n),  # v and -v
+        # the halves share no curve, so top coefficient 1 means the low half is larger
+        lambda cs: sorted((c for c in cs if c & low > c >> n), key=lambda c: c & low),
+    )
+
+
 def code_searches(ctx):
     """(prime, allowed patterns, candidates, required dimension) of every
     witness and global search of a check; a global search that no length
@@ -391,7 +415,7 @@ def test_candidate_membership_is_componentwise_admissibility(sample):
     for text in texts:
         ctx = _Context(parse_config(str(text)))
         for p, _, cands, _ in code_searches(ctx):
-            add = ctx.classes[p].add
+            add = packed_ops(ctx.classes[p])[0]
             members = set(cands)
             chosen = rng.sample(cands, min(24, len(cands)))
             for r in (1, 2, 3):
@@ -405,7 +429,7 @@ def test_candidate_membership_is_componentwise_admissibility(sample):
     assert verdicts[True] > 100 and verdicts[False] > 100
 
 
-# --- the code search against the search it replaced --------------------------
+# --- the catalogue match against the code classification and the searches it replaced
 
 
 def code_lengths(p, weights, points, information_sets=True):
@@ -492,19 +516,77 @@ def splits(m, k, least_first=0):
 
 @lru_cache(maxsize=None)
 def derived_code_length():
-    """`_find_code`'s table of fewest curves per code dimension, derived
-    apart from it, on at most 19 curves (rank <= 19).  Binary codes live on
-    the curves with weights 8 or 16.  A ternary word is c (1, 2) on each
-    A_2 pair it covers, so a ternary code lives on at most 9 pairs with
-    weights 6 or 9, and each pair is two curves."""
+    """The fewest curves per code dimension, from the classification, on at
+    most 19 curves (rank <= 19).  Binary codes live on the curves with
+    weights 8 or 16.  A ternary word is c (1, 2) on each A_2 pair it
+    covers, so a ternary code lives on at most 9 pairs with weights 6 or 9,
+    and each pair is two curves."""
     pairs = code_lengths(3, (6, 9), 19 // 2)
     return {2: code_lengths(2, (8, 16), 19), 3: {d: 2 * t for d, t in pairs.items()}}
 
 
+def classified_codes(p, weights, points):
+    """{d: codes} over every dimension `extend_code` reaches, each code as
+    the multiset of its nonzero columns."""
+    codes, level, d = {}, {(((), points),)}, 0
+    while level := {new for code in level for new in extend_code(p, weights, code, True)}:
+        d += 1
+        codes[d] = {tuple((c, m) for c, m in code if any(c)) for code in level}
+    return codes
+
+
+def code_form(p, d, columns):
+    """("simplex", m) when the (column, multiplicity) pairs are every point of
+    PG(d - 1, p), each m times, and ("affine", m) when they are every point
+    off one hyperplane, each m times; forms that GL(d, p) keeps.  Else None."""
+    points = {v for v in product(range(p), repeat=d) if any(v) and next(x for x in v if x) == 1}
+    support, times = {c for c, _ in columns}, {m for _, m in columns}
+    if len(times) != 1:
+        return None
+    (m,) = times
+    if support == points:
+        return "simplex", m
+    for h in points:
+        if support == {v for v in points if sum(map(operator.mul, h, v)) % p}:
+            return "affine", m
+    return None
+
+
+# the classified codes per prime and dimension, by form and multiplicity
+# (in curves for p = 2, in A_2 pairs for p = 3); at d = 1 both are simplex
+CODE_FORMS = {
+    2: {
+        1: {("simplex", 8), ("simplex", 16)},
+        2: {("simplex", 4), ("affine", 8)},
+        3: {("simplex", 2), ("affine", 4)},
+        4: {("simplex", 1), ("affine", 2)},
+        5: {("affine", 1)},
+    },
+    3: {1: {("simplex", 6), ("simplex", 9)}, 2: {("simplex", 2), ("affine", 3)}, 3: {("affine", 1)}},
+}
+
+
 def test_code_length_table_is_derived():
-    # both tables entry for entry, and so no code one dimension above either
-    # (binary d = 6, ternary d = 4)
-    assert derived_code_length() == divisibility._CODE_LENGTH
+    # every code the classifier finds (binary on <= 19 curves, ternary on
+    # <= 9 A_2 pairs) is a catalogue code up to GL(d, p), and every
+    # catalogue code occurs; no code one dimension above (binary d = 6,
+    # ternary d = 4) exists, and the fewest curves per dimension, read off
+    # the catalogue, are the classifier's
+    for p, weights, points in ((2, (8, 16), 19), (3, (6, 9), 9)):
+        classified = {
+            d: {code_form(p, d, code) for code in codes}
+            for d, codes in classified_codes(p, weights, points).items()
+        }
+        assert classified == CODE_FORMS[p], p
+        catalogue = divisibility._catalogue(p)
+        forms = {
+            d: [code_form(p, d, [(c, m // (p - 1)) for c, m in code.items()]) for code in codes]
+            for d, codes in catalogue.items()
+        }
+        assert {d: set(f) for d, f in forms.items()} == CODE_FORMS[p], p
+        assert sum(map(len, forms.values())) == sum(map(len, CODE_FORMS[p].values()))
+        lengths = {d: min(sum(code.values()) for code in codes) for d, codes in catalogue.items()}
+        assert lengths == derived_code_length()[p]
     # the information-set cut loses no code, seen where the full search is cheap
     assert code_lengths(3, (6, 9), 9, information_sets=False) == code_lengths(3, (6, 9), 9)
 
@@ -516,11 +598,62 @@ def covered_curves(n, cands):
 
 
 class SearchBudget(Exception):
-    """The oracle search passed its budget of candidate tests."""
+    """An oracle search passed its budget of candidate tests."""
+
+
+def find_code(cls, cands, k, budget=None):
+    """The packed search the catalogue match replaced, as (basis or None,
+    largest dimension reached), on the sorted candidates `cands`.
+
+    Each code is visited once, through its basis in reduced echelon form: a
+    vector's pivot is its highest curve, where its coefficient is 1, pivots
+    increase along the basis, and each basis vector is 0 on the other
+    pivots.  So the basis is drawn from `pool(cands)`, and a later vector
+    must be 0 on every chosen pivot.  Extending the span by v adds m + w
+    for each nonzero multiple m of v and each old element w; each level
+    keeps the later candidates u with u + x in `cands` for every element x
+    just added, which covers the other multiples of u, since the new
+    elements and `cands` are closed under negation.  The search stops at
+    min(k, d_max(N)) from the derived code lengths on the N curves the
+    candidates cover; if that is below k the result is (None, d_max(N)).
+    Raises SearchBudget once more than `budget` candidates have been
+    tested."""
+    add, multiples, pool = packed_ops(cls)
+    n = cls.n
+    low = (1 << n) - 1
+    lengths = derived_code_length()[cls.p]
+    target = min(k, max((d for d, t in lengths.items() if t <= covered_curves(n, cands)), default=0))
+    admissible = set(cands)
+    best_seen = tested = 0
+    basis = []
+
+    def extend(compatible, span, pivots):
+        nonlocal best_seen, tested
+        best_seen = max(best_seen, len(basis))
+        if len(basis) == target:
+            return True
+        for idx, v in enumerate(compatible):
+            tested += len(compatible) - idx - 1
+            if budget is not None and tested > budget:
+                raise SearchBudget
+            top = 1 << (v & low).bit_length() - 1
+            taken = pivots | top | top << n  # both packed halves of each pivot
+            new = [add(m, w) for m in multiples(v) for w in span]
+            rest = [u for u in compatible[idx + 1 :] if not u & taken]
+            for x in new:
+                rest = [u for u in rest if add(u, x) in admissible]
+            basis.append(v)
+            if extend(rest, span + new, taken):
+                return True
+            basis.pop()
+        return False
+
+    found = extend(pool(cands), [0], 0)
+    return (basis if found and target == k else None), (target if found else best_seen)
 
 
 def oracle_search(cls, allowed, cands, k, budget=None):
-    """The search `_find_code` replaced, as (found, largest dimension
+    """The search `find_code` replaced, as (found, largest dimension
     reached).  When every allowed pattern is one curve the dimension is
     capped from the derived binary code lengths without a search; otherwise
     every increasing basis drawn from `cands` is tried, so each code is
@@ -532,7 +665,7 @@ def oracle_search(cls, allowed, cands, k, budget=None):
         cap = max((d for d, t in lengths.items() if t <= len(usable)), default=0)
         if k > cap:
             return False, cap
-    add, multiples = cls.add, cls.multiples
+    add, multiples, _ = packed_ops(cls)
     admissible = set(cands)
     best_seen = tested = 0
 
@@ -555,12 +688,19 @@ def oracle_search(cls, allowed, cands, k, budget=None):
     return found, (k if found else best_seen)
 
 
-# candidate tests after which the oracle gives up; a search past it is
-# skipped, since some witness searches the checker never reaches run for
-# minutes in either search
+# candidate tests after which an oracle gives up; a search past it is
+# skipped, since some witness searches run for minutes in either oracle
 ORACLE_BUDGET = 200_000
-# (searches compared, searches skipped at ORACLE_BUDGET)
-ORACLE_COUNTS = {"census": (119, 6), "atlas": (161, 5), "atlas_4A2": (96, 1)}
+# the dimension past every catalogue code, per prime
+PAST_CATALOGUE = {2: 6, 3: 4}
+# per oracle, (searches compared, searches skipped at ORACLE_BUDGET);
+# "find_code past" asks for a dimension past every catalogue code
+ORACLE_COUNTS = {
+    "atlas": {"oracle_search": (161, 5), "find_code": (163, 3), "find_code past": (324, 3)},
+    "atlas_4A2": {"oracle_search": (96, 1), "find_code": (97, 0), "find_code past": (264, 0)},
+    "census": {"oracle_search": (119, 6), "find_code": (121, 4), "find_code past": (138, 4)},
+    "deep": {"oracle_search": (73, 24), "find_code": (82, 15), "find_code past": (93, 15)},
+}
 
 
 def oracle_sample(sample):
@@ -568,6 +708,8 @@ def oracle_sample(sample):
         return TABLE_10 + EXTRA_8
     if sample == "atlas":
         return ATLAS_SAMPLE[:100]
+    if sample == "deep":
+        return DP_SAMPLES["deep"]
     # four or more A2 components: most F_3 searches, up to dimension 3
     rich = [c for c in ATLAS if ("A", 2) in {(t, n) for t, n, k in c.terms() if k >= 4}]
     return random.Random(3).sample(rich, 120)
@@ -575,32 +717,45 @@ def oracle_sample(sample):
 
 @pytest.mark.parametrize("sample", sorted(ORACLE_COUNTS))
 def test_find_code_matches_oracle(sample):
-    # every witness and global search, on (found, largest dimension reached)
-    compared = skipped = 0
+    # every witness and global search: the match's largest dimension up to
+    # the required k against both oracles, and past every catalogue code
+    # against `find_code`; a basis the match returns spans only candidates
+    counts = {name: [0, 0] for name in ORACLE_COUNTS[sample]}
     for text in oracle_sample(sample):
         ctx = _Context(parse_config(str(text)))
         for p, allowed, cands, k in code_searches(ctx):
-            if not k:
-                continue
             cls = ctx.classes[p]
-            try:
-                expected = oracle_search(cls, allowed, cands, k, ORACLE_BUDGET)
-            except SearchBudget:
-                skipped += 1
-                continue
-            basis, dim = _find_code(cls, cands, k)
-            assert (basis is not None, dim) == expected, (str(text), p, k)
-            if basis is not None:
+            top = PAST_CATALOGUE[p]
+            oracles = [
+                (k, [
+                    ("oracle_search", lambda: oracle_search(cls, allowed, cands, k, ORACLE_BUDGET)),
+                    ("find_code", lambda: find_code(cls, cands, k, ORACLE_BUDGET)),
+                ]),
+                (top, [("find_code past", lambda: find_code(cls, cands, top, ORACLE_BUDGET))]),
+            ]
+            for want, named in oracles:
+                if not want:
+                    continue
+                basis = _largest_code(cls, allowed, want)
                 assert_spans_only_candidates(ctx.n, p, basis, cands)
-            compared += 1
-    assert (compared, skipped) == ORACLE_COUNTS[sample]
+                for name, oracle in named:
+                    try:
+                        found, dim = oracle()
+                    except SearchBudget:
+                        counts[name][1] += 1
+                        continue
+                    assert (len(basis) == want, len(basis)) == (found not in (None, False), dim), (
+                        str(text), p, want,
+                    )
+                    counts[name][0] += 1
+    assert {name: tuple(c) for name, c in counts.items()} == ORACLE_COUNTS[sample]
 
 
 @pytest.mark.parametrize("text", ["2D4+D5+D6", "3D4+D7", "7A1+A3+2D4"])
 def test_code_bound_decides_mixed_witness(text):
     # one witness's candidates cover too few curves for a weight-{8,16} code
-    # of the required dimension k, so the search stops at k - 1, where the
-    # exhaustive oracle ends too
+    # of the required dimension k, so the match ends at k - 1, where both
+    # oracles end too
     ctx = _Context(parse_config(text))
     even = ctx.classes[2]
     short = []
@@ -610,45 +765,52 @@ def test_code_bound_decides_mixed_witness(text):
             short.append((w, cands))
     ((w, cands),) = short
     k = w.required
-    assert _find_code(even, cands, k) == (None, k - 1)
+    assert len(_largest_code(even, w.allowed, k)) == k - 1
+    assert find_code(even, cands, k) == (None, k - 1)
     assert oracle_search(even, w.allowed, cands, k) == (False, k - 1)
 
 
-@pytest.mark.parametrize("text", ["5A1+A3+A7+D4", "6A1+A3+D4+D6", "7A2+A5"])
-def test_search_visits_each_code_once(text):
-    # a search for dimension 3 that is not cut short by the length bound and
-    # ends at 2 expands one node per admissible code of dimension 1 or 2:
-    # each line, and each plane, counted from its C(p + 1, 2) pairs of lines
+# witness searches off the checker's path that ran for minutes before the
+# match, with the dimension found on each witness of the required dimension
+UNREACHED_SEARCHES = {
+    ("15A1+A3", 4): [3, 3],
+    ("15A1+A3", 5): [4, 4],
+    ("15A1+A3", 6): [4],
+    ("14A1+A2+A3", 5): [3, 3],
+    ("14A1+A2+A3", 6): [4],
+    ("10A1+2D4", 5): [4],
+    ("11A1+2A3", 4): [3],
+}
+
+
+@pytest.mark.parametrize("text,k", sorted(UNREACHED_SEARCHES))
+def test_unreached_witness_searches_decide(text, k):
+    # each decides well within a second, and a code it finds spans only
+    # candidates.  No oracle finishes on them; on 15A1+A3 at k = 5 a
+    # dimension-5 code would be RM(1, 4), 16 distinct columns, while the A_3
+    # gives its column twice and the A_1 give 15
     ctx = _Context(parse_config(text))
-    checked = 0
-    for p, _, cands, _ in code_searches(ctx):
-        cls = ctx.classes[p]
-        if not cands or covered_curves(ctx.n, cands) < derived_code_length()[p][3]:
-            continue
-        nodes = 0
-        multiples = cls.multiples
+    even = ctx.classes[2]
+    found = []
+    for w in _witnesses(ctx):
+        if w.required == k:
+            start = time.perf_counter()
+            basis = _largest_code(even, w.allowed, k)
+            assert time.perf_counter() - start < 1.0, w.description
+            assert_spans_only_candidates(ctx.n, 2, basis, _enumerate_candidates(even, w.allowed))
+            found.append(len(basis))
+    assert found == UNREACHED_SEARCHES[text, k]
 
-        def counted(v):  # called once per node the search expands
-            nonlocal nodes
-            nodes += 1
-            return multiples(v)
 
-        cls.multiples = counted
-        found = _find_code(cls, cands, 3)
-        cls.multiples = multiples
-        if found != (None, 2):
-            continue
-        members = set(cands)
-        lines = {min(multiples(v)) for v in cands}
-        pairs = sum(
-            1
-            for a, b in combinations(sorted(lines), 2)
-            if all(cls.add(m, b) in members for m in multiples(a))
-        )
-        assert pairs % (p * (p + 1) // 2) == 0
-        assert nodes == len(lines) + pairs // (p * (p + 1) // 2), (text, p)
-        checked += 1
-    assert checked
+def test_match_refuses_a_non_subspace():
+    # a shape reads a component's patterns with 0 as a subspace; two of the
+    # three leaf-pair patterns of D_4 are not one
+    ctx = _Context(parse_config("D4"))
+    even = ctx.classes[2]
+    (pats,) = even.patterns
+    assert len(pats) == 3 and _largest_code(even, [pats], 2) == []
+    with pytest.raises(AssertionError, match="not an F_2-subspace"):
+        _largest_code(even, [pats[:2]], 1)
 
 
 # --- the candidate and cover DPs against the walk and scan they replaced ------
@@ -777,95 +939,69 @@ def test_cover_dp_reports_non_ade_example():
     assert oracle_cover_scan(ctx, cands) == (cands[0], None)
 
 
-# --- the searches the checker skips, against the full search -------------------
-
-
-def complete_search(ctx, p, allowed):
-    """Whether each component with allowed patterns is an A_1 with its one
-    pattern (p = 2) or an A_2 with both of its patterns (p = 3): then the
-    candidates are every word of an allowed weight on those curves or pairs,
-    and the code-length table decides the search."""
-    only = ("A", 1, 1) if p == 2 else ("A", 2, 2)
-    return all(
-        (letter, k, len(pats)) == only
-        for (letter, k, _, _), pats in zip(ctx.graph.component_slices, allowed)
-        if pats
-    )
+# --- the searches the checker runs, against the full search -------------------
 
 
 def searches_run(ctx, skipped):
-    """(prime, dimension, candidates) of each code search the checker should
-    run, in order.  Where it skips one (a witness of dimension 1, a global
-    F_2 step that a witness code of at least its dimension proves, or a
-    search the code-length table decides), the full `_find_code` on the
-    listed candidates must give what the checker reports, and `skipped`
-    counts it by kind."""
+    """(prime, dimension, dimension found) of each code search the checker
+    should run, in order: every witness of dimension 2 or more until one
+    falls short, then each global step that a length excess forces, unless
+    the check is excluded by then.  The dimension found is the full
+    `find_code`'s on the listed candidates, and a global step must report it
+    with the list's length.  A witness of dimension 1 needs one candidate,
+    so the checker skips its search, and `skipped` counts it."""
     even = ctx.classes[2]
+    report = check_nonexistence(ctx.config)
     runs = []
-    excluded, proved = False, 0
+    excluded = False
     for w in _witnesses(ctx):
         if not excluded:
             cands = _enumerate_candidates(even, w.allowed)
-            basis, dim = _find_code(even, cands, w.required)
+            basis, dim = find_code(even, cands, w.required)
             if w.required == 1:
                 assert (basis is not None, dim) == (bool(cands), min(len(cands), 1))
                 skipped["witness"] += 1
-            elif not table_decides(ctx, even, w.allowed, w.required, cands, dim, skipped):
-                runs.append((2, w.required, len(cands)))
-            proved, excluded = max(proved, dim), basis is None
+            else:
+                runs.append((2, w.required, dim))
+            excluded = basis is None
         excluded |= _cover_exceeds(ctx, w.allowed)[1] is not None
-    report = check_nonexistence(ctx.config)
     glue = {p: int(report.steps[0].get(f"required_glue_{p}")) for p in (2, 3)}
     for p, k in glue.items():
         if not k or excluded:
             continue
         cls = ctx.classes[p]
         cands = _enumerate_candidates(cls, cls.patterns)
-        basis, dim = _find_code(cls, cands, k)
+        basis, dim = find_code(cls, cands, k)
         where = ("AdmissibleCandidateCount", "global", str(p))
         (step,) = [s for s in report.steps if (s.kind, s.get("scope"), s.get("prime")) == where]
         assert step.get("admissible_candidates") == str(len(cands))
         assert step.get("independent_found") == str(dim)
-        if p == 2 and proved >= k:
-            assert (basis is not None, dim) == (True, k)
-            skipped["global"] += 1
-        elif not table_decides(ctx, cls, cls.patterns, k, cands, dim, skipped):
-            runs.append((p, k, len(cands)))
+        runs.append((p, k, dim))
         excluded = basis is None
     return runs
 
 
-def table_decides(ctx, cls, allowed, k, cands, dim, skipped):
-    """Whether the code-length table decides a search; if it does, its
-    dimension must be `_find_code`'s on the listed candidates and the DP
-    count the length of the list, and `skipped` counts it."""
-    if not complete_search(ctx, cls.p, allowed):
-        return False
-    assert divisibility._code_dim(cls, allowed, k) == dim
-    assert _candidate_dp(ctx, cls, allowed)[0] == len(cands)
-    skipped["table"] += 1
-    return True
-
-
-# searches the checker skips, by kind, and searches it runs
-SKIPPED_COUNTS = {
-    "census": ({"witness": 44, "global": 7, "table": 7}, 29),
-    "atlas": ({"witness": 54, "global": 15, "table": 1}, 5),
-}
+# searches the checker skips, by kind, and searches it runs; before every
+# search went through the match it also skipped 7 global steps that a
+# witness code proved and 7 searches the code-length table decided on the
+# census (29 run), and 15 and 1 on the atlas sample (5 run)
+SKIPPED_COUNTS = {"census": ({"witness": 44}, 43), "atlas": ({"witness": 54}, 21)}
 
 
 @pytest.mark.parametrize("sample", sorted(SKIPPED_COUNTS))
 def test_skipped_searches_match_full_search(monkeypatch, sample):
-    # the checker runs exactly the other searches, on the same candidates
+    # the checker matches exactly the other searches, and each finds the
+    # full search's dimension
     texts = TABLE_10 + EXTRA_8 if sample == "census" else ATLAS_SAMPLE[:100]
     calls = []
-    real = divisibility._find_code
+    real = divisibility._largest_code
 
-    def recorded(cls, cands, k):
-        calls.append((cls.p, k, len(cands)))
-        return real(cls, cands, k)
+    def recorded(cls, allowed, k):
+        basis = real(cls, allowed, k)
+        calls.append((cls.p, k, len(basis)))
+        return basis
 
-    monkeypatch.setattr(divisibility, "_find_code", recorded)
+    monkeypatch.setattr(divisibility, "_largest_code", recorded)
     skipped = Counter()
     ran = 0
     for text in texts:
@@ -880,95 +1016,41 @@ def test_skipped_searches_match_full_search(monkeypatch, sample):
 
 def test_census_lists_candidates_only_for_searches(monkeypatch):
     # 118 lists and 87 code searches before the checker counted candidates
-    # without listing them, and 36 and 36 (33549 candidates listed) before
-    # the code-length table decided complete searches
-    calls, listed = Counter(), 0
-    real_list, real_find = divisibility._enumerate_candidates, divisibility._find_code
+    # without listing them, 36 and 36 (33549 candidates listed) before the
+    # code-length table decided complete searches, and 29 and 29 (3900
+    # listed) before every search became a catalogue match, which lists none
+    # (a witness of dimension 1 needs no search)
+    calls = Counter()
+    real_list, real_match = divisibility._enumerate_candidates, divisibility._largest_code
 
     def enumerate_candidates(*a):
-        nonlocal listed
-        calls["_enumerate_candidates", text] += 1
-        cands = real_list(*a)
-        listed += len(cands)
-        return cands
+        calls["_enumerate_candidates"] += 1
+        return real_list(*a)
 
-    def find_code(*a):
-        calls["_find_code", text] += 1
-        return real_find(*a)
+    def largest_code(*a):
+        calls["_largest_code"] += 1
+        return real_match(*a)
 
     monkeypatch.setattr(divisibility, "_enumerate_candidates", enumerate_candidates)
-    monkeypatch.setattr(divisibility, "_find_code", find_code)
+    monkeypatch.setattr(divisibility, "_largest_code", largest_code)
     for text in TABLE_10 + EXTRA_8:
         check_nonexistence(parse_config(text))
-    totals = Counter(name for name, _ in calls.elements())
-    assert totals == {"_enumerate_candidates": 29, "_find_code": 29}
-    assert listed == 3900
-    assert not {text for _, text in calls} & {"16A1", "9A2"}
+    assert calls == {"_largest_code": 43}
 
 
-def test_global_f2_search_runs_unless_a_witness_code_proves_it(monkeypatch):
-    # on the atlas a witness code proves every global F_2 step the checker
-    # reaches.  Without its last witness (the one of dimension 2) A1+6A3
-    # runs the global F_2 search on its own, incomplete candidates; 16A1
-    # without its 16-curve witness (its code, RM(1, 4), has dimension 5, and
-    # it is the last) has every search decided by the code-length table.
-    # Both report the same steps
-    expected = {"A1+6A3": [(2, 2)], "16A1": []}
-    full = {text: check_nonexistence(parse_config(text)) for text in expected}
-    witnesses, real = divisibility._witnesses, divisibility._find_code
-    calls = []
+def test_global_steps_do_not_depend_on_witness_codes(monkeypatch):
+    # the global F_2 step is matched on its own, whatever the witnesses
+    # found: without its last witness (for A1+6A3 the one of dimension 2,
+    # for 16A1 the 16-curve one, whose code RM(1, 4) has dimension 5) each
+    # configuration reports the same verdict and the same steps
+    full = {text: check_nonexistence(parse_config(text)) for text in ("A1+6A3", "16A1")}
+    witnesses = divisibility._witnesses
     monkeypatch.setattr(divisibility, "_witnesses", lambda ctx: witnesses(ctx)[:-1])
-    monkeypatch.setattr(divisibility, "_find_code", lambda *a: calls.append(a[::2]) or real(*a))
-    for text, searches in expected.items():
-        calls.clear()
+    for text, report in full.items():
         short = check_nonexistence(parse_config(text))
-        assert [(cls.p, k) for cls, k in calls] == searches, text
-        assert short.verdict == full[text].verdict == NO_OBSTRUCTION
-        assert short.steps[1:] == full[text].steps[1:]
-
-
-# (searches compared, of them decided by the code-length table, by prime and
-# by whether there is a candidate)
-TABLE_COUNTS = {
-    "census": (142, {(2, True): 8, (2, False): 1, (3, True): 1, (3, False): 14}),
-    "atlas": (978, {(2, True): 39, (2, False): 45, (3, False): 214}),
-    "deep": (108, {(2, True): 38, (2, False): 1, (3, True): 2, (3, False): 8}),
-}
-
-
-@pytest.mark.parametrize("sample", sorted(TABLE_COUNTS))
-def test_code_length_table_decides_complete_searches(monkeypatch, sample):
-    # every witness and global search: the table decides exactly the
-    # complete ones, and there it gives the full search's dimension, past
-    # any table entry, and the derived table's; every word of an allowed
-    # weight is a candidate, and the DP counts them
-    searched = []
-    real = divisibility._find_code
-    # a search the table does not decide is only recorded: past the
-    # required dimension some run for minutes
-    monkeypatch.setattr(divisibility, "_find_code", lambda *a: searched.append(1) or (None, -1))
-    compared, decided = 0, Counter()
-    for text in DP_SAMPLES[sample]:
-        ctx = _Context(parse_config(text))
-        for p, allowed, cands, _ in code_searches(ctx):
-            cls = ctx.classes[p]
-            k = max(derived_code_length()[p]) + 1
-            searched.clear()
-            dim = divisibility._code_dim(cls, allowed, k)
-            compared += 1
-            assert (not searched) == complete_search(ctx, p, allowed), (text, p)
-            if searched:
-                continue
-            basis, found = real(cls, cands, k)
-            points = sum(1 for pats in allowed if pats)  # curves (p = 2) or A_2 pairs
-            weights = (8, 16) if p == 2 else (6, 9)
-            assert len(cands) == sum(math.comb(points, w) * (p - 1) ** w for w in weights)
-            assert _candidate_dp(ctx, cls, allowed)[0] == len(cands)
-            lengths = derived_code_length()[p]
-            exact = max((d for d, t in lengths.items() if t <= points * (p - 1)), default=0)
-            assert basis is None and dim == found == exact, (text, p)
-            decided[p, bool(cands)] += 1
-    assert (compared, decided) == TABLE_COUNTS[sample]
+        assert short.verdict == report.verdict == NO_OBSTRUCTION
+        assert short.steps[1:] == report.steps[1:]
+        assert _global_found(short, 2) > 0
 
 
 def test_atlas_verdicts_and_report_digest():
@@ -1310,15 +1392,23 @@ def test_cover_euler_bookkeeping(text, support_size):
     assert m_value(cover) == 2 * m_value(config) - 3 * support_size
 
 
+@lru_cache(maxsize=None)
+def gram_adjacency(gram):
+    """Per curve, the other curves it meets: the Gram's nonzero entries."""
+    return [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(gram)]
+
+
 def global_cover(lat, labels):
-    """The double cover built as one matrix over the whole configuration
-    lattice, with the (-1)-curves contracted one at a time, as an
-    independent oracle for the component-local closed form."""
+    """The double cover built as one intersection form over the whole
+    configuration lattice, with the (-1)-curves contracted one at a time, as
+    an independent oracle for the component-local closed form.  The form is
+    kept sparse: a self-intersection per cover curve and a map from each
+    cover curve to the ones it meets, built from the Gram's nonzero
+    entries."""
     g, n = lat.gram, lat.rank
+    adj = gram_adjacency(g)
     in_branch = [lab in labels for lab in lat.basis_labels]
-    branch_hits = [
-        sum(g[i][j] for j in range(n) if in_branch[j] and j != i) for i in range(n)
-    ]
+    branch_hits = [sum(g[i][j] for j in adj[i] if in_branch[j]) for i in range(n)]
     for i in range(n):
         if not in_branch[i]:
             if branch_hits[i] > 2:
@@ -1330,12 +1420,9 @@ def global_cover(lat, labels):
 
     # split-curve clusters: connected non-branch curves away from the branch
     split = [not in_branch[i] and not branch_hits[i] for i in range(n)]
-    adj = [
-        [w for w in range(n) if split[w] and g[v][w] and w != v] if split[v] else []
-        for v in range(n)
-    ]
     cluster = [0] * n
-    for idx, comp in enumerate(connected_components(adj)):
+    split_adj = [[w for w in adj[v] if split[w]] if split[v] else [] for v in range(n)]
+    for idx, comp in enumerate(connected_components(split_adj)):
         for v in comp:
             cluster[v] = idx
 
@@ -1348,50 +1435,58 @@ def global_cover(lat, labels):
         else:
             nodes.append((i, "split", 0))
             nodes.append((i, "split", 1))
-    size = len(nodes)
-    cov = [[0] * size for _ in range(size)]
-    for a, (ia, ka, ca) in enumerate(nodes):
-        cov[a][a] = {"branch": -1, "ram": -4, "split": -2}[ka]
-        for b in range(a + 1, size):
-            ib, kb, cb = nodes[b]
-            inter = g[ia][ib] if ia != ib else 0
-            if not inter:
-                continue
-            if {ka, kb} in ({"branch"}, {"branch", "split"}):
-                val = 0
-            elif ka == kb == "ram":
-                val = 2 * inter
-            elif ka == kb == "split":
-                val = inter if (cluster[ia] == cluster[ib] and ca == cb) else 0
-            else:  # branch-ram or ram-split
-                val = inter
-            cov[a][b] = cov[b][a] = val
+    over = [[] for _ in range(n)]  # curve -> its cover curves
+    for a, (i, _, _) in enumerate(nodes):
+        over[i].append(a)
+    self_int = [{"branch": -1, "ram": -4, "split": -2}[kind] for _, kind, _ in nodes]
+    meet = [{} for _ in nodes]
+    for ia in range(n):
+        for ib in adj[ia]:
+            inter = g[ia][ib]
+            for a in over[ia]:
+                for b in over[ib]:
+                    _, ka, ca = nodes[a]
+                    _, kb, cb = nodes[b]
+                    if {ka, kb} in ({"branch"}, {"branch", "split"}):
+                        val = 0
+                    elif ka == kb == "ram":
+                        val = 2 * inter
+                    elif ka == kb == "split":
+                        val = inter if (cluster[ia] == cluster[ib] and ca == cb) else 0
+                    else:  # branch-ram or ram-split
+                        val = inter
+                    if val:
+                        meet[a][b] = val
 
-    # contract (-1)-curves one at a time until none remain
-    alive = set(range(size))
-    while True:
-        e = next((i for i in sorted(alive) if cov[i][i] == -1), None)
-        if e is None:
-            break
+    # contract (-1)-curves one at a time until none remain; a contraction
+    # changes only the curves that met the one contracted
+    alive = set(range(len(nodes)))
+    todo = [a for a, x in enumerate(self_int) if x == -1]
+    while todo:
+        e = todo.pop()
+        if e not in alive or self_int[e] != -1:
+            continue
         alive.discard(e)
-        meets = [i for i in alive if cov[i][e]]
-        for i in meets:
-            for j in meets:
-                cov[i][j] += cov[i][e] * cov[j][e]
+        row = meet[e]
+        for i in row:
+            del meet[i][e]
+        for i, x in row.items():
+            self_int[i] += x * x
+            for j, y in row.items():
+                if j != i:
+                    meet[i][j] = meet[i].get(j, 0) + x * y
+        todo += row
     keep = sorted(alive)
     for i in keep:
-        if cov[i][i] != -2:
-            raise NotADEAfterContraction(f"contracted curve has self-intersection {cov[i][i]}")
-    for a, i in enumerate(keep):
-        for j in keep[a + 1 :]:
-            if cov[i][j] not in (0, 1):
-                raise NotADEAfterContraction(f"contracted intersection number {cov[i][j]}")
-    edges = [
-        (a, b)
-        for a, i in enumerate(keep)
-        for b, j in enumerate(keep)
-        if a < b and cov[i][j] == 1
-    ]
+        if self_int[i] != -2:
+            raise NotADEAfterContraction(f"contracted curve has self-intersection {self_int[i]}")
+    index = {i: a for a, i in enumerate(keep)}
+    edges = []
+    for i in keep:
+        for j in sorted(j for j in meet[i] if j > i):
+            if meet[i][j] != 1:
+                raise NotADEAfterContraction(f"contracted intersection number {meet[i][j]}")
+            edges.append((index[i], index[j]))
     try:
         return classify_dynkin(len(keep), edges)
     except ValueError as exc:
