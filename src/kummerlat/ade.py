@@ -21,7 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm, prod
+from itertools import accumulate
+from math import gcd, lcm, prod
 
 from .lattice import GramLattice, connected_components, direct_sum, frac_str, primary_chain
 from .snf import bareiss
@@ -315,7 +316,9 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
     The search is exhaustive: each component contributes m >= 3/2 and the
     densest component per unit of rank is A_1 (3/2 per rank), which bounds
     the tree.  It runs on m scaled to integers by the lcm of the catalog's
-    denominators.  Output sorted lexicographically by (rank, counts).
+    denominators.  Components idx.. sum to multiples of their gcd (grain[idx])
+    only, so a remainder off the grain ends a branch, and the last component,
+    A_1, takes the remainder in one step.  Output sorted by (rank, counts).
     """
     m_target = Fraction(m_target)
     if m_target <= 0 or max_rank < 0:
@@ -325,14 +328,18 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
     scale = lcm(*(m.denominator for _, _, m in catalog))
     if (m_target * scale).denominator != 1:  # no sum of component m values
         return []
-    items = [(letter, n, int(m * scale)) for letter, n, m in catalog]
+    items = [(letter, n, m.numerator * scale // m.denominator) for letter, n, m in catalog]
+    grain = [*accumulate((m for _, _, m in reversed(items)), gcd)][::-1]
     results: list[ADEConfig] = []
 
     def descend(idx: int, rem_m: int, rem_rank: int, counts: dict) -> None:
         if rem_m == 0:
             results.append(ADEConfig.from_counts(counts))
-        elif idx < len(items) and 2 * rem_m <= 3 * scale * rem_rank:
+        elif idx < len(items) and rem_m % grain[idx] == 0 and 2 * rem_m <= 3 * scale * rem_rank:
             letter, n, m_comp = items[idx]
+            if idx + 1 == len(items):  # rem_m // m_comp copies of A_1, which the bound fits
+                results.append(ADEConfig.from_counts({**counts, (letter, n): rem_m // m_comp}))
+                return
             for c in range(min(rem_m // m_comp, rem_rank // n), -1, -1):
                 more = {**counts, (letter, n): c} if c else counts
                 descend(idx + 1, rem_m - c * m_comp, rem_rank - c * n, more)

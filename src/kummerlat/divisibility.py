@@ -27,7 +27,8 @@ mechanisms:
   branch preimages are disjoint (-1)-curves), so the least cover rank over
   the candidates of a witness is a knapsack over components.
 
-No check lists candidates.  One DP over components counts a witness's
+No check lists candidates.  A join of cached per-type tables {support
+size: (count, least cover rank)} counts a witness's (or global step's)
 candidates and finds their least cover rank, and a walk down the
 components gives the least candidate as an example.  Every witness search
 of dimension 2 or more and every global step, p = 2 or 3, is one match: up
@@ -42,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, combinations_with_replacement, groupby, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import inf
 
 from .ade import (
@@ -64,6 +65,7 @@ from .lattice import GramLattice, discriminant_group, group_symbol, length_bound
 K3_AMBIENT_RANK = 22
 EVEN_SUPPORT_SIZES = (8, 16)
 THREE_SUPPORT_SIZES = (6, 9)
+_SIZES = {2: EVEN_SUPPORT_SIZES, 3: tuple(2 * s for s in THREE_SUPPORT_SIZES)}
 
 EXCLUDED = "Excluded"
 NO_OBSTRUCTION = "NoObstructionFound"
@@ -137,8 +139,9 @@ def _component_disc(letter: str, n: int):
 
 
 @lru_cache(maxsize=None)
-def _torsion_patterns(letter: str, n: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """Coefficient vectors (mod p) of the nonzero p-torsion dual classes.
+def _torsion_patterns(letter: str, n: int, p: int) -> tuple[int, ...]:
+    """The nonzero p-torsion dual classes as sorted local masks: bit i is
+    coefficient 1 on node i and, for p = 3 only, bit n + i coefficient 2.
 
     For p = 3 each one is c (1, 2) on disjoint, mutually non-adjacent A_2
     pairs of the component: only A_{3k-1} and E_6 have 3-torsion, and the
@@ -153,8 +156,8 @@ def _torsion_patterns(letter: str, n: int, p: int) -> tuple[tuple[int, ...], ...
         x = [sum(c * m * g[j] for c, (g, m) in zip(combo, parts)) % 1 for j in range(n)]
         if any((p * v).denominator != 1 for v in x):
             raise AssertionError(f"{p}-torsion class is not a 1/{p}-sum")
-        pats.add(tuple(int(p * v) for v in x))
-    return tuple(sorted(pats - {(0,) * n}))
+        pats.add(sum(1 << (int(p * v) - 1) * n + i for i, v in enumerate(x) if v))
+    return tuple(sorted(pats - {0}))
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +175,10 @@ class _Classes:
         n = self.n = ctx.n
         self.p = p
         self.patterns: list[list[int]] = [  # per component, sorted
-            sorted(
-                sum(1 << ((c - 1) * n + start + i) for i, c in enumerate(coeffs) if c)
-                for coeffs in _torsion_patterns(letter, k, p)
-            )
+            [(q & (1 << k) - 1 | q >> k << n) << start for q in _torsion_patterns(letter, k, p)]
             for letter, k, start, _ in ctx.graph.component_slices
         ]
-        self.sizes = EVEN_SUPPORT_SIZES if p == 2 else tuple(2 * s for s in THREE_SUPPORT_SIZES)
+        self.sizes = _SIZES[p]
 
 
 class _Context:
@@ -223,24 +223,44 @@ def _enumerate_candidates(cls: _Classes, allowed) -> list[int]:
     return sorted(v for vs in level.values() for v in vs)
 
 
-def _candidate_dp(ctx: _Context, cls: _Classes, allowed) -> tuple[int, float]:
+def _product(tables, cap: int) -> dict[int, tuple[int, float]]:
+    """{support size: (count, least cover rank)} of one choice from each
+    table up to size cap: sizes add, counts multiply and ranks add."""
+    level = {0: (1, 0)}
+    for table in tables:
+        nxt: dict[int, tuple[int, float]] = {}
+        for s, (c, r) in level.items():
+            for t, (d, q) in table.items():
+                if (u := s + t) <= cap:
+                    c0, r0 = nxt.get(u, (0, inf))
+                    nxt[u] = c0 + c * d, r0 if r0 < r + q else r + q
+        level = nxt
+    return level
+
+
+@lru_cache(maxsize=None)
+def _type_table(letter: str, n: int, p: int, choices: tuple[tuple[int, ...], ...]):
+    """The table of copies of one component type, copy i taking nothing or a
+    local pattern of choices[i]: one copy counts each choice with its
+    `_local_cover` rank (inf if not ADE, 0 for p = 3); copies join by `_product`."""
+    if len(choices) > 1:
+        return _product([_type_table(letter, n, p, (pats,)) for pats in choices], _SIZES[p][-1])
+    table: dict[int, tuple[int, float]] = {}
+    for q in (0, *choices[0]):
+        c, r = table.get(q.bit_count(), (0, inf))
+        rank = getattr(_local_cover(letter, n, q), "rank", inf) if p == 2 else 0
+        table[q.bit_count()] = c + 1, min(r, rank)
+    return table
+
+
+def _join(p: int, tables) -> tuple[int, float]:
     """How many candidates `_enumerate_candidates` lists and, for p = 2, the
     least rank of their ADE double covers (inf if none), without the list:
-    the same DP, keeping per support size a count and a least rank.  A cover
-    is the sum of its components' `_local_cover` pieces (a non-ADE piece is
-    a message, with no rank), so the least rank is a knapsack."""
-    live = _live_sizes(cls, allowed)
-    level = {0: (1, 0)} if live[0] & 1 else {}
-    for i, ((letter, k, start, _), pats) in enumerate(zip(ctx.graph.component_slices, allowed)):
-        nxt: dict[int, tuple[int, float]] = {}
-        for p in (0, *pats):
-            rank = getattr(_local_cover(letter, k, p >> start), "rank", inf) if cls.p == 2 else 0
-            for t, (c, r) in level.items():
-                if live[i + 1] >> (u := t + p.bit_count()) & 1:
-                    c0, r0 = nxt.get(u, (0, inf))
-                    nxt[u] = c0 + c, min(r0, r + rank)
-        level = nxt
-    return sum(c for c, _ in level.values()), min((r for _, r in level.values()), default=inf)
+    the product of the type tables, the largest one read at the allowed sizes."""
+    *rest, last = sorted(tables, key=len)
+    hits = [(c * last[u - s][0], r + last[u - s][1]) for s, (c, r) in
+            _product(rest, _SIZES[p][-1]).items() for u in _SIZES[p] if u - s in last]
+    return sum(c for c, _ in hits), min((r for _, r in hits), default=inf)
 
 
 def _least_candidate(cls: _Classes, allowed) -> int:
@@ -341,11 +361,7 @@ def double_cover_transform(config: ADEConfig, candidate) -> ADEConfig:
                 )
             if h % 2:
                 raise ValueError("candidate is not an even set (odd branch parity)")
-    pieces = _cover_pieces(graph, mask)
-    for piece in pieces:
-        if isinstance(piece, str):
-            raise NotADEAfterContraction(piece)
-    return sum(pieces, ADEConfig())
+    return _cover(graph, mask)
 
 
 @lru_cache(maxsize=64)
@@ -354,12 +370,16 @@ def _labelled_graph(config: ADEConfig) -> tuple[DynkinGraph, dict[str, int]]:
     return graph, {lab: i for i, lab in enumerate(graph.nodes)}
 
 
-def _cover_pieces(graph: DynkinGraph, mask: int) -> list[ADEConfig | str]:
-    """The covers of the components, each branched over its part of mask."""
-    return [
-        _local_cover(letter, k, mask >> start & ((1 << k) - 1))
-        for letter, k, start, _ in graph.component_slices
-    ]
+def _cover(graph: DynkinGraph, mask: int) -> ADEConfig:
+    """The components' covers, each branched over its part of mask, merged
+    once; raises NotADEAfterContraction on the first piece that is not ADE."""
+    counts: Counter[tuple[str, int]] = Counter()
+    for letter, k, start, _ in graph.component_slices:
+        piece = _local_cover(letter, k, mask >> start & ((1 << k) - 1))
+        if isinstance(piece, str):
+            raise NotADEAfterContraction(piece)
+        counts.update({(a, n): c for a, n, c in piece.terms()})
+    return ADEConfig.from_counts(counts)
 
 
 @lru_cache(maxsize=None)
@@ -371,8 +391,9 @@ def _local_cover(letter: str, n: int, local_mask: int) -> ADEConfig | str:
     points) is one (-4 + 2)-curve and a split curve (none) two
     (-2)-curves, one per sheet.  Split copies meet on the same sheet, a
     ramified curve meets both copies of a split neighbour, and two
-    ramified curves meet 2 (C . C') plus the number of branch curves they
-    both meet.  Returns the ADE type, or the NotADEAfterContraction
+    ramified curves meet in the branch curves they both meet (never
+    directly: each would have degree 3, which one node of an ADE tree has
+    at most).  Returns the ADE type, or the NotADEAfterContraction
     message so that a failing piece is cached too.
     """
     adj = _neighbours(letter, n)
@@ -387,10 +408,7 @@ def _local_cover(letter: str, n: int, local_mask: int) -> ADEConfig | str:
     for i, j in component_edges(letter, n):
         if i in nodes and j in nodes:
             a, b = nodes[i], nodes[j]
-            if len(a) + len(b) == 2:
-                meet[a[0], b[0]] += 2
-            else:
-                meet.update(zip(a, b) if len(a) == len(b) else product(a, b))
+            meet.update(zip(a, b) if len(a) == len(b) else product(a, b))
     for i in range(n):
         if local_mask >> i & 1:
             meet.update(combinations([nodes[j][0] for j in nodes if adj[i] >> j & 1], 2))
@@ -556,12 +574,10 @@ def _component_policies(letter: str, n: int):
     """Independent-set policies per component, one per distinct alive
     pattern set (up to diagram automorphism), keeping the largest set and,
     among those, the least mask.  Returns tuples (size, alive_local_masks
-    (sorted tuple), indset nodes).
+    (sorted tuple), indset mask).
     """
     indsets = _independent_sets(letter, n)
-    patterns = sorted(
-        sum(c << i for i, c in enumerate(coeffs)) for coeffs in _torsion_patterns(letter, n, 2)
-    )
+    patterns = _torsion_patterns(letter, n, 2)
     autos = _component_autos(letter, n)
     canon: dict[tuple[int, ...], tuple[int, ...]] = {}  # alive -> its least image
     best: dict[tuple[int, ...], tuple[int, tuple[int, ...], int]] = {}
@@ -575,11 +591,7 @@ def _component_policies(letter: str, n: int):
         key = canon[alive]
         if key not in best or s.bit_count() > best[key][0]:
             best[key] = (s.bit_count(), alive, s)
-    out = [
-        (size, alive, tuple(i for i in range(n) if s >> i & 1)) for size, alive, s in best.values()
-    ]
-    out.sort(key=lambda t: (-t[0], t[1]))
-    return tuple(out)
+    return tuple(sorted(best.values(), key=lambda t: (-t[0], t[1])))
 
 
 @dataclass(frozen=True)
@@ -589,39 +601,36 @@ class _Witness:
     allowed: tuple[tuple[int, ...], ...]  # per component: global pattern masks
     curves: int  # mask of the witness's disjoint curves
     description: str
+    tables: tuple  # per component type: its `_type_table`
+
+
+@lru_cache(maxsize=None)
+def _type_options(letter: str, k: int, count: int):
+    """The policy multisets of `count` copies of one component type, as
+    (size, allowed local masks and curve local mask per copy, description
+    part, type table)."""
+    policies = _component_policies(letter, k)
+    options = []
+    for pick in combinations_with_replacement(range(len(policies)), count):
+        size, alive, curves = zip(*(policies[i] for i in pick))
+        part = f"{letter}{k}:" + ",".join(f"p{i}x{c}" for i, c in sorted(Counter(pick).items()))
+        options.append((sum(size), alive, curves, part, _type_table(letter, k, 2, alive)))
+    return tuple(options)
 
 
 def _witnesses(ctx: _Context) -> list[_Witness]:
     """Every choice of one policy per component whose curves number 12 or
-    more.  The policy multisets of each component type are built once, as
-    (size, allowed masks, curve mask, description part), with each local
-    mask moved onto its component as mask << start; only the join over
-    types runs per witness."""
-    per_type = []
-    for (letter, k), slices in groupby(ctx.graph.component_slices, key=lambda s: s[:2]):
-        starts = [start for _, _, start, _ in slices]
-        policies = _component_policies(letter, k)
-        options = []
-        for pick in combinations_with_replacement(range(len(policies)), len(starts)):
-            chosen = [policies[i] for i in pick]
-            counts = ",".join(f"p{i}x{c}" for i, c in sorted(Counter(pick).items()))
-            options.append(
-                (
-                    sum(size for size, _, _ in chosen),
-                    tuple(tuple(m << s for m in alive) for s, (_, alive, _) in zip(starts, chosen)),
-                    sum(1 << s + i for s, (_, _, nodes) in zip(starts, chosen) for i in nodes),
-                    f"{letter}{k}:{counts}",
-                )
-            )
-        per_type.append(options)
+    more, from each component type's `_type_options`; per witness only its
+    local masks move onto their components (mask << start)."""
+    starts = [start for _, _, start, _ in ctx.graph.component_slices]
+    per_type = [_type_options(letter, k, c) for letter, k, c in ctx.config.terms()]
     witnesses = []
     for combo in product(*per_type):
-        size = sum(t[0] for t in combo)
-        if size >= 12:
-            allowed = tuple(a for t in combo for a in t[1])
-            curves = sum(t[2] for t in combo)
-            description = "; ".join(t[3] for t in combo)
-            witnesses.append(_Witness(size, size - 11, allowed, curves, description))
+        if (size := sum(t[0] for t in combo)) >= 12:
+            _, alive, masks, parts, tables = zip(*combo)
+            allowed = tuple(tuple(q << s for q in a) for s, a in zip(starts, chain(*alive)))
+            curves = sum(m << s for s, m in zip(starts, chain(*masks)))
+            witnesses.append(_Witness(size, size - 11, allowed, curves, "; ".join(parts), tables))
     witnesses.sort(key=lambda w: (w.required, w.size, w.description))
     return witnesses
 
@@ -676,7 +685,7 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     )
 
     for w in witnesses:
-        count, bad = _cover_exceeds(ctx, w.allowed)
+        count, bad = _cover_exceeds(ctx, w.allowed, w.tables)
         if not excluded:
             # any one candidate spans a code of dimension 1
             k = w.required
@@ -705,7 +714,9 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
         if k == 0 or excluded:
             continue
         cls = ctx.classes[prime]
-        count = _candidate_dp(ctx, cls, cls.patterns)[0]
+        tables = [_type_table(a, n, prime, (_torsion_patterns(a, n, prime),) * c)
+                  for a, n, c in config.terms()]
+        count = _join(prime, tables)[0]
         best = len(_largest_code(cls, cls.patterns, k))
         steps += _search_steps({"scope": "global", "prime": prime}, k, count, best)
         excluded = best < k
@@ -724,17 +735,18 @@ def _search_steps(where: dict, k: int, count: int, best: int, **extra) -> list[O
     return steps
 
 
-def _cover_exceeds(ctx: _Context, allowed) -> tuple[int, tuple[int, ADEConfig | None] | None]:
-    """The number of even-set candidates on `allowed`, with None if there is
-    none or some candidate has an ADE cover of rank <= 19, else the least
-    candidate with its cover (None if not ADE); no candidate is listed."""
-    count, least = _candidate_dp(ctx, ctx.classes[2], allowed)
+def _cover_exceeds(ctx: _Context, allowed, tables) -> tuple[int, tuple[int, ADEConfig | None] | None]:
+    """The number of even-set candidates on `allowed` (type tables `tables`),
+    with None if there is none or some candidate has an ADE cover of rank
+    <= 19, else the least candidate with its cover (None if not ADE)."""
+    count, least = _join(2, tables)
     if not count or least <= K3_RANK_LIMIT:
         return count, None
     mask = _least_candidate(ctx.classes[2], allowed)
-    pieces = _cover_pieces(ctx.graph, mask)
-    ade = not any(isinstance(p, str) for p in pieces)
-    return count, (mask, sum(pieces, ADEConfig()) if ade else None)
+    try:
+        return count, (mask, _cover(ctx.graph, mask))
+    except NotADEAfterContraction:
+        return count, (mask, None)
 
 
 # ---------------------------------------------------------------------------

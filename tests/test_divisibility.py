@@ -32,18 +32,20 @@ from kummerlat.divisibility import (
     NO_OBSTRUCTION,
     _component_autos,
     _component_policies,
-    _candidate_dp,
     _Context,
     _cover_exceeds,
-    _cover_pieces,
     _enumerate_candidates,
+    _join,
     _largest_code,
     _least_candidate,
+    _live_sizes,
     _local_cover,
     _torsion_patterns,
+    _type_options,
+    _type_table,
     _witnesses,
 )
-from kummerlat.ade import ADEConfig, classify_dynkin, component_edges, dynkin
+from kummerlat.ade import ADEConfig, _independent_sets, classify_dynkin, component_edges, dynkin
 from kummerlat.lattice import connected_components, discriminant_group, group_symbol
 
 TABLE_10 = [
@@ -859,13 +861,42 @@ def oracle_cover_scan(ctx, masks):
     its cover (None when that cover is not ADE)."""
     first_bad = None
     for mask in masks:
-        pieces = _cover_pieces(ctx.graph, mask)
+        pieces = [
+            _local_cover(letter, k, mask >> start & ((1 << k) - 1))
+            for letter, k, start, _ in ctx.graph.component_slices
+        ]
         ade = not any(isinstance(p, str) for p in pieces)
         if ade and sum(p.rank for p in pieces) <= K3_RANK_LIMIT:
             return None
         if first_bad is None:
             first_bad = (mask, sum(pieces, ADEConfig()) if ade else None)
     return first_bad
+
+
+def candidate_dp(ctx, cls, allowed):
+    """The DP that the joined per-type tables replaced: over the components
+    in turn, per support size a count of partial classes and their least
+    cover rank, dropping each size once it cannot reach an allowed one."""
+    live = _live_sizes(cls, allowed)
+    level = {0: (1, 0)} if live[0] & 1 else {}
+    for i, ((letter, k, start, _), pats) in enumerate(zip(ctx.graph.component_slices, allowed)):
+        nxt = {}
+        for p in (0, *pats):
+            rank = getattr(_local_cover(letter, k, p >> start), "rank", math.inf) if cls.p == 2 else 0
+            for t, (c, r) in level.items():
+                if live[i + 1] >> (u := t + p.bit_count()) & 1:
+                    c0, r0 = nxt.get(u, (0, math.inf))
+                    nxt[u] = c0 + c, min(r0, r + rank)
+        level = nxt
+    return sum(c for c, _ in level.values()), min((r for _, r in level.values()), default=math.inf)
+
+
+def global_tables(ctx, p):
+    """The type tables of a global step: every copy may take any pattern."""
+    return [
+        _type_table(letter, n, p, (_torsion_patterns(letter, n, p),) * c)
+        for letter, n, c in ctx.config.terms()
+    ]
 
 
 # (searches compared, candidates listed) over every witness and global search
@@ -881,19 +912,22 @@ COUNT_DP_COUNTS = {
 
 @pytest.mark.parametrize("sample", sorted(DP_SAMPLES))
 def test_enumeration_dp_matches_walk(sample):
-    # the list against the walk it replaced, and the count DP and the
-    # least-candidate walk, which build no list, against the list
+    # the list against the walk it replaced; the joined type tables and the
+    # least-candidate walk, which build no list, against the list, and the
+    # tables' count and least cover rank against the DP they replaced
     searches = listed = 0
     least = Counter()
     for text in DP_SAMPLES[sample]:
         ctx = _Context(parse_config(text))
         even = ctx.classes[2]
-        lists = [(even, [list(a) for a in w.allowed]) for w in _witnesses(ctx)]
-        lists += [(ctx.classes[p], ctx.classes[p].patterns) for p in (2, 3)]
-        for cls, allowed in lists:
+        lists = [(even, [list(a) for a in w.allowed], w.tables) for w in _witnesses(ctx)]
+        lists += [(ctx.classes[p], ctx.classes[p].patterns, global_tables(ctx, p)) for p in (2, 3)]
+        for cls, allowed, tables in lists:
             cands = _enumerate_candidates(cls, allowed)
             assert cands == oracle_enumerate(cls, allowed), (text, cls.p)
-            assert _candidate_dp(ctx, cls, allowed)[0] == len(cands), (text, cls.p)
+            joined = _join(cls.p, tables)
+            assert joined == candidate_dp(ctx, cls, allowed), (text, cls.p)
+            assert joined[0] == len(cands), (text, cls.p)
             if cands:
                 assert _least_candidate(cls, allowed) == cands[0], (text, cls.p)
                 least[cls.p] += 1
@@ -916,7 +950,7 @@ def test_cover_dp_matches_scan(sample):
         ctx = _Context(parse_config(text))
         for w in _witnesses(ctx):
             cands = _enumerate_candidates(ctx.classes[2], [list(a) for a in w.allowed])
-            count, got = _cover_exceeds(ctx, w.allowed)
+            count, got = _cover_exceeds(ctx, w.allowed, w.tables)
             assert count == len(cands), (text, w.description)
             assert got == oracle_cover_scan(ctx, cands), (text, w.description)
             compared += 1
@@ -931,11 +965,13 @@ def test_cover_dp_reports_non_ade_example():
     # leaves, and the one candidate, 5 curves of A1 and 3 centres, fires
     # with a non-ADE example
     ctx = _Context(parse_config("5A1+3D4"))
-    allowed = [[1 << (start + (k > 1))] for _, k, start, _ in ctx.graph.component_slices]
+    slices = ctx.graph.component_slices
+    allowed = [[1 << (start + (k > 1))] for _, k, start, _ in slices]
+    tables = [_type_table(letter, k, 2, ((1 << (k > 1),),)) for letter, k, _, _ in slices]
     cands = _enumerate_candidates(ctx.classes[2], allowed)
     assert len(cands) == 1
     assert isinstance(_local_cover("D", 4, 0b10), str)
-    assert _cover_exceeds(ctx, allowed) == (1, (cands[0], None))
+    assert _cover_exceeds(ctx, allowed, tables) == (1, (cands[0], None))
     assert oracle_cover_scan(ctx, cands) == (cands[0], None)
 
 
@@ -964,7 +1000,7 @@ def searches_run(ctx, skipped):
             else:
                 runs.append((2, w.required, dim))
             excluded = basis is None
-        excluded |= _cover_exceeds(ctx, w.allowed)[1] is not None
+        excluded |= _cover_exceeds(ctx, w.allowed, w.tables)[1] is not None
     glue = {p: int(report.steps[0].get(f"required_glue_{p}")) for p in (2, 3)}
     for p, k in glue.items():
         if not k or excluded:
@@ -1141,7 +1177,8 @@ def test_three_torsion_patterns_are_oriented_A2_pairs():
     # both need every 3-torsion pattern to be c (1, 2) on disjoint A_2 pairs
     found = {}
     for letter, n in COMPONENT_TYPES:
-        for coeffs in _torsion_patterns(letter, n, 3):
+        for q in _torsion_patterns(letter, n, 3):
+            coeffs = [(q >> i & 1) + 2 * (q >> n + i & 1) for i in range(n)]
             pairs = oracle_pairs(letter, n, coeffs)
             assert pairs is not None, (letter, n, coeffs)
             found.setdefault((letter, n), []).append(len(pairs))
@@ -1177,7 +1214,7 @@ def test_component_autos_match_hand_table():
 
 def scanned_policies(letter, n):
     """The policy table from a scan of all 2^n node subsets."""
-    patterns = [sum(c << i for i, c in enumerate(co)) for co in _torsion_patterns(letter, n, 2)]
+    patterns = _torsion_patterns(letter, n, 2)
     autos = _component_autos(letter, n)
     adj = [0] * n
     for i, j in component_edges(letter, n):
@@ -1201,7 +1238,7 @@ def scanned_policies(letter, n):
         (
             size,
             tuple(sorted(p for p in patterns if p & ~s == 0)),
-            tuple(i for i in range(n) if s >> i & 1),
+            s,
         )
         for size, s in best.values()
     ]
@@ -1220,14 +1257,18 @@ def test_large_component_witnesses_come_from_largest_policy(monkeypatch):
     # leaves at most 4 curves elsewhere, too few for a 12-curve witness
     configs = [c for c in ATLAS if any(n >= 15 for _, n in c.components())]
     full = [_witnesses(_Context(c)) for c in configs]
+    # the options are cached per component type: an empty cache of their
+    # own builds them from the patched policies, and goes with the patch
+    fresh = lru_cache(maxsize=None)(_type_options.__wrapped__)
+    monkeypatch.setattr(divisibility, "_type_options", fresh)
 
     def largest_only(letter, n):
         if n < 15:
             return _component_policies(letter, n)
         size, chosen = oracle_component_mis(letter, n)
         s = sum(1 << i for i in chosen)
-        patterns = [sum(c << i for i, c in enumerate(co)) for co in _torsion_patterns(letter, n, 2)]
-        return ((size, tuple(sorted(p for p in patterns if p & ~s == 0)), chosen),)
+        patterns = _torsion_patterns(letter, n, 2)
+        return ((size, tuple(sorted(p for p in patterns if p & ~s == 0)), s),)
 
     monkeypatch.setattr(divisibility, "_component_policies", largest_only)
     assert [_witnesses(_Context(c)) for c in configs] == full
@@ -1258,14 +1299,14 @@ def oracle_witnesses(ctx):
         for ((letter, k), members, policies, assignments), pick in zip(per_type, combo):
             counts: dict[int, int] = {}
             for comp_idx, pol_idx in zip(members, assignments[pick]):
-                psize, alive_local, nodes_local = policies[pol_idx]
+                psize, alive_local, mask_local = policies[pol_idx]
                 size += psize
                 counts[pol_idx] = counts.get(pol_idx, 0) + 1
                 _, _, comp_nodes = comps[comp_idx]
                 allowed[comp_idx] = tuple(
                     sum(1 << comp_nodes[i] for i in range(k) if m >> i & 1) for m in alive_local
                 )
-                curve_nodes.extend(comp_nodes[i] for i in nodes_local)
+                curve_nodes.extend(comp_nodes[i] for i in range(k) if mask_local >> i & 1)
             desc_parts.append(
                 f"{letter}{k}:" + ",".join(f"p{p}x{c}" for p, c in sorted(counts.items()))
             )
@@ -1526,6 +1567,27 @@ def test_local_cover_matches_global_oracle():
     assert cases == 1899
 
 
+def test_ramified_curves_are_never_adjacent():
+    # `_local_cover` has no case for two adjacent ramified curves (each
+    # meeting two branch curves): on every independent set of every
+    # component type of rank <= 19 that double_cover_transform accepts
+    # (every other curve meets 0 or 2 of it), no ramified curve meets another
+    sets = accepted = ramified = 0
+    for letter, n in COMPONENT_TYPES:
+        adj = [0] * n
+        for i, j in component_edges(letter, n):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        for s in _independent_sets(letter, n):
+            sets += 1
+            if all(s >> i & 1 or (adj[i] & s).bit_count() in (0, 2) for i in range(n)):
+                ram = sum(1 << i for i in range(n) if not s >> i & 1 and adj[i] & s)
+                assert not any(ram >> i & 1 and adj[i] & ram for i in range(n)), (letter, n, s)
+                accepted += 1
+                ramified += ram.bit_count()
+    assert (len(COMPONENT_TYPES), sets, accepted, ramified) == (38, 59997, 81, 135)
+
+
 @pytest.mark.parametrize("text", TABLE_10 + EXTRA_8)
 def test_cover_transform_matches_global_oracle_on_census(text):
     config = parse_config(text)
@@ -1749,6 +1811,13 @@ def test_report_json_shape():
     assert d["config"] == "16A1"
     assert d["verdict"] == NO_OBSTRUCTION
     assert all(isinstance(v, str) for step in d["steps"] for v in step.values())
+
+
+def test_empty_configuration_has_no_obstruction():
+    # no component type: one empty choice of options, and no witness
+    report = check_nonexistence(ADEConfig())
+    (step,) = report.steps
+    assert (report.verdict, step.get("witness_sets")) == (NO_OBSTRUCTION, "0")
 
 
 # --- Enriques --------------------------------------------------------------
