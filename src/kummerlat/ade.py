@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, lcm, prod
 
+from ._record import Record
 from .lattice import GramLattice, connected_components, direct_sum, frac_str, primary_chain
 from .snf import bareiss
 
@@ -53,8 +53,7 @@ def _check_rank(rank: int) -> None:
         raise RankLimitExceeded(f"rank {rank} exceeds the K3 limit {K3_RANK_LIMIT}")
 
 
-@dataclass(frozen=True)
-class ADEConfig:
+class ADEConfig(Record):
     """Counts of A/D/E components, keyed by n, stored as sorted pairs."""
 
     a: tuple[tuple[int, int], ...] = ()
@@ -62,13 +61,14 @@ class ADEConfig:
     e: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        for letter, pairs in (("A", self.a), ("D", self.d), ("E", self.e)):
-            clean = tuple(sorted((int(n), int(c)) for n, c in pairs if c))
+        d = self.__dict__
+        for letter, key in (("A", "a"), ("D", "d"), ("E", "e")):
+            clean = tuple(sorted((int(n), int(c)) for n, c in d[key] if c))
             for n, c in clean:
                 _check_component(letter, n)
                 if c < 0:
                     raise ValueError("component counts must be nonnegative")
-            object.__setattr__(self, letter.lower(), clean)
+            d[key] = clean
 
     @classmethod
     def of(cls, a: dict | None = None, d: dict | None = None, e: dict | None = None) -> "ADEConfig":
@@ -84,7 +84,7 @@ class ADEConfig:
         pairs: dict[str, list[tuple[int, int]]] = {"A": [], "D": [], "E": []}
         for (letter, n), c in counts.items():
             pairs[letter].append((n, c))
-        return cls(a=tuple(pairs["A"]), d=tuple(pairs["D"]), e=tuple(pairs["E"]))
+        return cls(tuple(pairs["A"]), tuple(pairs["D"]), tuple(pairs["E"]))
 
     def count(self, letter: str, n: int) -> int:
         pairs = {"A": self.a, "D": self.d, "E": self.e}[letter]
@@ -130,11 +130,10 @@ class ADEConfig:
         return self.render()
 
     def sort_key(self) -> tuple:
-        counts = []
-        for letter, maxn in (("A", 19), ("D", 19), ("E", 8)):
-            lo = 1 if letter == "A" else (4 if letter == "D" else 6)
-            for n in range(lo, maxn + 1):
-                counts.append(self.count(letter, n))
+        counts = [0] * len(_SORT_SLOTS)
+        for letter, n, c in self.terms():
+            if (slot := _SORT_SLOTS.get((letter, n))) is not None:
+                counts[slot] = c
         # trailing exact tuples keep the order total beyond rank-19 parts
         return (self.rank, tuple(counts), self.a, self.d, self.e)
 
@@ -146,6 +145,11 @@ class ADEConfig:
             "m": frac_str(m_value(self)),
             "rank": self.rank,
         }
+
+
+# the 38 component types of rank <= 19, in `sort_key`'s count order
+_SORT_SLOTS = {t: i for i, t in enumerate([("A", n) for n in range(1, 20)] + [("D", n) for n in range(4, 20)]
+                                          + [("E", n) for n in ADE_E_RANKS])}
 
 
 def _check_component(letter: str, n: int) -> None:
@@ -239,8 +243,7 @@ def component_gram(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(-2 if i == j else adj[i] >> j & 1 for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class DynkinGraph:
+class DynkinGraph(Record):
     """Curve-level view: nodes labelled like 'A3.2.1', edges as index pairs."""
 
     nodes: tuple[str, ...]
@@ -300,14 +303,20 @@ def max_disjoint_curves(config: ADEConfig) -> tuple[int, tuple[str, ...]]:
     return len(witness), tuple(witness)
 
 
-def _component_catalog(max_rank: int) -> list[tuple[str, int, Fraction]]:
-    """All ADE components of rank <= max_rank, largest m first."""
+@lru_cache(maxsize=64)
+def _component_catalog(max_rank: int) -> tuple[int, tuple[tuple[str, int, int], ...], tuple[int, ...]]:
+    """(scale, items, grain): every ADE component of rank <= max_rank as
+    (letter, n, m * scale), largest m first, scale the lcm of the m
+    denominators, and grain[i] the gcd of the scaled m of items i.."""
     kinds = [("A", n) for n in range(1, max_rank + 1)]
     kinds += [("D", n) for n in range(4, max_rank + 1)]
     kinds += [("E", n) for n in ADE_E_RANKS if n <= max_rank]
-    items = [(letter, n, component_m(letter, n)) for letter, n in kinds]
-    items.sort(key=lambda t: (-t[2], t[0], -t[1]))
-    return items
+    ms = [component_m(letter, n) for letter, n in kinds]
+    scale = lcm(*(m.denominator for m in ms))
+    items = sorted(((letter, n, m.numerator * (scale // m.denominator)) for (letter, n), m in zip(kinds, ms)),
+                   key=lambda t: (-t[2], t[0], -t[1]))
+    grain = [*accumulate((m for _, _, m in reversed(items)), gcd)][::-1]
+    return scale, tuple(items), tuple(grain)
 
 
 def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADEConfig]:
@@ -324,12 +333,9 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
     if m_target <= 0 or max_rank < 0:
         raise ValueError("m target must be positive and max rank nonnegative")
     # component_m(letter, n) > n, so no component of rank above m fits
-    catalog = _component_catalog(min(max_rank, int(m_target)))
-    scale = lcm(*(m.denominator for _, _, m in catalog))
+    scale, items, grain = _component_catalog(min(max_rank, int(m_target)))
     if (m_target * scale).denominator != 1:  # no sum of component m values
         return []
-    items = [(letter, n, m.numerator * scale // m.denominator) for letter, n, m in catalog]
-    grain = [*accumulate((m for _, _, m in reversed(items)), gcd)][::-1]
     results: list[ADEConfig] = []
 
     def descend(idx: int, rem_m: int, rem_rank: int, counts: dict) -> None:

@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import inf
 
+from ._record import Record
 from .ade import (
     K3_RANK_LIMIT,
     ADEConfig,
@@ -79,8 +79,7 @@ class NonReducedIntersection(ValueError):
     """A curve meets the branch locus in more than two points."""
 
 
-@dataclass(frozen=True)
-class DivisibleCandidate:
+class DivisibleCandidate(Record):
     """Candidate p-divisible class on a configuration.
 
     For prime 2 the support is a tuple of curve labels; for prime 3 it is a
@@ -94,8 +93,7 @@ class DivisibleCandidate:
     class_vector: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class ObstructionStep:
+class ObstructionStep(Record):
     kind: str
     data: tuple[tuple[str, str], ...]
 
@@ -106,8 +104,7 @@ class ObstructionStep:
         return {"kind": self.kind, **dict(self.data)}
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     config: ADEConfig
     verdict: str
     steps: tuple[ObstructionStep, ...]
@@ -594,14 +591,27 @@ def _component_policies(letter: str, n: int):
     return tuple(sorted(best.values(), key=lambda t: (-t[0], t[1])))
 
 
-@dataclass(frozen=True)
-class _Witness:
+class _Witness(Record):
+    """A policy per component, kept as its components' local masks; the
+    global masks are formed only when a search, a cover or a step reads them."""
+
     size: int
     required: int
-    allowed: tuple[tuple[int, ...], ...]  # per component: global pattern masks
-    curves: int  # mask of the witness's disjoint curves
     description: str
     tables: tuple  # per component type: its `_type_table`
+    starts: tuple[int, ...]  # per component: its first node
+    alive: tuple  # per component type: the allowed local masks of each copy
+    masks: tuple  # per component type: the curve local mask of each copy
+
+    @cached_property
+    def allowed(self) -> tuple[tuple[int, ...], ...]:
+        """Per component: the global pattern masks."""
+        return tuple(tuple(q << s for q in a) for s, a in zip(self.starts, chain(*self.alive)))
+
+    @cached_property
+    def curves(self) -> int:
+        """The mask of the witness's disjoint curves."""
+        return sum(m << s for s, m in zip(self.starts, chain(*self.masks)))
 
 
 @lru_cache(maxsize=None)
@@ -620,17 +630,15 @@ def _type_options(letter: str, k: int, count: int):
 
 def _witnesses(ctx: _Context) -> list[_Witness]:
     """Every choice of one policy per component whose curves number 12 or
-    more, from each component type's `_type_options`; per witness only its
-    local masks move onto their components (mask << start)."""
-    starts = [start for _, _, start, _ in ctx.graph.component_slices]
+    more, from each component type's `_type_options`; a witness moves its
+    local masks onto their components (mask << start) only when read."""
+    starts = tuple(start for _, _, start, _ in ctx.graph.component_slices)
     per_type = [_type_options(letter, k, c) for letter, k, c in ctx.config.terms()]
     witnesses = []
     for combo in product(*per_type):
         if (size := sum(t[0] for t in combo)) >= 12:
             _, alive, masks, parts, tables = zip(*combo)
-            allowed = tuple(tuple(q << s for q in a) for s, a in zip(starts, chain(*alive)))
-            curves = sum(m << s for s, m in zip(starts, chain(*masks)))
-            witnesses.append(_Witness(size, size - 11, allowed, curves, "; ".join(parts), tables))
+            witnesses.append(_Witness(size, size - 11, "; ".join(parts), tables, starts, alive, masks))
     witnesses.sort(key=lambda w: (w.required, w.size, w.description))
     return witnesses
 
@@ -685,7 +693,7 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     )
 
     for w in witnesses:
-        count, bad = _cover_exceeds(ctx, w.allowed, w.tables)
+        count, bad = _cover_exceeds(ctx, w)
         if not excluded:
             # any one candidate spans a code of dimension 1
             k = w.required
@@ -735,14 +743,15 @@ def _search_steps(where: dict, k: int, count: int, best: int, **extra) -> list[O
     return steps
 
 
-def _cover_exceeds(ctx: _Context, allowed, tables) -> tuple[int, tuple[int, ADEConfig | None] | None]:
-    """The number of even-set candidates on `allowed` (type tables `tables`),
-    with None if there is none or some candidate has an ADE cover of rank
-    <= 19, else the least candidate with its cover (None if not ADE)."""
-    count, least = _join(2, tables)
+def _cover_exceeds(ctx: _Context, w: _Witness) -> tuple[int, tuple[int, ADEConfig | None] | None]:
+    """The number of even-set candidates on `w.allowed` (type tables
+    `w.tables`), with None if there is none or some candidate has an ADE
+    cover of rank <= 19, else the least candidate with its cover (None if
+    not ADE)."""
+    count, least = _join(2, w.tables)
     if not count or least <= K3_RANK_LIMIT:
         return count, None
-    mask = _least_candidate(ctx.classes[2], allowed)
+    mask = _least_candidate(ctx.classes[2], w.allowed)
     try:
         return count, (mask, _cover(ctx.graph, mask))
     except NotADEAfterContraction:

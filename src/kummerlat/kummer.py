@@ -14,11 +14,11 @@ groups the primitive saturation is generated over F by explicit glue:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from operator import getitem
 
+from ._record import Record
 from .ade import ADEConfig, parse_config
 from . import ade
 from .lattice import (
@@ -53,14 +53,12 @@ GROUP_CONFIGS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class KummerLatticeSpec:
+class KummerLatticeSpec(Record):
     group_name: str
     config: ADEConfig
 
 
-@dataclass(frozen=True)
-class KummerReport:
+class KummerReport(Record):
     group: str
     config: ADEConfig
     F: GramLattice
@@ -163,8 +161,7 @@ def build_K_Q8hat() -> KummerReport:
     # delta_2 + alt lies in F, so <delta_1, alt> and <delta_1, delta_2> agree mod F
     if any((a + b) % 4 for a, b in zip(DELTA_2, DELTA_2_ALT)):
         raise AssertionError("alternative second glue generates a different lattice")
-    return replace(
-        report,
+    return report.replace(
         even_sets=tuple(even_sets),
         glue_info=(
             "delta_1 = (1,1,1,1,2,0) in base t_1..t_6",
@@ -216,8 +213,7 @@ def build_K_T24hat() -> KummerReport:
         f"({labels[i]},{labels[j]}) <- ({1 if o == 1 else 2},{2 if o == 1 else 1})"
         for (i, j), o in zip(pairs, orient)
     )
-    return replace(
-        _saturation(spec, F, [g]),
+    return _saturation(spec, F, [g]).replace(
         glue_info=(f"integral orientations: {len(valid)}",) + orient_desc,
         notes=(f"q(gamma) = {q_value(F, g.vector)}",),
     )

@@ -16,15 +16,14 @@ overlattice Hermite basis and membership in it work on those numerators;
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
 
+from ._record import Record
 from .snf import _smith, bareiss, det_int, hermite_row_basis, mat_mul
 
 RationalVector = tuple[Fraction, ...]
@@ -117,23 +116,22 @@ def connected_components(adj) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class GramLattice(Record):
     """Symmetric integer Gram matrix with labelled basis vectors."""
 
     gram: tuple[tuple[int, ...], ...]
     basis_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        g = tuple(tuple(map(int, row)) for row in self.gram)
-        object.__setattr__(self, "gram", g)
+        d = self.__dict__
+        d["gram"] = g = tuple(tuple(map(int, row)) for row in self.gram)
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
         if g != tuple(zip(*g)):
             raise ValueError("Gram matrix must be symmetric")
         if not self.basis_labels:
-            object.__setattr__(self, "basis_labels", tuple(f"e{i+1}" for i in range(n)))
+            d["basis_labels"] = tuple(f"e{i+1}" for i in range(n))
         elif len(self.basis_labels) != n:
             raise ValueError("label count does not match rank")
 
@@ -162,6 +160,8 @@ class GramLattice:
         return dual_defect(self.gram, vec(x))[1] is None
 
     def to_json(self) -> str:
+        import json  # here, not at the top: nothing on the import path needs it
+
         return json.dumps(
             {
                 "rank": self.rank,
@@ -173,6 +173,8 @@ class GramLattice:
 
     @classmethod
     def from_json(cls, text: str) -> "GramLattice":
+        import json
+
         data = json.loads(text)
         return cls(
             gram=tuple(tuple(row) for row in data["gram"]),
@@ -193,8 +195,7 @@ def direct_sum(blocks: list[list[list[int]]]) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(Record):
     """Invariant factors and dual-vector generators of L^vee / L.
 
     `generators[i]` has exact order `invariant_factors[i]`; `q_values[i]` is
@@ -318,8 +319,7 @@ def discriminant_group(L: GramLattice) -> DiscriminantGroup:
     return disc
 
 
-@dataclass(frozen=True)
-class GlueVector:
+class GlueVector(Record):
     """Dual vector adjoined to a lattice, with the order of its class."""
 
     vector: RationalVector
@@ -345,8 +345,7 @@ class GlueVector:
         return cls.in_dual(L, coords)
 
 
-@dataclass(frozen=True)
-class OverlatticeResult:
+class OverlatticeResult(Record):
     """Overlattice with its basis written in the parent's coordinates.
 
     Basis vector i is H[i] / den in parent coordinates, where H is the
@@ -531,8 +530,7 @@ def roots(L: GramLattice) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class LengthBoundResult:
+class LengthBoundResult(Record):
     ok: bool
     length: int
     bound: int

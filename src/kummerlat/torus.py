@@ -35,12 +35,12 @@ shorthand: abcd = (a/2) + (b/2) i + (c/2) j + (d/2) t for the lattice basis
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul
 
+from ._record import Record
 from .ade import ADEConfig, _group_order
 from .lattice import DegenerateLattice, RationalVector, _integer_rows, frac_str
 from .snf import det_int, mat_mul, smith_normal_form
@@ -83,8 +83,7 @@ def left_mult_matrix(coeffs, sq_j: int = -1) -> list[list[Fraction]]:
     ]
 
 
-@dataclass(frozen=True)
-class TorusLattice:
+class TorusLattice(Record):
     """Rank-4 lattice given by basis vectors in the ambient frame.
 
     Basis vector i is rows[i] / den in frame coordinates.  With C the
@@ -152,8 +151,7 @@ LATTICES = {
 }
 
 
-@dataclass(frozen=True)
-class AffineTorusMap:
+class AffineTorusMap(Record):
     """x -> Mx + r in lattice coordinates; r is reduced mod Z^4."""
 
     linear: tuple[tuple[int, ...], ...]
@@ -185,8 +183,7 @@ _IDENTITY = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
 IDENTITY_MAP = AffineTorusMap(_IDENTITY, (Fraction(0),) * 4)
 
 
-@dataclass(frozen=True)
-class TorusGroup:
+class TorusGroup(Record):
     name: str
     lattice: TorusLattice
     elements: tuple[AffineTorusMap, ...]
@@ -328,12 +325,12 @@ def _two_torsion_pair(e, label: str):
 # fixed points
 
 
-@dataclass(frozen=True)
-class FixedPointSet:
+class FixedPointSet(Record):
     kind: str  # "finite" | "empty" | "positive_dimensional"
     points: tuple[RationalVector, ...] = ()
-    # (q, nums): the points as int 4-tuples mod q, for the quotient's orbit pass
-    _over: tuple = field(default=(1, ()), compare=False, repr=False)
+    # (q, nums): the points as int 4-tuples mod q, for the quotient's orbit pass;
+    # the underscore keeps it out of ==, hash and repr
+    _over: tuple = (1, ())
 
 
 def fixed_points(g: AffineTorusMap) -> FixedPointSet:
@@ -376,8 +373,7 @@ def fixed_points(g: AffineTorusMap) -> FixedPointSet:
 # singularities of the quotient
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(Record):
     group: str
     lattice: str
     points: tuple[RationalVector, ...]
@@ -548,8 +544,7 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
     )
 
 
-@dataclass(frozen=True)
-class LiebermanReport:
+class LiebermanReport(Record):
     e1: tuple[Fraction, Fraction]
     e2: tuple[Fraction, Fraction]
     tau_fixed: str

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -950,7 +951,7 @@ def test_cover_dp_matches_scan(sample):
         ctx = _Context(parse_config(text))
         for w in _witnesses(ctx):
             cands = _enumerate_candidates(ctx.classes[2], [list(a) for a in w.allowed])
-            count, got = _cover_exceeds(ctx, w.allowed, w.tables)
+            count, got = _cover_exceeds(ctx, w)
             assert count == len(cands), (text, w.description)
             assert got == oracle_cover_scan(ctx, cands), (text, w.description)
             compared += 1
@@ -971,7 +972,7 @@ def test_cover_dp_reports_non_ade_example():
     cands = _enumerate_candidates(ctx.classes[2], allowed)
     assert len(cands) == 1
     assert isinstance(_local_cover("D", 4, 0b10), str)
-    assert _cover_exceeds(ctx, allowed, tables) == (1, (cands[0], None))
+    assert _cover_exceeds(ctx, SimpleNamespace(allowed=allowed, tables=tables)) == (1, (cands[0], None))
     assert oracle_cover_scan(ctx, cands) == (cands[0], None)
 
 
@@ -1000,7 +1001,7 @@ def searches_run(ctx, skipped):
             else:
                 runs.append((2, w.required, dim))
             excluded = basis is None
-        excluded |= _cover_exceeds(ctx, w.allowed, w.tables)[1] is not None
+        excluded |= _cover_exceeds(ctx, w)[1] is not None
     glue = {p: int(report.steps[0].get(f"required_glue_{p}")) for p in (2, 3)}
     for p, k in glue.items():
         if not k or excluded:
