@@ -24,11 +24,12 @@ class Record:
         defaults = {f: vars(cls)[f] for f in fields if f in vars(cls)}
         shown = tuple(f for f in fields if not f.startswith("_"))
         key = itemgetter(*shown)  # of the instance dict, which holds every field
-        known, indexed, post = frozenset(fields), tuple(enumerate(fields)), getattr(cls, "__post_init__", None)
+        n, known, indexed = len(fields), frozenset(fields), tuple(enumerate(fields))
+        post = getattr(cls, "__post_init__", None)
 
         def __init__(self, *args, **kwargs):
             d = self.__dict__
-            if not kwargs and len(args) == len(fields):
+            if not kwargs and len(args) == n:
                 for i, f in indexed:
                     d[f] = args[i]
             else:
@@ -36,7 +37,7 @@ class Record:
                 if args:
                     d |= zip(fields, args)
                 d |= kwargs
-                if len(args) > len(fields) or not kwargs.keys().isdisjoint(fields[:len(args)]) or d.keys() != known:
+                if len(args) > n or not kwargs.keys().isdisjoint(fields[:len(args)]) or d.keys() != known:
                     raise TypeError(_call_error(cls.__qualname__, fields, args, kwargs, d))
             if post is not None:
                 post(self)
