@@ -16,8 +16,6 @@ from operator import itemgetter
 
 
 class Record:
-    _fields = _shown = ()
-
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(vars(cls).get("__annotations__", ()))
