@@ -5,9 +5,9 @@ attributes.  `Record.__init_subclass__` reads them once and generates no
 code: it binds the field names into the class's `__init__`, `__eq__` and
 `__hash__`.  Instances are built positionally or by keyword, defaults filled
 in, then `__post_init__` runs if the class has one (it normalizes a field
-by writing `self.__dict__`).  Instances refuse assignment and deletion; `==`, `hash` and repr run over the fields in order, leaving
-out those whose name starts with an underscore.  `replace(**changes)` builds
-a changed copy through the constructor, so `__post_init__` runs again.
+by writing `self.__dict__`).  Instances refuse assignment and deletion;
+`==`, `hash` and repr run over every field, in order.  `replace(**changes)`
+builds a changed copy through the constructor, so `__post_init__` runs again.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ class Record:
         super().__init_subclass__(**kwargs)
         fields = tuple(vars(cls).get("__annotations__", ()))
         defaults = {f: vars(cls)[f] for f in fields if f in vars(cls)}
-        shown = tuple(f for f in fields if not f.startswith("_"))
-        key = itemgetter(*shown)  # of the instance dict, which holds every field
+        key = itemgetter(*fields)  # of the instance dict
         n, known, indexed = len(fields), frozenset(fields), tuple(enumerate(fields))
         post = getattr(cls, "__post_init__", None)
 
@@ -48,7 +47,7 @@ class Record:
         def __hash__(self):
             return hash(key(self.__dict__))
 
-        cls._fields, cls._shown, cls.__init__, cls.__eq__, cls.__hash__ = fields, shown, __init__, __eq__, __hash__
+        cls._fields, cls.__init__, cls.__eq__, cls.__hash__ = fields, __init__, __eq__, __hash__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -58,7 +57,7 @@ class Record:
 
     def __repr__(self):
         d = self.__dict__
-        return f"{type(self).__qualname__}({', '.join(f'{f}={d[f]!r}' for f in self._shown)})"
+        return f"{type(self).__qualname__}({', '.join(f'{f}={d[f]!r}' for f in self._fields)})"
 
     def replace(self, **changes):
         d = self.__dict__

@@ -32,7 +32,6 @@ from .lattice import (
     q_value,
     roots,
 )
-from .snf import mat_mul
 
 
 class NoIntegralOrientation(ValueError):
@@ -127,13 +126,14 @@ EVEN_SET_BLOCKS = ((1, 2, 3, 4), (3, 4, 5, 6), (1, 2, 5, 6))
 
 
 def _saturation(spec: KummerLatticeSpec, F: GramLattice, glue: list[GlueVector]) -> KummerReport:
-    """Report on F, its overlattice K by the glue, and their roots."""
+    """Report on F, its overlattice K by the glue, and their roots: K contains
+    F, so the two root sets are equal exactly when their counts are."""
     K = overlattice(F, glue)
-    roots_F, roots_K = roots(F), roots(K.lattice)
+    pairs_F, pairs_K = len(roots(F)), len(roots(K.lattice))
     return KummerReport(
         group=spec.group_name, config=spec.config, F=F, disc_F=discriminant_group(F), K=K,
-        disc_K=discriminant_group(K.lattice), root_pairs_F=len(roots_F),
-        root_pairs_K=len(roots_K), roots_equal=_same_roots(K, roots_F, roots_K),
+        disc_K=discriminant_group(K.lattice), root_pairs_F=pairs_F,
+        root_pairs_K=pairs_K, roots_equal=pairs_F == pairs_K,
     )
 
 
@@ -219,30 +219,18 @@ def build_K_T24hat() -> KummerReport:
     )
 
 
-def _same_roots(K: OverlatticeResult, roots_parent, roots_over) -> bool:
-    """Compare root sets of a finite-index overlattice and its parent.
-
-    The overlattice roots map to parent coordinates by one integer product
-    with the basis numerators K.H (basis = H / den), divided by den once.
-    """
-    den = K.den
-    over_in_parent = set()
-    for w in mat_mul(roots_over, K.H):
-        if any(x % den for x in w):
-            return False  # a root of the overlattice outside the parent
-        nz = next((x for x in w if x), 0)
-        over_in_parent.add(tuple(x // den if nz > 0 else -x // den for x in w))
-    return set(roots_parent) == over_in_parent
-
-
 def verify_root_equality(K: OverlatticeResult, F: GramLattice) -> bool:
     """True iff the norm -2 vectors of the overlattice all lie in F.
 
-    Raises NotASublattice when F is not contained in the overlattice.
+    Raises NotASublattice when F is not K's parent or not contained in the
+    overlattice.  Then the roots of F are roots of K, and the root sets are
+    equal exactly when their counts are.
     """
+    if F.gram != K.parent.gram:
+        raise NotASublattice("F is not the overlattice's parent")
     if not all(K.contains([int(i == j) for j in range(F.rank)]) for i in range(F.rank)):
         raise NotASublattice("parent basis vector missing from overlattice")
-    return _same_roots(K, roots(F), roots(K.lattice))
+    return len(roots(F)) == len(roots(K.lattice))
 
 
 def build_group_report(group_name: str) -> KummerReport:

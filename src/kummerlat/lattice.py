@@ -124,7 +124,10 @@ class GramLattice(Record):
 
     def __post_init__(self):
         d = self.__dict__
-        d["gram"] = g = tuple(tuple(map(int, row)) for row in self.gram)
+        rows = tuple(map(tuple, self.gram))
+        d["gram"] = g = tuple(tuple(map(int, row)) for row in rows)
+        if g != rows:
+            raise ValueError("Gram matrix entries must be integers")
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")

@@ -328,32 +328,22 @@ def _two_torsion_pair(e, label: str):
 class FixedPointSet(Record):
     kind: str  # "finite" | "empty" | "positive_dimensional"
     points: tuple[RationalVector, ...] = ()
-    # (q, nums): the points as int 4-tuples mod q, for the quotient's orbit pass;
-    # the underscore keeps it out of ==, hash and repr
-    _over: tuple = (1, ())
 
 
-def fixed_points(g: AffineTorusMap) -> FixedPointSet:
-    """Exact solution set of (M - I) x = -r mod Z^4 in lattice coordinates.
-
-    When det(M - I) != 0 there are exactly |det(M - I)| fixed points; when
-    the determinant vanishes, solvability decides between an empty and a
-    positive-dimensional fixed locus.  With r = t/N and U(M - I)V = D the
-    Smith form, y = V^-1 x solves d_i y_i = c_i/N mod 1 for c = -Ut, so the
-    points are enumerated as ints mod Q = N lcm(d_i) and become `Fraction`
-    only in the returned set, which also keeps them as (Q, ints).
+def _fixed_ints(linear, t, n: int) -> tuple[str, int, list[tuple[int, ...]]]:
+    """(kind, q, points) of x -> Mx + t/n: the fixed points as sorted int
+    4-tuples mod q, none and q = 1 unless kind is "finite".  With U(M - I)V = D
+    the Smith form, y = V^-1 x solves d_i y_i = c_i/n mod 1 for c = -Ut, so
+    the points are ints mod q = n lcm(d_i); there are |det(M - I)| of them.
     """
-    if g.is_identity():
-        raise ValueError("fixed points of the identity are the whole torus")
-    A = [[g.linear[i][j] - (1 if i == j else 0) for j in range(4)] for i in range(4)]
-    n, (t,) = _integer_rows([g.translation], 4)
+    A = [[linear[i][j] - (1 if i == j else 0) for j in range(4)] for i in range(4)]
     D, U, V = smith_normal_form(A)
     c = [-sum(u * x for u, x in zip(row, t)) for row in U]
     d = [D[i][i] for i in range(4)]
     if any(di == 0 and ci % n for di, ci in zip(d, c)):
-        return FixedPointSet("empty")
+        return "empty", 1, []
     if 0 in d:
-        return FixedPointSet("positive_dimensional")
+        return "positive_dimensional", 1, []
     q = n * lcm(*d)
     # x = V y with y_i = (c_i + k n) / (d_i n) for k in range(d_i): add the
     # columns' multiples one column at a time, as numerators over q
@@ -364,9 +354,22 @@ def fixed_points(g: AffineTorusMap) -> FixedPointSet:
     points = sorted({tuple(x % q for x in p) for p in points})
     if len(points) != abs(det_int(A)):
         raise AssertionError("fixed point count disagrees with |det(M - I)|")
+    return "finite", q, points
+
+
+def fixed_points(g: AffineTorusMap) -> FixedPointSet:
+    """Exact solution set of (M - I) x = -r mod Z^4 in lattice coordinates.
+
+    When det(M - I) != 0 there are exactly |det(M - I)| fixed points; when
+    the determinant vanishes, solvability decides between an empty and a
+    positive-dimensional fixed locus.  The `Fraction` form of `_fixed_ints`.
+    """
+    if g.is_identity():
+        raise ValueError("fixed points of the identity are the whole torus")
+    n, (t,) = _integer_rows([g.translation], 4)
+    kind, q, points = _fixed_ints(g.linear, t, n)
     frac = {x: Fraction(x, q) for x in {x for p in points for x in p}}
-    return FixedPointSet("finite", tuple(tuple(map(frac.__getitem__, p)) for p in points),
-                         (q, tuple(points)))
+    return FixedPointSet(kind, tuple(tuple(map(frac.__getitem__, p)) for p in points))
 
 
 # ---------------------------------------------------------------------------
@@ -492,31 +495,31 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
     then so does its power of prime order, whose fixed set contains its own.
 
     Points are int 4-tuples mod N, a common denominator of all points and
-    translations.  One pass over the sorted points takes each unvisited p
-    (the least point of its orbit), builds its image row g(p) over the
-    group once, and reads the orbit and the stabilizer of p off that row.
-    The report holds the `Fraction` points that `fixed_points` returned.
+    translations, as `_fixed_ints` solves them.  One pass over the sorted
+    points takes each unvisited p (the least point of its orbit), builds its
+    image row g(p) over the group once, and reads the orbit and the
+    stabilizer of p off that row.  Each point becomes `Fraction` once.
     """
     n, nums = _integer_rows([g.translation for g in group.elements], 4)
     maps = [(g.linear, tuple(x % n for x in t)) for g, t in zip(group.elements, nums)]
     orders, dets, primes = _cyclic_orders(maps, n)
-    solved = [fixed_points(group.elements[i]) for i in primes]
-    for i, fp in zip(primes, solved):
-        if fp.kind == "positive_dimensional":
+    solved = [_fixed_ints(*maps[i], n) for i in primes]
+    for i, (kind, _, _) in zip(primes, solved):
+        if kind == "positive_dimensional":
             raise NonIsolatedFixedLocus(group.elements[i])
-    # every point and translation over N, the `Fraction` of each point kept for the report
-    N = lcm(n, *(fp._over[0] for fp in solved))
+    # every point and translation over N
+    N = lcm(n, *(q for _, q, _ in solved))
     maps = [(m, tuple(x * (N // n) for x in t)) for m, t in maps]
-    frac = {tuple(x * (N // fp._over[0]) for x in p): f
-            for fp in solved for p, f in zip(fp._over[1], fp.points)}
-    n = N
+    points = sorted({tuple(x * (N // q) for x in p) for _, q, pts in solved for p in pts})
+    coord = {x: Fraction(x, N) for p in points for x in p}
+    frac = {p: tuple(map(coord.__getitem__, p)) for p in points}
 
     orbits, stab_orders, stab_types = [], [], []
     visited: set[tuple[int, ...]] = set()
-    for p in sorted(frac):
+    for p in points:
         if p in visited:
             continue
-        row = [_apply(m, t, p, n) for m, t in maps]
+        row = [_apply(m, t, p, N) for m, t in maps]
         orbit = sorted(set(row))
         stab = [i for i, x in enumerate(row) if x == p]
         if len(orbit) * len(stab) != len(group):
@@ -536,7 +539,7 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
     return SingularityReport(
         group=group.name,
         lattice=group.lattice.name,
-        points=tuple(frac[p] for p in sorted(frac)),
+        points=tuple(frac.values()),
         orbits=tuple(orbits),
         stabilizer_orders=tuple(stab_orders),
         stabilizer_types=tuple(stab_types),

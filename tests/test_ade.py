@@ -129,6 +129,14 @@ def test_rank_examples():
     assert ADEConfig().rank == 0
 
 
+def test_non_integer_sizes_and_counts_raise():
+    with pytest.raises(ValueError, match="must be integers"):
+        ADEConfig(a=((2.9, 1),))
+    with pytest.raises(ValueError, match="must be integers"):
+        ADEConfig.of(a={1: 2.5})
+    assert ADEConfig(a=((2.0, 1), (1, Fraction(2)))).render() == "2A1+A2"
+
+
 def test_add_sums_counts_per_type():
     # a sum over component types, never one entry per component
     huge = 99999999999999999999

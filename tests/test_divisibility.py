@@ -7,7 +7,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, compress, product, repeat
 from types import SimpleNamespace
 
 import pytest
@@ -682,7 +682,10 @@ def oracle_search(cls, allowed, cands, k, budget=None):
             if budget is not None and tested > budget:
                 raise SearchBudget
             new = [add(m, w) for m in multiples(v) for w in span]
-            rest = [u for u in compatible[idx + 1 :] if all(add(u, x) in admissible for x in new)]
+            # one pass per new element: u + x in `cands` for every x in `new`
+            rest = compatible[idx + 1 :]
+            for x in new:
+                rest = list(compress(rest, map(admissible.__contains__, map(add, rest, repeat(x)))))
             if extend(rest, span + new, depth + 1):
                 return True
         return False

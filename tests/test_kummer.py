@@ -14,7 +14,7 @@ from kummerlat import (
     roots,
     verify_root_equality,
 )
-from kummerlat.kummer import GROUP_CONFIGS, _same_roots, spec_for
+from kummerlat.kummer import GROUP_CONFIGS, spec_for
 
 
 def test_group_table():
@@ -207,15 +207,39 @@ def fraction_same_roots(K, roots_parent, roots_over):
     return {tuple(v) for v in roots_parent} == over_in_parent
 
 
-@pytest.mark.parametrize("build", [build_K_Q8hat, build_K_T24hat])
-def test_same_roots_matches_fraction_oracle(build):
-    K = build().K
-    rF, rK = roots(K.parent), roots(K.lattice)
-    glue = [tuple(Fraction(int(i == j)) for j in range(K.parent.rank)) for i in range(K.parent.rank)]
-    cases = [(rF, rK), (rF[1:], rK), (rF, rK[1:]), ([], []), (rF, rK + glue)]
-    verdicts = [_same_roots(K, a, b) for a, b in cases]
-    assert verdicts == [fraction_same_roots(K, a, b) for a, b in cases]
-    assert verdicts == [True, False, False, True, False]
+def root_cases():
+    """(name, overlattice, parent, report's roots_equal or None, oracle's verdict)."""
+    from kummerlat import GlueVector, gram
+
+    cases = []
+    for build in (build_K_Q8hat, build_K_T24hat):
+        report = build()
+        cases.append((report.group, report.K, report.F, report.roots_equal, True))
+    Z2 = build_F("Z2")
+    cases.append(("trivial Z2", overlattice(Z2, []), Z2, None, True))
+    L = gram(parse_config("4A1"))
+    D4 = overlattice(L, [GlueVector.in_dual(L, (Fraction(1, 2),) * 4)])
+    cases.append(("4A1 to D4", D4, L, None, False))
+    return cases
+
+
+def test_same_roots_matches_fraction_oracle():
+    # the report and verify_root_equality decide by counting roots; the
+    # oracle maps every overlattice root into the parent in Fractions
+    for name, K, F, reported, expected in root_cases():
+        oracle = fraction_same_roots(K, roots(K.parent), roots(K.lattice))
+        assert oracle == expected, name
+        assert verify_root_equality(K, F) == oracle, name
+        if reported is not None:
+            assert reported == oracle, name
+
+
+def test_verify_root_equality_refuses_another_parent():
+    from kummerlat import NotASublattice
+
+    report = build_K_T24hat()
+    with pytest.raises(NotASublattice, match="not the overlattice's parent"):
+        verify_root_equality(report.K, build_F("Q8hat"))
 
 
 def test_alternative_glue_generates_the_same_lattice():

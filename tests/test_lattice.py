@@ -901,6 +901,16 @@ def test_lattice_json_roundtrip():
     assert again.basis_labels == lat.basis_labels
 
 
+def test_non_integer_gram_entries_raise():
+    with pytest.raises(ValueError, match="must be integers"):
+        GramLattice.from_json('{"gram": [[-2, 0.9], [0.9, -2]]}')
+    with pytest.raises(ValueError, match="must be integers"):
+        GramLattice(gram=((-2.7, 1), (1, -2)))
+    # integral values of other types are still accepted
+    lat = GramLattice(gram=[[-2.0, Fraction(2, 2)], [1, -2]])
+    assert lat.gram == ((-2, 1), (1, -2)) and all(type(x) is int for row in lat.gram for x in row)
+
+
 def test_glue_json_roundtrip():
     lat = L("8A1")
     g = GlueVector.in_dual(lat, [Fraction(1, 2)] * 8)

@@ -79,14 +79,17 @@ def test_records_of_two_classes_with_equal_fields_are_unequal():
     assert len({Pair(1), OtherPair(1)}) == 2
 
 
-def test_underscore_field_is_stored_but_not_compared_hashed_or_printed():
+def test_every_field_takes_part_in_eq_hash_and_repr():
     fixed = fixed_points(AffineTorusMap.of(QUARTER_TURN))
-    bare = FixedPointSet(fixed.kind, fixed.points)
-    assert fixed._over == (2, ((0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)))
-    assert bare._over == (1, ())
-    assert fixed == bare and hash(fixed) == hash(bare)
-    assert repr(fixed) == repr(bare) == REPRS["fixed"]
+    same = FixedPointSet(fixed.kind, fixed.points)
+    assert FixedPointSet._fields == ("kind", "points")
+    assert fixed == same and hash(fixed) == hash(same)
+    assert repr(fixed) == repr(same) == REPRS["fixed"]
     assert FixedPointSet("empty") != FixedPointSet("finite")
+    assert fixed != FixedPointSet("finite", fixed.points[1:])
+    for other in (Pair(2, (3,)), Pair(1, (4,))):
+        assert other != Pair(1, (3,)) and hash(other) != hash(Pair(1, (3,)))
+    assert repr(Pair(1, (3,))) == "Pair(x=1, y=(3,))"
 
 
 def test_assignment_and_deletion_raise():
@@ -152,7 +155,6 @@ def test_records_survive_pickling():
     for record in (fixed, config, Pair(1, (Fraction(1, 2),))):
         copy = pickle.loads(pickle.dumps(record))
         assert copy == record and repr(copy) == repr(record)
-    assert pickle.loads(pickle.dumps(fixed))._over == fixed._over
 
 
 def test_import_loads_no_dataclasses_inspect_or_json():

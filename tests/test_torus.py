@@ -446,8 +446,8 @@ def test_one_solve_per_cyclic_subgroup_of_prime_order(monkeypatch):
     from kummerlat import torus
 
     solved = []
-    real = torus.fixed_points
-    monkeypatch.setattr(torus, "fixed_points", lambda g: solved.append(g) or real(g))
+    real = torus._fixed_ints
+    monkeypatch.setattr(torus, "_fixed_ints", lambda m, t, n: solved.append(m) or real(m, t, n))
     counts = {}
     for name in PRIME_ORDER_SOLVES:
         before = len(solved)
@@ -456,6 +456,26 @@ def test_one_solve_per_cyclic_subgroup_of_prime_order(monkeypatch):
     assert counts == PRIME_ORDER_SOLVES
     assert sum(counts.values()) == 17
     assert sum(len(standard_group(name)) - 1 for name in counts) == 82
+
+
+def test_fixed_point_count_is_checked_against_the_determinant(monkeypatch):
+    # a Smith form with a wrong diagonal enumerates the wrong number of
+    # points; the |det(M - I)| check catches it for both callers of the solver
+    from kummerlat import torus
+
+    real = torus.smith_normal_form
+
+    def doubled_last(A):
+        D, U, V = real(A)
+        D = [list(row) for row in D]
+        D[3][3] *= 2
+        return D, U, V
+
+    monkeypatch.setattr(torus, "smith_normal_form", doubled_last)
+    with pytest.raises(AssertionError, match="disagrees with"):
+        fixed_points(AffineTorusMap.of([[-1 if i == j else 0 for j in range(4)] for i in range(4)]))
+    with pytest.raises(AssertionError, match="disagrees with"):
+        singularity_configuration(standard_group("neg1"))
 
 
 def orders_of(counts):
