@@ -63,11 +63,13 @@ class ADEConfig(Record):
     def __post_init__(self):
         d = self.__dict__
         for letter, key in (("A", "a"), ("D", "d"), ("E", "e")):
-            pairs = tuple(map(tuple, d[key]))
-            clean = tuple((int(n), int(c)) for n, c in pairs)
-            if clean != pairs:
+            if not (pairs := d[key]):
+                d[key] = ()
+                continue
+            clean = tuple([(int(n), int(c)) for n, c in pairs])
+            if clean != pairs and clean != tuple(map(tuple, pairs)):
                 raise ValueError("component sizes and counts must be integers")
-            clean = tuple(sorted(p for p in clean if p[1]))
+            clean = tuple(sorted([p for p in clean if p[1]]))
             for n, c in clean:
                 _check_component(letter, n)
                 if c < 0:

@@ -124,10 +124,10 @@ class GramLattice(Record):
 
     def __post_init__(self):
         d = self.__dict__
-        rows = tuple(map(tuple, self.gram))
-        d["gram"] = g = tuple(tuple(map(int, row)) for row in rows)
-        if g != rows:
+        g = tuple([tuple(map(int, row)) for row in self.gram])
+        if g != self.gram and g != tuple(map(tuple, self.gram)):
             raise ValueError("Gram matrix entries must be integers")
+        d["gram"] = g
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")

@@ -511,7 +511,7 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
     N = lcm(n, *(q for _, q, _ in solved))
     maps = [(m, tuple(x * (N // n) for x in t)) for m, t in maps]
     points = sorted({tuple(x * (N // q) for x in p) for _, q, pts in solved for p in pts})
-    coord = {x: Fraction(x, N) for p in points for x in p}
+    coord = {x: Fraction(x, N) for x in {x for p in points for x in p}}
     frac = {p: tuple(map(coord.__getitem__, p)) for p in points}
 
     orbits, stab_orders, stab_types = [], [], []
