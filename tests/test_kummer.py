@@ -207,31 +207,43 @@ def fraction_same_roots(K, roots_parent, roots_over):
     return {tuple(v) for v in roots_parent} == over_in_parent
 
 
-def root_cases():
-    """(name, overlattice, parent, report's roots_equal or None, oracle's verdict)."""
+def report_case(build):
+    def case():
+        report = build()
+        return report.K, report.F, report.roots_equal, True
+    case.__name__ = build.__name__
+    return case
+
+
+def trivial_Z2():
+    Z2 = build_F("Z2")
+    return overlattice(Z2, []), Z2, None, True
+
+
+def glue_4A1_to_D4():
     from kummerlat import GlueVector, gram
 
-    cases = []
-    for build in (build_K_Q8hat, build_K_T24hat):
-        report = build()
-        cases.append((report.group, report.K, report.F, report.roots_equal, True))
-    Z2 = build_F("Z2")
-    cases.append(("trivial Z2", overlattice(Z2, []), Z2, None, True))
     L = gram(parse_config("4A1"))
     D4 = overlattice(L, [GlueVector.in_dual(L, (Fraction(1, 2),) * 4)])
-    cases.append(("4A1 to D4", D4, L, None, False))
-    return cases
+    return D4, L, None, False
 
 
-def test_same_roots_matches_fraction_oracle():
+@pytest.mark.parametrize(
+    "case",
+    [report_case(build_K_Q8hat), report_case(build_K_T24hat), trivial_Z2, glue_4A1_to_D4],
+    ids=lambda case: case.__name__,
+)
+def test_same_roots_matches_fraction_oracle(case):
     # the report and verify_root_equality decide by counting roots; the
-    # oracle maps every overlattice root into the parent in Fractions
-    for name, K, F, reported, expected in root_cases():
-        oracle = fraction_same_roots(K, roots(K.parent), roots(K.lattice))
-        assert oracle == expected, name
-        assert verify_root_equality(K, F) == oracle, name
-        if reported is not None:
-            assert reported == oracle, name
+    # oracle maps every overlattice root into the parent in Fractions;
+    # case() gives the overlattice, its parent, the report's roots_equal
+    # (None without a report) and the oracle's expected verdict
+    K, F, reported, expected = case()
+    oracle = fraction_same_roots(K, roots(K.parent), roots(K.lattice))
+    assert oracle == expected
+    assert verify_root_equality(K, F) == oracle
+    if reported is not None:
+        assert reported == oracle
 
 
 def test_verify_root_equality_refuses_another_parent():
