@@ -58,7 +58,6 @@ from .ade import (
     dynkin,
     enumerate_configs,
     invariant_factors_from_orders,
-    m_value,
 )
 from .lattice import GramLattice, discriminant_group, group_symbol, length_bound
 
@@ -388,9 +387,9 @@ def _local_cover(letter: str, n: int, local_mask: int) -> ADEConfig | str:
     points) is one (-4 + 2)-curve and a split curve (none) two
     (-2)-curves, one per sheet.  Split copies meet on the same sheet, a
     ramified curve meets both copies of a split neighbour, and two
-    ramified curves meet in the branch curves they both meet (never
-    directly: each would have degree 3, which one node of an ADE tree has
-    at most).  Returns the ADE type, or the NotADEAfterContraction
+    ramified curves meet in the branch curves they both meet: in one at
+    most, as a tree has no cycle, and never directly (each would have
+    degree 3, which one node of an ADE tree has at most).  Returns the ADE type, or the NotADEAfterContraction
     message so that a failing piece is cached too.
     """
     adj = _neighbours(letter, n)
@@ -401,7 +400,7 @@ def _local_cover(letter: str, n: int, local_mask: int) -> ADEConfig | str:
             k = 1 if adj[i] & local_mask else 2
             nodes[i] = range(size, size + k)
             size += k
-    meet: Counter[tuple[int, int]] = Counter()
+    meet: set[tuple[int, int]] = set()
     for i, j in component_edges(letter, n):
         if i in nodes and j in nodes:
             a, b = nodes[i], nodes[j]
@@ -409,9 +408,6 @@ def _local_cover(letter: str, n: int, local_mask: int) -> ADEConfig | str:
     for i in range(n):
         if local_mask >> i & 1:
             meet.update(combinations([nodes[j][0] for j in nodes if adj[i] >> j & 1], 2))
-    bad = next((k for k in meet.values() if k > 1), None)
-    if bad is not None:
-        return f"contracted intersection number {bad}"
     try:
         return classify_dynkin(size, sorted(meet))
     except ValueError as exc:
@@ -763,13 +759,7 @@ def _cover_exceeds(ctx: _Context, w: _Witness) -> tuple[int, tuple[int, ADEConfi
 
 
 def enriques_census() -> list[ADEConfig]:
-    """Configurations C with m(C) = 12 and rank <= 9 whose doubling fits on
-    the K3 double cover: m(2C) = 24, rank(2C) <= 19 and 2C unobstructed."""
-    out = []
-    for config in enumerate_configs(Fraction(12), 9):
-        doubled = 2 * config
-        if doubled.rank > K3_RANK_LIMIT or m_value(doubled) != 24:
-            continue
-        if not check_nonexistence(doubled).excluded:
-            out.append(config)
-    return out
+    """Configurations C with m(C) = 12 and rank <= 9 whose doubling 2C is
+    unobstructed on the K3 double cover; m is additive, so m(2C) = 24, and
+    rank(2C) <= 18."""
+    return [c for c in enumerate_configs(Fraction(12), 9) if not check_nonexistence(2 * c).excluded]

@@ -8,19 +8,20 @@ groups the primitive saturation is generated over F by explicit glue:
 * Q8hat (A1+6A3): 4-divisible classes delta_1 = (1,1,1,1,2,0) and
   delta_2 = (1,3,2,0,1,3) in the base t_r = (1/4)(C_r^1 + 2 C_r^2 + 3 C_r^3);
 * T24hat (4A2+2A3+A5): an order-3 class supported with coefficients (1,2)
-  on the six A_2 configurations lying inside the 4A2+A5 part, with the
-  orientations fixed by integrality against the middle A_5 curve.
+  on the six A_2 configurations lying inside the 4A2+A5 part: on each
+  component the 3-torsion pattern of the per-type tables in `divisibility`
+  (on the A_5, its two end A_2), so integrality needs no search.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from operator import getitem
+from math import prod
 
 from ._record import Record
 from .ade import ADEConfig, parse_config
 from . import ade
+from .divisibility import _torsion_patterns
 from .lattice import (
     DiscriminantGroup,
     GlueVector,
@@ -180,41 +181,32 @@ def build_K_Q8hat() -> KummerReport:
 def build_K_T24hat() -> KummerReport:
     """Index-3 saturation of the 4A2+2A3+A5 curve lattice by order-3 glue.
 
-    Searches the orientation assignments (coefficients (1,2) or (2,1) on
-    each of the four free A_2 and the two A_2 inside the A_5) for vectors
-    with integral pairings, and glues the first one.
+    Components are orthogonal, so a class with a nonzero 3-torsion pattern
+    (`_torsion_patterns`) on each component that has one is integral: the
+    integral orientations are the products of those patterns.  The glue
+    takes on each component the pattern with coefficient 1 first, and pairs
+    each coefficient-1 curve with its coefficient-2 neighbour.
     """
     spec = spec_for("T24hat")
     F = build_F(spec)
-
-    # canonical block layout: 4 x A2 at 0,2,4,6; 2 x A3 at 8,11; A5 at 14
-    free_pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    a5_pairs = [(14, 15), (17, 18)]
-    pairs = free_pairs + a5_pairs
-
-    # an orientation o gives the numerator w of w / 3, o on one curve of each pair
-    # and 3 - o on the other; it is integral iff F.w = sum of o (col_i - col_j) is
-    # 0 mod 3, a sum of per-pair residue columns (on the rows where one is nonzero)
-    diffs = [d for d in ([row[i] - row[j] for i, j in pairs] for row in F.gram)
-             if any(x % 3 for x in d)]
-    cols = [[tuple(o * d[k] % 3 for d in diffs) for o in (0, 1, 2)] for k in range(len(pairs))]
-    valid = [orient for orient in product((1, 2), repeat=len(pairs))
-             if not any(sum(x) % 3 for x in zip(*map(getitem, cols, orient)))]
-    if not valid:
-        raise NoIntegralOrientation("no integral orientation for the order-3 glue")
-
-    orient = valid[0]
     w = [0] * F.rank
-    for (i, j), o in zip(pairs, orient):
-        w[i], w[j] = o, 3 - o
+    pairs, counts = [], []
+    for letter, k, start, _ in ade.dynkin(spec.config).component_slices:
+        if pats := _torsion_patterns(letter, k, 3):
+            counts.append(len(pats))
+            q = pats[-1]  # the largest local mask: coefficient 1 on the first curve
+            adj = ade._neighbours(letter, k)
+            for i in range(k):
+                w[start + i] = (q >> i & 1) + 2 * (q >> k + i & 1)
+            pairs += [(start + i, start + (adj[i] & q >> k).bit_length() - 1)
+                      for i in range(k) if q >> i & 1]
+    if not counts:
+        raise NoIntegralOrientation("no component has 3-torsion for the order-3 glue")
     g = GlueVector.in_dual(F, [Fraction(c, 3) for c in w])
     labels = F.basis_labels
-    orient_desc = tuple(
-        f"({labels[i]},{labels[j]}) <- ({1 if o == 1 else 2},{2 if o == 1 else 1})"
-        for (i, j), o in zip(pairs, orient)
-    )
     return _saturation(spec, F, [g]).replace(
-        glue_info=(f"integral orientations: {len(valid)}",) + orient_desc,
+        glue_info=(f"integral orientations: {prod(counts)}",
+                   *(f"({labels[i]},{labels[j]}) <- (1,2)" for i, j in pairs)),
         notes=(f"q(gamma) = {q_value(F, g.vector)}",),
     )
 

@@ -379,11 +379,15 @@ def fixed_points(g: AffineTorusMap) -> FixedPointSet:
 class SingularityReport(Record):
     group: str
     lattice: str
-    points: tuple[RationalVector, ...]
     orbits: tuple[tuple[RationalVector, ...], ...]
     stabilizer_orders: tuple[int, ...]
     stabilizer_types: tuple[tuple[str, int], ...]
     config: ADEConfig
+
+    @property
+    def points(self) -> tuple[RationalVector, ...]:
+        """The singular points, sorted: the points of the orbits."""
+        return tuple(sorted(p for orbit in self.orbits for p in orbit))
 
     def to_json_dict(self) -> dict:
         pts = []
@@ -533,17 +537,13 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
         stab_orders.append(len(stab))
         stab_types.append(_ade_type([orders[i] for i in stab]))
 
-    config = ADEConfig.from_counts(Counter(stab_types))
-    if config.rank != sum(n for _, n in stab_types):
-        raise AssertionError("configuration rank mismatch")
     return SingularityReport(
         group=group.name,
         lattice=group.lattice.name,
-        points=tuple(frac.values()),
         orbits=tuple(orbits),
         stabilizer_orders=tuple(stab_orders),
         stabilizer_types=tuple(stab_types),
-        config=config,
+        config=ADEConfig.from_counts(Counter(stab_types)),
     )
 
 

@@ -88,6 +88,13 @@ def test_parse_refuses_zero_count(text, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize("text", ["A1++A2", "A1+"])
+def test_parse_refuses_empty_term(text):
+    with pytest.raises(ParseError, match="empty term") as err:
+        parse_config(text)
+    assert err.value.position == 3
+
+
 def test_parse_error_has_position():
     with pytest.raises(ParseError) as err:
         parse_config("2A1+؟+A3")

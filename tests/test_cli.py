@@ -253,8 +253,10 @@ def test_torus_lieberman():
         (["--group", "Q8", "--e1", "1/2,0"], "apply to the lieberman group only"),
         (["--group", "T24", "--e2", "0,1/2"], "apply to the lieberman group only"),
         (["--group", "D12", "--lattice", "a"], "does not preserve the lattice"),
+        (["--group", "lieberman", "--e1", "1/2", "--e2", "0,1/2"], "expected 'x,y'"),
     ],
-    ids=["e1-zero-denominator", "lieberman-lattice", "Q8-e1", "T24-e2", "D12-lattice-a"],
+    ids=["e1-zero-denominator", "lieberman-lattice", "Q8-e1", "T24-e2", "D12-lattice-a",
+         "e1-not-a-pair"],
 )
 def test_torus_bad_options_exit_2(argv, message):
     res = run_cli("torus", *argv)

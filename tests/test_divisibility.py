@@ -1575,15 +1575,25 @@ def test_ramified_curves_are_never_adjacent():
     # `_local_cover` has no case for two adjacent ramified curves (each
     # meeting two branch curves): on every independent set of every
     # component type of rank <= 19 that double_cover_transform accepts
-    # (every other curve meets 0 or 2 of it), no ramified curve meets another
+    # (every other curve meets 0 or 2 of it), no ramified curve meets another.
+    # Nor for an intersection number above 1 after contraction: two curves
+    # off the set meet once if adjacent, plus once per branch curve both
+    # meet; on every independent set, two curves meeting one branch curve
+    # are not adjacent and meet no second one
     sets = accepted = ramified = 0
     for letter, n in COMPONENT_TYPES:
         adj = [0] * n
         for i, j in component_edges(letter, n):
             adj[i] |= 1 << j
             adj[j] |= 1 << i
+        # the pairs of curves that meet branch curve b
+        through = [list(combinations([i for i in range(n) if adj[b] >> i & 1], 2)) for b in range(n)]
         for s in _independent_sets(letter, n):
             sets += 1
+            for b in range(n):
+                if s >> b & 1:
+                    for i, j in through[b]:
+                        assert (adj[i] >> j & 1) + (adj[i] & adj[j] & s).bit_count() == 1, (letter, n, s)
             if all(s >> i & 1 or (adj[i] & s).bit_count() in (0, 2) for i in range(n)):
                 ram = sum(1 << i for i in range(n) if not s >> i & 1 and adj[i] & s)
                 assert not any(ram >> i & 1 and adj[i] & ram for i in range(n)), (letter, n, s)
@@ -1830,3 +1840,11 @@ def test_empty_configuration_has_no_obstruction():
 def test_enriques_census():
     got = [c.render() for c in enriques_census()]
     assert got == ["8A1", "3A1+2A3"]
+
+
+def test_census_doublings_have_m_24_and_rank_at_most_18():
+    # enriques_census checks neither: m is additive, and rank <= 9 doubles
+    # to rank <= 18, under the K3 limit of 19
+    doubled = [2 * c for c in enumerate_configs(Fraction(12), 9)]
+    assert [(d.render(), m_value(d), d.rank) for d in doubled] == [
+        ("16A1", 24, 16), ("6A1+4A3", 24, 18)]

@@ -1,13 +1,17 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from kummerlat import (
+    GlueVector,
     build_F,
     build_group_report,
     build_K_Q8hat,
     build_K_T24hat,
     discriminant_group,
+    dynkin,
+    even_set_candidates,
     overlattice,
     parse_config,
     q_value,
@@ -96,6 +100,18 @@ class TestKQ8hat:
         assert blocks[1] == {"C3", "C4", "C5", "C6"}
         assert blocks[2] == {"C1", "C2", "C5", "C6"}
 
+    def test_even_sets_are_the_candidates_in_K(self, report):
+        # the hand-placed half even sets are exactly the even-set candidates
+        # whose half-sums lie in K, compared as sets of curve indices
+        # (candidates are labelled A3.r.s, the report C_r^s)
+        config = parse_config("A1+6A3")
+        nodes, labels = dynkin(config).nodes, report.F.basis_labels
+        candidates = even_set_candidates(config)
+        inside = [c for c in candidates if report.K.contains(c.class_vector)]
+        assert (len(candidates), len(inside)) == (15, 3)
+        assert {frozenset(map(nodes.index, c.support)) for c in inside} == {
+            frozenset(map(labels.index, s)) for s in report.even_sets}
+
     def test_glue_is_isotropic(self, report):
         F = report.F
         from kummerlat.kummer import DELTA_1, DELTA_2, _t_base_vector
@@ -114,6 +130,23 @@ class TestKQ8hat:
         res = length_bound_check(report.K.lattice, 22)
         assert res.ok
         assert res.length == 3
+
+
+def oracle_t24hat_orientations(F):
+    """(pairs, valid): the six A_2 of 4A2+A5 in 4A2+2A3+A5 as curve-index
+    pairs (the four A_2 blocks, then curves 1,2 and 4,5 of the A_5), and in
+    product order every orientation o, coefficient o on the first curve of
+    each pair and 3 - o on the second, whose class over 3 pairs integrally
+    with every row of F.gram."""
+    pairs = [(0, 1), (2, 3), (4, 5), (6, 7), (14, 15), (17, 18)]
+    valid = []
+    for orient in product((1, 2), repeat=len(pairs)):
+        w = [0] * F.rank
+        for (i, j), o in zip(pairs, orient):
+            w[i], w[j] = o, 3 - o
+        if all(sum(a * b for a, b in zip(row, w)) % 3 == 0 for row in F.gram):
+            valid.append(orient)
+    return pairs, valid
 
 
 class TestKT24hat:
@@ -136,6 +169,21 @@ class TestKT24hat:
 
     def test_orientation_count(self, report):
         assert report.glue_info[0] == "integral orientations: 32"
+
+    def test_glue_matches_the_orientation_scan(self, report):
+        # the report reads its glue off the per-component 3-torsion tables;
+        # the scan tries all 64 orientations against F.gram
+        F = report.F
+        pairs, valid = oracle_t24hat_orientations(F)
+        assert len(valid) == 32
+        labels = F.basis_labels
+        assert report.glue_info == (
+            f"integral orientations: {len(valid)}",
+            *(f"({labels[i]},{labels[j]}) <- ({o},{3 - o})" for (i, j), o in zip(pairs, valid[0])))
+        w = [0] * F.rank
+        for (i, j), o in zip(pairs, valid[0]):
+            w[i], w[j] = Fraction(o, 3), Fraction(3 - o, 3)
+        assert overlattice(F, [GlueVector.in_dual(F, w)]).H == report.K.H
 
     def test_length_bound_at_rank_19(self, report):
         from kummerlat import length_bound_check
@@ -269,16 +317,19 @@ def test_alternative_glue_generates_the_same_lattice():
 
 # Smith forms (one per distinct block Gram of F and of K, none certified by
 # U*A*V) and overlattices of each saturation report: Q8hat built a second
-# overlattice for the alternative glue before
+# overlattice for the alternative glue before.  T24hat reads the per-type
+# 3-torsion tables of divisibility: the first report of a process builds
+# them, one more Smith form for each of A2, A3 and A5, and later ones reuse them
 REPORT_COUNTS = {"Q8hat": {"_smith": 4, "overlattice": 1},
                  "T24hat": {"_smith": 5, "overlattice": 1}}
+TABLE_SMITHS = {"Q8hat": 0, "T24hat": 3}
 
 
 @pytest.mark.parametrize("group", sorted(REPORT_COUNTS))
 def test_saturation_report_operation_counts(monkeypatch, group):
     from collections import Counter
 
-    from kummerlat import kummer, lattice, snf
+    from kummerlat import divisibility, kummer, lattice, snf
 
     calls = Counter()
 
@@ -286,8 +337,13 @@ def test_saturation_report_operation_counts(monkeypatch, group):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or real(*a))
 
+    divisibility._torsion_patterns.cache_clear()
+    divisibility._component_disc.cache_clear()
     counted(lattice, "_smith")
     counted(kummer, "overlattice")
     counted(snf, "smith_normal_form")
+    build_group_report(group)
+    assert calls == Counter(REPORT_COUNTS[group]) + Counter(_smith=TABLE_SMITHS[group])
+    calls.clear()
     build_group_report(group)
     assert calls == REPORT_COUNTS[group]

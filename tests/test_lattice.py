@@ -743,6 +743,8 @@ def test_glue_validation():
     lat = L("8A1")
     with pytest.raises(NonIntegralGlue):
         GlueVector.in_dual(lat, [Fraction(1, 3)] + [0] * 7)
+    with pytest.raises(ValueError, match="glue vector has wrong length"):
+        GlueVector.in_dual(lat, [Fraction(1, 2)] * 7)
     four = GlueVector.in_dual(lat, [Fraction(1, 2)] * 4 + [0] * 4)
     # self-pairing -2 is even: gluing 4 curves is fine lattice-wise
     assert overlattice(lat, [four]).index == 2
@@ -899,6 +901,16 @@ def test_lattice_json_roundtrip():
     again = GramLattice.from_json(lat.to_json())
     assert again.gram == lat.gram
     assert again.basis_labels == lat.basis_labels
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [(((-2, 1),), "must be square"), (((-2, 1), (-1, -2)), "must be symmetric")],
+    ids=["non-square", "non-symmetric"],
+)
+def test_gram_must_be_square_and_symmetric(rows, message):
+    with pytest.raises(ValueError, match=message):
+        GramLattice(gram=rows)
 
 
 def test_non_integer_gram_entries_raise():

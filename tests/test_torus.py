@@ -230,6 +230,23 @@ def test_lieberman_on_the_product_lattice(lattice):
     assert group.lattice.name == "product"
 
 
+@pytest.mark.parametrize(
+    "e1, message",
+    [(None, "e1 is required for the lieberman group"),
+     ((Fraction(1, 3), 0), "e1 must be a 2-torsion point of an elliptic factor")],
+    ids=["missing", "one-third"],
+)
+def test_lieberman_needs_a_two_torsion_e1(e1, message):
+    with pytest.raises(ValueError, match=message):
+        standard_group("lieberman", e1=e1, e2=(0, HALF))
+
+
+@pytest.mark.parametrize("rows", [((1, 0, 0, 0),) * 3, ((1, 0, 0),) * 4], ids=["3x4", "4x3"])
+def test_torus_lattice_needs_a_4x4_basis(rows):
+    with pytest.raises(ValueError, match="need 4 basis vectors of length 4"):
+        TorusLattice("t", 1, rows)
+
+
 def test_unknown_group_name():
     with pytest.raises(UnrecognizedGroup):
         standard_group("Z7")
@@ -563,6 +580,11 @@ def test_lieberman_zero_e1_flagged():
     assert report.config is None
 
 
+def test_identity_has_no_fixed_point_set():
+    with pytest.raises(ValueError, match="fixed points of the identity are the whole torus"):
+        fixed_points(IDENTITY_MAP)
+
+
 # --- shorthand ---------------------------------------------------------------
 
 
@@ -570,6 +592,12 @@ def test_abcd_roundtrip():
     for text in ("0000", "1010", "1111"):
         assert abcd_shorthand(parse_abcd(text)) == text
     assert abcd_shorthand((Fraction(1, 3), 0, 0, 0)) is None
+
+
+def test_abcd_shorthand_needs_four_binary_digits():
+    for text in ("0120", "010", "01010"):
+        with pytest.raises(ValueError, match="abcd shorthand needs four binary digits"):
+            parse_abcd(text)
 
 
 def test_abcd_needs_coordinates_in_zero_and_one_half():
@@ -664,7 +692,6 @@ def oracle_singularity_configuration(group):
     return SingularityReport(
         group=group.name,
         lattice=group.lattice.name,
-        points=tuple(sorted(all_points)),
         orbits=tuple(orbits),
         stabilizer_orders=tuple(stab_orders),
         stabilizer_types=tuple(stab_types),
