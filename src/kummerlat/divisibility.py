@@ -389,8 +389,9 @@ def _local_cover(letter: str, n: int, local_mask: int) -> ADEConfig | str:
     ramified curve meets both copies of a split neighbour, and two
     ramified curves meet in the branch curves they both meet: in one at
     most, as a tree has no cycle, and never directly (each would have
-    degree 3, which one node of an ADE tree has at most).  Returns the ADE type, or the NotADEAfterContraction
-    message so that a failing piece is cached too.
+    degree 3, which one node of an ADE tree has at most).  So every
+    intersection number is 0 or 1.  Returns the ADE type, or the
+    NotADEAfterContraction message so that a failing piece is cached too.
     """
     adj = _neighbours(letter, n)
     nodes: dict[int, range] = {}  # curve off the branch -> its preimages
@@ -762,4 +763,5 @@ def enriques_census() -> list[ADEConfig]:
     """Configurations C with m(C) = 12 and rank <= 9 whose doubling 2C is
     unobstructed on the K3 double cover; m is additive, so m(2C) = 24, and
     rank(2C) <= 18."""
-    return [c for c in enumerate_configs(Fraction(12), 9) if not check_nonexistence(2 * c).excluded]
+    configs = enumerate_configs(Fraction(12), 9)
+    return [c for c in configs if not check_nonexistence(2 * c).excluded]
