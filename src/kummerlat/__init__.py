@@ -52,7 +52,6 @@ from .divisibility import (
 from .kummer import (
     KummerLatticeSpec,
     KummerReport,
-    NoIntegralOrientation,
     build_F,
     build_group_report,
     build_K_Q8hat,

@@ -42,7 +42,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import accumulate, chain, combinations, combinations_with_replacement, product
 from math import inf
 
 from ._record import Record
@@ -157,64 +157,58 @@ def _torsion_patterns(letter: str, n: int, p: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# configuration context and packed classes
+# packed classes
 
 
-class _Classes:
-    """The allowed per-component patterns of p-divisible classes, p = 2 or
-    3, and the allowed support sizes in curves.  A class is one int: bit i
-    is coefficient 1 on curve i and, for p = 3 only, bit n + i coefficient 2.
-    Components are disjoint, so patterns combine by bitwise OR and the
-    support size is the bit count."""
-
-    def __init__(self, ctx: "_Context", p: int):
-        n = self.n = ctx.n
-        self.p = p
-        self.patterns: list[list[int]] = [  # per component, sorted
-            [(q & (1 << k) - 1 | q >> k << n) << start for q in _torsion_patterns(letter, k, p)]
-            for letter, k, start, _ in ctx.graph.component_slices
-        ]
-        self.sizes = _SIZES[p]
+def _patterns(graph: DynkinGraph, p: int) -> list[list[int]]:
+    """Per component, its p-torsion patterns placed as packed classes,
+    sorted.  A class is one int: bit i is coefficient 1 on curve i and, for
+    p = 3 only, bit n + i coefficient 2.  Components are disjoint, so
+    patterns combine by bitwise OR and the support size is the bit count."""
+    n = len(graph.nodes)
+    return [
+        [(q & (1 << k) - 1 | q >> k << n) << start for q in _torsion_patterns(letter, k, p)]
+        for letter, k, start, _ in graph.component_slices
+    ]
 
 
-class _Context:
-    def __init__(self, config: ADEConfig):
-        self.config = config
-        self.graph = dynkin(config)
-        self.labels = self.graph.nodes
-        self.n = len(self.labels)
-        # the discriminant group of an orthogonal sum is the sum of the blocks'
-        blocks = [_component_disc(letter, k) for letter, k, _, _ in self.graph.component_slices]
-        self.disc_factors = invariant_factors_from_orders(
-            [d for g in blocks for d in g.invariant_factors]
-        )
-        self.classes = {p: _Classes(self, p) for p in (2, 3)}
+def _candidate(graph: DynkinGraph, p: int, v: int) -> DivisibleCandidate:
+    """The packed class v as a labelled candidate: for p = 3 each curve with
+    coefficient 1 is paired with its one neighbour of coefficient 2."""
+    labels, n = graph.nodes, len(graph.nodes)
+    support = []
+    for letter, k, start, _ in graph.component_slices:
+        adj = _neighbours(letter, k)
+        for i in range(k):
+            if v >> start + i & 1:
+                j = start + (adj[i] & v >> n + start).bit_length() - 1
+                support.append(labels[start + i] if p == 2 else (labels[start + i], labels[j]))
+    values = tuple(Fraction(c, p) for c in range(p))
+    coeffs = tuple(values[(v >> i & 1) + 2 * (v >> n + i & 1)] for i in range(n))
+    return DivisibleCandidate(p, tuple(support), coeffs)
 
-    def mask_labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in range(self.n) if mask >> i & 1)
 
-
-def _live_sizes(cls: _Classes, allowed) -> list[int]:
+def _live_sizes(p: int, allowed) -> list[int]:
     """Bit t of entry i is set when some choice of at most one allowed
     pattern on each of components i.. takes support size t to an allowed one."""
-    live = [sum(1 << s for s in cls.sizes)]
+    live = [sum(1 << s for s in _SIZES[p])]
     for pats in reversed(allowed):
-        live.append(reduce(operator.or_, (live[-1] >> p.bit_count() for p in pats), live[-1]))
+        live.append(reduce(operator.or_, (live[-1] >> q.bit_count() for q in pats), live[-1]))
     return live[::-1]
 
 
-def _enumerate_candidates(cls: _Classes, allowed) -> list[int]:
+def _enumerate_candidates(p: int, allowed) -> list[int]:
     """All combinations of at most one allowed pattern per component whose
     support size is admissible, sorted: a DP over components that keeps the
     partial classes by support size and drops a size once it is not live."""
-    live = _live_sizes(cls, allowed)
+    live = _live_sizes(p, allowed)
     level: dict[int, list[int]] = {0: [0]} if live[0] & 1 else {}
     for i, pats in enumerate(allowed):
         nxt: dict[int, list[int]] = {}
         for t, vs in level.items():
-            for p in (0, *pats):
-                if live[i + 1] >> (u := t + p.bit_count()) & 1:
-                    nxt.setdefault(u, []).extend([v | p for v in vs] if p else vs)
+            for q in (0, *pats):
+                if live[i + 1] >> (u := t + q.bit_count()) & 1:
+                    nxt.setdefault(u, []).extend([v | q for v in vs] if q else vs)
         level = nxt
     return sorted(v for vs in level.values() for v in vs)
 
@@ -259,15 +253,15 @@ def _join(p: int, tables) -> tuple[int, float]:
     return sum(c for c, _ in hits), min((r for _, r in hits), default=inf)
 
 
-def _least_candidate(cls: _Classes, allowed) -> int:
+def _least_candidate(p: int, allowed) -> int:
     """The least candidate, without the list.  A component's patterns lie
     above the earlier components' (for p = 3 its coefficient-2 bits fix its
     pattern), so walk down from the last component, taking the least
     pattern after which the earlier components still reach an allowed size."""
-    live, t, mask = _live_sizes(cls, allowed[::-1]), 0, 0
+    live, t, mask = _live_sizes(p, allowed[::-1]), 0, 0
     for pats, below in zip(reversed(allowed), live[1:]):
-        p = min(p for p in (0, *pats) if below >> t + p.bit_count() & 1)
-        t, mask = t + p.bit_count(), mask | p
+        q = min(q for q in (0, *pats) if below >> t + q.bit_count() & 1)
+        t, mask = t + q.bit_count(), mask | q
     return mask
 
 
@@ -289,21 +283,8 @@ def three_divisible_candidates(config: ADEConfig) -> list[DivisibleCandidate]:
 
 
 def _candidates(config: ADEConfig, p: int) -> list[DivisibleCandidate]:
-    """The candidates of prime p, labelled: for p = 3 each curve with
-    coefficient 1 is paired with its one neighbour of coefficient 2."""
-    ctx = _Context(config)
-    cls, n, labels = ctx.classes[p], ctx.n, ctx.labels
-    slices = ctx.graph.component_slices
-    neighbours = [m << start for letter, k, start, _ in slices for m in _neighbours(letter, k)]
-    values = tuple(Fraction(c, p) for c in range(p))
-    out = []
-    for v in _enumerate_candidates(cls, cls.patterns):
-        support = tuple(
-            labels[i] if p == 2 else (labels[i], labels[(neighbours[i] & v >> n).bit_length() - 1])
-            for i in range(n) if v >> i & 1
-        )
-        coeffs = tuple(values[(v >> i & 1) + 2 * (v >> n + i & 1)] for i in range(n))
-        out.append(DivisibleCandidate(p, support, coeffs))
+    graph = dynkin(config)
+    out = [_candidate(graph, p, v) for v in _enumerate_candidates(p, _patterns(graph, p))]
     out.sort(key=lambda c: (len(c.support), c.support))
     return out
 
@@ -526,12 +507,11 @@ def _split(p: int, shapes, d: int, c: int) -> dict[int, tuple] | None:
     return found
 
 
-def _largest_code(cls: _Classes, allowed, k: int) -> list[int]:
+def _largest_code(p: int, n: int, allowed, k: int) -> list[int]:
     """A basis of a code of the largest dimension d <= k whose nonzero words
     are all candidates on `allowed`: a linear map from F_p^d into the
     components' patterns with 0, so the rows of a catalogue code that splits
     among the shapes, mapped back; d falls from k until one splits."""
-    p, n = cls.p, cls.n
     comps = [_shape(p, n, tuple(pats)) for pats in allowed if pats]
     shapes = [shape for _, shape in comps]
     for d in range(k, 0, -1):
@@ -593,12 +573,16 @@ class _Witness(Record):
     global masks are formed only when a search, a cover or a step reads them."""
 
     size: int
-    required: int
     description: str
     tables: tuple  # per component type: its `_type_table`
     starts: tuple[int, ...]  # per component: its first node
     alive: tuple  # per component type: the allowed local masks of each copy
     masks: tuple  # per component type: the curve local mask of each copy
+
+    @property
+    def required(self) -> int:
+        """The dimension of the even-set code that the size forces."""
+        return self.size - 11
 
     @cached_property
     def allowed(self) -> tuple[tuple[int, ...], ...]:
@@ -625,18 +609,18 @@ def _type_options(letter: str, k: int, count: int):
     return tuple(options)
 
 
-def _witnesses(ctx: _Context) -> list[_Witness]:
+def _witnesses(config: ADEConfig) -> list[_Witness]:
     """Every choice of one policy per component whose curves number 12 or
     more, from each component type's `_type_options`; a witness moves its
     local masks onto their components (mask << start) only when read."""
-    starts = tuple(start for _, _, start, _ in ctx.graph.component_slices)
-    per_type = [_type_options(letter, k, c) for letter, k, c in ctx.config.terms()]
+    starts = (0, *accumulate(k for _, k in config.components()))[:-1]
+    per_type = [_type_options(letter, k, c) for letter, k, c in config.terms()]
     witnesses = []
     for combo in product(*per_type):
         if (size := sum(t[0] for t in combo)) >= 12:
             _, alive, masks, parts, tables = zip(*combo)
-            witnesses.append(_Witness(size, size - 11, "; ".join(parts), tables, starts, alive, masks))
-    witnesses.sort(key=lambda w: (w.required, w.size, w.description))
+            witnesses.append(_Witness(size, "; ".join(parts), tables, starts, alive, masks))
+    witnesses.sort(key=lambda w: (w.size, w.description))
     return witnesses
 
 
@@ -658,19 +642,24 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     if rho > K3_RANK_LIMIT:
         step = _step("RankExceeds", rank=rho, rank_limit=K3_RANK_LIMIT)
         return ObstructionReport(config=config, verdict=EXCLUDED, steps=(step,))
-    ctx = _Context(config)
-    even = ctx.classes[2]
+    graph = dynkin(config)
     steps: list[ObstructionStep] = []
     excluded = False
 
-    factors = ctx.disc_factors
+    def labels(mask: int) -> str:
+        return " ".join(lab for i, lab in enumerate(graph.nodes) if mask >> i & 1)
+
+    # the discriminant group of an orthogonal sum is the sum of the blocks'
+    factors = invariant_factors_from_orders(
+        [d for a, n, c in config.terms() for d in _component_disc(a, n).invariant_factors * c]
+    )
     bound = length_bound(rho, K3_AMBIENT_RANK)
     l2 = sum(1 for d in factors if d % 2 == 0)
     l3 = sum(1 for d in factors if d % 3 == 0)
     k2 = max(0, -((l2 - bound) // -2))
     k3 = max(0, -((l3 - bound) // -2))
     maxd = _disjoint_curves(config)
-    witnesses = _witnesses(ctx)
+    witnesses = _witnesses(config)
     steps.append(
         _step(
             "LengthRequirement",
@@ -690,13 +679,13 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     )
 
     for w in witnesses:
-        count, bad = _cover_exceeds(ctx, w)
+        count, bad = _cover_exceeds(graph, w)
         if not excluded:
             # any one candidate spans a code of dimension 1
             k = w.required
-            best = min(count, 1) if k == 1 else len(_largest_code(even, w.allowed, k))
+            best = min(count, 1) if k == 1 else len(_largest_code(2, rho, w.allowed, k))
             if best < w.required:
-                where = {"witness_curves": " ".join(ctx.mask_labels(w.curves))}
+                where = {"witness_curves": labels(w.curves)}
                 steps += _search_steps(where, w.required, count, best, witness_size=w.size)
                 excluded = True
         if bad is not None:
@@ -704,10 +693,10 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
             steps.append(
                 _step(
                     "CoverRankExceeds",
-                    witness_curves=" ".join(ctx.mask_labels(w.curves)),
+                    witness_curves=labels(w.curves),
                     witness_size=w.size,
                     candidates=count,
-                    example_even_set=" ".join(ctx.mask_labels(example_mask)),
+                    example_even_set=labels(example_mask),
                     cover_config=example_cover.render() if example_cover else "not ADE",
                     cover_rank=(example_cover.rank if example_cover else -1),
                     rank_limit=K3_RANK_LIMIT,
@@ -718,11 +707,10 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     for prime, k in ((2, k2), (3, k3)):
         if k == 0 or excluded:
             continue
-        cls = ctx.classes[prime]
         tables = [_type_table(a, n, prime, (_torsion_patterns(a, n, prime),) * c)
                   for a, n, c in config.terms()]
         count = _join(prime, tables)[0]
-        best = len(_largest_code(cls, cls.patterns, k))
+        best = len(_largest_code(prime, rho, _patterns(graph, prime), k))
         steps += _search_steps({"scope": "global", "prime": prime}, k, count, best)
         excluded = best < k
 
@@ -740,7 +728,7 @@ def _search_steps(where: dict, k: int, count: int, best: int, **extra) -> list[O
     return steps
 
 
-def _cover_exceeds(ctx: _Context, w: _Witness) -> tuple[int, tuple[int, ADEConfig | None] | None]:
+def _cover_exceeds(graph: DynkinGraph, w: _Witness) -> tuple[int, tuple[int, ADEConfig | None] | None]:
     """The number of even-set candidates on `w.allowed` (type tables
     `w.tables`), with None if there is none or some candidate has an ADE
     cover of rank <= 19, else the least candidate with its cover (None if
@@ -748,9 +736,9 @@ def _cover_exceeds(ctx: _Context, w: _Witness) -> tuple[int, tuple[int, ADEConfi
     count, least = _join(2, w.tables)
     if not count or least <= K3_RANK_LIMIT:
         return count, None
-    mask = _least_candidate(ctx.classes[2], w.allowed)
+    mask = _least_candidate(2, w.allowed)
     try:
-        return count, (mask, _cover(ctx.graph, mask))
+        return count, (mask, _cover(graph, mask))
     except NotADEAfterContraction:
         return count, (mask, None)
 

@@ -9,19 +9,22 @@ groups the primitive saturation is generated over F by explicit glue:
   delta_2 = (1,3,2,0,1,3) in the base t_r = (1/4)(C_r^1 + 2 C_r^2 + 3 C_r^3);
 * T24hat (4A2+2A3+A5): an order-3 class supported with coefficients (1,2)
   on the six A_2 configurations lying inside the 4A2+A5 part: on each
-  component the 3-torsion pattern of the per-type tables in `divisibility`
-  (on the A_5, its two end A_2), so integrality needs no search.
+  component a 3-torsion pattern placed by `divisibility` (on the A_5, its
+  two end A_2), so integrality needs no search, and labelled by the same
+  decoder as the 3-divisible candidates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import prod
+from operator import or_
 
 from ._record import Record
 from .ade import ADEConfig, parse_config
 from . import ade
-from .divisibility import _torsion_patterns
+from .divisibility import _candidate, _patterns
 from .lattice import (
     DiscriminantGroup,
     GlueVector,
@@ -33,10 +36,6 @@ from .lattice import (
     q_value,
     roots,
 )
-
-
-class NoIntegralOrientation(ValueError):
-    """No orientation assignment makes the 3-divisible glue integral."""
 
 
 GROUP_CONFIGS: dict[str, str] = {
@@ -182,31 +181,20 @@ def build_K_T24hat() -> KummerReport:
     """Index-3 saturation of the 4A2+2A3+A5 curve lattice by order-3 glue.
 
     Components are orthogonal, so a class with a nonzero 3-torsion pattern
-    (`_torsion_patterns`) on each component that has one is integral: the
-    integral orientations are the products of those patterns.  The glue
-    takes on each component the pattern with coefficient 1 first, and pairs
-    each coefficient-1 curve with its coefficient-2 neighbour.
+    (`divisibility._patterns`) on each component that has one is integral:
+    the integral orientations are the products of those patterns.  The glue
+    joins each component's largest pattern, the one with coefficient 1 on
+    its first curve, and is labelled like a 3-divisible candidate.
     """
     spec = spec_for("T24hat")
     F = build_F(spec)
-    w = [0] * F.rank
-    pairs, counts = [], []
-    for letter, k, start, _ in ade.dynkin(spec.config).component_slices:
-        if pats := _torsion_patterns(letter, k, 3):
-            counts.append(len(pats))
-            q = pats[-1]  # the largest local mask: coefficient 1 on the first curve
-            adj = ade._neighbours(letter, k)
-            for i in range(k):
-                w[start + i] = (q >> i & 1) + 2 * (q >> k + i & 1)
-            pairs += [(start + i, start + (adj[i] & q >> k).bit_length() - 1)
-                      for i in range(k) if q >> i & 1]
-    if not counts:
-        raise NoIntegralOrientation("no component has 3-torsion for the order-3 glue")
-    g = GlueVector.in_dual(F, [Fraction(c, 3) for c in w])
-    labels = F.basis_labels
+    graph = ade.dynkin(spec.config)
+    patterns = [pats for pats in _patterns(graph, 3) if pats]
+    glue = _candidate(graph, 3, reduce(or_, (pats[-1] for pats in patterns)))
+    g = GlueVector.in_dual(F, glue.class_vector)
     return _saturation(spec, F, [g]).replace(
-        glue_info=(f"integral orientations: {prod(counts)}",
-                   *(f"({labels[i]},{labels[j]}) <- (1,2)" for i, j in pairs)),
+        glue_info=(f"integral orientations: {prod(map(len, patterns))}",
+                   *(f"({one},{two}) <- (1,2)" for one, two in glue.support)),
         notes=(f"q(gamma) = {q_value(F, g.vector)}",),
     )
 

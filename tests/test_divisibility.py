@@ -32,8 +32,9 @@ from kummerlat.divisibility import (
     K3_RANK_LIMIT,
     NO_OBSTRUCTION,
     _component_autos,
+    _SIZES,
+    _candidate,
     _component_policies,
-    _Context,
     _cover_exceeds,
     _enumerate_candidates,
     _join,
@@ -41,13 +42,21 @@ from kummerlat.divisibility import (
     _least_candidate,
     _live_sizes,
     _local_cover,
+    _patterns,
     _torsion_patterns,
     _type_options,
     _type_table,
     _witnesses,
 )
-from kummerlat.ade import ADEConfig, _independent_sets, classify_dynkin, component_edges, dynkin
-from kummerlat.lattice import connected_components, discriminant_group, group_symbol
+from kummerlat.ade import (
+    ADEConfig,
+    DynkinGraph,
+    _independent_sets,
+    classify_dynkin,
+    component_edges,
+    dynkin,
+)
+from kummerlat.lattice import connected_components, discriminant_group
 
 TABLE_10 = [
     "16A1",
@@ -301,11 +310,11 @@ def test_17A1_search_stops_at_dimension_5():
 def test_found_code_spans_only_candidates(text, prime, k):
     # expand the packed basis into coefficient vectors and span it with
     # plain mod-p arithmetic, independently of the match
-    ctx = _Context(parse_config(text))
-    cls = ctx.classes[prime]
-    basis = _largest_code(cls, cls.patterns, k)
+    graph = dynkin(parse_config(text))
+    n, pats = len(graph.nodes), _patterns(graph, prime)
+    basis = _largest_code(prime, n, pats, k)
     assert len(basis) == k
-    assert_spans_only_candidates(ctx.n, prime, basis, _enumerate_candidates(cls, cls.patterns))
+    assert_spans_only_candidates(n, prime, basis, _enumerate_candidates(prime, pats))
 
 
 def assert_spans_only_candidates(n, prime, basis, cands):
@@ -358,26 +367,25 @@ def test_atlas_size():
     assert len(ATLAS) == 7573
 
 
-def componentwise_admissible(ctx, p, v):
+def componentwise_admissible(graph, p, v):
     """An allowed support size, and on every component nothing or one of the
     component's p-torsion patterns."""
-    cls = ctx.classes[p]
-    if v.bit_count() not in cls.sizes:
+    if v.bit_count() not in _SIZES[p]:
         return False
-    for (_, _, nodes), pats in zip(ctx.graph.component_nodes(), cls.patterns):
-        cmask = sum(1 << ((c - 1) * ctx.n + node) for c in range(1, p) for node in nodes)
+    n = len(graph.nodes)
+    for (_, _, nodes), pats in zip(graph.component_nodes(), _patterns(graph, p)):
+        cmask = sum(1 << ((c - 1) * n + node) for c in range(1, p) for node in nodes)
         if v & cmask and v & cmask not in pats:
             return False
     return True
 
 
-def packed_ops(cls):
-    """The F_p addition on packed classes, the nonzero multiples of a class,
-    and `pool`, the sorted candidates with coefficient 1 on their top curve:
-    the operations of the packed code searches below."""
-    if cls.p == 2:
+def packed_ops(p, n):
+    """The F_p addition on packed classes of n curves, the nonzero multiples
+    of a class, and `pool`, the sorted candidates with coefficient 1 on their
+    top curve: the operations of the packed code searches below."""
+    if p == 2:
         return operator.xor, lambda v: (v,), lambda cands: cands  # already sorted by top curve
-    n = cls.n
     low = (1 << n) - 1
 
     def add(u, v):
@@ -395,18 +403,17 @@ def packed_ops(cls):
     )
 
 
-def code_searches(ctx):
+def code_searches(config):
     """(prime, allowed patterns, candidates, required dimension) of every
     witness and global search of a check; a global search that no length
     excess forces requires dimension 0."""
-    length = check_nonexistence(ctx.config).steps[0]
-    even = ctx.classes[2]
-    for w in _witnesses(ctx):
-        yield 2, w.allowed, _enumerate_candidates(even, [list(a) for a in w.allowed]), w.required
+    length = check_nonexistence(config).steps[0]
+    for w in _witnesses(config):
+        yield 2, w.allowed, _enumerate_candidates(2, [list(a) for a in w.allowed]), w.required
     for p in (2, 3):
-        cls = ctx.classes[p]
+        pats = _patterns(dynkin(config), p)
         k = int(length.get(f"required_glue_{p}"))
-        yield p, cls.patterns, _enumerate_candidates(cls, cls.patterns), k
+        yield p, pats, _enumerate_candidates(p, pats), k
 
 
 @pytest.mark.parametrize("sample", ["census", "atlas"])
@@ -416,9 +423,9 @@ def test_candidate_membership_is_componentwise_admissibility(sample):
     rng = random.Random(7)
     verdicts = Counter()
     for text in texts:
-        ctx = _Context(parse_config(str(text)))
-        for p, _, cands, _ in code_searches(ctx):
-            add = packed_ops(ctx.classes[p])[0]
+        graph = dynkin(config := parse_config(str(text)))
+        for p, _, cands, _ in code_searches(config):
+            add = packed_ops(p, len(graph.nodes))[0]
             members = set(cands)
             chosen = rng.sample(cands, min(24, len(cands)))
             for r in (1, 2, 3):
@@ -426,7 +433,7 @@ def test_candidate_membership_is_componentwise_admissibility(sample):
                     v = 0
                     for u in combo:
                         v = add(v, u)
-                    ok = componentwise_admissible(ctx, p, v)
+                    ok = componentwise_admissible(graph, p, v)
                     assert (v in members) == ok, (str(text), p, combo)
                     verdicts[ok] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100
@@ -604,7 +611,7 @@ class SearchBudget(Exception):
     """An oracle search passed its budget of candidate tests."""
 
 
-def find_code(cls, cands, k, budget=None):
+def find_code(p, n, cands, k, budget=None):
     """The packed search the catalogue match replaced, as (basis or None,
     largest dimension reached), on the sorted candidates `cands`.
 
@@ -621,10 +628,9 @@ def find_code(cls, cands, k, budget=None):
     candidates cover; if that is below k the result is (None, d_max(N)).
     Raises SearchBudget once more than `budget` candidates have been
     tested."""
-    add, multiples, pool = packed_ops(cls)
-    n = cls.n
+    add, multiples, pool = packed_ops(p, n)
     low = (1 << n) - 1
-    lengths = derived_code_length()[cls.p]
+    lengths = derived_code_length()[p]
     target = min(k, max((d for d, t in lengths.items() if t <= covered_curves(n, cands)), default=0))
     admissible = set(cands)
     best_seen = tested = 0
@@ -655,20 +661,20 @@ def find_code(cls, cands, k, budget=None):
     return (basis if found and target == k else None), (target if found else best_seen)
 
 
-def oracle_search(cls, allowed, cands, k, budget=None):
+def oracle_search(p, n, allowed, cands, k, budget=None):
     """The search `find_code` replaced, as (found, largest dimension
     reached).  When every allowed pattern is one curve the dimension is
     capped from the derived binary code lengths without a search; otherwise
     every increasing basis drawn from `cands` is tried, so each code is
     visited once per such basis.  Raises SearchBudget once more than
     `budget` candidates have been tested."""
-    usable = [p for pats in allowed for p in pats]
-    if all(p.bit_count() == 1 for p in usable):
+    usable = [q for pats in allowed for q in pats]
+    if all(q.bit_count() == 1 for q in usable):
         lengths = derived_code_length()[2]
         cap = max((d for d, t in lengths.items() if t <= len(usable)), default=0)
         if k > cap:
             return False, cap
-    add, multiples, _ = packed_ops(cls)
+    add, multiples, _ = packed_ops(p, n)
     admissible = set(cands)
     best_seen = tested = 0
 
@@ -728,22 +734,22 @@ def test_find_code_matches_oracle(sample):
     # against `find_code`; a basis the match returns spans only candidates
     counts = {name: [0, 0] for name in ORACLE_COUNTS[sample]}
     for text in oracle_sample(sample):
-        ctx = _Context(parse_config(str(text)))
-        for p, allowed, cands, k in code_searches(ctx):
-            cls = ctx.classes[p]
+        config = parse_config(str(text))
+        n = config.rank
+        for p, allowed, cands, k in code_searches(config):
             top = PAST_CATALOGUE[p]
             oracles = [
                 (k, [
-                    ("oracle_search", lambda: oracle_search(cls, allowed, cands, k, ORACLE_BUDGET)),
-                    ("find_code", lambda: find_code(cls, cands, k, ORACLE_BUDGET)),
+                    ("oracle_search", lambda: oracle_search(p, n, allowed, cands, k, ORACLE_BUDGET)),
+                    ("find_code", lambda: find_code(p, n, cands, k, ORACLE_BUDGET)),
                 ]),
-                (top, [("find_code past", lambda: find_code(cls, cands, top, ORACLE_BUDGET))]),
+                (top, [("find_code past", lambda: find_code(p, n, cands, top, ORACLE_BUDGET))]),
             ]
             for want, named in oracles:
                 if not want:
                     continue
-                basis = _largest_code(cls, allowed, want)
-                assert_spans_only_candidates(ctx.n, p, basis, cands)
+                basis = _largest_code(p, n, allowed, want)
+                assert_spans_only_candidates(n, p, basis, cands)
                 for name, oracle in named:
                     try:
                         found, dim = oracle()
@@ -762,18 +768,18 @@ def test_code_bound_decides_mixed_witness(text):
     # one witness's candidates cover too few curves for a weight-{8,16} code
     # of the required dimension k, so the match ends at k - 1, where both
     # oracles end too
-    ctx = _Context(parse_config(text))
-    even = ctx.classes[2]
+    config = parse_config(text)
+    n = config.rank
     short = []
-    for w in _witnesses(ctx):
-        cands = _enumerate_candidates(even, [list(a) for a in w.allowed])
-        if cands and covered_curves(ctx.n, cands) < derived_code_length()[2][w.required]:
+    for w in _witnesses(config):
+        cands = _enumerate_candidates(2, [list(a) for a in w.allowed])
+        if cands and covered_curves(n, cands) < derived_code_length()[2][w.required]:
             short.append((w, cands))
     ((w, cands),) = short
     k = w.required
-    assert len(_largest_code(even, w.allowed, k)) == k - 1
-    assert find_code(even, cands, k) == (None, k - 1)
-    assert oracle_search(even, w.allowed, cands, k) == (False, k - 1)
+    assert len(_largest_code(2, n, w.allowed, k)) == k - 1
+    assert find_code(2, n, cands, k) == (None, k - 1)
+    assert oracle_search(2, n, w.allowed, cands, k) == (False, k - 1)
 
 
 # witness searches off the checker's path that ran for minutes before the
@@ -795,15 +801,15 @@ def test_unreached_witness_searches_decide(text, k):
     # candidates.  No oracle finishes on them; on 15A1+A3 at k = 5 a
     # dimension-5 code would be RM(1, 4), 16 distinct columns, while the A_3
     # gives its column twice and the A_1 give 15
-    ctx = _Context(parse_config(text))
-    even = ctx.classes[2]
+    config = parse_config(text)
+    n = config.rank
     found = []
-    for w in _witnesses(ctx):
+    for w in _witnesses(config):
         if w.required == k:
             start = time.perf_counter()
-            basis = _largest_code(even, w.allowed, k)
+            basis = _largest_code(2, n, w.allowed, k)
             assert time.perf_counter() - start < 1.0, w.description
-            assert_spans_only_candidates(ctx.n, 2, basis, _enumerate_candidates(even, w.allowed))
+            assert_spans_only_candidates(n, 2, basis, _enumerate_candidates(2, w.allowed))
             found.append(len(basis))
     assert found == UNREACHED_SEARCHES[text, k]
 
@@ -811,12 +817,10 @@ def test_unreached_witness_searches_decide(text, k):
 def test_match_refuses_a_non_subspace():
     # a shape reads a component's patterns with 0 as a subspace; two of the
     # three leaf-pair patterns of D_4 are not one
-    ctx = _Context(parse_config("D4"))
-    even = ctx.classes[2]
-    (pats,) = even.patterns
-    assert len(pats) == 3 and _largest_code(even, [pats], 2) == []
+    (pats,) = _patterns(dynkin(parse_config("D4")), 2)
+    assert len(pats) == 3 and _largest_code(2, 4, [pats], 2) == []
     with pytest.raises(AssertionError, match="not an F_2-subspace"):
-        _largest_code(even, [pats[:2]], 1)
+        _largest_code(2, 4, [pats[:2]], 1)
 
 
 # --- the candidate and cover DPs against the walk and scan they replaced ------
@@ -832,34 +836,35 @@ DP_SAMPLES = {
 }
 
 
-def oracle_enumerate(cls, allowed):
+def oracle_enumerate(p, allowed):
     """The recursive walk `_enumerate_candidates` replaced: every choice of
     at most one allowed pattern per component, cut when the support is too
     large or can no longer reach the smallest allowed size."""
-    lo, hi = min(cls.sizes), max(cls.sizes)
+    sizes = _SIZES[p]
+    lo, hi = min(sizes), max(sizes)
     suffix = [0] * (len(allowed) + 1)
     for i in range(len(allowed) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + max((p.bit_count() for p in allowed[i]), default=0)
+        suffix[i] = suffix[i + 1] + max((q.bit_count() for q in allowed[i]), default=0)
     out = []
 
     def walk(i, v, size):
         if size > hi:
             return
         if i == len(allowed):
-            if size in cls.sizes:
+            if size in sizes:
                 out.append(v)
             return
         if size + suffix[i] < lo:
             return
         walk(i + 1, v, size)
-        for p in allowed[i]:
-            walk(i + 1, v | p, size + p.bit_count())
+        for q in allowed[i]:
+            walk(i + 1, v | q, size + q.bit_count())
 
     walk(0, 0, 0)
     return sorted(out)
 
 
-def oracle_cover_scan(ctx, masks):
+def oracle_cover_scan(graph, masks):
     """The scan `_cover_exceeds` replaced: None if some
     candidate has an ADE cover of rank <= 19, else the first candidate with
     its cover (None when that cover is not ADE)."""
@@ -867,7 +872,7 @@ def oracle_cover_scan(ctx, masks):
     for mask in masks:
         pieces = [
             _local_cover(letter, k, mask >> start & ((1 << k) - 1))
-            for letter, k, start, _ in ctx.graph.component_slices
+            for letter, k, start, _ in graph.component_slices
         ]
         ade = not any(isinstance(p, str) for p in pieces)
         if ade and sum(p.rank for p in pieces) <= K3_RANK_LIMIT:
@@ -877,29 +882,29 @@ def oracle_cover_scan(ctx, masks):
     return first_bad
 
 
-def candidate_dp(ctx, cls, allowed):
+def candidate_dp(graph, p, allowed):
     """The DP that the joined per-type tables replaced: over the components
     in turn, per support size a count of partial classes and their least
     cover rank, dropping each size once it cannot reach an allowed one."""
-    live = _live_sizes(cls, allowed)
+    live = _live_sizes(p, allowed)
     level = {0: (1, 0)} if live[0] & 1 else {}
-    for i, ((letter, k, start, _), pats) in enumerate(zip(ctx.graph.component_slices, allowed)):
+    for i, ((letter, k, start, _), pats) in enumerate(zip(graph.component_slices, allowed)):
         nxt = {}
-        for p in (0, *pats):
-            rank = getattr(_local_cover(letter, k, p >> start), "rank", math.inf) if cls.p == 2 else 0
+        for q in (0, *pats):
+            rank = getattr(_local_cover(letter, k, q >> start), "rank", math.inf) if p == 2 else 0
             for t, (c, r) in level.items():
-                if live[i + 1] >> (u := t + p.bit_count()) & 1:
+                if live[i + 1] >> (u := t + q.bit_count()) & 1:
                     c0, r0 = nxt.get(u, (0, math.inf))
                     nxt[u] = c0 + c, min(r0, r + rank)
         level = nxt
     return sum(c for c, _ in level.values()), min((r for _, r in level.values()), default=math.inf)
 
 
-def global_tables(ctx, p):
+def global_tables(config, p):
     """The type tables of a global step: every copy may take any pattern."""
     return [
         _type_table(letter, n, p, (_torsion_patterns(letter, n, p),) * c)
-        for letter, n, c in ctx.config.terms()
+        for letter, n, c in config.terms()
     ]
 
 
@@ -922,19 +927,18 @@ def test_enumeration_dp_matches_walk(sample):
     searches = listed = 0
     least = Counter()
     for text in DP_SAMPLES[sample]:
-        ctx = _Context(parse_config(text))
-        even = ctx.classes[2]
-        lists = [(even, [list(a) for a in w.allowed], w.tables) for w in _witnesses(ctx)]
-        lists += [(ctx.classes[p], ctx.classes[p].patterns, global_tables(ctx, p)) for p in (2, 3)]
-        for cls, allowed, tables in lists:
-            cands = _enumerate_candidates(cls, allowed)
-            assert cands == oracle_enumerate(cls, allowed), (text, cls.p)
-            joined = _join(cls.p, tables)
-            assert joined == candidate_dp(ctx, cls, allowed), (text, cls.p)
-            assert joined[0] == len(cands), (text, cls.p)
+        graph = dynkin(config := parse_config(text))
+        lists = [(2, [list(a) for a in w.allowed], w.tables) for w in _witnesses(config)]
+        lists += [(p, _patterns(graph, p), global_tables(config, p)) for p in (2, 3)]
+        for p, allowed, tables in lists:
+            cands = _enumerate_candidates(p, allowed)
+            assert cands == oracle_enumerate(p, allowed), (text, p)
+            joined = _join(p, tables)
+            assert joined == candidate_dp(graph, p, allowed), (text, p)
+            assert joined[0] == len(cands), (text, p)
             if cands:
-                assert _least_candidate(cls, allowed) == cands[0], (text, cls.p)
-                least[cls.p] += 1
+                assert _least_candidate(p, allowed) == cands[0], (text, p)
+                least[p] += 1
             searches += 1
             listed += len(cands)
     assert (searches, listed) == ENUMERATION_COUNTS[sample]
@@ -951,12 +955,12 @@ def test_cover_dp_matches_scan(sample):
     # ADE cover rank is exactly 19 on some census and atlas witnesses
     compared = fired = empty = 0
     for text in DP_SAMPLES[sample]:
-        ctx = _Context(parse_config(text))
-        for w in _witnesses(ctx):
-            cands = _enumerate_candidates(ctx.classes[2], [list(a) for a in w.allowed])
-            count, got = _cover_exceeds(ctx, w)
+        graph = dynkin(config := parse_config(text))
+        for w in _witnesses(config):
+            cands = _enumerate_candidates(2, [list(a) for a in w.allowed])
+            count, got = _cover_exceeds(graph, w)
             assert count == len(cands), (text, w.description)
-            assert got == oracle_cover_scan(ctx, cands), (text, w.description)
+            assert got == oracle_cover_scan(graph, cands), (text, w.description)
             compared += 1
             fired += got is not None
             empty += not cands
@@ -968,21 +972,21 @@ def test_cover_dp_reports_non_ade_example():
     # witness is made up: the centre of D4 alone branches into a triangle of
     # leaves, and the one candidate, 5 curves of A1 and 3 centres, fires
     # with a non-ADE example
-    ctx = _Context(parse_config("5A1+3D4"))
-    slices = ctx.graph.component_slices
+    graph = dynkin(parse_config("5A1+3D4"))
+    slices = graph.component_slices
     allowed = [[1 << (start + (k > 1))] for _, k, start, _ in slices]
     tables = [_type_table(letter, k, 2, ((1 << (k > 1),),)) for letter, k, _, _ in slices]
-    cands = _enumerate_candidates(ctx.classes[2], allowed)
+    cands = _enumerate_candidates(2, allowed)
     assert len(cands) == 1
     assert isinstance(_local_cover("D", 4, 0b10), str)
-    assert _cover_exceeds(ctx, SimpleNamespace(allowed=allowed, tables=tables)) == (1, (cands[0], None))
-    assert oracle_cover_scan(ctx, cands) == (cands[0], None)
+    assert _cover_exceeds(graph, SimpleNamespace(allowed=allowed, tables=tables)) == (1, (cands[0], None))
+    assert oracle_cover_scan(graph, cands) == (cands[0], None)
 
 
 # --- the searches the checker runs, against the full search -------------------
 
 
-def searches_run(ctx, skipped):
+def searches_run(config, skipped):
     """(prime, dimension, dimension found) of each code search the checker
     should run, in order: every witness of dimension 2 or more until one
     falls short, then each global step that a length excess forces, unless
@@ -990,28 +994,27 @@ def searches_run(ctx, skipped):
     `find_code`'s on the listed candidates, and a global step must report it
     with the list's length.  A witness of dimension 1 needs one candidate,
     so the checker skips its search, and `skipped` counts it."""
-    even = ctx.classes[2]
-    report = check_nonexistence(ctx.config)
+    graph, n = dynkin(config), config.rank
+    report = check_nonexistence(config)
     runs = []
     excluded = False
-    for w in _witnesses(ctx):
+    for w in _witnesses(config):
         if not excluded:
-            cands = _enumerate_candidates(even, w.allowed)
-            basis, dim = find_code(even, cands, w.required)
+            cands = _enumerate_candidates(2, w.allowed)
+            basis, dim = find_code(2, n, cands, w.required)
             if w.required == 1:
                 assert (basis is not None, dim) == (bool(cands), min(len(cands), 1))
                 skipped["witness"] += 1
             else:
                 runs.append((2, w.required, dim))
             excluded = basis is None
-        excluded |= _cover_exceeds(ctx, w)[1] is not None
+        excluded |= _cover_exceeds(graph, w)[1] is not None
     glue = {p: int(report.steps[0].get(f"required_glue_{p}")) for p in (2, 3)}
     for p, k in glue.items():
         if not k or excluded:
             continue
-        cls = ctx.classes[p]
-        cands = _enumerate_candidates(cls, cls.patterns)
-        basis, dim = find_code(cls, cands, k)
+        cands = _enumerate_candidates(p, _patterns(graph, p))
+        basis, dim = find_code(p, n, cands, k)
         where = ("AdmissibleCandidateCount", "global", str(p))
         (step,) = [s for s in report.steps if (s.kind, s.get("scope"), s.get("prime")) == where]
         assert step.get("admissible_candidates") == str(len(cands))
@@ -1036,19 +1039,19 @@ def test_skipped_searches_match_full_search(monkeypatch, sample):
     calls = []
     real = divisibility._largest_code
 
-    def recorded(cls, allowed, k):
-        basis = real(cls, allowed, k)
-        calls.append((cls.p, k, len(basis)))
+    def recorded(p, n, allowed, k):
+        basis = real(p, n, allowed, k)
+        calls.append((p, k, len(basis)))
         return basis
 
     monkeypatch.setattr(divisibility, "_largest_code", recorded)
     skipped = Counter()
     ran = 0
     for text in texts:
-        ctx = _Context(parse_config(str(text)))
-        expected = searches_run(ctx, skipped)
+        config = parse_config(str(text))
+        expected = searches_run(config, skipped)
         calls.clear()
-        check_nonexistence(ctx.config)
+        check_nonexistence(config)
         assert calls == expected, str(text)
         ran += len(calls)
     assert (skipped, ran) == SKIPPED_COUNTS[sample]
@@ -1085,7 +1088,7 @@ def test_global_steps_do_not_depend_on_witness_codes(monkeypatch):
     # configuration reports the same verdict and the same steps
     full = {text: check_nonexistence(parse_config(text)) for text in ("A1+6A3", "16A1")}
     witnesses = divisibility._witnesses
-    monkeypatch.setattr(divisibility, "_witnesses", lambda ctx: witnesses(ctx)[:-1])
+    monkeypatch.setattr(divisibility, "_witnesses", lambda config: witnesses(config)[:-1])
     for text, report in full.items():
         short = check_nonexistence(parse_config(text))
         assert short.verdict == report.verdict == NO_OBSTRUCTION
@@ -1189,6 +1192,35 @@ def test_three_torsion_patterns_are_oriented_A2_pairs():
     assert found == {("A", 3 * k - 1): [k, k] for k in range(1, 7)} | {("E", 6): [2, 2]}
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_placed_patterns_keep_their_order_and_decode(p):
+    # one component at curve 3 of k + 5 curves: its placed patterns stay in
+    # the order of its local ones, and each decodes back to the local
+    # coefficients over p, with the oriented A_2 pairs for p = 3
+    # (`build_K_T24hat` takes the largest placed pattern as the local one
+    # with coefficient 1 on the first curve)
+    start = 3
+    for letter, k in COMPONENT_TYPES:
+        n = k + 5
+        labels = tuple(f"c{i}" for i in range(n))
+        graph = DynkinGraph(labels, (), ((letter, k, start, start + k),))
+        local = _torsion_patterns(letter, k, p)
+        (placed,) = _patterns(graph, p)
+        assert placed == sorted(placed) and len(placed) == len(local), (letter, k)
+        for q, v in zip(local, placed):
+            coeffs = [(q >> i & 1) + 2 * (q >> k + i & 1) for i in range(k)]
+            cand = _candidate(graph, p, v)
+            expected = [Fraction(0)] * n
+            expected[start : start + k] = (Fraction(c, p) for c in coeffs)
+            assert cand.class_vector == tuple(expected), (letter, k, q)
+            if p == 2:
+                support = tuple(labels[start + i] for i in range(k) if coeffs[i])
+            else:
+                pairs = oracle_pairs(letter, k, coeffs)
+                support = tuple((labels[start + i], labels[start + j]) for i, j in pairs)
+            assert cand.support == support, (letter, k, q)
+
+
 def oracle_component_autos(letter, n):
     """The diagram automorphisms of one component, by hand: A_n reverses,
     D_4 permutes its three leaves, D_n swaps its two short arms and E_6
@@ -1260,7 +1292,7 @@ def test_large_component_witnesses_come_from_largest_policy(monkeypatch):
     # a policy below the maximum independent set of a component of rank >= 15
     # leaves at most 4 curves elsewhere, too few for a 12-curve witness
     configs = [c for c in ATLAS if any(n >= 15 for _, n in c.components())]
-    full = [_witnesses(_Context(c)) for c in configs]
+    full = [_witnesses(c) for c in configs]
     # the options are cached per component type: an empty cache of their
     # own builds them from the patched policies, and goes with the patch
     fresh = lru_cache(maxsize=None)(_type_options.__wrapped__)
@@ -1275,16 +1307,16 @@ def test_large_component_witnesses_come_from_largest_policy(monkeypatch):
         return ((size, tuple(sorted(p for p in patterns if p & ~s == 0)), s),)
 
     monkeypatch.setattr(divisibility, "_component_policies", largest_only)
-    assert [_witnesses(_Context(c)) for c in configs] == full
+    assert [_witnesses(c) for c in configs] == full
     assert len(configs) == 54
     assert {c.render() for c, ws in zip(configs, full) if ws} == {"4A1+A15", "3A1+D16", "4A1+D15"}
 
 
-def oracle_witnesses(ctx):
+def oracle_witnesses(graph):
     """The witness builder `_witnesses` replaced: every policy combination
     built in full over per-node tuples, then dropped below 12 curves; the
     curves come as labels."""
-    comps = ctx.graph.component_nodes()
+    comps = graph.component_nodes()
     groups: dict[tuple[str, int], list[int]] = {}
     for idx, (letter, k, _) in enumerate(comps):
         groups.setdefault((letter, k), []).append(idx)
@@ -1321,12 +1353,16 @@ def oracle_witnesses(ctx):
                 size,
                 size - 11,
                 tuple(allowed[i] for i in range(len(comps))),
-                tuple(ctx.labels[i] for i in sorted(curve_nodes)),
+                tuple(graph.nodes[i] for i in sorted(curve_nodes)),
                 "; ".join(desc_parts),
             )
         )
     witnesses.sort(key=lambda w: (w[1], w[0], w[4]))
     return witnesses
+
+
+def mask_labels(graph, mask):
+    return tuple(lab for i, lab in enumerate(graph.nodes) if mask >> i & 1)
 
 
 WITNESS_SAMPLES = {
@@ -1343,12 +1379,12 @@ WITNESS_COUNTS = {"census": (18, 106), "atlas": (300, 378), "large": (54, 3), "d
 def test_witnesses_match_oracle(sample):
     configs = witnesses = 0
     for text in WITNESS_SAMPLES[sample]:
-        ctx = _Context(parse_config(text))
+        graph = dynkin(config := parse_config(text))
         got = [
-            (w.size, w.required, w.allowed, ctx.mask_labels(w.curves), w.description)
-            for w in _witnesses(ctx)
+            (w.size, w.required, w.allowed, mask_labels(graph, w.curves), w.description)
+            for w in _witnesses(config)
         ]
-        assert got == oracle_witnesses(ctx), text
+        assert got == oracle_witnesses(graph), text
         configs += 1
         witnesses += len(got)
     assert (configs, witnesses) == WITNESS_COUNTS[sample]
@@ -1367,11 +1403,15 @@ def test_length_step_matches_dense_snf(text):
 
 
 def test_disc_factors_match_dense_snf_on_atlas_sample():
+    # the length step forms the factors per component type
     for c in ATLAS_SAMPLE:
         disc = discriminant_group(gram(c))
-        factors = _Context(c).disc_factors
-        assert factors == disc.invariant_factors, c.render()
-        assert group_symbol(factors) == disc.symbol()
+        step = check_nonexistence(c).steps[0]
+        assert step.kind == "LengthRequirement", c.render()
+        assert step.get("disc_group") == disc.symbol(), c.render()
+        assert step.get("disc_length") == str(disc.length), c.render()
+        assert step.get("length_2") == str(disc.primary_length(2)), c.render()
+        assert step.get("length_3") == str(disc.primary_length(3)), c.render()
 
 
 # --- required even sets ------------------------------------------------------

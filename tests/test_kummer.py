@@ -16,6 +16,7 @@ from kummerlat import (
     parse_config,
     q_value,
     roots,
+    three_divisible_candidates,
     verify_root_equality,
 )
 from kummerlat.kummer import GROUP_CONFIGS, spec_for
@@ -184,6 +185,19 @@ class TestKT24hat:
         for (i, j), o in zip(pairs, valid[0]):
             w[i], w[j] = Fraction(o, 3), Fraction(3 - o, 3)
         assert overlattice(F, [GlueVector.in_dual(F, w)]).H == report.K.H
+
+    def test_glue_is_a_three_divisible_candidate(self, report):
+        # the pairs of the report, with coefficients (1/3, 2/3), are one of
+        # the public 3-divisible candidates of the configuration, and in K
+        labels = report.F.basis_labels
+        pairs = tuple(tuple(g[1 : g.index(")")].split(",")) for g in report.glue_info[1:])
+        vector = [Fraction(0)] * report.F.rank
+        for one, two in pairs:
+            vector[labels.index(one)], vector[labels.index(two)] = Fraction(1, 3), Fraction(2, 3)
+        cands = three_divisible_candidates(parse_config("4A2+2A3+A5"))
+        assert len(pairs) == 6
+        assert (pairs, tuple(vector)) in {(c.support, c.class_vector) for c in cands}
+        assert report.K.contains(vector)
 
     def test_length_bound_at_rank_19(self, report):
         from kummerlat import length_bound_check
