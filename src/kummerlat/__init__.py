@@ -50,7 +50,6 @@ from .divisibility import (
     three_divisible_candidates,
 )
 from .kummer import (
-    KummerLatticeSpec,
     KummerReport,
     build_F,
     build_group_report,

@@ -244,6 +244,12 @@ def _independent_sets(letter: str, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _largest_independent_set(letter: str, n: int) -> int:
+    """The least of the largest independent node sets of one component."""
+    return max(_independent_sets(letter, n), key=int.bit_count)
+
+
+@lru_cache(maxsize=None)
 def component_gram(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
     adj = _neighbours(letter, n)
     return tuple(tuple(-2 if i == j else adj[i] >> j & 1 for j in range(n)) for i in range(n))
@@ -304,7 +310,7 @@ def max_disjoint_curves(config: ADEConfig) -> tuple[int, tuple[str, ...]]:
     graph = dynkin(config)
     witness: list[str] = []
     for letter, n, start, _ in graph.component_slices:
-        best = max(_independent_sets(letter, n), key=int.bit_count)  # the least largest set
+        best = _largest_independent_set(letter, n)
         witness += [graph.nodes[start + i] for i in range(n) if best >> i & 1]
     return len(witness), tuple(witness)
 

@@ -2,14 +2,16 @@
 
 Exit codes: 0 on success (an Excluded verdict is data, not an error),
 2 on usage errors, 3 on internal invariant violations, among them a torus
-stabilizer outside the ADE table.  All rationals in JSON output are
-strings "p/q"; output is deterministic for fixed input.
+stabilizer outside the ADE table, and 141 when the reader of stdout quits
+first (the status a shell reports for such a reader).  All rationals in
+JSON output are strings "p/q"; output is deterministic for fixed input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -19,6 +21,8 @@ from .ade import enumerate_configs, m_value, parse_config
 from .lattice import frac_str
 
 INTERNAL_ERROR_EXIT = 3
+BROKEN_PIPE_EXIT = 141
+MAX_EXPONENT = 4300  # the interpreter's default int-digit limit
 
 
 def _emit_json(payload: dict) -> None:
@@ -26,6 +30,10 @@ def _emit_json(payload: dict) -> None:
 
 
 def _parse_rational(text: str) -> Fraction:
+    # Fraction works out 10**exponent first, so a huge exponent is refused here
+    digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    if digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
+        raise argparse.ArgumentTypeError(f"exponent beyond {MAX_EXPONENT} in {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -182,7 +190,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so that the interpreter's last flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE_EXIT
     # the parser refuses unknown group names, so UnrecognizedGroup is a stabilizer's
     except (AssertionError, torus.UnrecognizedGroup) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

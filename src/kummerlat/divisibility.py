@@ -51,6 +51,7 @@ from .ade import (
     ADEConfig,
     DynkinGraph,
     _independent_sets,
+    _largest_independent_set,
     _neighbours,
     classify_dynkin,
     component_edges,
@@ -291,9 +292,7 @@ def _candidates(config: ADEConfig, p: int) -> list[DivisibleCandidate]:
 
 def _disjoint_curves(config: ADEConfig) -> int:
     """Size of a maximum set of pairwise disjoint curves, summed per type."""
-    return sum(
-        c * max(map(int.bit_count, _independent_sets(letter, n))) for letter, n, c in config.terms()
-    )
+    return sum(c * _largest_independent_set(letter, n).bit_count() for letter, n, c in config.terms())
 
 
 def required_even_sets(config: ADEConfig) -> int:

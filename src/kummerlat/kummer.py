@@ -1,12 +1,14 @@
 """Exceptional-curve lattices of the ten torus-quotient K3 configurations and
 the two primitive saturations built from explicit glue data.
 
-`build_F` produces the lattice spanned by the exceptional curves of a
-quotient configuration.  For the two translation-twisted quaternionic
-groups the primitive saturation is generated over F by explicit glue:
+`build_F` and the reports take a group name, which fixes the quotient
+configuration; `build_F` gives the lattice its exceptional curves span.
+For the two translation-twisted quaternionic groups the primitive
+saturation is generated over F by explicit glue:
 
 * Q8hat (A1+6A3): 4-divisible classes delta_1 = (1,1,1,1,2,0) and
   delta_2 = (1,3,2,0,1,3) in the base t_r = (1/4)(C_r^1 + 2 C_r^2 + 3 C_r^3);
+  its three half even sets are the doubles 2*gamma of the glue mod F;
 * T24hat (4A2+2A3+A5): an order-3 class supported with coefficients (1,2)
   on the six A_2 configurations lying inside the 4A2+A5 part: on each
   component a 3-torsion pattern placed by `divisibility` (on the A_5, its
@@ -17,9 +19,9 @@ groups the primitive saturation is generated over F by explicit glue:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import prod
-from operator import or_
+from operator import add, or_
 
 from ._record import Record
 from .ade import ADEConfig, parse_config
@@ -50,11 +52,6 @@ GROUP_CONFIGS: dict[str, str] = {
     "T24": "A1+4A2+D4+E6",
     "T24hat": "4A2+2A3+A5",
 }
-
-
-class KummerLatticeSpec(Record):
-    group_name: str
-    config: ADEConfig
 
 
 class KummerReport(Record):
@@ -90,20 +87,20 @@ class KummerReport(Record):
         }
 
 
-def spec_for(group_name: str) -> KummerLatticeSpec:
-    if group_name not in GROUP_CONFIGS:
-        raise KeyError(f"unknown group {group_name!r}; known: {sorted(GROUP_CONFIGS)}")
-    return KummerLatticeSpec(group_name, parse_config(GROUP_CONFIGS[group_name]))
+@lru_cache(maxsize=None)
+def _config(group: str) -> ADEConfig:
+    """The configuration that the group name fixes, parsed once per process."""
+    if group not in GROUP_CONFIGS:
+        raise KeyError(f"unknown group {group!r}; known: {sorted(GROUP_CONFIGS)}")
+    return parse_config(GROUP_CONFIGS[group])
 
 
-def build_F(spec: KummerLatticeSpec | str) -> GramLattice:
-    """Curve lattice of the configuration, with quotient-style labels."""
-    if isinstance(spec, str):
-        spec = spec_for(spec)
+def build_F(group: str) -> GramLattice:
+    """Curve lattice of the group's configuration, with quotient-style labels."""
     labels = None
-    if spec.group_name == "Q8hat":  # A1 block first (C0), then the six A3 blocks C_r^s
+    if group == "Q8hat":  # A1 block first (C0), then the six A3 blocks C_r^s
         labels = ("C0", *(f"C{r}^{s}" for r in range(1, 7) for s in (1, 2, 3)))
-    return ade.gram(spec.config, labels=labels)
+    return ade.gram(_config(group), labels=labels)
 
 
 def _t_base_nums(coeffs: tuple[int, ...]) -> list[int]:
@@ -122,16 +119,14 @@ DELTA_1 = (1, 1, 1, 1, 2, 0)
 DELTA_2 = (1, 3, 2, 0, 1, 3)
 DELTA_2_ALT = (3, 1, 2, 0, 3, 1)
 
-EVEN_SET_BLOCKS = ((1, 2, 3, 4), (3, 4, 5, 6), (1, 2, 5, 6))
 
-
-def _saturation(spec: KummerLatticeSpec, F: GramLattice, glue: list[GlueVector]) -> KummerReport:
+def _saturation(group: str, F: GramLattice, glue: list[GlueVector]) -> KummerReport:
     """Report on F, its overlattice K by the glue, and their roots: K contains
     F, so the two root sets are equal exactly when their counts are."""
     K = overlattice(F, glue)
     pairs_F, pairs_K = len(roots(F)), len(roots(K.lattice))
     return KummerReport(
-        group=spec.group_name, config=spec.config, F=F, disc_F=discriminant_group(F), K=K,
+        group=group, config=_config(group), F=F, disc_F=discriminant_group(F), K=K,
         disc_K=discriminant_group(K.lattice), root_pairs_F=pairs_F,
         root_pairs_K=pairs_K, roots_equal=pairs_F == pairs_K,
     )
@@ -139,29 +134,14 @@ def _saturation(spec: KummerLatticeSpec, F: GramLattice, glue: list[GlueVector])
 
 def build_K_Q8hat() -> KummerReport:
     """Index-16 saturation of the A1+6A3 curve lattice by delta_1, delta_2."""
-    spec = spec_for("Q8hat")
-    F = build_F(spec)
+    F = build_F("Q8hat")
     d1, d2 = (GlueVector.in_dual(F, _t_base_vector(d)) for d in (DELTA_1, DELTA_2))
-    report = _saturation(spec, F, [d1, d2])
-
-    # vectors as numerators over 4; x / 4 lies in F iff every numerator is 0 mod 4
-    n1, n2 = _t_base_nums(DELTA_1), _t_base_nums(DELTA_2)
-    doubled_glue = [[2 * a for a in n1], [2 * (a + b) for a, b in zip(n1, n2)], [2 * b for b in n2]]
-    even_sets = []
-    for blocks, double in zip(EVEN_SET_BLOCKS, doubled_glue):
-        half = [0] * 19  # 1/2 on C_r^1 and C_r^3
-        for r in blocks:
-            half[3 * r - 2] = half[3 * r] = 2
-        if not report.K._contains(4, half):
-            raise AssertionError("half even set is missing from the saturation")
-        # the doubled glue classes and the half even sets agree mod F
-        if any((a - b) % 4 for a, b in zip(double, half)):
-            raise AssertionError("doubled glue does not reduce to the even set")
-        even_sets.append(tuple(f"C{r}^{s}" for r in blocks for s in (1, 3)))
-    # delta_2 + alt lies in F, so <delta_1, alt> and <delta_1, delta_2> agree mod F
-    if any((a + b) % 4 for a, b in zip(DELTA_2, DELTA_2_ALT)):
-        raise AssertionError("alternative second glue generates a different lattice")
-    return report.replace(
+    # 2*gamma, numerators over 2, is half the curves with an odd numerator
+    # mod F and lies in K with gamma: those curves form an even set
+    doubles = (DELTA_1, tuple(map(add, DELTA_1, DELTA_2)), DELTA_2)
+    even_sets = [tuple(label for label, x in zip(F.basis_labels, _t_base_nums(gamma)) if x % 2)
+                 for gamma in doubles]
+    return _saturation("Q8hat", F, [d1, d2]).replace(
         even_sets=tuple(even_sets),
         glue_info=(
             "delta_1 = (1,1,1,1,2,0) in base t_1..t_6",
@@ -186,13 +166,12 @@ def build_K_T24hat() -> KummerReport:
     joins each component's largest pattern, the one with coefficient 1 on
     its first curve, and is labelled like a 3-divisible candidate.
     """
-    spec = spec_for("T24hat")
-    F = build_F(spec)
-    graph = ade.dynkin(spec.config)
+    F = build_F("T24hat")
+    graph = ade.dynkin(_config("T24hat"))
     patterns = [pats for pats in _patterns(graph, 3) if pats]
     glue = _candidate(graph, 3, reduce(or_, (pats[-1] for pats in patterns)))
     g = GlueVector.in_dual(F, glue.class_vector)
-    return _saturation(spec, F, [g]).replace(
+    return _saturation("T24hat", F, [g]).replace(
         glue_info=(f"integral orientations: {prod(map(len, patterns))}",
                    *(f"({one},{two}) <- (1,2)" for one, two in glue.support)),
         notes=(f"q(gamma) = {q_value(F, g.vector)}",),
@@ -220,6 +199,6 @@ def build_group_report(group_name: str) -> KummerReport:
         return build_K_Q8hat()
     if group_name == "T24hat":
         return build_K_T24hat()
-    spec = spec_for(group_name)
-    F = build_F(spec)
-    return KummerReport(group_name, spec.config, F, discriminant_group(F), root_pairs_F=len(roots(F)))
+    F = build_F(group_name)
+    return KummerReport(group_name, _config(group_name), F, discriminant_group(F),
+                        root_pairs_F=len(roots(F)))

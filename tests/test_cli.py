@@ -295,6 +295,64 @@ def test_zero_count_and_negative_max_rank_exit_2(argv, message):
     assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--m", "24"],
+        ["kummer", "--group", "Q8hat"],
+        ["obstruct", "--config", "16A1", "--json"],
+        ["torus", "--group", "Q8"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_quietly(argv, buffered):
+    # the reader quits before the command writes, as `kummerlat ... | head -1` may
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run(CLI + argv, stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert res.returncode == cli.BROKEN_PIPE_EXIT == 141
+    assert res.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["census", "--m", "1e100000000"], "1e100000000"),
+        (["census", "--m", "1e-100000000", "--json"], "1e-100000000"),
+        (["torus", "--group", "lieberman", "--e1", "1e100000000,0", "--e2", "0,1/2"], "1e100000000"),
+        (["census", "--m", "1e4301"], "1e4301"),
+        (["census", "--m", "1e-0_4301", "--json"], "1e-0_4301"),
+    ],
+    ids=["census-m", "census-m-negative-json", "torus-e1", "census-m-4301", "census-m-underscore"],
+)
+def test_huge_exponent_exits_2_at_once(argv, text):
+    # Fraction would work out 10**exponent before anything refused it
+    start = time.perf_counter()
+    code, out, err = run_main(argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert f"exponent beyond 4300 in {text!r}" in err
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("24", 24), ("3/2", Fraction(3, 2)), ("1.5", Fraction(3, 2)), ("1e3", 1000),
+     ("1e4300", 10**4300), ("1e-4300", Fraction(1, 10**4300)), ("2E+03", 2000)],
+    ids=["24", "3/2", "1.5", "1e3", "1e4300", "1e-4300", "2E+03"],
+)
+def test_parse_rational_keeps_exponents_up_to_4300(text, value):
+    assert cli._parse_rational(text) == value
+
+
 def test_deterministic_output():
     a = run_cli("obstruct", "--config", "5A1+A3+A7+D4", "--json").stdout
     b = run_cli("obstruct", "--config", "5A1+A3+A7+D4", "--json").stdout

@@ -1428,6 +1428,15 @@ def test_required_even_sets_thresholds():
     assert required_even_sets(parse_config(f"{huge}A3+D4")) == 2 * huge + 3 - 11
 
 
+def test_disjoint_curves_match_a_scan_of_every_independent_set():
+    # the cached largest set per type, against the scan it replaces
+    for config in ATLAS_SAMPLE:
+        scan = sum(c * max(map(int.bit_count, _independent_sets(letter, n)))
+                   for letter, n, c in config.terms())
+        assert divisibility._disjoint_curves(config) == scan, config.render()
+        assert required_even_sets(config) == max(0, scan - 11), config.render()
+
+
 # --- double cover transform ----------------------------------------------------
 
 

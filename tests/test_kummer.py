@@ -19,7 +19,7 @@ from kummerlat import (
     three_divisible_candidates,
     verify_root_equality,
 )
-from kummerlat.kummer import GROUP_CONFIGS, spec_for
+from kummerlat.kummer import GROUP_CONFIGS
 
 
 def test_group_table():
@@ -36,8 +36,8 @@ def test_group_table():
         "T24hat": 19,
     }
     for name, rho in expected_rho.items():
-        spec = spec_for(name)
-        assert spec.config.rank == rho
+        assert parse_config(GROUP_CONFIGS[name]).rank == rho
+        assert build_F(name).rank == rho
 
 
 def test_build_F_Z2():
@@ -232,7 +232,13 @@ def test_root_pair_count_F_T24hat():
 
 def test_unknown_group():
     with pytest.raises(KeyError):
-        spec_for("Z5")
+        build_F("Z5")
+
+
+@pytest.mark.parametrize("build", [build_F, build_group_report])
+def test_unknown_group_names_the_known_ones(build):
+    with pytest.raises(KeyError, match=r"unknown group 'Z5'; known: \['Q12', 'Q8', "):
+        build("Z5")
 
 
 def test_verify_root_equality_not_sublattice():

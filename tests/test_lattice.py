@@ -32,7 +32,6 @@ from kummerlat.kummer import (
     DELTA_1,
     DELTA_2,
     DELTA_2_ALT,
-    EVEN_SET_BLOCKS,
     GROUP_CONFIGS,
     _t_base_vector,
     build_F,
@@ -700,6 +699,24 @@ def test_roots_of_permuted_first_fit_sums_match_recursion(seed):
         assert roots(lat) == oracle_roots(lat)
 
 
+def test_repeated_blocks_at_non_contiguous_indices():
+    # the ten curve lattices in shuffled bases: a repeated block Gram is
+    # searched and reduced once and placed at every copy's indices
+    scattered = 0
+    for seed in range(3):
+        for k, group in enumerate(GROUP_CONFIGS):
+            lat = permuted(build_F(group), 100 * seed + k)
+            grams = Counter(g for _, g in lat.blocks)
+            scattered += any(grams[g] > 1 and c[-1] - c[0] + 1 != len(c) for c, g in lat.blocks)
+            assert roots(lat) == oracle_roots(lat), (group, seed)
+            d = discriminant_group(lat)
+            assert d.invariant_factors == oracle_discriminant_group(lat)[0], (group, seed)
+            for f, g, q in zip(d.invariant_factors, d.generators, d.q_values):
+                assert dual_defect(lat.gram, g) == (f, None)
+                assert q == q_value(lat, g)
+    assert scattered == 27  # all but 16A1, whose shuffled Gram is its own
+
+
 def test_root_search_and_census_leave_no_garbage():
     """The recursive searches free their self-referencing closures: with the
     collector off, nothing is left for it."""
@@ -804,6 +821,10 @@ def test_wrong_length_vectors_are_refused():
                 call(v)
             assert type(info.value) is ValueError
             assert str(info.value) == "vector has wrong length"
+
+
+# the curve blocks r of the three Q8hat half even sets, 1/2 on C_r^1 and C_r^3
+EVEN_SET_BLOCKS = ((1, 2, 3, 4), (3, 4, 5, 6), (1, 2, 5, 6))
 
 
 def _membership_cases(name):
