@@ -153,9 +153,14 @@ class ADEConfig(Record):
         }
 
 
+def _component_types(max_rank: int) -> list[tuple[str, int]]:
+    """Every component type of rank <= max_rank: A, then D, then E, each ascending."""
+    return ([("A", n) for n in range(1, max_rank + 1)] + [("D", n) for n in range(4, max_rank + 1)]
+            + [("E", n) for n in ADE_E_RANKS if n <= max_rank])
+
+
 # the 38 component types of rank <= 19, in `sort_key`'s count order
-_SORT_SLOTS = {t: i for i, t in enumerate([("A", n) for n in range(1, 20)] + [("D", n) for n in range(4, 20)]
-                                          + [("E", n) for n in ADE_E_RANKS])}
+_SORT_SLOTS = {t: i for i, t in enumerate(_component_types(K3_RANK_LIMIT))}
 
 
 def _check_component(letter: str, n: int) -> None:
@@ -262,12 +267,6 @@ class DynkinGraph(Record):
     edges: tuple[tuple[int, int], ...]
     component_slices: tuple[tuple[str, int, int, int], ...]  # (letter, n, start, stop)
 
-    def component_nodes(self) -> list[tuple[str, int, tuple[int, ...]]]:
-        return [
-            (letter, n, tuple(range(start, stop)))
-            for letter, n, start, stop in self.component_slices
-        ]
-
 
 def _component_labels(config: ADEConfig) -> list[str]:
     labels = []
@@ -320,9 +319,7 @@ def _component_catalog(max_rank: int) -> tuple[int, tuple[tuple[str, int, int], 
     """(scale, items, grain): every ADE component of rank <= max_rank as
     (letter, n, m * scale), largest m first, scale the lcm of the m
     denominators, and grain[i] the gcd of the scaled m of items i.."""
-    kinds = [("A", n) for n in range(1, max_rank + 1)]
-    kinds += [("D", n) for n in range(4, max_rank + 1)]
-    kinds += [("E", n) for n in ADE_E_RANKS if n <= max_rank]
+    kinds = _component_types(max_rank)
     ms = [component_m(letter, n) for letter, n in kinds]
     scale = lcm(*(m.denominator for m in ms))
     items = sorted(((letter, n, m.numerator * (scale // m.denominator)) for (letter, n), m in zip(kinds, ms)),

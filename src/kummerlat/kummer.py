@@ -141,18 +141,19 @@ def build_K_Q8hat() -> KummerReport:
     doubles = (DELTA_1, tuple(map(add, DELTA_1, DELTA_2)), DELTA_2)
     even_sets = [tuple(label for label, x in zip(F.basis_labels, _t_base_nums(gamma)) if x % 2)
                  for gamma in doubles]
+    text = {d: str(d).replace(" ", "") for d in (DELTA_1, DELTA_2, DELTA_2_ALT)}
     return _saturation("Q8hat", F, [d1, d2]).replace(
         even_sets=tuple(even_sets),
         glue_info=(
-            "delta_1 = (1,1,1,1,2,0) in base t_1..t_6",
-            "delta_2 = (1,3,2,0,1,3) in base t_1..t_6",
+            f"delta_1 = {text[DELTA_1]} in base t_1..t_6",
+            f"delta_2 = {text[DELTA_2]} in base t_1..t_6",
             f"q(delta_1) = {q_value(F, d1.vector)}",
             f"q(delta_2) = {q_value(F, d2.vector)}",
         ),
         notes=(
             "half of each even set v_1, v_2, v_3 lies in the saturation",
             "2*delta_1, 2*delta_2, 2*(delta_1+delta_2) reduce to v_1/2, v_3/2, v_2/2 mod F",
-            "delta_2 and its variant (3,1,2,0,3,1) generate the same lattice",
+            f"delta_2 and its variant {text[DELTA_2_ALT]} generate the same lattice",
         ),
     )
 

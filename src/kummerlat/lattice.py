@@ -362,10 +362,6 @@ class OverlatticeResult(Record):
     H: tuple[tuple[int, ...], ...]
     parent: GramLattice
 
-    @cached_property
-    def basis_in_parent(self) -> tuple[RationalVector, ...]:
-        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.H)
-
     def contains(self, coords) -> bool:
         """Is the given parent-coordinate vector an element of the overlattice?
 

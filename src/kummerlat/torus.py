@@ -101,18 +101,14 @@ class TorusLattice(Record):
 
     @cached_property
     def _frame_change(self) -> tuple[list[list[int]], list[list[int]], int]:
-        """(C, adj(C), det(C)), computed once per lattice."""
+        """(C, adj(C), det(C)), computed once per lattice: with U C V = D the
+        Smith form, adj(C) = det(C) C^-1 = V diag(det(C) / d_i) U."""
         cols = [list(c) for c in zip(*self.rows)]
         det = det_int(cols)
         if det == 0:
             raise DegenerateLattice("torus lattice basis is singular")
-        # adj(C)[i][j] is the (j, i) cofactor of C
-        adj = [
-            [(-1) ** (i + j) * det_int([r[:i] + r[i + 1:] for k, r in enumerate(cols) if k != j])
-             for j in range(4)]
-            for i in range(4)
-        ]
-        return cols, adj, det
+        D, U, V = smith_normal_form(cols)
+        return cols, mat_mul(V, [[det // D[k][k] * x for x in row] for k, row in enumerate(U)]), det
 
     def to_lattice_matrix(self, frame_matrix) -> tuple[tuple[int, ...], ...]:
         """Conjugate a frame-coordinate linear map M = nums / m into lattice
@@ -212,7 +208,10 @@ def _compose(g, h, n: int):
                  for a, b, c, d in m), _apply(m, t, s, n)
 
 
-def closure(generators, bound: int = 120) -> tuple[AffineTorusMap, ...]:
+_CLOSURE_BOUND = 120  # the largest group here has 24 elements
+
+
+def closure(generators) -> tuple[AffineTorusMap, ...]:
     """Breadth-first multiplicative closure of affine maps mod the lattice.
 
     Elements are composed as (M, translation numerators mod N) pairs, N the
@@ -231,8 +230,8 @@ def closure(generators, bound: int = 120) -> tuple[AffineTorusMap, ...]:
                 if gh not in els:
                     els.add(gh)
                     new.append(gh)
-                    if len(els) > bound:
-                        raise ClosureExceedsBound(f"closure exceeded {bound} elements")
+                    if len(els) > _CLOSURE_BOUND:
+                        raise ClosureExceedsBound(f"closure exceeded {_CLOSURE_BOUND} elements")
         frontier = new
     frac = {x: Fraction(x, n) for _, t in els for x in t}
     return tuple(AffineTorusMap(lin, tuple(map(frac.__getitem__, t))) for lin, t in sorted(els))
@@ -266,14 +265,7 @@ _GROUPS = {
     "Q8hat": ("a", -1, [(QUAT_I, _NO_SHIFT), (QUAT_J, ALPHA)]),
     "T24hat": ("a", -1, [(QUAT_I, _NO_SHIFT), (QUAT_J, ALPHA), (QUAT_T, HALF_S)]),
 }
-_ALIASES = {
-    "Z2": "neg1",
-    "-1": "neg1",
-    "Z4": "i",
-    "<i>": "i",
-    "Q8<T24": "Q8_T24",
-    "Q8subT24": "Q8_T24",
-}
+_ALIASES = {"Z2": "neg1", "Z4": "i"}
 
 
 def standard_group(name: str, lattice: str | None = None, e1=None, e2=None) -> TorusGroup:

@@ -33,9 +33,14 @@ def solve(A, B):
     return [row[n:] for row in M]
 
 
+def basis_in_parent(K):
+    """The overlattice basis in parent coordinates: the rows H[i] / den."""
+    return tuple(tuple(Fraction(x, K.den) for x in row) for row in K.H)
+
+
 def fraction_contains(K, coords):
     """Overlattice membership: the coordinates in K's basis are integers."""
-    basis_cols = list(zip(*K.basis_in_parent))
+    basis_cols = list(zip(*basis_in_parent(K)))
     x = solve(basis_cols, [[c] for c in vec(coords)])
     return x is not None and all(row[0].denominator == 1 for row in x)
 

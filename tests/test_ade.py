@@ -194,8 +194,8 @@ def test_gram_E8_unimodular():
 
 def test_dynkin_components():
     graph = dynkin(parse_config("2A1+A3"))
-    comps = graph.component_nodes()
-    assert [(l, n) for l, n, _ in comps] == [("A", 1), ("A", 1), ("A", 3)]
+    comps = graph.component_slices
+    assert [(l, n) for l, n, _, _ in comps] == [("A", 1), ("A", 1), ("A", 3)]
     assert len(graph.nodes) == 5
     assert len(graph.edges) == 2
 

@@ -373,8 +373,8 @@ def componentwise_admissible(graph, p, v):
     if v.bit_count() not in _SIZES[p]:
         return False
     n = len(graph.nodes)
-    for (_, _, nodes), pats in zip(graph.component_nodes(), _patterns(graph, p)):
-        cmask = sum(1 << ((c - 1) * n + node) for c in range(1, p) for node in nodes)
+    for (_, _, start, stop), pats in zip(graph.component_slices, _patterns(graph, p)):
+        cmask = sum(1 << ((c - 1) * n + node) for c in range(1, p) for node in range(start, stop))
         if v & cmask and v & cmask not in pats:
             return False
     return True
@@ -1316,7 +1316,7 @@ def oracle_witnesses(graph):
     """The witness builder `_witnesses` replaced: every policy combination
     built in full over per-node tuples, then dropped below 12 curves; the
     curves come as labels."""
-    comps = graph.component_nodes()
+    comps = [(letter, k, tuple(range(start, stop))) for letter, k, start, stop in graph.component_slices]
     groups: dict[tuple[str, int], list[int]] = {}
     for idx, (letter, k, _) in enumerate(comps):
         groups.setdefault((letter, k), []).append(idx)

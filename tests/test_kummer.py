@@ -21,6 +21,8 @@ from kummerlat import (
 )
 from kummerlat.kummer import GROUP_CONFIGS
 
+from fraction_oracles import basis_in_parent
+
 
 def test_group_table():
     expected_rho = {
@@ -267,8 +269,8 @@ def fraction_same_roots(K, roots_parent, roots_over):
     """Each overlattice root mapped to the parent row by row in Fractions."""
     over_in_parent = set()
     for r in roots_over:
-        w = [sum((c * row[j] for c, row in zip(r, K.basis_in_parent)), Fraction(0))
-             for j in range(len(K.basis_in_parent))]
+        w = [sum((c * row[j] for c, row in zip(r, basis_in_parent(K))), Fraction(0))
+             for j in range(len(basis_in_parent(K)))]
         if next((c for c in w if c), 0) < 0:
             w = [-c for c in w]
         over_in_parent.add(tuple(w))

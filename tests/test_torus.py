@@ -182,7 +182,7 @@ def test_closure_bound_guard():
         (Fraction(1, 7), 0, 0, 0),
     )
     with pytest.raises(ClosureExceedsBound):
-        closure([shear, bad], bound=50)
+        closure([shear, bad])
 
 
 def test_affine_map_rejects_non_integer_linear_part():
