@@ -25,6 +25,7 @@ safe for concurrent use; outputs are deterministic.
 
 from .ade import (
     ADEConfig,
+    CensusTooLarge,
     DynkinGraph,
     InvalidComponent,
     ParseError,

@@ -17,6 +17,7 @@ RankLimitExceeded.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -46,6 +47,16 @@ class InvalidComponent(ValueError):
 
 class RankLimitExceeded(ValueError):
     """Rank above 19, which no K3 carries, given to a curve-level builder."""
+
+
+class CensusTooLarge(ValueError):
+    """A census with more configurations than `_CENSUS_CAP`."""
+
+
+# up to about 2 s of walk (100-240 us per configuration, more for larger m)
+_CENSUS_CAP = 10_000
+# the interpreter's default limit on the digits that int() reads or str() writes
+_MAX_DIGITS = 4300
 
 
 def _check_rank(rank: int) -> None:
@@ -187,6 +198,8 @@ def parse_config(text: str) -> ADEConfig:
         m = _TERM_RE.match(term)
         if not m:
             raise ParseError(f"malformed term {term!r}", pos)
+        if max(len(m.group(1) or ""), len(m.group(3))) > _MAX_DIGITS:
+            raise ParseError(f"more than {_MAX_DIGITS} digits in term {term!r}", pos)
         mult = int(m.group(1)) if m.group(1) else 1
         if not mult:
             raise ParseError(f"zero count in term {term!r}", pos)
@@ -336,7 +349,12 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
     the tree.  It runs on m scaled to integers by the lcm of the catalog's
     denominators.  Components idx.. sum to multiples of their gcd (grain[idx])
     only, so a remainder off the grain ends a branch, and the last component,
-    A_1, takes the remainder in one step.  Output sorted by (rank, counts).
+    A_1, takes the remainder in one step.  The counts of a component step
+    along the residue that leaves the remainder on the next grain, up to the
+    rank that copies of A_1 leave over; a count of 0 moves on to the next
+    component in the same call, so the recursion is only as deep as the
+    number of component types in use.  Output sorted by (rank, counts); more
+    than `_CENSUS_CAP` configurations raise CensusTooLarge.
     """
     m_target = Fraction(m_target)
     if m_target <= 0 or max_rank < 0:
@@ -346,20 +364,36 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
     if (m_target * scale).denominator != 1:  # no sum of component m values
         return []
     results: list[ADEConfig] = []
+    neg_m = [-m for _, _, m in items]
+    waste = [3 * scale * n - 2 * m for _, n, m in items]
+    steps = [b // a for a, b in zip(grain, grain[1:])]
+    inverse = [pow(m // a, -1, step) for (_, _, m), a, step in zip(items, grain, steps)]
 
-    def descend(idx: int, rem_m: int, rem_rank: int, counts: dict) -> None:
+    def found(counts: dict) -> None:
+        if len(results) == _CENSUS_CAP:
+            raise CensusTooLarge(f"more than {_CENSUS_CAP} configurations with m = {m_target} "
+                                 f"and rank <= {max_rank}")
+        results.append(ADEConfig.from_counts(counts))
+
+    def descend(idx: int, rem_m: int, slack: int, counts: dict) -> None:
+        # slack = 3 rem_rank - 2 rem_m >= 0 (scaled) is the rank that copies of A_1
+        # leave over; a copy of a component spends waste = 3n - 2m of it
         if rem_m == 0:
-            results.append(ADEConfig.from_counts(counts))
-        elif idx < len(items) and rem_m % grain[idx] == 0 and 2 * rem_m <= 3 * scale * rem_rank:
+            return found(counts)
+        # components idx.. whose m exceeds rem_m take a count of 0
+        while (idx := bisect_left(neg_m, -rem_m, idx)) < len(items) and rem_m % grain[idx] == 0:
             letter, n, m_comp = items[idx]
-            if idx + 1 == len(items):  # rem_m // m_comp copies of A_1, which the bound fits
-                results.append(ADEConfig.from_counts({**counts, (letter, n): rem_m // m_comp}))
-                return
-            for c in range(min(rem_m // m_comp, rem_rank // n), -1, -1):
-                more = {**counts, (letter, n): c} if c else counts
-                descend(idx + 1, rem_m - c * m_comp, rem_rank - c * n, more)
+            if idx + 1 == len(items):  # rem_m // m_comp copies of A_1, which the slack fits
+                return found({**counts, (letter, n): rem_m // m_comp})
+            # the counts c = c0 mod step leave the remainder on the next grain
+            top, step = min(rem_m // m_comp, slack // waste[idx]), steps[idx]
+            c0 = rem_m // grain[idx] * inverse[idx] % step
+            for c in range(top - (top - c0) % step, 0, -step):
+                descend(idx + 1, rem_m - c * m_comp, slack - c * waste[idx], {**counts, (letter, n): c})
+            idx += 1
 
-    descend(0, int(m_target * scale), max_rank, {})
+    if 2 * m_target <= 3 * max_rank:
+        descend(0, int(m_target * scale), int((3 * max_rank - 2 * m_target) * scale), {})
     del descend  # the closure refers to itself: free it now, not at a GC pass
     return sorted(results, key=ADEConfig.sort_key)
 

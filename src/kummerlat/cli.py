@@ -5,6 +5,12 @@ Exit codes: 0 on success (an Excluded verdict is data, not an error),
 stabilizer outside the ADE table, and 141 when the reader of stdout quits
 first (the status a shell reports for such a reader).  All rationals in
 JSON output are strings "p/q"; output is deterministic for fixed input.
+
+`--m`, `--e1` and `--e2` read one grammar on every interpreter, the syntax
+of `Fraction` on Python 3.11: underscores may group digits (`1_000`; 3.10
+refuses them) and no space may stand around "/" (3.12 allows it).  Numbers
+of more than 4300 digits (the interpreter's int/str limit), in that text, in
+a `--config` term or in a value to print, and exponents beyond 4300 exit 2.
 """
 
 from __future__ import annotations
@@ -12,17 +18,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import cache
 
 from . import divisibility, kummer, torus
-from .ade import enumerate_configs, m_value, parse_config
+from .ade import _MAX_DIGITS, enumerate_configs, m_value, parse_config
 from .lattice import frac_str
 
 INTERNAL_ERROR_EXIT = 3
 BROKEN_PIPE_EXIT = 141
-MAX_EXPONENT = 4300  # the interpreter's default int-digit limit
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIONAL = re.compile(rf"\s*([+-]?)(?=\d|\.\d)((?:{_DIGITS})?)"
+                       rf"(?:/({_DIGITS})|(?:\.((?:{_DIGITS})?))?(?:e([+-]?{_DIGITS}))?)\s*", re.IGNORECASE)
 
 
 def _emit_json(payload: dict) -> None:
@@ -30,17 +39,31 @@ def _emit_json(payload: dict) -> None:
 
 
 def _parse_rational(text: str) -> Fraction:
-    # Fraction works out 10**exponent first, so a huge exponent is refused here
-    digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-    if digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
-        raise argparse.ArgumentTypeError(f"exponent beyond {MAX_EXPONENT} in {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+    """The rational that `text` spells in the grammar of the module docstring."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+    sign, whole, den, point, exp = (g.replace("_", "") if g else "" for g in match.groups())
+    # the exponent is refused before 10**exponent is worked out
+    magnitude = exp.lstrip("+-").lstrip("0")
+    if len(magnitude) > len(str(_MAX_DIGITS)) or magnitude and int(magnitude) > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"exponent beyond {_MAX_DIGITS} in {text!r}")
+    if max(len(whole + point), len(den)) > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {_MAX_DIGITS} digits in {text!r}")
+    if den and not int(den):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+    shift = (-1 if exp.startswith("-") else 1) * int(magnitude or "0") - len(point)
+    return Fraction(int(sign + whole + point), int(den or "1")) * Fraction(10) ** shift
+
+
+def _check_digits(option: str, *values: int) -> None:
+    """Refuse, naming the option, a number that str() would refuse to write."""
+    if max(map(abs, values)) >= 10**_MAX_DIGITS:
+        raise ValueError(f"{option} gives a number of more than {_MAX_DIGITS} digits")
 
 
 def cmd_census(args) -> int:
+    _check_digits("--m", args.m.numerator, args.m.denominator)
     configs = enumerate_configs(args.m, args.max_rank)
     if args.json:
         _emit_json(
@@ -88,11 +111,13 @@ def cmd_kummer(args) -> int:
 
 def cmd_obstruct(args) -> int:
     config = parse_config(args.config)
+    m = m_value(config)
+    _check_digits("--config", config.rank, m.numerator, m.denominator)
     report = divisibility.check_nonexistence(config)
     if args.json:
         _emit_json(report.to_json_dict())
         return 0
-    print(f"configuration {config.render()}: m = {m_value(config)}, "
+    print(f"configuration {config.render()}: m = {m}, "
           f"rank = {config.rank}")
     print(f"verdict: {report.verdict}")
     for step in report.steps:

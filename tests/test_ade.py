@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -408,6 +409,41 @@ def test_census_rejects_negative_max_rank(max_rank):
     with pytest.raises(ValueError, match="max rank"):
         enumerate_configs(Fraction(3, 2), max_rank)
     assert enumerate_configs(Fraction(3, 2), 0) == []
+
+
+def walk_calls(m, max_rank):
+    """(results, calls of the census walk's `descend`), counted by a profile hook."""
+    calls = 0
+
+    source = enumerate_configs.__code__.co_filename
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "descend" and frame.f_code.co_filename == source:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        results = enumerate_configs(m, max_rank)
+    finally:
+        sys.setprofile(None)
+    return len(results), calls
+
+
+@pytest.mark.parametrize(
+    "m, max_rank, results, calls",
+    [(Fraction(3, 2), 19, 1, 1), (12, 9, 2, 2), (24, 19, 18, 51), (Fraction(57, 2), 19, 1, 1),
+     (36, 19, 0, 0), (48, 40, 1144, 5630)],
+    ids=["3/2", "12", "24", "57/2", "36", "48-rank-40"],
+)
+def test_census_walk_calls_per_result(m, max_rank, results, calls):
+    # counts step along the grain and within the rank left over, so few branches die
+    assert walk_calls(m, max_rank) == (results, calls)
+    assert calls <= 38 * results
+
+
+def test_census_cap_keeps_the_largest_pinned_census():
+    assert len(enumerate_configs(58, 1000)) == 8735
 
 
 # --- JSON render -----------------------------------------------------------

@@ -218,6 +218,23 @@ def test_census_huge_max_rank_matches_small(m):
     assert elapsed < 5.0
 
 
+def test_census_beyond_the_cap_exits_2():
+    start = time.perf_counter()
+    res = run_cli("census", "--m", "200", "--max-rank", "1000")
+    assert time.perf_counter() - start < 5.0
+    assert res.returncode == 2
+    assert "error: more than 10000 configurations with m = 200 and rank <= 1000" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_census_deeper_than_the_recursion_limit():
+    # 1000 copies of A_1 alone fill the rank: the walk skips 1998 component types
+    code, text, _ = _main_stdout("census", "--m", "1500", "--max-rank", "1000")
+    assert code == 0
+    assert text.splitlines()[1:] == ["  1000A1  (rank 1000)", "total: 1"]
+
+
 def test_torus_q8hat():
     res = run_cli("torus", "--group", "Q8hat", "--json")
     data = json.loads(res.stdout)
@@ -351,6 +368,48 @@ def test_huge_exponent_exits_2_at_once(argv, text):
 )
 def test_parse_rational_keeps_exponents_up_to_4300(text, value):
     assert cli._parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["1_2", " 12 ", "+12", "24/2", "1.2e1", "1_2.0_0e0_0", "120e-1"])
+def test_census_m_reads_one_grammar(text):
+    # underscores group digits on every interpreter, as Fraction reads them from 3.11
+    assert run_main(["census", "--m", text, "--max-rank", "9"]) == (
+        0, run_main(["census", "--m", "12", "--max-rank", "9"])[1], "")
+
+
+LONG_COUNT = "9" * 5000 + "A1"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["census", "--m", "3 / 2"], "not a rational: '3 / 2'"),
+        (["census", "--m", "1__2"], "not a rational: '1__2'"),
+        (["census", "--m", "1" + "0" * 4300], "more than 4300 digits in '10000"),
+        (["census", "--m", "1/" + "7" * 4301, "--json"], "more than 4300 digits in '1/7777"),
+        (["census", "--m", "1e4300"], "--m gives a number of more than 4300 digits"),
+        (["census", "--m", "1e-4300", "--json"], "--m gives a number of more than 4300 digits"),
+        (["torus", "--group", "lieberman", "--e1", "1" * 4301 + ",0", "--e2", "0,1/2"],
+         "more than 4300 digits in '1111"),
+        (["obstruct", "--config", LONG_COUNT], "more than 4300 digits in term '9999"),
+        (["obstruct", "--config", "A1+A" + "1" * 4301, "--json"], "more than 4300 digits in term 'A1111"),
+        (["obstruct", "--config", "9" * 4300 + "A1"], "--config gives a number of more than 4300 digits"),
+        (["obstruct", "--config", "7" * 2200 + "A" + "7" * 2200, "--json"],
+         "--config gives a number of more than 4300 digits"),
+    ],
+    ids=["m-spaced-slash", "m-double-underscore", "m-4301-digits", "m-4301-digit-denominator",
+         "m-1e4300", "m-1e-4300-json", "torus-e1-4301-digits", "obstruct-5000-digit-count",
+         "obstruct-4301-digit-rank-json", "obstruct-4300-digit-count", "obstruct-4400-digit-rank-json"],
+)
+def test_number_errors_name_the_option_or_text(argv, message):
+    # never the interpreter's own "Exceeds the limit (4300 digits)" message
+    start = time.perf_counter()
+    code, out, err = run_main(argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Exceeds the limit" not in err
 
 
 def test_deterministic_output():

@@ -891,6 +891,39 @@ def test_singular_torus_basis():
     assert outcome(fraction_to_lattice_vector, lat, ALPHA) == singular
 
 
+def cofactor_adjugate(cols):
+    """adj(C)[i][j] as the (j, i) cofactor of C: the 16 determinants that the
+    Smith-form adjugate replaced."""
+    return [[(-1) ** (i + j) * det_int([r[:i] + r[i + 1:] for k, r in enumerate(cols) if k != j])
+             for j in range(4)] for i in range(4)]
+
+
+def seeded_bases(seed, count, singular=False):
+    rng = random.Random(seed)
+    bases = []
+    while len(bases) < count:
+        rows = tuple(tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(4))
+        if (det_int(rows) == 0) == singular:
+            bases.append(TorusLattice("r", rng.randint(1, 4), rows))
+    return bases
+
+
+@pytest.mark.parametrize(
+    "lat", [*LATTICES.values(), *seeded_bases(36, 8)], ids=[*LATTICES, *(f"seeded-{i}" for i in range(8))]
+)
+def test_frame_change_is_the_cofactor_adjugate(lat):
+    cols, adj, det = lat._frame_change
+    assert cols == [list(c) for c in zip(*lat.rows)]
+    assert (adj, det) == (cofactor_adjugate(cols), det_int(cols))
+    assert mat_mul(cols, adj) == [[det * (i == j) for j in range(4)] for i in range(4)]
+
+
+def test_frame_change_of_a_singular_basis():
+    for lat in seeded_bases(36, 3, singular=True):
+        with pytest.raises(DegenerateLattice, match="singular"):
+            lat._frame_change
+
+
 def test_change_of_basis_matches_fraction_oracle_on_random_lattices():
     rng = random.Random(20261018)
     identity = [[int(i == j) for j in range(4)] for i in range(4)]
