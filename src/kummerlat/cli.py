@@ -29,6 +29,7 @@ from .lattice import frac_str
 
 INTERNAL_ERROR_EXIT = 3
 BROKEN_PIPE_EXIT = 141
+_TOO_LONG = 10**_MAX_DIGITS  # the least number of more than _MAX_DIGITS digits
 _DIGITS = r"\d+(?:_\d+)*"
 _RATIONAL = re.compile(rf"\s*([+-]?)(?=\d|\.\d)((?:{_DIGITS})?)"
                        rf"(?:/({_DIGITS})|(?:\.((?:{_DIGITS})?))?(?:e([+-]?{_DIGITS}))?)\s*", re.IGNORECASE)
@@ -58,7 +59,7 @@ def _parse_rational(text: str) -> Fraction:
 
 def _check_digits(option: str, *values: int) -> None:
     """Refuse, naming the option, a number that str() would refuse to write."""
-    if max(map(abs, values)) >= 10**_MAX_DIGITS:
+    if max(map(abs, values)) >= _TOO_LONG:
         raise ValueError(f"{option} gives a number of more than {_MAX_DIGITS} digits")
 
 
@@ -111,12 +112,13 @@ def cmd_kummer(args) -> int:
 
 def cmd_obstruct(args) -> int:
     config = parse_config(args.config)
-    m = m_value(config)
-    _check_digits("--config", config.rank, m.numerator, m.denominator)
+    _check_digits("--config", config.rank)  # no count or size exceeds the rank
     report = divisibility.check_nonexistence(config)
     if args.json:
         _emit_json(report.to_json_dict())
         return 0
+    m = m_value(config)
+    _check_digits("--config", m.numerator, m.denominator)
     print(f"configuration {config.render()}: m = {m}, "
           f"rank = {config.rank}")
     print(f"verdict: {report.verdict}")
