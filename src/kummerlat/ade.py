@@ -53,7 +53,7 @@ class CensusTooLarge(ValueError):
     """A census with more configurations than `_CENSUS_CAP`."""
 
 
-# up to about 2 s of walk (100-240 us per configuration, more for larger m)
+# about 2 s of walk at m = 200; the time per configuration grows with the catalogue
 _CENSUS_CAP = 10_000
 # the interpreter's default limit on the digits that int() reads or str() writes
 _MAX_DIGITS = 4300
