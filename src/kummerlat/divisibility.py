@@ -41,7 +41,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, combinations, combinations_with_replacement, product
 from math import inf
 
@@ -467,28 +467,17 @@ def _options(p: int, shape, d: int, c: int):
 def _split(p: int, shapes, d: int, c: int) -> dict[int, tuple] | None:
     """Free vectors per component (others 0) giving exactly the columns of
     catalogue code c of dimension d, or None: most constrained shapes first,
-    identical ones in non-decreasing options, failed states kept, and a tail
-    of shapes of one column t times takes any remainder of t-multiples it fits."""
+    shapes of one column last, identical ones in non-decreasing options."""
     code = _catalogue(p)[d][c]
     opts = [_options(p, s, d, c) for s in shapes]
     ts = [s[0][1] if len(s) == 1 == len(s[0][0]) else 0 for s in shapes]
     order = sorted(range(len(ts)), key=lambda i: (ts[i] > 0, -ts[i] or len(opts[i][0]), shapes[i]))
-    room, tail = [0] * (len(order) + 1), [0] * (len(order) + 1)  # suffix sums; common t or 0
-    for i in reversed(range(len(order))):
-        room[i] = room[i + 1] + opts[order[i]][1]
-        tail[i] = ts[order[i]] if i + 1 == len(order) or tail[i + 1] == ts[order[i]] else 0
-    failed = set()
+    room = [*accumulate((opts[j][1] for j in reversed(order)), initial=0)][::-1]  # suffix sums
 
     def walk(i: int, rem: tuple[int, ...], lo: int) -> dict[int, tuple] | None:
         if not any(rem):
             return {}
         if sum(rem) > room[i]:
-            return None
-        if t := tail[i]:
-            if any(x % t for x in rem) or sum(rem) // t > len(order) - i:
-                return None
-            return dict(zip(order[i:], ((v,) for v, x in zip(code, rem) for _ in range(x // t))))
-        if (i, rem, lo) in failed:
             return None
         j = order[i]
         same = i + 1 < len(order) and shapes[order[i + 1]] == shapes[j]
@@ -498,11 +487,10 @@ def _split(p: int, shapes, d: int, c: int) -> dict[int, tuple] | None:
                 rest = walk(i + 1, tuple(map(operator.sub, rem, counts)), idx if same else 0)
                 if rest is not None:
                     return {**rest, j: lams}
-        failed.add((i, rem, lo))
         return None
 
     found = walk(0, tuple(code.values()), 0)
-    del walk  # the closure refers to itself: free its search state now, not at a GC pass
+    del walk  # the closure refers to itself: free it now, not at a GC pass
     return found
 
 
@@ -568,30 +556,18 @@ def _component_policies(letter: str, n: int):
 
 
 class _Witness(Record):
-    """A policy per component, kept as its components' local masks; the
-    global masks are formed only when a search, a cover or a step reads them."""
+    """A choice of one policy per component, its masks placed on the components."""
 
     size: int
     description: str
     tables: tuple  # per component type: its `_type_table`
-    starts: tuple[int, ...]  # per component: its first node
-    alive: tuple  # per component type: the allowed local masks of each copy
-    masks: tuple  # per component type: the curve local mask of each copy
+    allowed: tuple[tuple[int, ...], ...]  # per component: the global pattern masks
+    curves: int  # the mask of the witness's disjoint curves
 
     @property
     def required(self) -> int:
         """The dimension of the even-set code that the size forces."""
         return self.size - 11
-
-    @cached_property
-    def allowed(self) -> tuple[tuple[int, ...], ...]:
-        """Per component: the global pattern masks."""
-        return tuple(tuple(q << s for q in a) for s, a in zip(self.starts, chain(*self.alive)))
-
-    @cached_property
-    def curves(self) -> int:
-        """The mask of the witness's disjoint curves."""
-        return sum(m << s for s, m in zip(self.starts, chain(*self.masks)))
 
 
 @lru_cache(maxsize=None)
@@ -610,15 +586,17 @@ def _type_options(letter: str, k: int, count: int):
 
 def _witnesses(config: ADEConfig) -> list[_Witness]:
     """Every choice of one policy per component whose curves number 12 or
-    more, from each component type's `_type_options`; a witness moves its
-    local masks onto their components (mask << start) only when read."""
+    more, from each component type's `_type_options`, with its local masks
+    moved onto their components (mask << start)."""
     starts = (0, *accumulate(k for _, k in config.components()))[:-1]
     per_type = [_type_options(letter, k, c) for letter, k, c in config.terms()]
     witnesses = []
     for combo in product(*per_type):
         if (size := sum(t[0] for t in combo)) >= 12:
             _, alive, masks, parts, tables = zip(*combo)
-            witnesses.append(_Witness(size, "; ".join(parts), tables, starts, alive, masks))
+            allowed = tuple(tuple(q << s for q in a) for s, a in zip(starts, chain(*alive)))
+            curves = sum(m << s for s, m in zip(starts, chain(*masks)))
+            witnesses.append(_Witness(size, "; ".join(parts), tables, allowed, curves))
     witnesses.sort(key=lambda w: (w.size, w.description))
     return witnesses
 
