@@ -57,6 +57,7 @@ class CensusTooLarge(ValueError):
 _CENSUS_CAP = 10_000
 # the interpreter's default limit on the digits that int() reads or str() writes
 _MAX_DIGITS = 4300
+_TOO_LONG = 10**_MAX_DIGITS  # the least number of more than _MAX_DIGITS digits
 
 
 def _check_rank(rank: int) -> None:
@@ -359,6 +360,8 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
     m_target = Fraction(m_target)
     if m_target <= 0 or max_rank < 0:
         raise ValueError("m target must be positive and max rank nonnegative")
+    if 2 * m_target > 3 * max_rank:  # A_1 gives the most m per unit of rank
+        return []
     # component_m(letter, n) > n, so no component of rank above m fits
     scale, items, grain = _component_catalog(min(max_rank, int(m_target)))
     if (m_target * scale).denominator != 1:  # no sum of component m values
@@ -392,8 +395,7 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
                 descend(idx + 1, rem_m - c * m_comp, slack - c * waste[idx], {**counts, (letter, n): c})
             idx += 1
 
-    if 2 * m_target <= 3 * max_rank:
-        descend(0, int(m_target * scale), int((3 * max_rank - 2 * m_target) * scale), {})
+    descend(0, int(m_target * scale), int((3 * max_rank - 2 * m_target) * scale), {})
     del descend  # the closure refers to itself: free it now, not at a GC pass
     return sorted(results, key=ADEConfig.sort_key)
 

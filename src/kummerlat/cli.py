@@ -24,12 +24,11 @@ from fractions import Fraction
 from functools import cache
 
 from . import divisibility, kummer, torus
-from .ade import _MAX_DIGITS, enumerate_configs, m_value, parse_config
+from .ade import _MAX_DIGITS, _TOO_LONG, enumerate_configs, m_value, parse_config
 from .lattice import frac_str
 
 INTERNAL_ERROR_EXIT = 3
 BROKEN_PIPE_EXIT = 141
-_TOO_LONG = 10**_MAX_DIGITS  # the least number of more than _MAX_DIGITS digits
 _DIGITS = r"\d+(?:_\d+)*"
 _RATIONAL = re.compile(rf"\s*([+-]?)(?=\d|\.\d)((?:{_DIGITS})?)"
                        rf"(?:/({_DIGITS})|(?:\.((?:{_DIGITS})?))?(?:e([+-]?{_DIGITS}))?)\s*", re.IGNORECASE)
@@ -203,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("torus", help="singularities of a torus quotient")
     p.add_argument("--group", required=True,
-                   choices=["neg1", "Z2", "i", "Z4", "Q8", "Q8_T24", "T24",
-                            "D12", "Q8hat", "T24hat", "lieberman"])
+                   choices=sorted([*torus._GROUPS, *torus._ALIASES, "lieberman"]))
     p.add_argument("--lattice", choices=sorted(torus.LATTICES))
     p.add_argument("--e1", type=_torsion_pair, help="lieberman: 2-torsion 'x,y'")
     p.add_argument("--e2", type=_torsion_pair, help="lieberman: 2-torsion 'x,y'")

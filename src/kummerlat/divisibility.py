@@ -48,6 +48,8 @@ from math import inf
 from ._record import Record
 from .ade import (
     K3_RANK_LIMIT,
+    _MAX_DIGITS,
+    _TOO_LONG,
     ADEConfig,
     DynkinGraph,
     _independent_sets,
@@ -613,9 +615,12 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
     independent admissible even sets, a p-primary length excess without
     enough p-divisible glue, or a forced even set all of whose double covers
     exceed rank 19.  A witness of dimension 1 needs one candidate, and
-    every other code search is one catalogue match (`_largest_code`).
+    every other code search is one catalogue match (`_largest_code`).  A
+    rank of more than 4300 digits, which no step could print, raises ValueError.
     """
     rho = config.rank
+    if rho >= _TOO_LONG:  # before a step fails to print it
+        raise ValueError(f"a rank of more than {_MAX_DIGITS} digits cannot be printed")
     if rho > K3_RANK_LIMIT:
         step = _step("RankExceeds", rank=rho, rank_limit=K3_RANK_LIMIT)
         return ObstructionReport(config=config, verdict=EXCLUDED, steps=(step,))

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from kummerlat import cli
+from kummerlat import cli, torus
+from test_cli_golden import TORUS_GROUPS
 
 CLI = [sys.executable, "-m", "kummerlat"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -228,6 +230,14 @@ def test_census_beyond_the_cap_exits_2():
     assert res.stdout == ""
 
 
+def test_infeasible_census_returns_before_its_catalogue():
+    # A_1 gives the most m per unit of rank, so 2m > 3 max_rank has no configuration
+    code, text, elapsed = _main_stdout("census", "--m", "20000", "--max-rank", "12000", "--json")
+    assert code == 0
+    assert json.loads(text)["count"] == 0
+    assert elapsed < 0.5
+
+
 def test_census_deeper_than_the_recursion_limit():
     # 1000 copies of A_1 alone fill the rank: the walk skips 1998 component types
     code, text, _ = _main_stdout("census", "--m", "1500", "--max-rank", "1000")
@@ -260,6 +270,15 @@ def test_torus_lieberman():
     data = json.loads(res.stdout)
     assert data["fixed_point_free"] is True
     assert data["config"] == "8A1"
+
+
+def test_torus_group_choices_are_the_torus_groups():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = sub.choices["torus"]._option_string_actions["--group"].choices
+    assert sorted(choices) == sorted([*TORUS_GROUPS, "lieberman"])
+    for name in choices:
+        halves = {"e1": (Fraction(1, 2), 0), "e2": (0, Fraction(1, 2))} if name == "lieberman" else {}
+        assert len(torus.standard_group(name, **halves)) > 1
 
 
 @pytest.mark.parametrize(

@@ -291,6 +291,16 @@ def test_kA1_verdicts(k):
         assert elapsed < 10.0
 
 
+def test_rank_of_more_than_4300_digits_is_refused_by_name():
+    # the RankExceeds step prints the rank, which str() refuses past 4300 digits
+    with pytest.raises(ValueError, match="more than 4300 digits") as info:
+        check_nonexistence(ADEConfig.from_counts({("A", 1): 10**4300}))
+    assert "Exceeds the limit" not in str(info.value)
+    report = check_nonexistence(ADEConfig.from_counts({("A", 1): 10**4299}))
+    assert report.verdict == EXCLUDED
+    assert [s.kind for s in report.steps] == ["RankExceeds"]
+
+
 def test_17A1_search_stops_at_dimension_5():
     # 17 points carry no weight-{8,16} code of dimension 6, so the search
     # looks for dimension 5, finds RM(1, 4) and reports the deficit
