@@ -90,7 +90,6 @@ from .torus import (
     fixed_points,
     left_mult_matrix,
     lieberman_check,
-    parse_abcd,
     singularity_configuration,
     stabilizer_ade_type,
     standard_group,

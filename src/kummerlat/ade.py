@@ -89,14 +89,6 @@ class ADEConfig(Record):
             d[key] = clean
 
     @classmethod
-    def of(cls, a: dict | None = None, d: dict | None = None, e: dict | None = None) -> "ADEConfig":
-        return cls(
-            a=tuple((a or {}).items()),
-            d=tuple((d or {}).items()),
-            e=tuple((e or {}).items()),
-        )
-
-    @classmethod
     def from_counts(cls, counts: dict[tuple[str, int], int]) -> "ADEConfig":
         """Configuration from component counts {(letter, n): count}."""
         pairs: dict[str, list[tuple[int, int]]] = {"A": [], "D": [], "E": []}

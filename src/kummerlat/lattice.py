@@ -162,28 +162,6 @@ class GramLattice(Record):
     def in_dual(self, x) -> bool:
         return dual_defect(self.gram, vec(x))[1] is None
 
-    def to_json(self) -> str:
-        import json  # here, not at the top: nothing on the import path needs it
-
-        return json.dumps(
-            {
-                "rank": self.rank,
-                "gram": [list(r) for r in self.gram],
-                "labels": list(self.basis_labels),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GramLattice":
-        import json
-
-        data = json.loads(text)
-        return cls(
-            gram=tuple(tuple(row) for row in data["gram"]),
-            basis_labels=tuple(data.get("labels") or ()),
-        )
-
 
 def direct_sum(blocks: list[list[list[int]]]) -> list[list[int]]:
     n = sum(len(b) for b in blocks)
@@ -338,14 +316,6 @@ class GlueVector(Record):
             i, p = defect
             raise NonIntegralGlue(f"pairing of {v} with basis vector {i} is {p}")
         return cls(v, order)
-
-    def to_json(self) -> list[str]:
-        """Coordinates as 'p/q' strings, the interchange form for glue."""
-        return [frac_str(c) for c in self.vector]
-
-    @classmethod
-    def from_json(cls, L: GramLattice, coords: list[str]) -> "GlueVector":
-        return cls.in_dual(L, coords)
 
 
 class OverlatticeResult(Record):

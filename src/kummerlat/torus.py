@@ -268,27 +268,21 @@ _GROUPS = {
 _ALIASES = {"Z2": "neg1", "Z4": "i"}
 
 
-def standard_group(name: str, lattice: str | None = None, e1=None, e2=None) -> TorusGroup:
+def standard_group(name: str, lattice: str | None = None) -> TorusGroup:
     """Catalog of the torus groups used by the quotient constructions.
 
-    Names: neg1 (or Z2), i (or Z4), Q8, Q8_T24, T24, D12, Q8hat, T24hat,
-    lieberman.  The lieberman group takes nonzero 2-torsion points e1, e2 of
-    the two elliptic-curve factors and lives on the product lattice only.
-    A lattice the generators do not preserve raises ValueError.
+    Names: neg1 (or Z2), i (or Z4), Q8, Q8_T24, T24, D12, Q8hat, T24hat.
+    The Lieberman involution group is not among them: `lieberman_check`
+    builds it from its 2-torsion points.  A lattice the generators do not
+    preserve raises ValueError.
     """
     key = name.strip()
     key = _ALIASES.get(key, key)
-    if key == "lieberman":
-        if lattice not in (None, "product"):
-            raise ValueError("the lieberman group lives on the product lattice only")
-        lat = LATTICES["product"]
-        gens = _lieberman_maps(e1, e2)
-    elif key in _GROUPS:
-        default, sq_j, table = _GROUPS[key]
-        lat = LATTICES[lattice or default]
-        gens = [_map_from_quat(lat, q, t, sq_j) for q, t in table]
-    else:
+    if key not in _GROUPS:
         raise UnrecognizedGroup(f"unknown group name {name!r}")
+    default, sq_j, table = _GROUPS[key]
+    lat = LATTICES[lattice or default]
+    gens = [_map_from_quat(lat, q, t, sq_j) for q, t in table]
     return TorusGroup(key, lat, closure(gens))
 
 
@@ -411,12 +405,6 @@ def abcd_shorthand(point: RationalVector) -> str | None:
             return None
         digits.append(str(h))
     return "".join(digits)
-
-
-def parse_abcd(text: str) -> RationalVector:
-    if len(text) != 4 or any(ch not in "01" for ch in text):
-        raise ValueError("abcd shorthand needs four binary digits")
-    return tuple(Fraction(int(ch), 2) for ch in text)
 
 
 def _cyclic_orders(maps, n: int) -> tuple[list[int], list[int], list[int]]:
@@ -568,8 +556,8 @@ def lieberman_check(e1, e2) -> LiebermanReport:
     fp_tau = fixed_points(tau)
     fp_neg = fixed_points(neg.compose(tau))
     free = fp_tau.kind == "empty" and fp_neg.kind == "empty"
-    config = (singularity_configuration(standard_group("lieberman", e1=e1, e2=e2)).config
-              if free else None)
+    config = (singularity_configuration(
+        TorusGroup("lieberman", PRODUCT_LATTICE, closure([neg, tau]))).config if free else None)
     return LiebermanReport(
         e1=tau.translation[:2],
         e2=tau.translation[2:],

@@ -248,7 +248,7 @@ def test_criterion_8_property_suites():
         for letter, n in comps:
             d = {"A": counts_a, "D": counts_d, "E": counts_e}[letter]
             d[n] = d.get(n, 0) + 1
-        config = ADEConfig.of(a=counts_a, d=counts_d, e=counts_e)
+        config = ADEConfig(tuple(counts_a.items()), tuple(counts_d.items()), tuple(counts_e.items()))
         lat = gram(config)
         got = set(roots(lat))
         g = lat.gram

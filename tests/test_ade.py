@@ -141,7 +141,7 @@ def test_non_integer_sizes_and_counts_raise():
     with pytest.raises(ValueError, match="must be integers"):
         ADEConfig(a=((2.9, 1),))
     with pytest.raises(ValueError, match="must be integers"):
-        ADEConfig.of(a={1: 2.5})
+        ADEConfig(a=tuple({1: 2.5}.items()))
     assert ADEConfig(a=((2.0, 1), (1, Fraction(2)))).render() == "2A1+A2"
 
 
@@ -155,7 +155,7 @@ def test_add_sums_counts_per_type():
 
 
 small_configs = st.builds(
-    ADEConfig.of,
+    lambda a, d, e: ADEConfig(tuple(a.items()), tuple(d.items()), tuple(e.items())),
     a=st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=3),
     d=st.dictionaries(st.integers(4, 7), st.integers(1, 2), max_size=2),
     e=st.dictionaries(st.sampled_from([6, 7, 8]), st.integers(1, 1), max_size=1),

@@ -277,8 +277,10 @@ def test_torus_group_choices_are_the_torus_groups():
     choices = sub.choices["torus"]._option_string_actions["--group"].choices
     assert sorted(choices) == sorted([*TORUS_GROUPS, "lieberman"])
     for name in choices:
-        halves = {"e1": (Fraction(1, 2), 0), "e2": (0, Fraction(1, 2))} if name == "lieberman" else {}
-        assert len(torus.standard_group(name, **halves)) > 1
+        if name == "lieberman":
+            assert torus.lieberman_check((Fraction(1, 2), 0), (0, Fraction(1, 2))).fixed_point_free
+        else:
+            assert len(torus.standard_group(name)) > 1
 
 
 @pytest.mark.parametrize(

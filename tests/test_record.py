@@ -57,7 +57,7 @@ def test_reprs_match_the_dataclass_reprs():
 
 def test_equal_records_compare_and_hash_equal():
     pairs = [
-        (parse_config("2A1+A3+D4"), ADEConfig.of(a={3: 1, 1: 2}, d={4: 1})),
+        (parse_config("2A1+A3+D4"), ADEConfig(tuple({3: 1, 1: 2}.items()), tuple({4: 1}.items()))),
         (ADEConfig(((1, 2),)), ADEConfig(a=((1, 2), (5, 0)))),
         (ObstructionStep("RankExceeds", (("rank", "20"),)), ObstructionStep(kind="RankExceeds", data=(("rank", "20"),))),
         (GramLattice(((-2,),), ("x",)), GramLattice(gram=[[-2]], basis_labels=("x",))),

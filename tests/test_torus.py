@@ -11,7 +11,6 @@ from kummerlat import (
     fixed_points,
     left_mult_matrix,
     lieberman_check,
-    parse_abcd,
     singularity_configuration,
     stabilizer_ade_type,
     standard_group,
@@ -23,6 +22,7 @@ from kummerlat.torus import (
     HURWITZ,
     IDENTITY_MAP,
     LATTICES,
+    PRODUCT_LATTICE,
     NonIsolatedFixedLocus,
     QUAT_I,
     QUAT_J,
@@ -35,6 +35,7 @@ from kummerlat.torus import (
     TorusGroup,
     UnrecognizedGroup,
     TorusLattice,
+    _lieberman_maps,
     _map_from_quat,
     closure,
 )
@@ -51,6 +52,11 @@ ONE = (1, 0, 0, 0)
 MINUS_ONE = (-1, 0, 0, 0)
 HALF = Fraction(1, 2)
 UNITS = {"1": ONE, "I": QUAT_I, "J": QUAT_J, "K": QUAT_K, "t": QUAT_T}
+
+
+def lieberman_group(e1, e2):
+    """{1, -1, tau, -tau} on the product lattice, as lieberman_check builds it."""
+    return TorusGroup("lieberman", PRODUCT_LATTICE, closure(_lieberman_maps(e1, e2)))
 
 
 # --- quaternion algebras ------------------------------------------------------
@@ -218,18 +224,6 @@ def test_d12_needs_its_own_order(lattice):
         standard_group("D12", lattice=lattice)
 
 
-@pytest.mark.parametrize("lattice", ["a", "a0", "b"])
-def test_lieberman_needs_the_product_lattice(lattice):
-    with pytest.raises(ValueError, match="product lattice only"):
-        standard_group("lieberman", lattice=lattice, e1=(HALF, 0), e2=(0, HALF))
-
-
-@pytest.mark.parametrize("lattice", [None, "product"])
-def test_lieberman_on_the_product_lattice(lattice):
-    group = standard_group("lieberman", lattice=lattice, e1=(HALF, 0), e2=(0, HALF))
-    assert group.lattice.name == "product"
-
-
 @pytest.mark.parametrize(
     "e1, message",
     [(None, "e1 is required for the lieberman group"),
@@ -238,7 +232,7 @@ def test_lieberman_on_the_product_lattice(lattice):
 )
 def test_lieberman_needs_a_two_torsion_e1(e1, message):
     with pytest.raises(ValueError, match=message):
-        standard_group("lieberman", e1=e1, e2=(0, HALF))
+        lieberman_check(e1, (0, HALF))
 
 
 @pytest.mark.parametrize("rows", [((1, 0, 0, 0),) * 3, ((1, 0, 0),) * 4], ids=["3x4", "4x3"])
@@ -250,6 +244,13 @@ def test_torus_lattice_needs_a_4x4_basis(rows):
 def test_unknown_group_name():
     with pytest.raises(UnrecognizedGroup):
         standard_group("Z7")
+
+
+def test_lieberman_is_not_a_standard_group():
+    # lieberman_check builds its group from its 2-torsion points
+    for lattice in (None, "product"):
+        with pytest.raises(UnrecognizedGroup, match="unknown group name 'lieberman'"):
+            standard_group("lieberman", lattice=lattice)
 
 
 # --- fixed points ------------------------------------------------------------
@@ -387,7 +388,7 @@ def test_exact_counts(name):
 
 
 def test_exact_counts_lieberman():
-    group = standard_group("lieberman", e1=(HALF, 0), e2=(0, HALF))
+    group = lieberman_group((HALF, 0), (0, HALF))
     assert (len(group), fixed_point_total(group)) == (4, 16)
 
 
@@ -590,14 +591,8 @@ def test_identity_has_no_fixed_point_set():
 
 def test_abcd_roundtrip():
     for text in ("0000", "1010", "1111"):
-        assert abcd_shorthand(parse_abcd(text)) == text
+        assert abcd_shorthand(tuple(Fraction(int(ch), 2) for ch in text)) == text
     assert abcd_shorthand((Fraction(1, 3), 0, 0, 0)) is None
-
-
-def test_abcd_shorthand_needs_four_binary_digits():
-    for text in ("0120", "010", "01010"):
-        with pytest.raises(ValueError, match="abcd shorthand needs four binary digits"):
-            parse_abcd(text)
 
 
 def test_abcd_needs_coordinates_in_zero_and_one_half():
@@ -722,7 +717,7 @@ def test_singularities_match_oracle(name, lattice):
     "e1,e2", list(product([(HALF, 0), (0, HALF), (HALF, HALF)], repeat=2))
 )
 def test_lieberman_matches_oracle(e1, e2):
-    group = standard_group("lieberman", e1=e1, e2=e2)
+    group = lieberman_group(e1, e2)
     assert group.elements == oracle_closure(list(group.elements))
     report = singularity_configuration(group)
     assert report == oracle_singularity_configuration(group)
@@ -751,7 +746,7 @@ def test_orbifold_euler_identity(name, lattice):
 
 def test_orbifold_euler_identity_enriques():
     # the Lieberman quotient is an Enriques surface: 8A1 gives 12
-    group = standard_group("lieberman", e1=(HALF, 0), e2=(0, HALF))
+    group = lieberman_group((HALF, 0), (0, HALF))
     report = singularity_configuration(group)
     assert report.config.render() == "8A1"
     assert orbifold_euler(report) == 12
