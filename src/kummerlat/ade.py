@@ -62,11 +62,13 @@ _TOO_LONG = 10**_MAX_DIGITS  # the least number of more than _MAX_DIGITS digits
 
 def _check_rank(rank: int) -> None:
     if rank > K3_RANK_LIMIT:
-        raise RankLimitExceeded(f"rank {rank} exceeds the K3 limit {K3_RANK_LIMIT}")
+        shown = rank if rank < _TOO_LONG else f"of more than {_MAX_DIGITS} digits"
+        raise RankLimitExceeded(f"rank {shown} exceeds the K3 limit {K3_RANK_LIMIT}")
 
 
 class ADEConfig(Record):
-    """Counts of A/D/E components, keyed by n, stored as sorted pairs."""
+    """Counts of A/D/E components, keyed by n, stored as sorted pairs; the
+    counts of a size given twice add up."""
 
     a: tuple[tuple[int, int], ...] = ()
     d: tuple[tuple[int, int], ...] = ()
@@ -81,12 +83,14 @@ class ADEConfig(Record):
             clean = tuple([(int(n), int(c)) for n, c in pairs])
             if clean != pairs and clean != tuple(map(tuple, pairs)):
                 raise ValueError("component sizes and counts must be integers")
-            clean = tuple(sorted([p for p in clean if p[1]]))
+            counts: dict[int, int] = {}
             for n, c in clean:
-                _check_component(letter, n)
-                if c < 0:
-                    raise ValueError("component counts must be nonnegative")
-            d[key] = clean
+                if c:
+                    _check_component(letter, n)
+                    if c < 0:
+                        raise ValueError("component counts must be nonnegative")
+                    counts[n] = counts.get(n, 0) + c
+            d[key] = tuple(sorted(counts.items()))
 
     @classmethod
     def from_counts(cls, counts: dict[tuple[str, int], int]) -> "ADEConfig":
@@ -133,7 +137,10 @@ class ADEConfig(Record):
     __rmul__ = __mul__
 
     def render(self) -> str:
-        parts = [f"{c if c > 1 else ''}{letter}{n}" for letter, n, c in self.terms()]
+        terms = self.terms()
+        if any(max(n, c) >= _TOO_LONG for _, n, c in terms):
+            raise ValueError(f"a count or size of more than {_MAX_DIGITS} digits cannot be printed")
+        parts = [f"{c if c > 1 else ''}{letter}{n}" for letter, n, c in terms]
         return "+".join(parts) or "0"
 
     def __str__(self) -> str:
@@ -148,11 +155,14 @@ class ADEConfig(Record):
         return (self.rank, tuple(counts), self.a, self.d, self.e)
 
     def to_json_dict(self) -> dict:
+        m = m_value(self)
+        if max(self.rank, m.numerator, m.denominator) >= _TOO_LONG:  # the rank bounds every count and size
+            raise ValueError(f"a rank or m of more than {_MAX_DIGITS} digits cannot be printed")
         return {
             "A": {str(n): c for n, c in self.a},
             "D": {str(n): c for n, c in self.d},
             "E": {str(n): c for n, c in self.e},
-            "m": frac_str(m_value(self)),
+            "m": frac_str(m),
             "rank": self.rank,
         }
 

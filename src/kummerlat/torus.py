@@ -26,7 +26,9 @@ carry the Hurwitz-order groups; the algebra with J^2 = -3 carries the
 binary dihedral group of order 12, the unit group of its maximal order with
 rational basis 1, I, (I+J)/2, (1+K)/2.  `_GROUPS` gives each group its
 default lattice, sq_j and generators as (q, frame translation) pairs, each
-written in coordinates of a lattice it must preserve.
+written in coordinates of a lattice it must preserve.  The Lieberman group
+{1, -1, tau, -tau} is not in the table: `lieberman_check` builds it on the
+product lattice from its two 2-torsion points.
 
 Two-torsion points on the Hurwitz lattice are written in the 'abcd'
 shorthand: abcd = (a/2) + (b/2) i + (c/2) j + (d/2) t for the lattice basis

@@ -11,6 +11,8 @@ from kummerlat import (
     ADEConfig,
     InvalidComponent,
     ParseError,
+    RankLimitExceeded,
+    check_nonexistence,
     discriminant_group,
     dynkin,
     enumerate_configs,
@@ -143,6 +145,42 @@ def test_non_integer_sizes_and_counts_raise():
     with pytest.raises(ValueError, match="must be integers"):
         ADEConfig(a=tuple({1: 2.5}.items()))
     assert ADEConfig(a=((2.0, 1), (1, Fraction(2)))).render() == "2A1+A2"
+
+
+def test_a_size_given_twice_adds_its_counts():
+    config = ADEConfig(a=((1, 2), (1, 3)))
+    assert config.render() == "5A1"
+    assert (config.count("A", 1), config.rank) == (5, 5)
+    assert config == parse_config("5A1") and hash(config) == hash(parse_config("5A1"))
+    assert check_nonexistence(config).config.render() == "5A1"
+    # a zero count is still dropped and a negative one still raises
+    assert ADEConfig(a=((1, 2), (1, 0), (3, 0)), d=((4, 0),)) == parse_config("2A1")
+    with pytest.raises(ValueError, match="component counts must be nonnegative"):
+        ADEConfig(a=((1, 2), (1, -1)))
+
+
+HUGE = ADEConfig.from_counts({("A", 1): 10**4300})
+# the rank prints, but m = 3/2 rank has a numerator of 4301 digits
+LONG_M = ADEConfig.from_counts({("A", 1): 10**4300 - 1})
+
+
+@pytest.mark.parametrize(
+    "call, config, error, message",
+    [
+        (gram, HUGE, RankLimitExceeded, "^rank of more than 4300 digits exceeds the K3 limit 19$"),
+        (dynkin, HUGE, RankLimitExceeded, "^rank of more than 4300 digits exceeds the K3 limit 19$"),
+        (ADEConfig.render, HUGE, ValueError, "count or size of more than 4300 digits cannot be printed"),
+        (str, HUGE, ValueError, "count or size of more than 4300 digits cannot be printed"),
+        (ADEConfig.to_json_dict, HUGE, ValueError, "rank or m of more than 4300 digits cannot be printed"),
+        (ADEConfig.to_json_dict, LONG_M, ValueError, "rank or m of more than 4300 digits cannot be printed"),
+        (gram, parse_config("20A1"), RankLimitExceeded, "^rank 20 exceeds the K3 limit 19$"),
+    ],
+    ids=["gram", "dynkin", "render", "str", "to_json_dict", "to_json_dict-m", "gram-rank-20"],
+)
+def test_numbers_past_4300_digits_are_refused_by_name(call, config, error, message):
+    with pytest.raises(error, match=message) as info:
+        call(config)
+    assert "Exceeds the limit" not in str(info.value)
 
 
 def test_add_sums_counts_per_type():
