@@ -20,7 +20,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm, prod
 
@@ -62,13 +62,14 @@ _TOO_LONG = 10**_MAX_DIGITS  # the least number of more than _MAX_DIGITS digits
 
 def _check_rank(rank: int) -> None:
     if rank > K3_RANK_LIMIT:
-        shown = rank if rank < _TOO_LONG else f"of more than {_MAX_DIGITS} digits"
-        raise RankLimitExceeded(f"rank {shown} exceeds the K3 limit {K3_RANK_LIMIT}")
+        raise RankLimitExceeded(f"rank {rank} exceeds the K3 limit {K3_RANK_LIMIT}")
 
 
 class ADEConfig(Record):
     """Counts of A/D/E components, keyed by n, stored as sorted pairs; the
-    counts of a size given twice add up."""
+    counts of a size given twice add up.  The constructor sets `rank`, and
+    refuses with ValueError a configuration whose rank or m has more than
+    4300 digits, which str() would refuse to write."""
 
     a: tuple[tuple[int, int], ...] = ()
     d: tuple[tuple[int, int], ...] = ()
@@ -76,6 +77,7 @@ class ADEConfig(Record):
 
     def __post_init__(self):
         d = self.__dict__
+        rank = 0
         for letter, key in (("A", "a"), ("D", "d"), ("E", "e")):
             if not (pairs := d[key]):
                 d[key] = ()
@@ -90,7 +92,18 @@ class ADEConfig(Record):
                     if c < 0:
                         raise ValueError("component counts must be nonnegative")
                     counts[n] = counts.get(n, 0) + c
+                    rank += n * c
             d[key] = tuple(sorted(counts.items()))
+        # The rank bounds every count and size, and m >= rank; it is tested
+        # first, since m over many sizes of thousands of digits takes seconds.
+        # Below rank 10**4, m prints: den(m) divides the lcm of the |G| of at
+        # most 2 sqrt(rank) + 3 distinct types (k distinct A or D sizes sum to
+        # at least k**2 / 4), each |G| <= 4 rank + 120, and m <= 2 rank, so m
+        # has under 1000 digits.
+        if rank >= 10**4 and (rank >= _TOO_LONG or max(m_value(self).as_integer_ratio()) >= _TOO_LONG):
+            raise ValueError(f"a configuration with a rank or m of more than {_MAX_DIGITS} digits"
+                             " cannot be printed")
+        d["rank"] = rank
 
     @classmethod
     def from_counts(cls, counts: dict[tuple[str, int], int]) -> "ADEConfig":
@@ -117,10 +130,6 @@ class ADEConfig(Record):
         """Component list in canonical block order (A asc, D asc, E asc)."""
         return [(letter, n) for letter, n, c in self.terms() for _ in range(c)]
 
-    @cached_property
-    def rank(self) -> int:
-        return sum(n * c for _, n, c in self.terms())
-
     def __add__(self, other: "ADEConfig") -> "ADEConfig":
         counts: Counter[tuple[str, int]] = Counter()
         for letter, n, c in self.terms() + other.terms():
@@ -137,10 +146,7 @@ class ADEConfig(Record):
     __rmul__ = __mul__
 
     def render(self) -> str:
-        terms = self.terms()
-        if any(max(n, c) >= _TOO_LONG for _, n, c in terms):
-            raise ValueError(f"a count or size of more than {_MAX_DIGITS} digits cannot be printed")
-        parts = [f"{c if c > 1 else ''}{letter}{n}" for letter, n, c in terms]
+        parts = [f"{c if c > 1 else ''}{letter}{n}" for letter, n, c in self.terms()]
         return "+".join(parts) or "0"
 
     def __str__(self) -> str:
@@ -155,14 +161,11 @@ class ADEConfig(Record):
         return (self.rank, tuple(counts), self.a, self.d, self.e)
 
     def to_json_dict(self) -> dict:
-        m = m_value(self)
-        if max(self.rank, m.numerator, m.denominator) >= _TOO_LONG:  # the rank bounds every count and size
-            raise ValueError(f"a rank or m of more than {_MAX_DIGITS} digits cannot be printed")
         return {
             "A": {str(n): c for n, c in self.a},
             "D": {str(n): c for n, c in self.d},
             "E": {str(n): c for n, c in self.e},
-            "m": frac_str(m),
+            "m": frac_str(m_value(self)),
             "rank": self.rank,
         }
 
@@ -206,10 +209,7 @@ def parse_config(text: str) -> ADEConfig:
         mult = int(m.group(1)) if m.group(1) else 1
         if not mult:
             raise ParseError(f"zero count in term {term!r}", pos)
-        letter = m.group(2)
-        n = int(m.group(3))
-        _check_component(letter, n)
-        key = (letter, n)
+        key = (m.group(2), int(m.group(3)))
         counts[key] = counts.get(key, 0) + mult
         pos += len(raw) + 1
     return ADEConfig.from_counts(counts)

@@ -9,8 +9,10 @@ JSON output are strings "p/q"; output is deterministic for fixed input.
 `--m`, `--e1` and `--e2` read one grammar on every interpreter, the syntax
 of `Fraction` on Python 3.11: underscores may group digits (`1_000`; 3.10
 refuses them) and no space may stand around "/" (3.12 allows it).  Numbers
-of more than 4300 digits (the interpreter's int/str limit), in that text, in
-a `--config` term or in a value to print, and exponents beyond 4300 exit 2.
+of more than 4300 digits (the interpreter's int/str limit) in that text or
+in a `--config` term exit 2, and so do exponents beyond 4300, a `--m` that
+would print with more than 4300 digits and a `--config` whose rank or m
+would, which `ADEConfig` refuses.
 """
 
 from __future__ import annotations
@@ -56,14 +58,9 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(int(sign + whole + point), int(den or "1")) * Fraction(10) ** shift
 
 
-def _check_digits(option: str, *values: int) -> None:
-    """Refuse, naming the option, a number that str() would refuse to write."""
-    if max(map(abs, values)) >= _TOO_LONG:
-        raise ValueError(f"{option} gives a number of more than {_MAX_DIGITS} digits")
-
-
 def cmd_census(args) -> int:
-    _check_digits("--m", args.m.numerator, args.m.denominator)
+    if max(abs(args.m.numerator), args.m.denominator) >= _TOO_LONG:  # str() would refuse it
+        raise ValueError(f"--m gives a number of more than {_MAX_DIGITS} digits")
     configs = enumerate_configs(args.m, args.max_rank)
     if args.json:
         _emit_json(
@@ -111,14 +108,11 @@ def cmd_kummer(args) -> int:
 
 def cmd_obstruct(args) -> int:
     config = parse_config(args.config)
-    _check_digits("--config", config.rank)  # no count or size exceeds the rank
     report = divisibility.check_nonexistence(config)
     if args.json:
         _emit_json(report.to_json_dict())
         return 0
-    m = m_value(config)
-    _check_digits("--config", m.numerator, m.denominator)
-    print(f"configuration {config.render()}: m = {m}, "
+    print(f"configuration {config.render()}: m = {m_value(config)}, "
           f"rank = {config.rank}")
     print(f"verdict: {report.verdict}")
     for step in report.steps:

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -82,10 +83,10 @@ def test_parse_invalid_component():
         parse_config("A0")
 
 
-@pytest.mark.parametrize("text, position", [("0A1", 0), ("A1+0A2", 3), ("2A1 + 00D4", 5)])
+@pytest.mark.parametrize("text, position", [("0A1", 0), ("A1+0A2", 3), ("2A1 + 00D4", 5), ("D2+0A1", 3)])
 def test_parse_refuses_zero_count(text, position):
     # "0A1" was read as the empty configuration, whose rendering "0" the
-    # parser refuses
+    # parser refuses; the constructor checks the components after every term is read
     with pytest.raises(ParseError, match="zero count") as err:
         parse_config(text)
     assert err.value.position == position
@@ -159,26 +160,77 @@ def test_a_size_given_twice_adds_its_counts():
         ADEConfig(a=((1, 2), (1, -1)))
 
 
-HUGE = ADEConfig.from_counts({("A", 1): 10**4300})
-# the rank prints, but m = 3/2 rank has a numerator of 4301 digits
-LONG_M = ADEConfig.from_counts({("A", 1): 10**4300 - 1})
+NINES = 10**4300 - 1  # as copies of A_1: a rank of 4300 digits, and m = 3/2 rank of 4301
+
+
+def a1(count: int) -> ADEConfig:
+    return ADEConfig(a=((1, count),))
 
 
 @pytest.mark.parametrize(
-    "call, config, error, message",
+    "make",
     [
-        (gram, HUGE, RankLimitExceeded, "^rank of more than 4300 digits exceeds the K3 limit 19$"),
-        (dynkin, HUGE, RankLimitExceeded, "^rank of more than 4300 digits exceeds the K3 limit 19$"),
-        (ADEConfig.render, HUGE, ValueError, "count or size of more than 4300 digits cannot be printed"),
-        (str, HUGE, ValueError, "count or size of more than 4300 digits cannot be printed"),
-        (ADEConfig.to_json_dict, HUGE, ValueError, "rank or m of more than 4300 digits cannot be printed"),
-        (ADEConfig.to_json_dict, LONG_M, ValueError, "rank or m of more than 4300 digits cannot be printed"),
+        lambda: ADEConfig(a=((1, 10**4300),)),
+        lambda: ADEConfig(a=((1, NINES),)),
+        lambda: ADEConfig(a=((10**2200, 1),)),  # a rank of 2201 digits, an m of 4401
+        # 100 sizes of 4301 digits: the rank is refused before m, which would take seconds to sum
+        lambda: ADEConfig(a=tuple((10**4300 + k, 1) for k in range(100))),
+        lambda: ADEConfig.from_counts({("A", 1): 10**4300}),
+        lambda: ADEConfig.from_counts({("A", 1): NINES}),
+        lambda: parse_config("9" * 4300 + "A1+A1"),
+        lambda: parse_config("9" * 4300 + "A1"),
+        lambda: a1(5 * 10**4299) + a1(5 * 10**4299),
+        lambda: a1(NINES // 3) + a1(2 * NINES // 3),
+        lambda: 10 * a1(10**4299),
+        lambda: 9 * a1(NINES // 9),
+        lambda: a1(10**4299) * 10,
+        lambda: a1(NINES // 9) * 9,
+    ],
+    ids=["ADEConfig-rank", "ADEConfig-m", "ADEConfig-m-size", "ADEConfig-rank-100-sizes",
+         "from_counts-rank", "from_counts-m", "parse_config-rank", "parse_config-m", "add-rank", "add-m",
+         "rmul-rank", "rmul-m", "mul-rank", "mul-m"],
+)
+def test_a_config_that_cannot_print_is_refused_where_it_is_made(make):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^a configuration with a rank or m of more than 4300 digits "
+                                         "cannot be printed$"):
+        make()
+    assert time.perf_counter() - start < 0.5
+
+
+# the largest configuration accepted: a rank and an m = 15 * 10**4298 of 4300 digits each
+EDGE = a1(10**4299)
+
+
+@pytest.mark.parametrize(
+    "call, config, error, expected",
+    [
+        (gram, EDGE, RankLimitExceeded, f"^rank {10**4299} exceeds the K3 limit 19$"),
+        (dynkin, EDGE, RankLimitExceeded, f"^rank {10**4299} exceeds the K3 limit 19$"),
+        (ADEConfig.render, EDGE, None, f"{10**4299}A1"),
+        (str, EDGE, None, f"{10**4299}A1"),
+        (repr, EDGE, None, f"ADEConfig(a=((1, {10**4299}),), d=(), e=())"),
+        (ADEConfig.to_json_dict, EDGE, None, {"A": {"1": 10**4299}, "D": {}, "E": {},
+                                              "m": f"{15 * 10**4298}/1", "rank": 10**4299}),
+        # m = NINES / 2, of 4300 digits over 2
+        (ADEConfig.to_json_dict, a1(NINES // 3), None, {"A": {"1": NINES // 3}, "D": {}, "E": {},
+                                                        "m": f"{NINES}/2", "rank": NINES // 3}),
+        (lambda c: str(m_value(c)), EDGE, None, str(15 * 10**4298)),
+        (lambda c: check_nonexistence(c).to_json_dict()["steps"], EDGE, None,
+         [{"kind": "RankExceeds", "rank": str(10**4299), "rank_limit": "19"}]),
         (gram, parse_config("20A1"), RankLimitExceeded, "^rank 20 exceeds the K3 limit 19$"),
     ],
-    ids=["gram", "dynkin", "render", "str", "to_json_dict", "to_json_dict-m", "gram-rank-20"],
+    ids=["gram", "dynkin", "render", "str", "repr", "to_json_dict", "to_json_dict-m", "m_value",
+         "check_nonexistence", "gram-rank-20"],
 )
-def test_numbers_past_4300_digits_are_refused_by_name(call, config, error, message):
-    with pytest.raises(error, match=message) as info:
+def test_numbers_past_4300_digits_are_refused_by_name(call, config, error, expected):
+    # past 4300 digits a configuration is refused where it is made (above), so on
+    # the largest one accepted every call answers, or refuses by name (`expected`
+    # is then the message), and none leaks the interpreter's "Exceeds the limit"
+    if error is None:
+        assert call(config) == expected
+        return
+    with pytest.raises(error, match=expected) as info:
         call(config)
     assert "Exceeds the limit" not in str(info.value)
 

@@ -414,9 +414,10 @@ LONG_COUNT = "9" * 5000 + "A1"
          "more than 4300 digits in '1111"),
         (["obstruct", "--config", LONG_COUNT], "more than 4300 digits in term '9999"),
         (["obstruct", "--config", "A1+A" + "1" * 4301, "--json"], "more than 4300 digits in term 'A1111"),
-        (["obstruct", "--config", "9" * 4300 + "A1"], "--config gives a number of more than 4300 digits"),
+        (["obstruct", "--config", "9" * 4300 + "A1"],
+         "a configuration with a rank or m of more than 4300 digits cannot be printed"),
         (["obstruct", "--config", "7" * 2200 + "A" + "7" * 2200, "--json"],
-         "--config gives a number of more than 4300 digits"),
+         "a configuration with a rank or m of more than 4300 digits cannot be printed"),
     ],
     ids=["m-spaced-slash", "m-double-underscore", "m-4301-digits", "m-4301-digit-denominator",
          "m-1e4300", "m-1e-4300-json", "torus-e1-4301-digits", "obstruct-5000-digit-count",

@@ -22,6 +22,7 @@ from kummerlat import (
     even_set_candidates,
     gram,
     m_value,
+    max_disjoint_curves,
     parse_config,
     required_even_sets,
     three_divisible_candidates,
@@ -289,16 +290,6 @@ def test_kA1_verdicts(k):
     assert report.verdict == (NO_OBSTRUCTION if k <= 16 else EXCLUDED)
     if k >= 18:
         assert elapsed < 10.0
-
-
-def test_rank_of_more_than_4300_digits_is_refused_by_name():
-    # the RankExceeds step prints the rank, which str() refuses past 4300 digits
-    with pytest.raises(ValueError, match="more than 4300 digits") as info:
-        check_nonexistence(ADEConfig.from_counts({("A", 1): 10**4300}))
-    assert "Exceeds the limit" not in str(info.value)
-    report = check_nonexistence(ADEConfig.from_counts({("A", 1): 10**4299}))
-    assert report.verdict == EXCLUDED
-    assert [s.kind for s in report.steps] == ["RankExceeds"]
 
 
 def test_17A1_search_stops_at_dimension_5():
@@ -1432,9 +1423,14 @@ def test_required_even_sets_thresholds():
     assert required_even_sets(parse_config("12A1")) == 1
     assert required_even_sets(parse_config("13A1")) == 2
     assert required_even_sets(parse_config("14A1")) == 3
+    # the LengthRequirement step reads this one function for the r - 11 rule
+    for config in enumerate_configs(24, 19):
+        assert required_even_sets(config) == max(0, max_disjoint_curves(config)[0] - 11), config.render()
     # a sum over component types, never one entry per curve
     huge = 99999999999999999999
+    start = time.perf_counter()
     assert required_even_sets(parse_config(f"{huge}A1")) == huge - 11
+    assert time.perf_counter() - start < 0.5
     assert required_even_sets(parse_config(f"{huge}A3+D4")) == 2 * huge + 3 - 11
 
 
