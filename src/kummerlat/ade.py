@@ -9,9 +9,10 @@ E_6, E_7, E_8.  The canonical basis ordering inside a component is frozen:
 * D_n: a path of n-2 nodes, then the two fork leaves attached to node n-2;
 * E_n: a path of n-1 nodes, then the branch node attached to path node 3.
 
-Component blocks are ordered A ascending, then D, then E.  Curve-level
-builders and per-node tables refuse rank above K3_RANK_LIMIT with
-RankLimitExceeded.
+Component blocks are ordered A ascending, then D, then E: the sorted order
+of the (letter, n, count) terms that are an `ADEConfig`'s one field.
+Curve-level builders and per-node tables refuse rank above K3_RANK_LIMIT
+with RankLimitExceeded.
 """
 
 from __future__ import annotations
@@ -66,34 +67,28 @@ def _check_rank(rank: int) -> None:
 
 
 class ADEConfig(Record):
-    """Counts of A/D/E components, keyed by n, stored as sorted pairs; the
-    counts of a size given twice add up.  The constructor sets `rank`, and
-    refuses with ValueError a configuration whose rank or m has more than
-    4300 digits, which str() would refuse to write."""
+    """A configuration as its one field `terms`: a (letter, n, count) triple
+    per component type, sorted, which is the canonical block order.  The
+    constructor is the one way to build one: it checks each component, adds
+    up the counts of a type given twice, drops zero counts and sets `rank`.
+    It refuses with ValueError a configuration whose rank or m has more than
+    `_MAX_DIGITS` digits, which str() would refuse to write."""
 
-    a: tuple[tuple[int, int], ...] = ()
-    d: tuple[tuple[int, int], ...] = ()
-    e: tuple[tuple[int, int], ...] = ()
+    terms: tuple[tuple[str, int, int], ...] = ()
 
     def __post_init__(self):
-        d = self.__dict__
+        counts: dict[tuple[str, int], int] = {}
         rank = 0
-        for letter, key in (("A", "a"), ("D", "d"), ("E", "e")):
-            if not (pairs := d[key]):
-                d[key] = ()
-                continue
-            clean = tuple([(int(n), int(c)) for n, c in pairs])
-            if clean != pairs and clean != tuple(map(tuple, pairs)):
+        for letter, size, count in self.terms:
+            if (n := int(size)) != size or (c := int(count)) != count:
                 raise ValueError("component sizes and counts must be integers")
-            counts: dict[int, int] = {}
-            for n, c in clean:
-                if c:
-                    _check_component(letter, n)
-                    if c < 0:
-                        raise ValueError("component counts must be nonnegative")
-                    counts[n] = counts.get(n, 0) + c
-                    rank += n * c
-            d[key] = tuple(sorted(counts.items()))
+            if c:
+                _check_component(letter, n)
+                if c < 0:
+                    raise ValueError("component counts must be nonnegative")
+                counts[letter, n] = counts.get((letter, n), 0) + c
+                rank += n * c
+        self.__dict__.update(terms=tuple(sorted((*t, c) for t, c in counts.items())), rank=rank)
         # The rank bounds every count and size, and m >= rank; it is tested
         # first, since m over many sizes of thousands of digits takes seconds.
         # Below rank 10**4, m prints: den(m) divides the lcm of the |G| of at
@@ -103,50 +98,21 @@ class ADEConfig(Record):
         if rank >= 10**4 and (rank >= _TOO_LONG or max(m_value(self).as_integer_ratio()) >= _TOO_LONG):
             raise ValueError(f"a configuration with a rank or m of more than {_MAX_DIGITS} digits"
                              " cannot be printed")
-        d["rank"] = rank
-
-    @classmethod
-    def from_counts(cls, counts: dict[tuple[str, int], int]) -> "ADEConfig":
-        """Configuration from component counts {(letter, n): count}."""
-        pairs: dict[str, list[tuple[int, int]]] = {"A": [], "D": [], "E": []}
-        for (letter, n), c in counts.items():
-            pairs[letter].append((n, c))
-        return cls(tuple(pairs["A"]), tuple(pairs["D"]), tuple(pairs["E"]))
-
-    def count(self, letter: str, n: int) -> int:
-        pairs = {"A": self.a, "D": self.d, "E": self.e}[letter]
-        return dict(pairs).get(n, 0)
-
-    def terms(self) -> list[tuple[str, int, int]]:
-        """(letter, n, count) per component type, in canonical block order;
-        sizes and m are sums over these, never over a list of components."""
-        return [
-            (letter, n, c)
-            for letter, pairs in (("A", self.a), ("D", self.d), ("E", self.e))
-            for n, c in pairs
-        ]
 
     def components(self) -> list[tuple[str, int]]:
         """Component list in canonical block order (A asc, D asc, E asc)."""
-        return [(letter, n) for letter, n, c in self.terms() for _ in range(c)]
+        return [(letter, n) for letter, n, c in self.terms for _ in range(c)]
 
     def __add__(self, other: "ADEConfig") -> "ADEConfig":
-        counts: Counter[tuple[str, int]] = Counter()
-        for letter, n, c in self.terms() + other.terms():
-            counts[letter, n] += c
-        return ADEConfig.from_counts(counts)
+        return ADEConfig(self.terms + other.terms)
 
     def __mul__(self, k: int) -> "ADEConfig":
-        return ADEConfig(
-            a=tuple((n, c * k) for n, c in self.a),
-            d=tuple((n, c * k) for n, c in self.d),
-            e=tuple((n, c * k) for n, c in self.e),
-        )
+        return ADEConfig(tuple((letter, n, c * k) for letter, n, c in self.terms))
 
     __rmul__ = __mul__
 
     def render(self) -> str:
-        parts = [f"{c if c > 1 else ''}{letter}{n}" for letter, n, c in self.terms()]
+        parts = [f"{c if c > 1 else ''}{letter}{n}" for letter, n, c in self.terms]
         return "+".join(parts) or "0"
 
     def __str__(self) -> str:
@@ -154,20 +120,16 @@ class ADEConfig(Record):
 
     def sort_key(self) -> tuple:
         counts = [0] * len(_SORT_SLOTS)
-        for letter, n, c in self.terms():
+        for letter, n, c in self.terms:
             if (slot := _SORT_SLOTS.get((letter, n))) is not None:
                 counts[slot] = c
-        # trailing exact tuples keep the order total beyond rank-19 parts
-        return (self.rank, tuple(counts), self.a, self.d, self.e)
+        # trailing exact (n, count) lists per letter keep the order total beyond rank-19 parts
+        exact = (tuple((n, c) for x, n, c in self.terms if x == letter) for letter in "ADE")
+        return (self.rank, tuple(counts), *exact)
 
     def to_json_dict(self) -> dict:
-        return {
-            "A": {str(n): c for n, c in self.a},
-            "D": {str(n): c for n, c in self.d},
-            "E": {str(n): c for n, c in self.e},
-            "m": frac_str(m_value(self)),
-            "rank": self.rank,
-        }
+        return {letter: {str(n): c for x, n, c in self.terms if x == letter} for letter in "ADE"} | {
+            "m": frac_str(m_value(self)), "rank": self.rank}
 
 
 def _component_types(max_rank: int) -> list[tuple[str, int]]:
@@ -195,7 +157,7 @@ _TERM_RE = re.compile(r"(\d+)?([ADE])(\d+)$")
 
 def parse_config(text: str) -> ADEConfig:
     """Parse '5A1+4A2+A5' style text; count defaults to 1, whitespace ignored."""
-    counts: dict[tuple[str, int], int] = {}
+    terms = []
     pos = 0
     for raw in text.split("+"):
         term = re.sub(r"\s+", "", raw)
@@ -209,10 +171,9 @@ def parse_config(text: str) -> ADEConfig:
         mult = int(m.group(1)) if m.group(1) else 1
         if not mult:
             raise ParseError(f"zero count in term {term!r}", pos)
-        key = (m.group(2), int(m.group(3)))
-        counts[key] = counts.get(key, 0) + mult
+        terms.append((m.group(2), int(m.group(3)), mult))
         pos += len(raw) + 1
-    return ADEConfig.from_counts(counts)
+    return ADEConfig(terms)
 
 
 def _group_order(letter: str, n: int) -> int | None:
@@ -229,7 +190,7 @@ def component_m(letter: str, n: int) -> Fraction:
 def m_value(config: ADEConfig) -> Fraction:
     """Orbifold Euler-number deficiency of the configuration: the sum of
     component_m over its components."""
-    return sum((c * component_m(letter, n) for letter, n, c in config.terms()), Fraction(0))
+    return sum((c * component_m(letter, n) for letter, n, c in config.terms), Fraction(0))
 
 
 def component_edges(letter: str, n: int) -> list[tuple[int, int]]:
@@ -374,30 +335,30 @@ def enumerate_configs(m_target: Fraction | int | str, max_rank: int) -> list[ADE
     steps = [b // a for a, b in zip(grain, grain[1:])]
     inverse = [pow(m // a, -1, step) for (_, _, m), a, step in zip(items, grain, steps)]
 
-    def found(counts: dict) -> None:
+    def found(terms: tuple) -> None:
         if len(results) == _CENSUS_CAP:
             raise CensusTooLarge(f"more than {_CENSUS_CAP} configurations with m = {m_target} "
                                  f"and rank <= {max_rank}")
-        results.append(ADEConfig.from_counts(counts))
+        results.append(ADEConfig(terms))
 
-    def descend(idx: int, rem_m: int, slack: int, counts: dict) -> None:
+    def descend(idx: int, rem_m: int, slack: int, terms: tuple) -> None:
         # slack = 3 rem_rank - 2 rem_m >= 0 (scaled) is the rank that copies of A_1
         # leave over; a copy of a component spends waste = 3n - 2m of it
         if rem_m == 0:
-            return found(counts)
+            return found(terms)
         # components idx.. whose m exceeds rem_m take a count of 0
         while (idx := bisect_left(neg_m, -rem_m, idx)) < len(items) and rem_m % grain[idx] == 0:
             letter, n, m_comp = items[idx]
             if idx + 1 == len(items):  # rem_m // m_comp copies of A_1, which the slack fits
-                return found({**counts, (letter, n): rem_m // m_comp})
+                return found((*terms, (letter, n, rem_m // m_comp)))
             # the counts c = c0 mod step leave the remainder on the next grain
             top, step = min(rem_m // m_comp, slack // waste[idx]), steps[idx]
             c0 = rem_m // grain[idx] * inverse[idx] % step
             for c in range(top - (top - c0) % step, 0, -step):
-                descend(idx + 1, rem_m - c * m_comp, slack - c * waste[idx], {**counts, (letter, n): c})
+                descend(idx + 1, rem_m - c * m_comp, slack - c * waste[idx], (*terms, (letter, n, c)))
             idx += 1
 
-    descend(0, int(m_target * scale), int((3 * max_rank - 2 * m_target) * scale), {})
+    descend(0, int(m_target * scale), int((3 * max_rank - 2 * m_target) * scale), ())
     del descend  # the closure refers to itself: free it now, not at a GC pass
     return sorted(results, key=ADEConfig.sort_key)
 
@@ -420,12 +381,12 @@ def classify_dynkin(n_nodes: int, edges: list[tuple[int, int]]) -> ADEConfig:
         adj[j].add(i)
         meets[i, j] += 1
         meets[j, i] += 1
-    counts: Counter[tuple[str, int]] = Counter()
+    terms = []
     for comp in connected_components(adj):
         n = len(comp)
         swaps, rows = bareiss([[2 if i == j else -meets[i, j] for j in comp] for i in comp])
         if swaps or len(rows) < n or any(rows[k][k] <= 0 for k in range(n)):
             raise ValueError("not an ADE diagram")
         det = rows[-1][-1]
-        counts["A" if det == n + 1 else "D" if det == 4 else "E", n] += 1
-    return ADEConfig.from_counts(counts)
+        terms.append(("A" if det == n + 1 else "D" if det == 4 else "E", n, 1))
+    return ADEConfig(terms)

@@ -292,7 +292,7 @@ def _candidates(config: ADEConfig, p: int) -> list[DivisibleCandidate]:
 
 def _disjoint_curves(config: ADEConfig) -> int:
     """Size of a maximum set of pairwise disjoint curves, summed per type."""
-    return sum(c * _largest_independent_set(letter, n).bit_count() for letter, n, c in config.terms())
+    return sum(c * _largest_independent_set(letter, n).bit_count() for letter, n, c in config.terms)
 
 
 def required_even_sets(config: ADEConfig) -> int:
@@ -349,13 +349,13 @@ def _labelled_graph(config: ADEConfig) -> tuple[DynkinGraph, dict[str, int]]:
 def _cover(graph: DynkinGraph, mask: int) -> ADEConfig:
     """The components' covers, each branched over its part of mask, merged
     once; raises NotADEAfterContraction on the first piece that is not ADE."""
-    counts: Counter[tuple[str, int]] = Counter()
+    terms = []
     for letter, k, start, _ in graph.component_slices:
         piece = _local_cover(letter, k, mask >> start & ((1 << k) - 1))
         if isinstance(piece, str):
             raise NotADEAfterContraction(piece)
-        counts.update({(a, n): c for a, n, c in piece.terms()})
-    return ADEConfig.from_counts(counts)
+        terms += piece.terms
+    return ADEConfig(terms)
 
 
 @lru_cache(maxsize=None)
@@ -589,7 +589,7 @@ def _witnesses(config: ADEConfig) -> list[_Witness]:
     more, from each component type's `_type_options`, with its local masks
     moved onto their components (mask << start)."""
     starts = (0, *accumulate(k for _, k in config.components()))[:-1]
-    per_type = [_type_options(letter, k, c) for letter, k, c in config.terms()]
+    per_type = [_type_options(letter, k, c) for letter, k, c in config.terms]
     witnesses = []
     for combo in product(*per_type):
         if (size := sum(t[0] for t in combo)) >= 12:
@@ -628,7 +628,7 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
 
     # the discriminant group of an orthogonal sum is the sum of the blocks'
     factors = invariant_factors_from_orders(
-        [d for a, n, c in config.terms() for d in _component_disc(a, n).invariant_factors * c]
+        [d for a, n, c in config.terms for d in _component_disc(a, n).invariant_factors * c]
     )
     bound = length_bound(rho, K3_AMBIENT_RANK)
     l2 = sum(1 for d in factors if d % 2 == 0)
@@ -685,7 +685,7 @@ def check_nonexistence(config: ADEConfig) -> ObstructionReport:
         if k == 0 or excluded:
             continue
         tables = [_type_table(a, n, prime, (_torsion_patterns(a, n, prime),) * c)
-                  for a, n, c in config.terms()]
+                  for a, n, c in config.terms]
         count = _join(prime, tables)[0]
         best = len(_largest_code(prime, rho, _patterns(graph, prime), k))
         steps += _search_steps({"scope": "global", "prime": prime}, k, count, best)

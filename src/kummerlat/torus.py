@@ -36,7 +36,6 @@ shorthand: abcd = (a/2) + (b/2) i + (c/2) j + (d/2) t for the lattice basis
 """
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -525,7 +524,7 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
         orbits=tuple(orbits),
         stabilizer_orders=tuple(stab_orders),
         stabilizer_types=tuple(stab_types),
-        config=ADEConfig.from_counts(Counter(stab_types)),
+        config=ADEConfig(tuple((letter, n, 1) for letter, n in stab_types)),
     )
 
 

@@ -244,11 +244,7 @@ def test_criterion_8_property_suites():
 
     n_checked = 0
     for comps in configs_of_rank_at_most(6):
-        counts_a, counts_d, counts_e = {}, {}, {}
-        for letter, n in comps:
-            d = {"A": counts_a, "D": counts_d, "E": counts_e}[letter]
-            d[n] = d.get(n, 0) + 1
-        config = ADEConfig(tuple(counts_a.items()), tuple(counts_d.items()), tuple(counts_e.items()))
+        config = ADEConfig([(letter, n, 1) for letter, n in comps])
         lat = gram(config)
         got = set(roots(lat))
         g = lat.gram

@@ -350,7 +350,7 @@ def atlas(max_rank=19):
     def walk(i, rem, counts):
         if i == len(COMPONENT_TYPES):
             if counts:
-                out.append(ADEConfig.from_counts(counts))
+                out.append(ADEConfig([(*t, c) for t, c in counts.items()]))
             return
         letter, n = COMPONENT_TYPES[i]
         for c in range(rem // n + 1):
@@ -724,7 +724,7 @@ def oracle_sample(sample):
     if sample == "deep":
         return DP_SAMPLES["deep"]
     # four or more A2 components: most F_3 searches, up to dimension 3
-    rich = [c for c in ATLAS if ("A", 2) in {(t, n) for t, n, k in c.terms() if k >= 4}]
+    rich = [c for c in ATLAS if ("A", 2) in {(t, n) for t, n, k in c.terms if k >= 4}]
     return random.Random(3).sample(rich, 120)
 
 
@@ -905,7 +905,7 @@ def global_tables(config, p):
     """The type tables of a global step: every copy may take any pattern."""
     return [
         _type_table(letter, n, p, (_torsion_patterns(letter, n, p),) * c)
-        for letter, n, c in config.terms()
+        for letter, n, c in config.terms
     ]
 
 
@@ -1369,7 +1369,7 @@ def mask_labels(graph, mask):
 WITNESS_SAMPLES = {
     "census": TABLE_10 + EXTRA_8,
     "atlas": [str(c) for c in ATLAS_SAMPLE],
-    "large": [c.render() for c in ATLAS if any(n >= 15 for _, n, _ in c.terms())],
+    "large": [c.render() for c in ATLAS if any(n >= 15 for _, n, _ in c.terms)],
     "deep": DEEP,
 }
 # (configurations, witnesses) compared
@@ -1438,7 +1438,7 @@ def test_disjoint_curves_match_a_scan_of_every_independent_set():
     # the cached largest set per type, against the scan it replaces
     for config in ATLAS_SAMPLE:
         scan = sum(c * max(map(int.bit_count, _independent_sets(letter, n)))
-                   for letter, n, c in config.terms())
+                   for letter, n, c in config.terms)
         assert divisibility._disjoint_curves(config) == scan, config.render()
         assert required_even_sets(config) == max(0, scan - 11), config.render()
 
@@ -1769,7 +1769,7 @@ def oracle_classify_dynkin(n_nodes, edges):
             counts[("E", n)] += 1
         else:
             raise ValueError("not an ADE diagram")
-    return ADEConfig.from_counts(counts)
+    return ADEConfig([(*t, c) for t, c in counts.items()])
 
 
 def random_graphs(rng, count):

@@ -690,7 +690,7 @@ def oracle_singularity_configuration(group):
         orbits=tuple(orbits),
         stabilizer_orders=tuple(stab_orders),
         stabilizer_types=tuple(stab_types),
-        config=ADEConfig.from_counts(Counter(stab_types)),
+        config=ADEConfig([(*t, c) for t, c in Counter(stab_types).items()]),
     )
 
 
