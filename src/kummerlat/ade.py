@@ -18,6 +18,7 @@ with RankLimitExceeded.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -56,8 +57,9 @@ class CensusTooLarge(ValueError):
 
 # about 2 s of walk at m = 200; the time per configuration grows with the catalogue
 _CENSUS_CAP = 10_000
-# the interpreter's default limit on the digits that int() reads or str() writes
-_MAX_DIGITS = 4300
+# the interpreter's limit on the digits that int() reads or str() writes, at most its
+# default 4300 (also in place of 0, no limit), which keeps parsing bounded in time
+_MAX_DIGITS = min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300, 4300)
 _TOO_LONG = 10**_MAX_DIGITS  # the least number of more than _MAX_DIGITS digits
 
 
@@ -91,11 +93,12 @@ class ADEConfig(Record):
         self.__dict__.update(terms=tuple(sorted((*t, c) for t, c in counts.items())), rank=rank)
         # The rank bounds every count and size, and m >= rank; it is tested
         # first, since m over many sizes of thousands of digits takes seconds.
-        # Below rank 10**4, m prints: den(m) divides the lcm of the |G| of at
-        # most 2 sqrt(rank) + 3 distinct types (k distinct A or D sizes sum to
-        # at least k**2 / 4), each |G| <= 4 rank + 120, and m <= 2 rank, so m
-        # has under 1000 digits.
-        if rank >= 10**4 and (rank >= _TOO_LONG or max(m_value(self).as_integer_ratio()) >= _TOO_LONG):
+        # Below rank 1000, m prints under the least limit the interpreter
+        # allows, 640 digits: den(m) divides the lcm of the |G| of at most
+        # 2 sqrt(rank) + 3 < 67 distinct types (k distinct A or D sizes sum to
+        # at least k**2 / 4), each |G| <= 4 rank + 120 < 4120, and m < 2 rank,
+        # so m has under 250 digits.
+        if rank >= 1000 and (rank >= _TOO_LONG or max(m_value(self).as_integer_ratio()) >= _TOO_LONG):
             raise ValueError(f"a configuration with a rank or m of more than {_MAX_DIGITS} digits"
                              " cannot be printed")
 

@@ -9,10 +9,11 @@ JSON output are strings "p/q"; output is deterministic for fixed input.
 `--m`, `--e1` and `--e2` read one grammar on every interpreter, the syntax
 of `Fraction` on Python 3.11: underscores may group digits (`1_000`; 3.10
 refuses them) and no space may stand around "/" (3.12 allows it).  Numbers
-of more than 4300 digits (the interpreter's int/str limit) in that text or
-in a `--config` term exit 2, and so do exponents beyond 4300, a `--m` that
-would print with more than 4300 digits and a `--config` whose rank or m
-would, which `ADEConfig` refuses.
+of more digits than the interpreter's int/str limit (4300, or the lower one
+that PYTHONINTMAXSTRDIGITS sets) in that text or in a `--config` term exit
+2, and so do exponents beyond that limit, a `--m` that would print with
+more digits and a `--config` whose rank or m would, which `ADEConfig`
+refuses.
 """
 
 from __future__ import annotations

@@ -434,6 +434,27 @@ def test_number_errors_name_the_option_or_text(argv, message):
     assert "Exceeds the limit" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (CLI + ["obstruct", "--config", "9" * 700 + "A1"], 2, "more than 640 digits in term '9999"),
+        (CLI + ["census", "--m", "1" + "0" * 700], 2, "more than 640 digits in '1000"),
+        ([sys.executable, "-c", "from kummerlat import parse_config; repr(parse_config('A1') * 10**650)"], 1,
+         "a configuration with a rank or m of more than 640 digits cannot be printed"),
+    ],
+    ids=["obstruct-700-digit-count", "census-701-digit-m", "repr-651-digit-rank"],
+)
+def test_the_interpreters_digit_limit_is_the_one_refused_by_name(argv, code, message):
+    # under the least int/str limit the interpreter allows, numbers past it are
+    # refused by the package's own checks, never by int() or str()
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640")
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (res.returncode, res.stdout) == (code, "")
+    assert message in res.stderr
+    assert "Exceeds the limit" not in res.stderr and "_parse_rational" not in res.stderr
+
+
 def test_deterministic_output():
     a = run_cli("obstruct", "--config", "5A1+A3+A7+D4", "--json").stdout
     b = run_cli("obstruct", "--config", "5A1+A3+A7+D4", "--json").stdout
