@@ -156,13 +156,18 @@ class AffineTorusMap(Record):
 
     @classmethod
     def of(cls, linear, translation=(0, 0, 0, 0)) -> "AffineTorusMap":
-        """Checked constructor: M must be an integer matrix with det +-1."""
+        """Checked constructor: M must be a 4 x 4 integer matrix with det +-1
+        and r a vector of 4 rationals."""
         if any(int(x) != x for row in linear for x in row):
             raise ValueError("linear part must be an integer matrix")
         lin = tuple(tuple(int(x) for x in row) for row in linear)
+        if len(lin) != 4 or any(len(row) != 4 for row in lin):
+            raise ValueError("linear part must be a 4 x 4 matrix")
         if abs(det_int(lin)) != 1:
             raise ValueError("linear part must have determinant +-1")
         tr = tuple(Fraction(x) % 1 for x in translation)
+        if len(tr) != 4:
+            raise ValueError("translation must have 4 entries")
         return cls(lin, tr)
 
     def __call__(self, point: RationalVector) -> RationalVector:

@@ -197,6 +197,14 @@ def test_affine_map_rejects_non_integer_linear_part():
         AffineTorusMap.of(half)
     with pytest.raises(ValueError, match="integer matrix"):
         AffineTorusMap.of([[0.5, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    # the shape is checked at construction, not where fixed_points or closure first apply it
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    for linear in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [*identity[:3], [0, 0, 0, 1, 0]], identity + [[0] * 4]):
+        with pytest.raises(ValueError, match="^linear part must be a 4 x 4 matrix$"):
+            AffineTorusMap.of(linear)
+    for translation in ((HALF, 0), (HALF, 0, 0), (0, 0, 0, 0, HALF)):
+        with pytest.raises(ValueError, match="^translation must have 4 entries$"):
+            AffineTorusMap.of(identity, translation)
 
 
 @pytest.mark.parametrize(
