@@ -7,10 +7,12 @@ an intended output change:
     PYTHONPATH=src python tests/test_demos.py
 """
 
+import ast
 import glob
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -37,6 +39,19 @@ def test_demo_output_matches_golden(demo):
     with open(golden_path(demo), "rb") as fh:
         expected = fh.read()
     assert run(demo) == expected
+
+
+def test_readme_quick_reference_gives_the_values_its_comments_state():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Library quick reference", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert values == [Fraction(24, 1), "Z2 x (Z4)^6", 37, "Excluded", "4A2+2A3+A5"]
 
 
 if __name__ == "__main__":
