@@ -56,7 +56,6 @@ from .kummer import (
     build_group_report,
     build_K_Q8hat,
     build_K_T24hat,
-    verify_root_equality,
 )
 from .lattice import (
     DegenerateLattice,
@@ -65,7 +64,6 @@ from .lattice import (
     GramLattice,
     LengthBoundResult,
     NonIntegralGlue,
-    NotASublattice,
     NotInDual,
     NotNegativeDefinite,
     OddGlue,

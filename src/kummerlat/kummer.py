@@ -31,7 +31,6 @@ from .lattice import (
     DiscriminantGroup,
     GlueVector,
     GramLattice,
-    NotASublattice,
     OverlatticeResult,
     discriminant_group,
     overlattice,
@@ -177,20 +176,6 @@ def build_K_T24hat() -> KummerReport:
                    *(f"({one},{two}) <- (1,2)" for one, two in glue.support)),
         notes=(f"q(gamma) = {q_value(F, g.vector)}",),
     )
-
-
-def verify_root_equality(K: OverlatticeResult, F: GramLattice) -> bool:
-    """True iff the norm -2 vectors of the overlattice all lie in F.
-
-    Raises NotASublattice when F is not K's parent or not contained in the
-    overlattice.  Then the roots of F are roots of K, and the root sets are
-    equal exactly when their counts are.
-    """
-    if F.gram != K.parent.gram:
-        raise NotASublattice("F is not the overlattice's parent")
-    if not all(K.contains([int(i == j) for j in range(F.rank)]) for i in range(F.rank)):
-        raise NotASublattice("parent basis vector missing from overlattice")
-    return len(roots(F)) == len(roots(K.lattice))
 
 
 def build_group_report(group_name: str) -> KummerReport:

@@ -8,10 +8,10 @@ intersection numbers.  Vectors are coordinate tuples in the lattice basis;
 dual vectors therefore have rational coordinates.  All arithmetic is exact
 and runs on Python ints - never floats: a rational vector (or a set of
 them) is held as integer numerators over one common denominator, the lcm of
-its denominators.  Pairings, dual and glue checks, the root search, the
-overlattice Hermite basis and membership in it work on those numerators;
-`fractions.Fraction` appears only on rational values returned to the caller
-(roots are integer tuples).  Each distinct block is handled once per call.
+its denominators.  Pairings, dual and glue checks, the root search and the
+overlattice Hermite basis work on those numerators; `fractions.Fraction`
+appears only on rational values returned to the caller (roots are integer
+tuples).  Each distinct block is handled once per call.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ class NonIntegralGlue(ValueError):
 
 class OddGlue(ValueError):
     """A glue vector has odd self-pairing and cannot glue an even lattice."""
-
-
-class NotASublattice(ValueError):
-    """Root comparison was asked for lattices that are not nested."""
 
 
 def vec(coords) -> RationalVector:
@@ -159,9 +155,6 @@ class GramLattice(Record):
         dy, (ny,) = _integer_rows([vec(y)], self.rank)
         return Fraction(sum(map(mul, prods, ny)), dx * dy)
 
-    def in_dual(self, x) -> bool:
-        return dual_defect(self.gram, vec(x))[1] is None
-
 
 def direct_sum(blocks: list[list[list[int]]]) -> list[list[int]]:
     n = sum(len(b) for b in blocks)
@@ -194,9 +187,6 @@ class DiscriminantGroup(Record):
     @property
     def length(self) -> int:
         return len(self.invariant_factors)
-
-    def primary_length(self, p: int) -> int:
-        return sum(1 for d in self.invariant_factors if d % p == 0)
 
     def symbol(self) -> str:
         """Human-readable product form, e.g. 'Z2 x (Z4)^6'."""
@@ -330,29 +320,6 @@ class OverlatticeResult(Record):
     index: int
     den: int
     H: tuple[tuple[int, ...], ...]
-    parent: GramLattice
-
-    def contains(self, coords) -> bool:
-        """Is the given parent-coordinate vector an element of the overlattice?
-
-        v lies in the span of the rows H[i] / den iff den.v is integral and
-        reduces to zero against the Hermite pivots H[i][i].
-        """
-        d, (x,) = _integer_rows([vec(coords)], self.parent.rank)
-        return self._contains(d, x)
-
-    def _contains(self, d: int, x: list[int]) -> bool:
-        """`contains` for the vector x / d given by integer numerators."""
-        if self.den % d:
-            return False
-        x = [c * (self.den // d) for c in x]
-        for i, row in enumerate(self.H):
-            q, r = divmod(x[i], row[i])
-            if r:
-                return False
-            if q:
-                x = [a - q * b for a, b in zip(x, row)]
-        return True
 
 
 def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
@@ -398,7 +365,7 @@ def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
     )
     if abs(lat.det) * index * index != abs(L.det):
         raise AssertionError("overlattice determinant identity violated")
-    return OverlatticeResult(lat, index, den, tuple(map(tuple, H)), L)
+    return OverlatticeResult(lat, index, den, tuple(map(tuple, H)))
 
 
 def _search_levels(q) -> tuple[int, list]:

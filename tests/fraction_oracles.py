@@ -2,8 +2,9 @@
 
 Gauss-Jordan elimination over `Fraction`, with the overlattice membership
 test and the torus change of basis written on top of it.  The library
-answers both questions with integer numerators over one denominator; the
-tests check it against these.
+changes torus bases with integer numerators over one denominator, and the
+tests check it against these; the library has no membership test, so the
+Kummer tests decide membership in a saturation with this one.
 """
 
 from fractions import Fraction

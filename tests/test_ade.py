@@ -22,7 +22,7 @@ from kummerlat import (
     max_disjoint_curves,
     parse_config,
 )
-from kummerlat.ade import component_gram, invariant_factors_from_orders
+from kummerlat.ade import _MAX_DIGITS as N, component_gram, invariant_factors_from_orders
 
 from test_divisibility import COMPONENT_TYPES, oracle_component_mis
 from test_snf import oracle_smith_normal_form
@@ -171,7 +171,10 @@ def test_a_size_given_twice_adds_its_counts():
     assert config == parse_config("A1+3A3+2D4+E6") and config.render() == "A1+3A3+2D4+E6"
 
 
-NINES = 10**4300 - 1  # as copies of A_1: a rank of 4300 digits, and m = 3/2 rank of 4301
+# N is the interpreter's int/str digit limit: 4300 by default, the figure the
+# test names give
+NINES = 10**N - 1  # as copies of A_1: a rank of N digits, and m = 3/2 rank of N + 1
+HALF_N = N // 2 + 50  # 2200 at the default
 
 
 def a1(count: int) -> ADEConfig:
@@ -181,20 +184,20 @@ def a1(count: int) -> ADEConfig:
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: ADEConfig((("A", 1, 10**4300),)),
+        lambda: ADEConfig((("A", 1, 10**N),)),
         lambda: ADEConfig((("A", 1, NINES),)),
-        lambda: ADEConfig((("A", 10**2200, 1),)),  # a rank of 2201 digits, an m of 4401
-        # 100 sizes of 4301 digits: the rank is refused before m, which would take seconds to sum
-        lambda: ADEConfig(tuple(("A", 10**4300 + k, 1) for k in range(100))),
-        lambda: ADEConfig((("D", 4, 1), ("A", 1, 10**4300 - 4))),
-        lambda: ADEConfig((("E", 8, 1), ("A", 1, NINES - 8))),  # a rank of 4300 digits
-        lambda: parse_config("9" * 4300 + "A1+A1"),
-        lambda: parse_config("9" * 4300 + "A1"),
-        lambda: a1(5 * 10**4299) + a1(5 * 10**4299),
+        lambda: ADEConfig((("A", 10**HALF_N, 1),)),  # a rank of HALF_N + 1 digits, an m of 2 HALF_N + 1
+        # 100 sizes of N + 1 digits: the rank is refused before m, which would take seconds to sum
+        lambda: ADEConfig(tuple(("A", 10**N + k, 1) for k in range(100))),
+        lambda: ADEConfig((("D", 4, 1), ("A", 1, 10**N - 4))),
+        lambda: ADEConfig((("E", 8, 1), ("A", 1, NINES - 8))),  # a rank of N digits
+        lambda: parse_config("9" * N + "A1+A1"),
+        lambda: parse_config("9" * N + "A1"),
+        lambda: a1(5 * 10**(N - 1)) + a1(5 * 10**(N - 1)),
         lambda: a1(NINES // 3) + a1(2 * NINES // 3),
-        lambda: 10 * a1(10**4299),
+        lambda: 10 * a1(10**(N - 1)),
         lambda: 9 * a1(NINES // 9),
-        lambda: a1(10**4299) * 10,
+        lambda: a1(10**(N - 1)) * 10,
         lambda: a1(NINES // 9) * 9,
     ],
     ids=["ADEConfig-rank", "ADEConfig-m", "ADEConfig-m-size", "ADEConfig-rank-100-sizes",
@@ -203,39 +206,39 @@ def a1(count: int) -> ADEConfig:
 )
 def test_a_config_that_cannot_print_is_refused_where_it_is_made(make):
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="^a configuration with a rank or m of more than 4300 digits "
+    with pytest.raises(ValueError, match=f"^a configuration with a rank or m of more than {N} digits "
                                          "cannot be printed$"):
         make()
     assert time.perf_counter() - start < 0.5
 
 
-# the largest configuration accepted: a rank and an m = 15 * 10**4298 of 4300 digits each
-EDGE = a1(10**4299)
+# the largest configuration accepted: a rank and an m = 15 * 10**(N - 2) of N digits each
+EDGE = a1(10**(N - 1))
 
 
 @pytest.mark.parametrize(
     "call, config, error, expected",
     [
-        (gram, EDGE, RankLimitExceeded, f"^rank {10**4299} exceeds the K3 limit 19$"),
-        (dynkin, EDGE, RankLimitExceeded, f"^rank {10**4299} exceeds the K3 limit 19$"),
-        (ADEConfig.render, EDGE, None, f"{10**4299}A1"),
-        (str, EDGE, None, f"{10**4299}A1"),
-        (repr, EDGE, None, f"ADEConfig(terms=(('A', 1, {10**4299}),))"),
-        (ADEConfig.to_json_dict, EDGE, None, {"A": {"1": 10**4299}, "D": {}, "E": {},
-                                              "m": f"{15 * 10**4298}/1", "rank": 10**4299}),
-        # m = NINES / 2, of 4300 digits over 2
+        (gram, EDGE, RankLimitExceeded, f"^rank {10**(N - 1)} exceeds the K3 limit 19$"),
+        (dynkin, EDGE, RankLimitExceeded, f"^rank {10**(N - 1)} exceeds the K3 limit 19$"),
+        (ADEConfig.render, EDGE, None, f"{10**(N - 1)}A1"),
+        (str, EDGE, None, f"{10**(N - 1)}A1"),
+        (repr, EDGE, None, f"ADEConfig(terms=(('A', 1, {10**(N - 1)}),))"),
+        (ADEConfig.to_json_dict, EDGE, None, {"A": {"1": 10**(N - 1)}, "D": {}, "E": {},
+                                              "m": f"{15 * 10**(N - 2)}/1", "rank": 10**(N - 1)}),
+        # m = NINES / 2, of N digits over 2
         (ADEConfig.to_json_dict, a1(NINES // 3), None, {"A": {"1": NINES // 3}, "D": {}, "E": {},
                                                         "m": f"{NINES}/2", "rank": NINES // 3}),
-        (lambda c: str(m_value(c)), EDGE, None, str(15 * 10**4298)),
+        (lambda c: str(m_value(c)), EDGE, None, str(15 * 10**(N - 2))),
         (lambda c: check_nonexistence(c).to_json_dict()["steps"], EDGE, None,
-         [{"kind": "RankExceeds", "rank": str(10**4299), "rank_limit": "19"}]),
+         [{"kind": "RankExceeds", "rank": str(10**(N - 1)), "rank_limit": "19"}]),
         (gram, parse_config("20A1"), RankLimitExceeded, "^rank 20 exceeds the K3 limit 19$"),
     ],
     ids=["gram", "dynkin", "render", "str", "repr", "to_json_dict", "to_json_dict-m", "m_value",
          "check_nonexistence", "gram-rank-20"],
 )
 def test_numbers_past_4300_digits_are_refused_by_name(call, config, error, expected):
-    # past 4300 digits a configuration is refused where it is made (above), so on
+    # past N digits a configuration is refused where it is made (above), so on
     # the largest one accepted every call answers, or refuses by name (`expected`
     # is then the message), and none leaks the interpreter's "Exceeds the limit"
     if error is None:

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from kummerlat import cli, torus
+from kummerlat.ade import _MAX_DIGITS as N  # the int/str digit limit: 4300 in test names and ids
 from test_cli_golden import TORUS_GROUPS
 
 CLI = [sys.executable, "-m", "kummerlat"]
@@ -366,8 +367,8 @@ def test_closed_stdout_exits_141_quietly(argv, buffered):
         (["census", "--m", "1e100000000"], "1e100000000"),
         (["census", "--m", "1e-100000000", "--json"], "1e-100000000"),
         (["torus", "--group", "lieberman", "--e1", "1e100000000,0", "--e2", "0,1/2"], "1e100000000"),
-        (["census", "--m", "1e4301"], "1e4301"),
-        (["census", "--m", "1e-0_4301", "--json"], "1e-0_4301"),
+        (["census", "--m", f"1e{N + 1}"], f"1e{N + 1}"),
+        (["census", "--m", f"1e-0_{N + 1}", "--json"], f"1e-0_{N + 1}"),
     ],
     ids=["census-m", "census-m-negative-json", "torus-e1", "census-m-4301", "census-m-underscore"],
 )
@@ -378,13 +379,13 @@ def test_huge_exponent_exits_2_at_once(argv, text):
     assert time.perf_counter() - start < 0.5
     assert code == 2
     assert out == ""
-    assert f"exponent beyond 4300 in {text!r}" in err
+    assert f"exponent beyond {N} in {text!r}" in err
 
 
 @pytest.mark.parametrize(
     "text, value",
     [("24", 24), ("3/2", Fraction(3, 2)), ("1.5", Fraction(3, 2)), ("1e3", 1000),
-     ("1e4300", 10**4300), ("1e-4300", Fraction(1, 10**4300)), ("2E+03", 2000)],
+     (f"1e{N}", 10**N), (f"1e-{N}", Fraction(1, 10**N)), ("2E+03", 2000)],
     ids=["24", "3/2", "1.5", "1e3", "1e4300", "1e-4300", "2E+03"],
 )
 def test_parse_rational_keeps_exponents_up_to_4300(text, value):
@@ -398,7 +399,7 @@ def test_census_m_reads_one_grammar(text):
         0, run_main(["census", "--m", "12", "--max-rank", "9"])[1], "")
 
 
-LONG_COUNT = "9" * 5000 + "A1"
+LONG_COUNT = "9" * (N + 700) + "A1"  # 5000 digits at the default
 
 
 @pytest.mark.parametrize(
@@ -406,18 +407,18 @@ LONG_COUNT = "9" * 5000 + "A1"
     [
         (["census", "--m", "3 / 2"], "not a rational: '3 / 2'"),
         (["census", "--m", "1__2"], "not a rational: '1__2'"),
-        (["census", "--m", "1" + "0" * 4300], "more than 4300 digits in '10000"),
-        (["census", "--m", "1/" + "7" * 4301, "--json"], "more than 4300 digits in '1/7777"),
-        (["census", "--m", "1e4300"], "--m gives a number of more than 4300 digits"),
-        (["census", "--m", "1e-4300", "--json"], "--m gives a number of more than 4300 digits"),
-        (["torus", "--group", "lieberman", "--e1", "1" * 4301 + ",0", "--e2", "0,1/2"],
-         "more than 4300 digits in '1111"),
-        (["obstruct", "--config", LONG_COUNT], "more than 4300 digits in term '9999"),
-        (["obstruct", "--config", "A1+A" + "1" * 4301, "--json"], "more than 4300 digits in term 'A1111"),
-        (["obstruct", "--config", "9" * 4300 + "A1"],
-         "a configuration with a rank or m of more than 4300 digits cannot be printed"),
-        (["obstruct", "--config", "7" * 2200 + "A" + "7" * 2200, "--json"],
-         "a configuration with a rank or m of more than 4300 digits cannot be printed"),
+        (["census", "--m", "1" + "0" * N], f"more than {N} digits in '10000"),
+        (["census", "--m", "1/" + "7" * (N + 1), "--json"], f"more than {N} digits in '1/7777"),
+        (["census", "--m", f"1e{N}"], f"--m gives a number of more than {N} digits"),
+        (["census", "--m", f"1e-{N}", "--json"], f"--m gives a number of more than {N} digits"),
+        (["torus", "--group", "lieberman", "--e1", "1" * (N + 1) + ",0", "--e2", "0,1/2"],
+         f"more than {N} digits in '1111"),
+        (["obstruct", "--config", LONG_COUNT], f"more than {N} digits in term '9999"),
+        (["obstruct", "--config", "A1+A" + "1" * (N + 1), "--json"], f"more than {N} digits in term 'A1111"),
+        (["obstruct", "--config", "9" * N + "A1"],
+         f"a configuration with a rank or m of more than {N} digits cannot be printed"),
+        (["obstruct", "--config", "7" * (N // 2 + 50) + "A" + "7" * (N // 2 + 50), "--json"],
+         f"a configuration with a rank or m of more than {N} digits cannot be printed"),
     ],
     ids=["m-spaced-slash", "m-double-underscore", "m-4301-digits", "m-4301-digit-denominator",
          "m-1e4300", "m-1e-4300-json", "torus-e1-4301-digits", "obstruct-5000-digit-count",

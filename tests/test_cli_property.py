@@ -9,13 +9,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings, strategies as st
 
 from kummerlat import cli
+from kummerlat.ade import _MAX_DIGITS as N  # the int/str digit limit: 4300 by default
 
 # pieces of numbers, with near-misses: doubled or misplaced marks, other
-# separators, a non-ASCII digit and the 4300-digit edges
-NUMBER_PIECES = ["0", "1", "2", "3", "9", "24", "_", "/", ".", "e", "E", "+", "-", " ", "4300",
-                 "4301", "x", ",", "٣", "\t", "9" * 4300]
+# separators, a non-ASCII digit and the N-digit edges
+NUMBER_PIECES = ["0", "1", "2", "3", "9", "24", "_", "/", ".", "e", "E", "+", "-", " ", str(N),
+                 str(N + 1), "x", ",", "٣", "\t", "9" * N]
 CONFIG_PIECES = ["A", "D", "E", "a", "0", "1", "2", "3", "4", "6", "8", "9", "19", "20", "+", " ",
-                 "-", "_", "x", "99999999999999999999", "9" * 4300]
+                 "-", "_", "x", "99999999999999999999", "9" * N]
 # appended flags: a repeated or value-less option, an unknown one, a stray word
 EXTRA = st.lists(st.sampled_from(["--json", "--m", "--max-rank", "--config", "--e1", "-", "--", "x"]),
                  max_size=2)
@@ -25,14 +26,14 @@ def pieces(alphabet: list[str], max_size: int) -> st.SearchStrategy[str]:
     return st.lists(st.sampled_from(alphabet), min_size=1, max_size=max_size).map("".join)
 
 
-# numbers at the edges: an empty text, 4300 digits, and values of 4301
-EDGES = ["", "1e4300", "1e-4300", "1e4301", "9" * 4300, "1" + "0" * 4300, "1/" + "7" * 4300, "5e4299"]
+# numbers at the edges: an empty text, N digits, and values of N + 1
+EDGES = ["", f"1e{N}", f"1e-{N}", f"1e{N + 1}", "9" * N, "1" + "0" * N, "1/" + "7" * N, f"5e{N - 1}"]
 numbers = st.one_of(pieces(NUMBER_PIECES, 6), st.sampled_from(EDGES),
                     st.fractions(0, 30, max_denominator=12).map(str),
                     st.decimals(0, 30, places=2).map(str))
-# valid configurations, most of them of rank above 19; counts of 4300 digits
-# give a rank or an m of 4301
-counts = st.one_of(st.integers(1, 9), st.sampled_from([10**19, 10**4300 - 1]))
+# valid configurations, most of them of rank above 19; counts of N digits
+# give a rank or an m of N + 1
+counts = st.one_of(st.integers(1, 9), st.sampled_from([10**19, 10**N - 1]))
 terms = st.tuples(counts, st.sampled_from(["A1", "A2", "A3", "A7", "D4", "D5", "E6", "E8"]))
 configs = st.one_of(pieces(CONFIG_PIECES, 6), st.lists(terms, min_size=1, max_size=3).map(
     lambda ts: "+".join(f"{c if c > 1 else ''}{t}" for c, t in ts)))
