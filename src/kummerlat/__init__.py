@@ -4,7 +4,7 @@ Library layers:
 
 * `snf` - Smith and Hermite normal forms and integer determinants;
 * `lattice` - integer Gram lattices, discriminant groups, root
-  enumeration, glue vectors and overlattices;
+  enumeration and overlattices by rational glue vectors;
 * `ade` - ADE configurations, the orbifold deficiency m(C) and the
   exhaustive census of configurations with prescribed m and rank;
 * `divisibility` - even / 3-divisible set candidates, double-cover
@@ -60,7 +60,6 @@ from .kummer import (
 from .lattice import (
     DegenerateLattice,
     DiscriminantGroup,
-    GlueVector,
     GramLattice,
     LengthBoundResult,
     NonIntegralGlue,

@@ -29,9 +29,9 @@ from . import ade
 from .divisibility import _candidate, _patterns
 from .lattice import (
     DiscriminantGroup,
-    GlueVector,
     GramLattice,
     OverlatticeResult,
+    RationalVector,
     discriminant_group,
     overlattice,
     q_value,
@@ -119,7 +119,7 @@ DELTA_2 = (1, 3, 2, 0, 1, 3)
 DELTA_2_ALT = (3, 1, 2, 0, 3, 1)
 
 
-def _saturation(group: str, F: GramLattice, glue: list[GlueVector]) -> KummerReport:
+def _saturation(group: str, F: GramLattice, glue: list[RationalVector]) -> KummerReport:
     """Report on F, its overlattice K by the glue, and their roots: K contains
     F, so the two root sets are equal exactly when their counts are."""
     K = overlattice(F, glue)
@@ -134,7 +134,7 @@ def _saturation(group: str, F: GramLattice, glue: list[GlueVector]) -> KummerRep
 def build_K_Q8hat() -> KummerReport:
     """Index-16 saturation of the A1+6A3 curve lattice by delta_1, delta_2."""
     F = build_F("Q8hat")
-    d1, d2 = (GlueVector.in_dual(F, _t_base_vector(d)) for d in (DELTA_1, DELTA_2))
+    d1, d2 = (_t_base_vector(d) for d in (DELTA_1, DELTA_2))
     # 2*gamma, numerators over 2, is half the curves with an odd numerator
     # mod F and lies in K with gamma: those curves form an even set
     doubles = (DELTA_1, tuple(map(add, DELTA_1, DELTA_2)), DELTA_2)
@@ -146,8 +146,8 @@ def build_K_Q8hat() -> KummerReport:
         glue_info=(
             f"delta_1 = {text[DELTA_1]} in base t_1..t_6",
             f"delta_2 = {text[DELTA_2]} in base t_1..t_6",
-            f"q(delta_1) = {q_value(F, d1.vector)}",
-            f"q(delta_2) = {q_value(F, d2.vector)}",
+            f"q(delta_1) = {q_value(F, d1)}",
+            f"q(delta_2) = {q_value(F, d2)}",
         ),
         notes=(
             "half of each even set v_1, v_2, v_3 lies in the saturation",
@@ -170,11 +170,10 @@ def build_K_T24hat() -> KummerReport:
     graph = ade.dynkin(_config("T24hat"))
     patterns = [pats for pats in _patterns(graph, 3) if pats]
     glue = _candidate(graph, 3, reduce(or_, (pats[-1] for pats in patterns)))
-    g = GlueVector.in_dual(F, glue.class_vector)
-    return _saturation("T24hat", F, [g]).replace(
+    return _saturation("T24hat", F, [glue.class_vector]).replace(
         glue_info=(f"integral orientations: {prod(map(len, patterns))}",
                    *(f"({one},{two}) <- (1,2)" for one, two in glue.support)),
-        notes=(f"q(gamma) = {q_value(F, g.vector)}",),
+        notes=(f"q(gamma) = {q_value(F, glue.class_vector)}",),
     )
 
 

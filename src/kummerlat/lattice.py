@@ -75,21 +75,6 @@ def _dual_products(gram, x: RationalVector) -> tuple[int, list[int], list[int]]:
     return den, nums, prods
 
 
-def dual_defect(gram, x: RationalVector) -> tuple[int, tuple[int, Fraction] | None]:
-    """Test x against the dual lattice with one integer product gram.x.
-
-    Returns (den, defect): den is the lcm of the denominators of x, which is
-    the order of x modulo the lattice, and defect is None when x pairs
-    integrally with every basis vector, else (i, x.e_i) for the first basis
-    index i where it does not.
-    """
-    den, _, prods = _dual_products(gram, x)
-    for i, s in enumerate(prods):
-        if s % den:
-            return den, (i, Fraction(s, den))
-    return den, None
-
-
 def connected_components(adj) -> list[list[int]]:
     """Components of the graph on range(len(adj)) with neighbour lists adj,
     each sorted, ordered by their smallest node."""
@@ -290,24 +275,6 @@ def discriminant_group(L: GramLattice) -> DiscriminantGroup:
     return disc
 
 
-class GlueVector(Record):
-    """Dual vector adjoined to a lattice, with the order of its class."""
-
-    vector: RationalVector
-    order: int
-
-    @classmethod
-    def in_dual(cls, L: GramLattice, coords) -> "GlueVector":
-        v = vec(coords)
-        if len(v) != L.rank:
-            raise ValueError("glue vector has wrong length")
-        order, defect = dual_defect(L.gram, v)
-        if defect:
-            i, p = defect
-            raise NonIntegralGlue(f"pairing of {v} with basis vector {i} is {p}")
-        return cls(v, order)
-
-
 class OverlatticeResult(Record):
     """Overlattice with its basis written in the parent's coordinates.
 
@@ -322,8 +289,9 @@ class OverlatticeResult(Record):
     H: tuple[tuple[int, ...], ...]
 
 
-def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
-    """Lattice generated by L and the glue vectors, with index [L' : L].
+def overlattice(L: GramLattice, glue) -> OverlatticeResult:
+    """Lattice generated by L and the glue, rational vectors in L's basis
+    (ints, Fractions or strings), with index [L' : L].
 
     Requires every glue vector in L^vee, integral mutual pairings and even
     self-pairings (even overlattice condition).
@@ -332,7 +300,7 @@ def overlattice(L: GramLattice, glue: list[GlueVector]) -> OverlatticeResult:
     gram = [list(r) for r in L.gram]
     # glue a is nums[a] / den: it pairs with e_i to prods[a][i] / den and with
     # glue b to pairs[a][b] / den^2
-    den, nums = _integer_rows([g.vector for g in glue], n)
+    den, nums = _integer_rows([vec(g) for g in glue], n)
     den2 = den * den
     prods = mat_mul(nums, gram)
     pairs = mat_mul(prods, [list(c) for c in zip(*nums)])

@@ -279,15 +279,17 @@ def standard_group(name: str, lattice: str | None = None) -> TorusGroup:
 
     Names: neg1 (or Z2), i (or Z4), Q8, Q8_T24, T24, D12, Q8hat, T24hat.
     The Lieberman involution group is not among them: `lieberman_check`
-    builds it from its 2-torsion points.  A lattice the generators do not
-    preserve raises ValueError.
+    builds it from its 2-torsion points.  An unknown lattice name, or a
+    lattice the generators do not preserve, raises ValueError.
     """
     key = name.strip()
     key = _ALIASES.get(key, key)
     if key not in _GROUPS:
         raise UnrecognizedGroup(f"unknown group name {name!r}")
     default, sq_j, table = _GROUPS[key]
-    lat = LATTICES[lattice or default]
+    lat = LATTICES.get(lattice or default)
+    if lat is None:
+        raise ValueError(f"unknown lattice {lattice!r}; known: {sorted(LATTICES)}")
     gens = [_map_from_quat(lat, q, t, sq_j) for q, t in table]
     return TorusGroup(key, lat, closure(gens))
 

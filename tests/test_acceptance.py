@@ -13,7 +13,6 @@ from operator import mul
 import pytest
 
 from kummerlat import (
-    GlueVector,
     build_K_Q8hat,
     build_K_T24hat,
     check_nonexistence,
@@ -274,7 +273,7 @@ def test_criterion_8_property_suites():
         coords = [
             Fraction(1, 2) if i in support else Fraction(0) for i in range(n_curves)
         ]
-        res = overlattice(lat, [GlueVector.in_dual(lat, coords)])
+        res = overlattice(lat, [coords])
         assert abs(res.lattice.det) * res.index**2 == abs(lat.det)
 
     # orbit-stabilizer identity on all standard groups

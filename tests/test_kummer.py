@@ -4,7 +4,6 @@ from itertools import product
 import pytest
 
 from kummerlat import (
-    GlueVector,
     build_F,
     build_group_report,
     build_K_Q8hat,
@@ -185,7 +184,7 @@ class TestKT24hat:
         w = [0] * F.rank
         for (i, j), o in zip(pairs, valid[0]):
             w[i], w[j] = Fraction(o, 3), Fraction(3 - o, 3)
-        assert overlattice(F, [GlueVector.in_dual(F, w)]).H == report.K.H
+        assert overlattice(F, [w]).H == report.K.H
 
     def test_glue_is_a_three_divisible_candidate(self, report):
         # the pairs of the report, with coefficients (1/3, 2/3), are one of
@@ -233,10 +232,10 @@ def test_unknown_group_names_the_known_ones(build):
 
 def test_4A1_glued_to_D4_gains_roots():
     # 4A1 glued by (1/2, 1/2, 1/2, 1/2) is D4: its roots (+-1/2, ...) are not in 4A1
-    from kummerlat import GlueVector, gram
+    from kummerlat import gram
 
     L = gram(parse_config("4A1"))
-    res = overlattice(L, [GlueVector.in_dual(L, (Fraction(1, 2),) * 4)])
+    res = overlattice(L, [(Fraction(1, 2),) * 4])
     assert res.index == 2
     assert (len(roots(L)), len(roots(res.lattice))) == (4, 12)
 
@@ -267,10 +266,10 @@ def trivial_Z2():
 
 
 def glue_4A1_to_D4():
-    from kummerlat import GlueVector, gram
+    from kummerlat import gram
 
     L = gram(parse_config("4A1"))
-    D4 = overlattice(L, [GlueVector.in_dual(L, (Fraction(1, 2),) * 4)])
+    D4 = overlattice(L, [(Fraction(1, 2),) * 4])
     return D4, L, None, False
 
 
@@ -295,11 +294,10 @@ def test_same_roots_matches_fraction_oracle(case):
 def test_alternative_glue_generates_the_same_lattice():
     # the report shows this by the congruence delta_2 + alt = 0 mod F; the
     # overlattice it no longer builds agrees
-    from kummerlat import GlueVector
     from kummerlat.kummer import DELTA_1, DELTA_2, DELTA_2_ALT, _t_base_vector
 
     F = build_F("Q8hat")
-    d1, d2, alt = (GlueVector.in_dual(F, _t_base_vector(d)) for d in (DELTA_1, DELTA_2, DELTA_2_ALT))
+    d1, d2, alt = (_t_base_vector(d) for d in (DELTA_1, DELTA_2, DELTA_2_ALT))
     assert overlattice(F, [d1, alt]).H == overlattice(F, [d1, d2]).H
     assert all((a + b) % 4 == 0 for a, b in zip(DELTA_2, DELTA_2_ALT))
     assert "delta_2 and its variant (3,1,2,0,3,1) generate the same lattice" in build_K_Q8hat().notes

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from kummerlat import (
     DegenerateLattice,
-    GlueVector,
     GramLattice,
     NonIntegralGlue,
     NotInDual,
@@ -29,7 +28,7 @@ from kummerlat import (
 from kummerlat import lattice
 from kummerlat.ade import component_gram
 from kummerlat.kummer import GROUP_CONFIGS, build_F, build_K_Q8hat, build_K_T24hat
-from kummerlat.lattice import _search_levels, direct_sum, dual_defect, length_bound
+from kummerlat.lattice import _search_levels, direct_sum, length_bound
 from kummerlat.snf import det_int, hermite_row_basis
 
 from fraction_oracles import solve
@@ -157,8 +156,9 @@ def test_disc_matches_dense_oracle():
         factors, dense_gens = oracle_discriminant_group(lat)
         assert d.invariant_factors == factors, (kind, lat.gram)
         for f, g, q in zip(d.invariant_factors, d.generators, d.q_values):
-            # g lies in L^vee with exact order f, and q is its q-value
-            assert dual_defect(lat.gram, g) == (f, None)
+            # g has exact order f and lies in L^vee (q_value raises NotInDual
+            # otherwise), and q is its q-value
+            assert lcm(*(c.denominator for c in g)) == f
             assert q == q_value(lat, g)
         # L and the generators span L^vee: their index over L is |det|
         den = max(factors, default=1)
@@ -291,7 +291,7 @@ def test_disc_huge_composite_blocks():
     assert d.invariant_factors == (2 * p, 2 * p * q)
     for f, g, qv in zip(d.invariant_factors, d.generators, d.q_values):
         assert lcm(*(c.denominator for c in g)) == f  # the order of g mod L = Z^2
-        assert dual_defect(lat.gram, g)[1] is None and q_value(lat, g) == qv
+        assert q_value(lat, g) == qv  # raises NotInDual outside L^vee
 
 
 # --- q values ---------------------------------------------------------------
@@ -703,8 +703,8 @@ def test_repeated_blocks_at_non_contiguous_indices():
             d = discriminant_group(lat)
             assert d.invariant_factors == oracle_discriminant_group(lat)[0], (group, seed)
             for f, g, q in zip(d.invariant_factors, d.generators, d.q_values):
-                assert dual_defect(lat.gram, g) == (f, None)
-                assert q == q_value(lat, g)
+                assert lcm(*(c.denominator for c in g)) == f
+                assert q == q_value(lat, g)  # raises NotInDual outside L^vee
     assert scattered == 27  # all but 16A1, whose shuffled Gram is its own
 
 
@@ -739,10 +739,11 @@ def test_empty_glue_is_identity():
 def test_overlattice_8A1_half_sum():
     lat = L("8A1")
     assert abs(lat.det) == 2**8
-    g = GlueVector.in_dual(lat, [Fraction(1, 2)] * 8)
-    assert g.order == 2
-    res = overlattice(lat, [g])
-    assert res.index == 2
+    res = overlattice(lat, [[Fraction(1, 2)] * 8])
+    assert res.index == res.den == 2
+    # glue given as ints and "p/q" strings is read as the Fractions it names
+    fractions = overlattice(lat, [[HALF] * 8, [Fraction(1)] * 8])
+    assert overlattice(lat, [["1/2"] * 8, [1] * 8]) == fractions == res
     assert abs(res.lattice.det) == 2**6
     assert abs(res.lattice.det) * res.index**2 == abs(lat.det)
 
@@ -750,15 +751,13 @@ def test_overlattice_8A1_half_sum():
 def test_glue_validation():
     lat = L("8A1")
     with pytest.raises(NonIntegralGlue):
-        GlueVector.in_dual(lat, [Fraction(1, 3)] + [0] * 7)
-    with pytest.raises(ValueError, match="glue vector has wrong length"):
-        GlueVector.in_dual(lat, [Fraction(1, 2)] * 7)
-    four = GlueVector.in_dual(lat, [Fraction(1, 2)] * 4 + [0] * 4)
+        overlattice(lat, [[Fraction(1, 3)] + [0] * 7])
+    with pytest.raises(ValueError, match="vector has wrong length"):
+        overlattice(lat, [[Fraction(1, 2)] * 7])
     # self-pairing -2 is even: gluing 4 curves is fine lattice-wise
-    assert overlattice(lat, [four]).index == 2
-    odd = GlueVector.in_dual(lat, [Fraction(1, 2)] * 2 + [0] * 6)
+    assert overlattice(lat, [[Fraction(1, 2)] * 4 + [0] * 4]).index == 2
     with pytest.raises(OddGlue):
-        overlattice(lat, [odd])
+        overlattice(lat, [[Fraction(1, 2)] * 2 + [0] * 6])
 
 
 HALF = Fraction(1, 2)
@@ -787,9 +786,8 @@ HALF = Fraction(1, 2)
 )
 def test_overlattice_glue_errors(text, glue, exc, message):
     lat = L(text)
-    vectors = [GlueVector(tuple(map(Fraction, g)), 1) for g in glue]
     with pytest.raises(exc) as info:
-        overlattice(lat, vectors)
+        overlattice(lat, glue)
     assert type(info.value) is exc
     assert str(info.value) == message
 
@@ -801,7 +799,7 @@ def test_wrong_length_vectors_are_refused():
         lambda v: q_value(lat, v),
         lambda v: lat.pair(v, zero),
         lambda v: lat.pair(zero, v),
-        lambda v: dual_defect(lat.gram, tuple(map(Fraction, v))),
+        lambda v: overlattice(lat, [v]),
     ]
     for call in calls:
         for v in ([HALF] * 8 + [Fraction(1, 3)], zero + [HALF], [HALF] * 7, []):
@@ -818,8 +816,7 @@ def test_overlattice_det_identity_random_glue():
         size = rng.choice([4, 8])
         support = rng.sample(range(12), size)
         coords = [Fraction(1, 2) if i in support else Fraction(0) for i in range(12)]
-        g = GlueVector.in_dual(lat, coords)
-        res = overlattice(lat, [g])
+        res = overlattice(lat, [coords])
         assert abs(res.lattice.det) * res.index**2 == abs(lat.det)
         assert res.index == 2
 

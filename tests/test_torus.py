@@ -252,6 +252,11 @@ def test_torus_lattice_needs_a_4x4_basis(rows):
 def test_unknown_group_name():
     with pytest.raises(UnrecognizedGroup):
         standard_group("Z7")
+    # an unknown lattice is a plain ValueError: the CLI maps UnrecognizedGroup to exit 3
+    with pytest.raises(ValueError) as info:
+        standard_group("T24hat", lattice="zzz")
+    assert type(info.value) is ValueError
+    assert str(info.value) == "unknown lattice 'zzz'; known: ['a', 'a0', 'b', 'product']"
 
 
 def test_lieberman_is_not_a_standard_group():
