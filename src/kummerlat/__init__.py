@@ -1,6 +1,7 @@
 """kummerlat: exact lattice and torus-quotient computations.
 
-Library layers:
+Library layers, each imported the first time one of its names is read from
+the package (PEP 562); `import kummerlat.<layer>` imports one at once:
 
 * `snf` - Smith and Hermite normal forms and integer determinants;
 * `lattice` - integer Gram lattices, discriminant groups, root
@@ -23,74 +24,36 @@ All public objects are immutable and the operations are pure functions,
 safe for concurrent use; outputs are deterministic.
 """
 
-from .ade import (
-    ADEConfig,
-    CensusTooLarge,
-    DynkinGraph,
-    InvalidComponent,
-    ParseError,
-    RankLimitExceeded,
-    dynkin,
-    enumerate_configs,
-    gram,
-    m_value,
-    max_disjoint_curves,
-    parse_config,
-)
-from .divisibility import (
-    DivisibleCandidate,
-    NonReducedIntersection,
-    NotADEAfterContraction,
-    ObstructionReport,
-    ObstructionStep,
-    check_nonexistence,
-    double_cover_transform,
-    enriques_census,
-    even_set_candidates,
-    required_even_sets,
-    three_divisible_candidates,
-)
-from .kummer import (
-    KummerReport,
-    build_F,
-    build_group_report,
-    build_K_Q8hat,
-    build_K_T24hat,
-)
-from .lattice import (
-    DegenerateLattice,
-    DiscriminantGroup,
-    GramLattice,
-    LengthBoundResult,
-    NonIntegralGlue,
-    NotInDual,
-    NotNegativeDefinite,
-    OddGlue,
-    OverlatticeResult,
-    discriminant_group,
-    length_bound_check,
-    overlattice,
-    q_value,
-    roots,
-)
-from .snf import det_int, hermite_row_basis, smith_normal_form
-from .torus import (
-    AffineTorusMap,
-    ClosureExceedsBound,
-    FixedPointSet,
-    NonIsolatedFixedLocus,
-    SingularityReport,
-    TorusGroup,
-    TorusLattice,
-    UnrecognizedGroup,
-    abcd_shorthand,
-    fixed_points,
-    left_mult_matrix,
-    lieberman_check,
-    singularity_configuration,
-    stabilizer_ade_type,
-    standard_group,
-)
+from importlib import import_module
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "ade": """ADEConfig CensusTooLarge DynkinGraph InvalidComponent ParseError RankLimitExceeded
+              dynkin enumerate_configs gram m_value max_disjoint_curves parse_config""",
+    "divisibility": """DivisibleCandidate NonReducedIntersection NotADEAfterContraction ObstructionReport
+                       ObstructionStep check_nonexistence double_cover_transform enriques_census
+                       even_set_candidates required_even_sets three_divisible_candidates""",
+    "kummer": "KummerReport build_F build_group_report build_K_Q8hat build_K_T24hat",
+    "lattice": """DegenerateLattice DiscriminantGroup GramLattice LengthBoundResult NonIntegralGlue
+                  NotInDual NotNegativeDefinite OddGlue OverlatticeResult discriminant_group
+                  length_bound_check overlattice q_value roots""",
+    "snf": "det_int hermite_row_basis smith_normal_form",
+    "torus": """AffineTorusMap ClosureExceedsBound FixedPointSet NonIsolatedFixedLocus SingularityReport
+                TorusGroup TorusLattice UnrecognizedGroup abcd_shorthand fixed_points left_mult_matrix
+                lieberman_check singularity_configuration stabilizer_ade_type standard_group""",
+}
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in (layer, *names.split())}
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # read from the layer on every use, never cached, so a rebinding there shows here too
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    layer = globals().get(home) or import_module(f"{__name__}.{home}")
+    return layer if name == home else getattr(layer, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
