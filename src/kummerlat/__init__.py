@@ -26,22 +26,75 @@ safe for concurrent use; outputs are deterministic.
 
 from importlib import import_module
 
-_EXPORTS = {
-    "ade": """ADEConfig CensusTooLarge DynkinGraph InvalidComponent ParseError RankLimitExceeded
-              dynkin enumerate_configs gram m_value max_disjoint_curves parse_config""",
-    "divisibility": """DivisibleCandidate NonReducedIntersection NotADEAfterContraction ObstructionReport
-                       ObstructionStep check_nonexistence double_cover_transform enriques_census
-                       even_set_candidates required_even_sets three_divisible_candidates""",
-    "kummer": "KummerReport build_F build_group_report build_K_Q8hat build_K_T24hat",
-    "lattice": """DegenerateLattice DiscriminantGroup GramLattice LengthBoundResult NonIntegralGlue
-                  NotInDual NotNegativeDefinite OddGlue OverlatticeResult discriminant_group
-                  length_bound_check overlattice q_value roots""",
-    "snf": "det_int hermite_row_basis smith_normal_form",
-    "torus": """AffineTorusMap ClosureExceedsBound FixedPointSet NonIsolatedFixedLocus SingularityReport
-                TorusGroup TorusLattice UnrecognizedGroup abcd_shorthand fixed_points left_mult_matrix
-                lieberman_check singularity_configuration stabilizer_ade_type standard_group""",
+# each public name and the layer that holds it; a layer's own name maps to itself
+_HOME = {
+    "ade": "ade",
+    "ADEConfig": "ade",
+    "CensusTooLarge": "ade",
+    "DynkinGraph": "ade",
+    "InvalidComponent": "ade",
+    "ParseError": "ade",
+    "RankLimitExceeded": "ade",
+    "dynkin": "ade",
+    "enumerate_configs": "ade",
+    "gram": "ade",
+    "m_value": "ade",
+    "max_disjoint_curves": "ade",
+    "parse_config": "ade",
+    "divisibility": "divisibility",
+    "DivisibleCandidate": "divisibility",
+    "NonReducedIntersection": "divisibility",
+    "NotADEAfterContraction": "divisibility",
+    "ObstructionReport": "divisibility",
+    "ObstructionStep": "divisibility",
+    "check_nonexistence": "divisibility",
+    "double_cover_transform": "divisibility",
+    "enriques_census": "divisibility",
+    "even_set_candidates": "divisibility",
+    "required_even_sets": "divisibility",
+    "three_divisible_candidates": "divisibility",
+    "kummer": "kummer",
+    "KummerReport": "kummer",
+    "build_F": "kummer",
+    "build_group_report": "kummer",
+    "build_K_Q8hat": "kummer",
+    "build_K_T24hat": "kummer",
+    "lattice": "lattice",
+    "DegenerateLattice": "lattice",
+    "DiscriminantGroup": "lattice",
+    "GramLattice": "lattice",
+    "LengthBoundResult": "lattice",
+    "NonIntegralGlue": "lattice",
+    "NotInDual": "lattice",
+    "NotNegativeDefinite": "lattice",
+    "OddGlue": "lattice",
+    "OverlatticeResult": "lattice",
+    "discriminant_group": "lattice",
+    "length_bound_check": "lattice",
+    "overlattice": "lattice",
+    "q_value": "lattice",
+    "roots": "lattice",
+    "snf": "snf",
+    "det_int": "snf",
+    "hermite_row_basis": "snf",
+    "smith_normal_form": "snf",
+    "torus": "torus",
+    "AffineTorusMap": "torus",
+    "ClosureExceedsBound": "torus",
+    "FixedPointSet": "torus",
+    "NonIsolatedFixedLocus": "torus",
+    "SingularityReport": "torus",
+    "TorusGroup": "torus",
+    "TorusLattice": "torus",
+    "UnrecognizedGroup": "torus",
+    "abcd_shorthand": "torus",
+    "fixed_points": "torus",
+    "left_mult_matrix": "torus",
+    "lieberman_check": "torus",
+    "singularity_configuration": "torus",
+    "stabilizer_ade_type": "torus",
+    "standard_group": "torus",
 }
-_HOME = {name: layer for layer, names in _EXPORTS.items() for name in (layer, *names.split())}
 __all__ = sorted(_HOME)
 __version__ = "0.1.0"
 

@@ -158,8 +158,9 @@ def test_records_survive_pickling():
 
 
 def test_import_loads_no_dataclasses_inspect_or_json():
-    # a fresh interpreter without site, so nothing but the package imports
-    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import kummerlat; "
+    # a fresh interpreter without site, so nothing but the package imports; the
+    # star import loads every layer, which a bare `import kummerlat` does not
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); from kummerlat import *; "
             "print(' '.join(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ""
