@@ -273,7 +273,7 @@ def gram(config: ADEConfig, labels: tuple[str, ...] | None = None) -> GramLattic
     blocks = [component_gram(letter, n) for letter, n in config.components()]
     g = direct_sum(blocks)
     return GramLattice(
-        gram=tuple(tuple(row) for row in g),
+        gram=tuple([tuple(row) for row in g]),
         basis_labels=labels or tuple(_component_labels(config)),
     )
 

@@ -10,8 +10,10 @@ and runs on Python ints - never floats: a rational vector (or a set of
 them) is held as integer numerators over one common denominator, the lcm of
 its denominators.  Pairings, dual and glue checks, the root search and the
 overlattice Hermite basis work on those numerators; `fractions.Fraction`
-appears only on rational values returned to the caller (roots are integer
-tuples).  Each distinct block is handled once per call.
+appears only on rational values returned to the caller.  Each distinct block
+is handled once per call, and each root is built once, at its place: one
+integer tuple of the lattice's width.  Tuples kept are built from lists: one
+built from an iterator is shrunk to size and, once freed, idles in a free list.
 """
 
 from __future__ import annotations
@@ -105,14 +107,14 @@ class GramLattice(Record):
 
     def __post_init__(self):
         d = self.__dict__
-        g = tuple([tuple(map(int, row)) for row in self.gram])
-        if g != self.gram and g != tuple(map(tuple, self.gram)):
+        g = tuple([tuple([*map(int, row)]) for row in self.gram])
+        if g != self.gram and g != tuple([*map(tuple, self.gram)]):
             raise ValueError("Gram matrix entries must be integers")
         d["gram"] = g
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
-        if g != tuple(zip(*g)):
+        if g != tuple([*zip(*g)]):
             raise ValueError("Gram matrix must be symmetric")
         if not self.basis_labels:
             d["basis_labels"] = tuple(f"e{i+1}" for i in range(n))
@@ -128,7 +130,7 @@ class GramLattice(Record):
         """Orthogonal blocks: (basis indices, Gram) for each connected
         component of the Gram's support graph, ordered by smallest index."""
         comps = connected_components([[j for j, g in enumerate(row) if g] for row in self.gram])
-        return tuple((c, tuple(tuple(self.gram[i][j] for j in c) for i in c)) for c in comps)
+        return tuple([(c, tuple([tuple([self.gram[i][j] for j in c]) for i in c])) for c in comps])
 
     @cached_property
     def det(self) -> int:
@@ -362,12 +364,14 @@ def _search_levels(q) -> tuple[int, list]:
     return S, [(D, u, w_num * (S // w_den)) for D, u, w_num, w_den in raw]
 
 
-def _block_roots(q) -> list[tuple[int, ...]]:
+def _block_roots(q, at, width: int) -> list[tuple[int, ...]]:
     """All x with x.q.x = 2 for positive definite integer q, one per {x, -x}
-    pair: the one whose last nonzero coordinate is positive."""
+    pair: the one whose last nonzero coordinate is positive, each built once,
+    at its place: coordinate k is entry at[k] of a width-long tuple, 0 elsewhere."""
     S, levels = _search_levels(q)
     n = len(levels)
-    x = [0] * n
+    levels = [(D, [(at[j], c) for j, c in u], W) for D, u, W in levels]
+    x = [0] * width
     found: list[tuple[int, ...]] = []
 
     def descend(i: int, rem: int, zero_above: bool) -> None:
@@ -382,7 +386,7 @@ def _block_roots(q) -> list[tuple[int, ...]]:
         if i:
             for xi in range(lo, (m - C) // D + 1):
                 t = D * xi + C
-                x[i] = xi
+                x[at[i]] = xi
                 if r := rem - W * t * t:
                     descend(i - 1, r, zero_above and not xi)
                     continue
@@ -392,7 +396,7 @@ def _block_roots(q) -> list[tuple[int, ...]]:
                     Ck = 0
                     for j, c in uk:
                         Ck += c * x[j]
-                    x[k], s = divmod(-Ck, Dk)
+                    x[at[k]], s = divmod(-Ck, Dk)
                     if s:
                         break
                 else:
@@ -401,7 +405,8 @@ def _block_roots(q) -> list[tuple[int, ...]]:
             for t in sorted({-m, m}):
                 xi, r = divmod(t - C, D)
                 if not r and xi >= lo:
-                    found.append((xi, *x[1:]))
+                    x[at[0]] = xi
+                    found.append(tuple(x))
 
     if n:
         descend(n - 1, 2 * S, True)
@@ -416,20 +421,24 @@ def roots(L: GramLattice) -> list[tuple[int, ...]]:
     LDL scaled to integer weights and centres, with exact isqrt bounds, and
     each pair searched once.  Roots of an orthogonal sum lie in single
     blocks, so each distinct block Gram is searched once per call, in
-    reversed coordinates, and its roots are placed at every block with that
-    Gram.  Pairs are reported by the representative whose first nonzero
-    coordinate is positive, as sorted integer tuples (2 * len(result) vectors).
+    reversed coordinates, with each root built once, at its place; a later
+    block with that Gram is placed from the first one's roots.  Pairs are
+    reported by the representative whose first nonzero coordinate is
+    positive, as sorted integer tuples (2 * len(result) vectors).
     """
     n = L.rank
-    found, out = {}, []  # per call: each distinct block Gram's roots
+    first, out = {}, []  # per call: each distinct block Gram's indices and roots
     for comp, g in L.blocks:
-        if g not in found:  # searched in reversed coordinates, each root padded by a 0
+        if g in first:  # placed from the first block with this Gram
+            base, found = first[g]
+            idx = [comp[0]] * n  # off this block: an index that is 0 in every root found
+            for i, j in zip(comp, base):
+                idx[i] = j
+            out += map(itemgetter(*idx), found)
+        else:  # searched in reversed coordinates
             rev = [[-x for x in reversed(row)] for row in reversed(g)]
-            found[g] = [(*y, 0) for y in _block_roots(rev)]
-        idx = [-1] * n  # (*y, 0)[idx[i]] is coordinate i of the placed root y
-        for c, i in enumerate(reversed(comp)):
-            idx[i] = c
-        out += map(itemgetter(*idx) if n > 1 else itemgetter(slice(1)), found[g])  # rank 1: 1-tuple
+            first[g] = comp, _block_roots(rev, comp[::-1], n)
+            out += first[g][1]
     out.sort()
     return out
 

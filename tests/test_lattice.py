@@ -1,5 +1,7 @@
 import gc
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -541,12 +543,17 @@ def test_roots_of_repeated_blocks(text, pairs):
     assert all(type(c) is int for v in got for c in v)
 
 
-@pytest.mark.parametrize("text, distinct", [("19A1", 1), ("A1+6A3", 2), ("4A2+2A3+A5", 3)])
+@pytest.mark.parametrize(
+    "text, distinct", [("19A1", 1), ("A1+6A3", 2), ("4A2+2A3+A5", 3), ("shuffled Q8hat", 4)]
+)
 def test_block_roots_once_per_distinct_block(monkeypatch, text, distinct):
     calls = []
     real = lattice._block_roots
-    monkeypatch.setattr(lattice, "_block_roots", lambda q: calls.append(q) or real(q))
-    lat = L(text)
+    monkeypatch.setattr(lattice, "_block_roots", lambda q, *place: calls.append(q) or real(q, *place))
+    lat = permuted(build_F("Q8hat"), 7) if text == "shuffled Q8hat" else L(text)
+    if text == "shuffled Q8hat":  # six A3 copies at scattered indices, in three orders of their path
+        assert sum(c[-1] - c[0] + 1 != len(c) for c, g in lat.blocks if len(g) == 3) == 6
+        assert sorted(Counter(g for _, g in lat.blocks).values()) == [1, 1, 2, 3]
     assert roots(lat) == fraction_roots(lat)
     assert len(calls) == distinct
 
@@ -644,8 +651,12 @@ def test_search_levels_and_block_roots_match_dense_recursion():
     for kind, q in definite_inputs():
         kinds[kind] += 1
         assert _search_levels(q) == oracle_search_levels(q), (kind, q)
-        found = lattice._block_roots(q)
+        n = len(q)
+        found = lattice._block_roots(q, range(n), n)
         assert found == oracle_block_roots(q), (kind, q)
+        # the same roots written in reverse at the odd entries of a wider tuple
+        spread = lattice._block_roots(q, range(2 * n - 1, 0, -2), 2 * n)
+        assert [r[::-2] for r in spread] == found and not any(any(r[::2]) for r in spread)
         kinds["roots"] += bool(found)
     assert (kinds["ADE"], kinds["K"], kinds["scrambled"]) == (38, 2, 10)
     assert kinds["roots"] >= 70, kinds
@@ -724,6 +735,24 @@ def test_root_search_and_census_leave_no_garbage():
     finally:
         gc.enable()
     assert (left_by_roots, left_by_census) == (0, 0)
+
+
+@pytest.mark.parametrize("text", ["D19", "A1+D17"])
+def test_roots_hold_little_beyond_their_result(text):
+    """Each root is built once, at its place: after the free lists are
+    emptied, what a call leaves allocated is its result and little more,
+    not the freed intermediate tuples parked in tuple free lists."""
+    lat = L(text)
+    roots(lat)  # the cached blocks are built outside the measurement
+    gc.collect()  # a full collection empties the free lists
+    tracemalloc.start()
+    try:
+        got = roots(lat)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    own = sys.getsizeof(got) + sum(map(sys.getsizeof, got))
+    assert held < 1.5 * own, held / own
 
 
 # --- glue and overlattices ---------------------------------------------------
