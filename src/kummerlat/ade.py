@@ -110,7 +110,7 @@ class ADEConfig(Record):
         return ADEConfig(self.terms + other.terms)
 
     def __mul__(self, k: int) -> "ADEConfig":
-        return ADEConfig(tuple((letter, n, c * k) for letter, n, c in self.terms))
+        return ADEConfig([(letter, n, c * k) for letter, n, c in self.terms])
 
     __rmul__ = __mul__
 
@@ -127,7 +127,7 @@ class ADEConfig(Record):
             if (slot := _SORT_SLOTS.get((letter, n))) is not None:
                 counts[slot] = c
         # trailing exact (n, count) lists per letter keep the order total beyond rank-19 parts
-        exact = (tuple((n, c) for x, n, c in self.terms if x == letter) for letter in "ADE")
+        exact = (tuple([(n, c) for x, n, c in self.terms if x == letter]) for letter in "ADE")
         return (self.rank, tuple(counts), *exact)
 
     def to_json_dict(self) -> dict:
@@ -281,7 +281,7 @@ def gram(config: ADEConfig, labels: tuple[str, ...] | None = None) -> GramLattic
 def invariant_factors_from_orders(orders: list[int]) -> tuple[int, ...]:
     """Convert a multiset of cyclic orders to the invariant factor chain."""
     chain = primary_chain((o, None) for o in orders if o > 1)
-    return tuple(prod(q for q, _, _ in parts) for parts in chain)
+    return tuple([prod(q for q, _, _ in parts) for parts in chain])
 
 
 def max_disjoint_curves(config: ADEConfig) -> tuple[int, tuple[str, ...]]:

@@ -33,7 +33,9 @@ candidates and finds their least cover rank, and a walk down the
 components gives the least candidate as an example.  Every witness search
 of dimension 2 or more and every global step, p = 2 or 3, is one match: up
 to a change of basis the codes are repeated simplex and first-order affine
-codes, and a code exists exactly when one splits among the components.
+codes, and a code exists exactly when one splits among the components.  The
+match's remainders are lists, and a tuple that a check frees is built from a
+list or a display, never from an iterator (README's conventions).
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class ObstructionReport(Record):
 
 
 def _step(kind: str, **data) -> ObstructionStep:
-    return ObstructionStep(kind, tuple((k, str(v)) for k, v in data.items()))
+    return ObstructionStep(kind, tuple([(k, str(v)) for k, v in data.items()]))
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +186,8 @@ def _candidate(graph: DynkinGraph, p: int, v: int) -> DivisibleCandidate:
             if v >> start + i & 1:
                 j = start + (adj[i] & v >> n + start).bit_length() - 1
                 support.append(labels[start + i] if p == 2 else (labels[start + i], labels[j]))
-    values = tuple(Fraction(c, p) for c in range(p))
-    coeffs = tuple(values[(v >> i & 1) + 2 * (v >> n + i & 1)] for i in range(n))
+    values = [Fraction(c, p) for c in range(p)]
+    coeffs = tuple([values[(v >> i & 1) + 2 * (v >> n + i & 1)] for i in range(n)])
     return DivisibleCandidate(p, tuple(support), coeffs)
 
 
@@ -401,7 +403,8 @@ def _local_cover(letter: str, n: int, local_mask: int) -> ADEConfig | str:
 
 def _normal(v: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Nonzero v up to a scalar: first nonzero entry 1 (units of F_2, F_3 are self-inverse)."""
-    return tuple(y * next(x for x in v if x) % p for y in v)
+    unit = next(x for x in v if x)
+    return tuple([y * unit % p for y in v])
 
 
 @lru_cache(maxsize=None)
@@ -432,12 +435,12 @@ def _shape(p: int, n: int, pats: tuple[int, ...]):
     in F_p^d, so the patterns with 0 must be a subspace, and the shape is
     the nodes' normalized coefficient vectors with counts."""
     nodes = [i for i in range(n) if any(q >> i & 1 or q >> n + i & 1 for q in pats)]
-    vecs = {tuple((q >> i & 1) + 2 * (q >> n + i & 1) for i in nodes) for q in pats}
+    vecs = {tuple([(q >> i & 1) + 2 * (q >> n + i & 1) for i in nodes]) for q in pats}
     rows, span = [], {(): (0,) * len(nodes)}  # coefficients on the rows -> vector
     for v in sorted(vecs):
         if v not in span.values():
             rows.append(v)
-            span = {cs + (c,): tuple((a + c * b) % p for a, b in zip(w, v))
+            span = {cs + (c,): tuple([(a + c * b) % p for a, b in zip(w, v)])
                     for cs, w in span.items() for c in range(p)}
     if set(span.values()) != vecs | {(0,) * len(nodes)}:
         raise AssertionError(f"allowed patterns {pats} with 0 are not an F_{p}-subspace")
@@ -456,7 +459,7 @@ def _options(p: int, shape, d: int, c: int):
     for lams in product(product(range(p), repeat=d), repeat=len(shape[0][0])):
         counts = [0] * len(limit)
         for u, m in shape:
-            col = tuple(sum(map(operator.mul, u, lt)) % p for lt in zip(*lams))
+            col = [sum(map(operator.mul, u, lt)) % p for lt in zip(*lams)]
             if any(col):
                 counts[index.get(_normal(col, p), -1)] += m
         if all(map(operator.le, counts, limit)):
@@ -474,7 +477,7 @@ def _split(p: int, shapes, d: int, c: int) -> dict[int, tuple] | None:
     order = sorted(range(len(ts)), key=lambda i: (ts[i] > 0, -ts[i] or len(opts[i][0]), shapes[i]))
     room = [*accumulate((opts[j][1] for j in reversed(order)), initial=0)][::-1]  # suffix sums
 
-    def walk(i: int, rem: tuple[int, ...], lo: int) -> dict[int, tuple] | None:
+    def walk(i: int, rem: list[int], lo: int) -> dict[int, tuple] | None:
         if not any(rem):
             return {}
         if sum(rem) > room[i]:
@@ -484,12 +487,12 @@ def _split(p: int, shapes, d: int, c: int) -> dict[int, tuple] | None:
         for idx in range(lo, len(opts[j][0])):
             counts, lams = opts[j][0][idx]
             if all(map(operator.le, counts, rem)):
-                rest = walk(i + 1, tuple(map(operator.sub, rem, counts)), idx if same else 0)
+                rest = walk(i + 1, [*map(operator.sub, rem, counts)], idx if same else 0)
                 if rest is not None:
                     return {**rest, j: lams}
         return None
 
-    found = walk(0, tuple(code.values()), 0)
+    found = walk(0, [*code.values()], 0)
     del walk  # the closure refers to itself: free it now, not at a GC pass
     return found
 
@@ -543,7 +546,7 @@ def _component_policies(letter: str, n: int):
     canon: dict[tuple[int, ...], tuple[int, ...]] = {}  # alive -> its least image
     best: dict[tuple[int, ...], tuple[int, tuple[int, ...], int]] = {}
     for s in indsets:
-        alive = tuple(p for p in patterns if p & ~s == 0)
+        alive = tuple([p for p in patterns if p & ~s == 0])
         if alive not in canon:
             canon[alive] = min(
                 tuple(sorted(sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in alive))
@@ -594,7 +597,7 @@ def _witnesses(config: ADEConfig) -> list[_Witness]:
     for combo in product(*per_type):
         if (size := sum(t[0] for t in combo)) >= 12:
             _, alive, masks, parts, tables = zip(*combo)
-            allowed = tuple(tuple(q << s for q in a) for s, a in zip(starts, chain(*alive)))
+            allowed = tuple([tuple([q << s for q in a]) for s, a in zip(starts, chain(*alive))])
             curves = sum(m << s for s, m in zip(starts, chain(*masks)))
             witnesses.append(_Witness(size, "; ".join(parts), tables, allowed, curves))
     witnesses.sort(key=lambda w: (w.size, w.description))

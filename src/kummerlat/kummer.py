@@ -111,7 +111,7 @@ def _t_base_nums(coeffs: tuple[int, ...]) -> list[int]:
 
 def _t_base_vector(coeffs: tuple[int, ...]) -> tuple[Fraction, ...]:
     """`_t_base_nums` over 4, as a rational vector."""
-    return tuple(Fraction(x, 4) for x in _t_base_nums(coeffs))
+    return tuple([Fraction(x, 4) for x in _t_base_nums(coeffs)])
 
 
 DELTA_1 = (1, 1, 1, 1, 2, 0)
@@ -137,8 +137,8 @@ def build_K_Q8hat() -> KummerReport:
     d1, d2 = (_t_base_vector(d) for d in (DELTA_1, DELTA_2))
     # 2*gamma, numerators over 2, is half the curves with an odd numerator
     # mod F and lies in K with gamma: those curves form an even set
-    doubles = (DELTA_1, tuple(map(add, DELTA_1, DELTA_2)), DELTA_2)
-    even_sets = [tuple(label for label, x in zip(F.basis_labels, _t_base_nums(gamma)) if x % 2)
+    doubles = (DELTA_1, [*map(add, DELTA_1, DELTA_2)], DELTA_2)
+    even_sets = [tuple([label for label, x in zip(F.basis_labels, _t_base_nums(gamma)) if x % 2])
                  for gamma in doubles]
     text = {d: str(d).replace(" ", "") for d in (DELTA_1, DELTA_2, DELTA_2_ALT)}
     return _saturation("Q8hat", F, [d1, d2]).replace(

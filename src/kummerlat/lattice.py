@@ -12,8 +12,8 @@ its denominators.  Pairings, dual and glue checks, the root search and the
 overlattice Hermite basis work on those numerators; `fractions.Fraction`
 appears only on rational values returned to the caller.  Each distinct block
 is handled once per call, and each root is built once, at its place: one
-integer tuple of the lattice's width.  Tuples kept are built from lists: one
-built from an iterator is shrunk to size and, once freed, idles in a free list.
+integer tuple of the lattice's width.  A tuple that a call frees is built from
+a list or a display, never from an iterator (README's conventions).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class OddGlue(ValueError):
 
 
 def vec(coords) -> RationalVector:
-    return tuple(Fraction(c) for c in coords)
+    return tuple([Fraction(c) for c in coords])
 
 
 def frac_str(q: Fraction) -> str:
@@ -65,7 +65,7 @@ def _integer_rows(rows, width: int) -> tuple[int, list[list[int]]]:
     over den, the lcm of all their denominators (1 for no rows)."""
     if any(len(r) != width for r in rows):
         raise ValueError("vector has wrong length")
-    den = lcm(*(c.denominator for r in rows for c in r))
+    den = lcm(*[c.denominator for r in rows for c in r])
     return den, [[c.numerator * (den // c.denominator) for c in r] for r in rows]
 
 
@@ -117,7 +117,7 @@ class GramLattice(Record):
         if g != tuple([*zip(*g)]):
             raise ValueError("Gram matrix must be symmetric")
         if not self.basis_labels:
-            d["basis_labels"] = tuple(f"e{i+1}" for i in range(n))
+            d["basis_labels"] = tuple([f"e{i+1}" for i in range(n)])
         elif len(self.basis_labels) != n:
             raise ValueError("label count does not match rank")
 
@@ -269,7 +269,7 @@ def discriminant_group(L: GramLattice) -> DiscriminantGroup:
         factors.append(f)
         # one Fraction per distinct coordinate, shared across the generator
         frac = {x: Fraction(x % f, f) for x in set(nums)}
-        gens.append(tuple(map(frac.__getitem__, nums)))
+        gens.append(tuple([*map(frac.__getitem__, nums)]))
         qs.append(Fraction(qnum % (2 * f * f), f * f))
     disc = DiscriminantGroup(tuple(factors), tuple(gens), tuple(qs))
     if disc.order != abs(L.det):
@@ -330,12 +330,12 @@ def overlattice(L: GramLattice, glue) -> OverlatticeResult:
     if any(p % den2 for row in hgh for p in row):
         raise AssertionError("overlattice Gram is not integral")
     lat = GramLattice(
-        gram=tuple(tuple(p // den2 for p in row) for row in hgh),
-        basis_labels=tuple(f"b{i+1}" for i in range(n)),
+        gram=tuple([tuple([p // den2 for p in row]) for row in hgh]),
+        basis_labels=tuple([f"b{i+1}" for i in range(n)]),
     )
     if abs(lat.det) * index * index != abs(L.det):
         raise AssertionError("overlattice determinant identity violated")
-    return OverlatticeResult(lat, index, den, tuple(map(tuple, H)))
+    return OverlatticeResult(lat, index, den, tuple([*map(tuple, H)]))
 
 
 def _search_levels(q) -> tuple[int, list]:
@@ -360,7 +360,7 @@ def _search_levels(q) -> tuple[int, list]:
         u = [(j, row[j] // g) for j in compress(range(k + 1, len(q)), row[k + 1 :])]
         raw.append((D, u, p, prev * D * D))  # level weight p / (prev D^2)
         prev = p
-    S = lcm(*(w_den for *_, w_den in raw))
+    S = lcm(*[w_den for *_, w_den in raw])
     return S, [(D, u, w_num * (S // w_den)) for D, u, w_num, w_den in raw]
 
 

@@ -17,7 +17,8 @@ basis is integer numerators over one denominator, and the change into
 lattice coordinates is an integer product with its adjugate.  Points and
 translations become `Fraction` only on returned values (`AffineTorusMap`,
 `FixedPointSet.points`, `SingularityReport`); `AffineTorusMap.__call__` and
-`compose` act on `Fraction` points directly.
+`compose` act on `Fraction` points directly.  A tuple that a call frees is
+built from a list or a display, never from an iterator (README's conventions).
 
 Every standard group is generated by maps x -> qx + t in a quaternion
 algebra with I^2 = -1, J^2 = sq_j and K = IJ; `left_mult_matrix(q, sq_j)`
@@ -120,12 +121,12 @@ class TorusLattice(Record):
         out = mat_mul(mat_mul(adj, nums), cols)
         if any(x % q for row in out for x in row):
             raise ValueError("linear map does not preserve the lattice")
-        return tuple(tuple(x // q for x in row) for row in out)
+        return tuple([tuple([x // q for x in row]) for row in out])
 
     def to_lattice_vector(self, frame_vector) -> RationalVector:
         _, adj, det = self._frame_change
         d, (nums,) = _integer_rows([frame_vector], 4)
-        return tuple(Fraction(self.den * sum(map(mul, row, nums)), det * d) for row in adj)
+        return tuple([Fraction(self.den * sum(map(mul, row, nums)), det * d) for row in adj])
 
 
 _T = Fraction(1, 2)
@@ -160,21 +161,21 @@ class AffineTorusMap(Record):
         and r a vector of 4 rationals."""
         if any(int(x) != x for row in linear for x in row):
             raise ValueError("linear part must be an integer matrix")
-        lin = tuple(tuple(int(x) for x in row) for row in linear)
+        lin = tuple([tuple([int(x) for x in row]) for row in linear])
         if len(lin) != 4 or any(len(row) != 4 for row in lin):
             raise ValueError("linear part must be a 4 x 4 matrix")
         if abs(det_int(lin)) != 1:
             raise ValueError("linear part must have determinant +-1")
-        tr = tuple(Fraction(x) % 1 for x in translation)
+        tr = tuple([Fraction(x) % 1 for x in translation])
         if len(tr) != 4:
             raise ValueError("translation must have 4 entries")
         return cls(lin, tr)
 
     def __call__(self, point: RationalVector) -> RationalVector:
-        return tuple((sum(map(mul, row, point)) + r) % 1 for row, r in zip(self.linear, self.translation))
+        return tuple([(sum(map(mul, row, point)) + r) % 1 for row, r in zip(self.linear, self.translation)])
 
     def compose(self, other: "AffineTorusMap") -> "AffineTorusMap":
-        lin = tuple(map(tuple, mat_mul(self.linear, other.linear)))
+        lin = tuple([*map(tuple, mat_mul(self.linear, other.linear))])
         return AffineTorusMap(lin, self(other.translation))
 
     def is_identity(self) -> bool:
@@ -209,9 +210,9 @@ def _compose(g, h, n: int):
     """g h for (M, translation numerators mod n) pairs."""
     (m, t), (k, s) = g, h
     (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = k
-    return tuple((a * p0 + b * q0 + c * r0 + d * s0, a * p1 + b * q1 + c * r1 + d * s1,
-                  a * p2 + b * q2 + c * r2 + d * s2, a * p3 + b * q3 + c * r3 + d * s3)
-                 for a, b, c, d in m), _apply(m, t, s, n)
+    return tuple([(a * p0 + b * q0 + c * r0 + d * s0, a * p1 + b * q1 + c * r1 + d * s1,
+                   a * p2 + b * q2 + c * r2 + d * s2, a * p3 + b * q3 + c * r3 + d * s3)
+                  for a, b, c, d in m]), _apply(m, t, s, n)
 
 
 _CLOSURE_BOUND = 120  # the largest group here has 24 elements
@@ -225,7 +226,7 @@ def closure(generators) -> tuple[AffineTorusMap, ...]:
     is built once, at the end, sorted by (linear, translation).
     """
     n, nums = _integer_rows([g.translation for g in generators], 4)
-    gens = [(g.linear, tuple(x % n for x in t)) for g, t in zip(generators, nums)]
+    gens = [(g.linear, tuple([x % n for x in t])) for g, t in zip(generators, nums)]
     els = {(_IDENTITY, (0,) * 4), *gens}
     frontier = list(gens)
     while frontier:
@@ -240,7 +241,7 @@ def closure(generators) -> tuple[AffineTorusMap, ...]:
                         raise ClosureExceedsBound(f"closure exceeded {_CLOSURE_BOUND} elements")
         frontier = new
     frac = {x: Fraction(x, n) for _, t in els for x in t}
-    return tuple(AffineTorusMap(lin, tuple(map(frac.__getitem__, t))) for lin, t in sorted(els))
+    return tuple([AffineTorusMap(lin, tuple([*map(frac.__getitem__, t)])) for lin, t in sorted(els)])
 
 
 QUAT_I = (0, 1, 0, 0)
@@ -309,7 +310,7 @@ def _lieberman_maps(e1, e2) -> tuple[AffineTorusMap, AffineTorusMap]:
 def _two_torsion_pair(e, label: str):
     if e is None:
         raise ValueError(f"{label} is required for the lieberman group")
-    pair = tuple(Fraction(x) % 1 for x in e)
+    pair = tuple([Fraction(x) % 1 for x in e])
     if len(pair) != 2 or any((2 * x) % 1 != 0 for x in pair):
         raise ValueError(f"{label} must be a 2-torsion point of an elliptic factor")
     return pair
@@ -344,8 +345,8 @@ def _fixed_ints(linear, t, n: int) -> tuple[str, int, list[tuple[int, ...]]]:
     points = [(0, 0, 0, 0)]
     for col, di, ci in zip(zip(*V), d, c):
         steps = [[(ci + k * n) * (q // (di * n)) * v for v in col] for k in range(di)]
-        points = [tuple(map(add, p, y)) for p in points for y in steps]
-    points = sorted({tuple(x % q for x in p) for p in points})
+        points = [tuple([*map(add, p, y)]) for p in points for y in steps]
+    points = sorted({tuple([x % q for x in p]) for p in points})
     if len(points) != abs(det_int(A)):
         raise AssertionError("fixed point count disagrees with |det(M - I)|")
     return "finite", q, points
@@ -363,7 +364,7 @@ def fixed_points(g: AffineTorusMap) -> FixedPointSet:
     n, (t,) = _integer_rows([g.translation], 4)
     kind, q, points = _fixed_ints(g.linear, t, n)
     frac = {x: Fraction(x, q) for x in {x for p in points for x in p}}
-    return FixedPointSet(kind, tuple(tuple(map(frac.__getitem__, p)) for p in points))
+    return FixedPointSet(kind, tuple([tuple([*map(frac.__getitem__, p)]) for p in points]))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +471,7 @@ def stabilizer_ade_type(matrices) -> tuple[str, int] | str:
     tetrahedral, octahedral and icosahedral groups give E_6, E_7, E_8.
     A matrix of determinant -1 gives NON_SYMPLECTIC.
     """
-    orders, dets, _ = _cyclic_orders([(tuple(map(tuple, m)), (0, 0, 0, 0)) for m in matrices], 1)
+    orders, dets, _ = _cyclic_orders([(tuple([*map(tuple, m)]), (0, 0, 0, 0)) for m in matrices], 1)
     return NON_SYMPLECTIC if any(d != 1 for d in dets) else _ade_type(orders)
 
 
@@ -493,7 +494,7 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
     stabilizer of p off that row.  Each point becomes `Fraction` once.
     """
     n, nums = _integer_rows([g.translation for g in group.elements], 4)
-    maps = [(g.linear, tuple(x % n for x in t)) for g, t in zip(group.elements, nums)]
+    maps = [(g.linear, tuple([x % n for x in t])) for g, t in zip(group.elements, nums)]
     orders, dets, primes = _cyclic_orders(maps, n)
     solved = [_fixed_ints(*maps[i], n) for i in primes]
     for i, (kind, _, _) in zip(primes, solved):
@@ -501,10 +502,10 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
             raise NonIsolatedFixedLocus(group.elements[i])
     # every point and translation over N
     N = lcm(n, *(q for _, q, _ in solved))
-    maps = [(m, tuple(x * (N // n) for x in t)) for m, t in maps]
-    points = sorted({tuple(x * (N // q) for x in p) for _, q, pts in solved for p in pts})
+    maps = [(m, tuple([x * (N // n) for x in t])) for m, t in maps]
+    points = sorted({tuple([x * (N // q) for x in p]) for _, q, pts in solved for p in pts})
     coord = {x: Fraction(x, N) for x in {x for p in points for x in p}}
-    frac = {p: tuple(map(coord.__getitem__, p)) for p in points}
+    frac = {p: tuple([*map(coord.__getitem__, p)]) for p in points}
 
     orbits, stab_orders, stab_types = [], [], []
     visited: set[tuple[int, ...]] = set()
@@ -521,7 +522,7 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
         if any(dets[i] != 1 for i in stab):
             raise UnrecognizedGroup("non-symplectic stabilizer encountered")
         visited.update(orbit)
-        orbits.append(tuple(frac[x] for x in orbit))
+        orbits.append(tuple([frac[x] for x in orbit]))
         stab_orders.append(len(stab))
         stab_types.append(_ade_type([orders[i] for i in stab]))
 
@@ -531,7 +532,7 @@ def singularity_configuration(group: TorusGroup) -> SingularityReport:
         orbits=tuple(orbits),
         stabilizer_orders=tuple(stab_orders),
         stabilizer_types=tuple(stab_types),
-        config=ADEConfig(tuple((letter, n, 1) for letter, n in stab_types)),
+        config=ADEConfig([(letter, n, 1) for letter, n in stab_types]),
     )
 
 
